@@ -25,7 +25,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro.core.clustered import SCHEDULERS
 from repro.core.select import ENGINE_NAMES, select_engine
 from repro.numt.backend import available_backends
 from repro.telemetry import Telemetry, use_telemetry
@@ -79,10 +78,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("-o", "--output", help="output file (default stdout)")
     parser.add_argument(
         "--engine", choices=ENGINE_NAMES, default="clustered",
-        help="batch-GCD engine; 'auto' derives pooled vs in-process from "
-        "corpus size and cores, and prefers 'incremental' when "
-        "--store-dir is set or 'alltoall' when --shards is set "
-        "(default: clustered)",
+        help="batch-GCD engine; 'alltoall' is the clustered engine with the "
+        "all-to-all descent foreign pass over --k subsets; 'auto' derives "
+        "pooled vs in-process from corpus size and cores, and prefers "
+        "'incremental' when --store-dir is set (default: clustered)",
     )
     parser.add_argument(
         "--store-dir", metavar="DIR",
@@ -92,12 +91,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--k", type=int, default=16, help="subset count (default 16)")
     parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="logical node count for the all-to-all engine's simulated "
-        "sharded deployment; rejected (not ignored) with engines that "
-        "have no shard axis (default: none)",
-    )
-    parser.add_argument(
         "--processes", type=int, default=None,
         help="worker processes (default: in-process)",
     )
@@ -106,18 +99,12 @@ def main(argv: list[str] | None = None) -> int:
         help="drop duplicate moduli before the computation",
     )
     parser.add_argument(
-        "--scheduler", choices=SCHEDULERS, default="streaming",
-        help="task-graph driver: cached/streaming or the original fanout "
-        "pool.map (default: streaming)",
-    )
-    parser.add_argument(
         "--backend", choices=sorted(available_backends()), default=None,
         help="big-int backend (default: $REPRO_NUMT_BACKEND or python)",
     )
     parser.add_argument(
         "--max-inflight", type=int, default=None, metavar="N",
-        help="streaming scheduler: bound on in-flight task chunks "
-        "(default: 2x processes)",
+        help="bound on in-flight task chunks (default: 2x processes)",
     )
     parser.add_argument(
         "--max-retries", type=int, default=2, metavar="N",
@@ -163,21 +150,22 @@ def main(argv: list[str] | None = None) -> int:
     # CLI-level elapsed display wants real time whether or not telemetry
     # is enabled for the run.
     started = time.perf_counter()  # reprolint: disable=DET003
-    choice = select_engine(
-        len(moduli),
-        engine=args.engine,
-        k=args.k,
-        processes=args.processes,
-        scheduler=args.scheduler,
-        backend=args.backend,
-        max_inflight=args.max_inflight,
-        max_retries=args.max_retries,
-        chunk_timeout=args.chunk_timeout,
-        checkpoint_dir=args.checkpoint_dir,
-        fault_plan=args.fault_plan,
-        store_dir=args.store_dir,
-        shards=args.shards,
-    )
+    try:
+        choice = select_engine(
+            len(moduli),
+            engine=args.engine,
+            k=args.k,
+            processes=args.processes,
+            backend=args.backend,
+            max_inflight=args.max_inflight,
+            max_retries=args.max_retries,
+            chunk_timeout=args.chunk_timeout,
+            checkpoint_dir=args.checkpoint_dir,
+            fault_plan=args.fault_plan,
+            store_dir=args.store_dir,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     engine = choice.engine
     print(f"engine: {choice.name} ({choice.reason})", file=sys.stderr)
     with use_telemetry(telemetry), telemetry.span(

@@ -18,7 +18,6 @@ import logging
 import pathlib
 import sys
 
-from repro.core.clustered import SCHEDULERS
 from repro.core.select import ENGINE_NAMES
 from repro.numt.backend import available_backends
 from repro.pipeline import run_study
@@ -95,8 +94,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--batchgcd-engine", choices=ENGINE_NAMES, default=None,
         metavar="NAME",
-        help="batch-GCD engine: classic, clustered, incremental, alltoall, "
-        "or auto (derive pooled vs in-process from corpus size and cores; "
+        help="batch-GCD engine: classic, clustered, incremental, alltoall "
+        "(clustered with the all-to-all descent foreign pass), or auto "
+        "(derive pooled vs in-process from corpus size and cores; "
         "default: auto)",
     )
     parser.add_argument(
@@ -105,20 +105,8 @@ def main(argv: list[str] | None = None) -> int:
         "engine (default: none)",
     )
     parser.add_argument(
-        "--batchgcd-scheduler", choices=SCHEDULERS, default=None,
-        metavar="NAME",
-        help="clustered batch-GCD task-graph driver "
-        "(streaming or fanout; default: streaming)",
-    )
-    parser.add_argument(
         "--batchgcd-k", type=int, default=None, metavar="K",
         help="clustered batch-GCD subset count (default: preset value)",
-    )
-    parser.add_argument(
-        "--batchgcd-shards", type=int, default=None, metavar="N",
-        help="logical node count for the all-to-all batch-GCD engine's "
-        "simulated sharded deployment; rejected (not ignored) with "
-        "engines that have no shard axis (default: none)",
     )
     parser.add_argument(
         "--batchgcd-processes", type=int, default=None, metavar="N",
@@ -126,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--batchgcd-inflight", type=int, default=None, metavar="N",
-        help="streaming scheduler: bound on in-flight task chunks "
+        help="bound on in-flight batch-GCD task chunks "
         "(default: 2x processes)",
     )
     parser.add_argument(
@@ -166,14 +154,10 @@ def main(argv: list[str] | None = None) -> int:
         config = config.with_(batchgcd_engine=args.batchgcd_engine)
     if args.batchgcd_store_dir is not None:
         config = config.with_(batchgcd_store_dir=args.batchgcd_store_dir)
-    if args.batchgcd_scheduler is not None:
-        config = config.with_(batchgcd_scheduler=args.batchgcd_scheduler)
     if args.numt_backend is not None:
         config = config.with_(batchgcd_backend=args.numt_backend)
     if args.batchgcd_k is not None:
         config = config.with_(batchgcd_k=args.batchgcd_k)
-    if args.batchgcd_shards is not None:
-        config = config.with_(batchgcd_shards=args.batchgcd_shards)
     if args.batchgcd_processes is not None:
         config = config.with_(batchgcd_processes=args.batchgcd_processes)
     if args.batchgcd_inflight is not None:

@@ -1,6 +1,6 @@
 """Batch-GCD factoring of weak RSA moduli (the paper's core computation).
 
-Three interchangeable engines compute, for every modulus in a corpus, its
+Interchangeable engines compute, for every modulus in a corpus, its
 greatest common divisor with the product of all the *other* moduli:
 
 - :mod:`repro.core.naive` — the quadratic all-pairs baseline (Section 3.2
@@ -11,16 +11,14 @@ greatest common divisor with the product of all the *other* moduli:
 - :mod:`repro.core.clustered` — the paper's contribution: the k-subset
   modification (Figure 2) that trades a factor-k increase in total work for
   cluster-parallel execution, avoiding the giant central product that
-  bottlenecks the classic algorithm.
+  bottlenecks the classic algorithm.  Its ``descent`` foreign pass is the
+  Pelofske all-to-all engine (arXiv 2405.03166): coprime subset pairs
+  settled with one root GCD each, byte-identical to the paper's
+  remainder-tree pass.
 - :mod:`repro.core.incremental` — the serving-path engine: a persistent
   product-tree store (:mod:`repro.numt.incremental`) answering "is this
   new modulus weak against everything seen so far?" in one descent, with
   O(log n) inserts instead of per-run full recomputes.
-- :mod:`repro.core.alltoall` — the Pelofske all-to-all engine (arXiv
-  2405.03166): the corpus partitioned across N logical nodes, compact
-  per-shard products exchanged all-to-all, coprime shard pairs settled
-  with one root GCD each, byte-identical to the clustered engine at
-  equal shard count (the sharded-deployment story).
 - :mod:`repro.core.select` — the engine seam: resolves a study's engine
   name (including ``"auto"``) to a constructed engine, deriving
   in-process vs pooled execution from corpus size and core count.
@@ -30,11 +28,6 @@ performs factor recovery — including the pairwise fallback for moduli that
 share *both* primes with other moduli (divisor == N).
 """
 
-from repro.core.alltoall import (
-    DEFAULT_SHARDS,
-    AllToAllBatchGcd,
-    alltoall_batch_gcd,
-)
 from repro.core.batchgcd import batch_gcd, batch_gcd_divisors
 from repro.core.clustered import ClusteredBatchGcd, clustered_batch_gcd
 from repro.core.incremental import (
@@ -57,18 +50,15 @@ from repro.core.select import (
 __all__ = [
     "AUTO_POOL_MAX_WORKERS",
     "AUTO_POOL_MIN_MODULI",
-    "AllToAllBatchGcd",
     "BatchGcdResult",
     "BulkEngine",
     "ClassicBatchGcd",
     "ClusteredBatchGcd",
-    "DEFAULT_SHARDS",
     "ENGINE_NAMES",
     "EngineChoice",
     "FactoredModulus",
     "INCREMENTAL_MAX_BATCH",
     "IncrementalBatchGcd",
-    "alltoall_batch_gcd",
     "auto_processes",
     "batch_gcd",
     "batch_gcd_divisors",

@@ -27,56 +27,75 @@ spread across subsets), the reported divisor may be a proper divisor of the
 classic one — the vulnerable/clean flagging is identical either way, which
 is what the paper's pipeline consumes.
 
-Schedulers.  The ``k**2`` task graph can be driven two ways:
+The driver.  The parent builds each subset's product tree **once** (``k``
+builds total, each under a ``batch_gcd.subset_tree`` span) and broadcasts
+trees + products (+ Barrett reciprocals, see below) to the worker pool
+**once** through the executor initializer.  Task payloads shrink to
+``(subset, product)`` index pairs, submitted in chunks, largest operands
+first, through a bounded in-flight window (``submit`` + ``wait``) so
+completed results merge back immediately instead of queueing behind slow
+head-of-line tasks.  Workers return sparse ``(position, divisor)`` hits.
 
-- ``"streaming"`` (default): the parent builds each subset's product tree
-  **once** (``k`` builds total, each under a ``batch_gcd.subset_tree``
-  span), prepares Barrett reciprocals for its large nodes when the big-int
-  backend profits from them, and broadcasts trees + reciprocals + products
-  to the worker pool **once** through the executor initializer.  Task
-  payloads shrink to ``(subset, product)`` index pairs, submitted in
-  chunks, largest operands first, through a bounded in-flight window
-  (``submit`` + ``wait``) so completed results merge back immediately
-  instead of queueing behind slow head-of-line tasks.  Workers return
-  sparse ``(position, divisor)`` hits.
-- ``"fanout"``: the original ordered driver, kept as the before/after
-  baseline: every task payload carries its whole subset and product
-  (``k**2`` big-int serialisations) and every task rebuilds its subset's
-  product tree from scratch.
+Foreign passes.  The own pass (``j == s``) is always the squared
+remainder tree.  A foreign pass (``j != s``) computes ``gcd(N_i, P_j)``
+for every ``N_i`` of subset ``s`` by one of two strategies, chosen with
+``foreign_pass``:
+
+- ``"remainder"`` (default, the paper's Figure 2): push ``P_j`` down
+  subset ``s``'s tree.  When the big-int backend profits from them, the
+  parent prepares Barrett reciprocals for the tree's large nodes once,
+  and all ``k - 1`` foreign passes over that tree reuse them.
+- ``"descent"`` (Pelofske's all-to-all GCD, arXiv 2405.03166): one root
+  ``gcd(P_s, P_j)`` — a coprime pair, the common case in a low-entropy
+  hunt, is settled without touching a leaf — then a coprime-pruned
+  descent of subset ``s``'s tree
+  (:func:`repro.numt.trees.gcd_descent_hits`).  Read as a simulated
+  ``k``-node deployment, each node holds one subset and only the ``k``
+  root products cross the interconnect; ``engine="alltoall"`` selects it.
+
+Both strategies yield exactly ``gcd(N_i, P_j)`` per modulus, so every
+pass writes the same sparse hits and the final result is byte-identical
+between them at every ``k`` (the differential harness,
+``tests/harness_differential.py``, asserts it corpus by corpus).
 
 Fault tolerance.  At cluster scale, worker loss and partial results are
-the normal case; both schedulers therefore run their chunks through the
+the normal case; the driver therefore runs its chunks through the
 recovery seam of :mod:`repro.faults`:
 
 - every chunk gets a per-chunk timeout plus bounded retry with
   exponential backoff (:class:`~repro.faults.recovery.RecoveryPolicy`),
   re-submitting to a fresh worker;
 - a dead worker (``BrokenProcessPool``) rebuilds the pool — including the
-  streaming broadcast — and re-queues everything in flight; when retries
-  or rebuilds exhaust, chunks degrade gracefully to fault-free in-process
+  broadcast — and re-queues everything in flight; when retries or
+  rebuilds exhaust, chunks degrade gracefully to fault-free in-process
   execution, so a run completes (more slowly) even under a hostile plan;
 - with ``checkpoint_dir`` set, every completed (subset, product) pass is
   persisted through :class:`~repro.faults.checkpoint.CheckpointStore`, and
-  a restarted run resumes from the surviving passes with a byte-identical
-  final :class:`~repro.core.results.BatchGcdResult`;
+  a restarted run — under either foreign-pass strategy — resumes from the
+  surviving passes with a byte-identical final
+  :class:`~repro.core.results.BatchGcdResult`;
 - an optional seeded :class:`~repro.faults.plan.FaultPlan` (CLI
   ``--fault-plan`` / ``$REPRO_FAULTS``; ``None`` — a single pointer check
   — by default) injects deterministic crash / timeout / corrupt / slow
   faults for chaos testing.
 
 Telemetry: when a registry is active (see :mod:`repro.telemetry`), the run
-records a ``batch_gcd.products`` span for the build phase (with one
-``batch_gcd.subset_tree`` child per reusable tree under the streaming
-scheduler) and one ``batch_gcd.task`` span per (subset, product) task —
-workers record into their own per-process registry and the parent merges
-the snapshots back, so the final report shows every task's wall/CPU time
-and operand bit-sizes regardless of whether the task ran in-process or on
-the pool.  Pooled streaming runs additionally record the
+records a ``batch_gcd.products`` span for the build phase (one
+``batch_gcd.subset_tree`` child per tree) and one ``batch_gcd.task`` span
+per (subset, product) task — workers record into their own per-process
+registry and the parent merges the snapshots back, so the final report
+shows every task's wall/CPU time and operand bit-sizes regardless of
+whether the task ran in-process or on the pool.  Remainder-tree passes
+carry a ``batch_gcd.task.remainder_tree`` child (``own`` tells the own
+pass from a foreign one); descent runs count the foreign passes settled
+by the root gcd alone in ``batch_gcd.alltoall.pruned_pairs`` and the
+bytes a real deployment would exchange in
+``batch_gcd.ipc_crossshard_bytes``.  Pooled runs additionally record the
 ``batch_gcd.ipc_broadcast_bytes`` / ``batch_gcd.ipc_task_bytes`` counters
 (pickled payload sizes) and a ``batch_gcd.queue_latency`` timer
 (submit-to-merge per chunk); the ``batch_gcd.queue_depth`` gauge drains to
-zero as tasks complete under either scheduler.  Recovery actions surface
-as the ``batch_gcd.retries`` / ``batch_gcd.pool_rebuilds`` /
+zero as tasks complete.  Recovery actions surface as the
+``batch_gcd.retries`` / ``batch_gcd.pool_rebuilds`` /
 ``batch_gcd.chunk_timeout`` counters and the
 ``batch_gcd.checkpoint_load`` / ``batch_gcd.checkpoint_write`` spans.
 """
@@ -101,28 +120,28 @@ from repro.faults.recovery import (
 )
 from repro.numt.backend import BigIntBackend, resolve_backend
 from repro.numt.trees import (
+    gcd_descent_hits,
     prepare_reciprocals,
     product_tree,
     remainder_tree_prepared,
     remainder_tree_squared,
-    tree_product,
 )
 from repro.telemetry import RunReport, Telemetry, get_telemetry, use_telemetry
 
 __all__ = [
-    "SCHEDULERS",
+    "FOREIGN_PASSES",
     "ClusteredBatchGcd",
     "ClusterRunStats",
     "clustered_batch_gcd",
 ]
 
-#: Recognised task-graph drivers (see the module docstring).
-SCHEDULERS = ("streaming", "fanout")
+#: Foreign-pass strategies (see the module docstring).
+FOREIGN_PASSES = ("remainder", "descent")
 
 
 @dataclass(slots=True)
 class ClusterRunStats:
-    """Accounting for one clustered run (the paper reports both times).
+    """Accounting for one engine run (the paper reports both times).
 
     Attributes:
         k: number of subsets.
@@ -132,24 +151,24 @@ class ClusterRunStats:
             of per-task compute times (the "1089 CPU hours" figure of the
             paper, at simulation scale).
         product_build_seconds: the serial prologue before any task runs
-            (part of ``cpu_seconds``): subset products under ``"fanout"``;
-            subset trees, Barrett reciprocals and products under
-            ``"streaming"``.
-        scheduler: which driver ran (``"streaming"`` or ``"fanout"``).
-        tree_builds: parent-side reusable product-tree builds (``k`` under
-            ``"streaming"``; 0 under ``"fanout"``, which rebuilds inside
-            every task).
+            (part of ``cpu_seconds``): subset trees, Barrett reciprocals
+            and products.
+        engine: the :data:`repro.core.select.ENGINE_NAMES` value that ran
+            — ``"clustered"`` or ``"alltoall"`` (the ``descent`` foreign
+            pass) for this engine, ``"classic"`` or ``"incremental"`` for
+            the engines that share this record.
+        tree_builds: parent-side reusable product-tree builds (``k``).
         tree_build_seconds: time inside those parent-side builds
             (including reciprocal preparation; part of
             ``product_build_seconds``).
         ipc_broadcast_bytes: pickled size of the one-shot worker broadcast
             (trees + reciprocals + products).  Only measured on
-            instrumented pooled streaming runs, else 0.
+            instrumented pooled runs, else 0.
         ipc_task_bytes: pickled size of all task payloads.  Only measured
-            on instrumented pooled streaming runs, else 0.
-        ipc_crossshard_bytes: bytes of compact shard products crossing
-            the simulated interconnect (all-to-all engine only, measured
-            on every run; 0 for the clustered schedulers).
+            on instrumented pooled runs, else 0.
+        ipc_crossshard_bytes: bytes of subset products a real all-to-all
+            deployment would exchange — each product sent to the ``k - 1``
+            other nodes.  Measured on every ``descent`` run; 0 otherwise.
         retries: chunk re-submissions after a failure or timeout.
         pool_rebuilds: process pools rebuilt after a dead worker.
         chunk_timeouts: in-flight chunks abandoned for exceeding the
@@ -168,7 +187,7 @@ class ClusterRunStats:
     wall_seconds: float
     cpu_seconds: float
     product_build_seconds: float = 0.0
-    scheduler: str = "streaming"
+    engine: str = "clustered"
     tree_builds: int = 0
     tree_build_seconds: float = 0.0
     ipc_broadcast_bytes: int = 0
@@ -194,7 +213,7 @@ class ClusterRunStats:
 
 
 # --------------------------------------------------------------------------
-# Streaming scheduler: broadcast worker state + index-pair chunk tasks.
+# Worker side: broadcast state + index-pair chunk tasks.
 # --------------------------------------------------------------------------
 
 #: Per-process broadcast state, installed once by :func:`_pool_init` (or
@@ -207,6 +226,7 @@ def _pool_init(
     trees: list[list[list[int]]],
     reciprocals: list[list[list[tuple[int, int] | None]] | None],
     products: list[int],
+    foreign_pass: str,
     backend_name: str,
     instrument: bool,
     fault_plan: FaultPlan | None,
@@ -217,6 +237,7 @@ def _pool_init(
         "trees": trees,
         "reciprocals": reciprocals,
         "products": products,
+        "foreign_pass": foreign_pass,
         "backend": resolve_backend(backend_name),
         "instrument": instrument,
         "fault_plan": fault_plan,
@@ -246,6 +267,10 @@ def _task_divisors(
             for pos, (n, z) in enumerate(zip(leaves, remainders))
             if (d := gcd(n, z // n)) > 1
         ]
+    if state["foreign_pass"] == "descent":
+        found = gcd_descent_hits(tree, state["products"][j], gcd=gcd)
+        telemetry.counter("batch_gcd.alltoall.pruned_pairs", int(not found))
+        return [(pos, unwrap(d)) for pos, d in found]
     with telemetry.span("batch_gcd.task.remainder_tree", own=False):
         remainders = remainder_tree_prepared(
             state["products"][j], tree, state["reciprocals"][i]
@@ -264,10 +289,7 @@ def _execute_chunk(
 
     Returns per-task ``(i, j, sparse_divisors, seconds)`` records plus the
     serialised telemetry report when instrumentation is on (one
-    ``batch_gcd.task`` span and timer observation per task, exactly as the
-    fanout scheduler records them — only the per-task
-    ``batch_gcd.task.product_tree`` span is gone, because the tree is
-    reused rather than rebuilt).
+    ``batch_gcd.task`` span and timer observation per task).
     """
     if not state["instrument"]:
         clock = get_telemetry().clock
@@ -342,93 +364,6 @@ def _verify_chunk(chunk_id: int, pairs: Sequence[tuple[int, int]], result: Any) 
         )
 
 
-# --------------------------------------------------------------------------
-# Fanout scheduler: the original self-contained-payload driver.
-# --------------------------------------------------------------------------
-
-
-def _subset_pass(
-    subset: Sequence[int], product: int, own_subset: bool, backend: BigIntBackend
-) -> tuple[list[int], float]:
-    """One fanout task: dense partial divisors for the subset's moduli."""
-    telemetry = get_telemetry()
-    start = telemetry.clock.wall()
-    gcd = backend.gcd
-    with telemetry.span("batch_gcd.task.product_tree", leaves=len(subset)):
-        tree = product_tree(subset, backend=backend)
-    if own_subset:
-        with telemetry.span("batch_gcd.task.remainder_tree", own=True):
-            remainders = remainder_tree_squared(tree)
-        divisors = [
-            backend.unwrap(gcd(n, z // n)) for n, z in zip(tree[0], remainders)
-        ]
-    else:
-        with telemetry.span("batch_gcd.task.remainder_tree", own=False):
-            remainders = remainder_tree_prepared(product, tree)
-        divisors = [
-            backend.unwrap(gcd(n, z)) for n, z in zip(tree[0], remainders)
-        ]
-    return divisors, telemetry.clock.wall() - start
-
-
-def _run_task(
-    args: tuple[int, int, list[int], int, bool, bool, str]
-) -> tuple[int, int, list[int], float, dict[str, Any] | None]:
-    """One self-contained fanout task (also the fault-free fallback body).
-
-    When instrumentation is requested the task records into a private
-    per-process registry and returns its serialised report, which the
-    parent merges into its own (registries never cross process boundaries
-    live — only snapshots do).
-    """
-    subset_index, product_index, subset, product, own, instrument, backend_name = args
-    backend = resolve_backend(backend_name)
-    if not instrument:
-        divisors, seconds = _subset_pass(subset, product, own, backend)
-        return subset_index, product_index, divisors, seconds, None
-    telemetry = Telemetry()
-    with use_telemetry(telemetry):
-        with telemetry.span(
-            "batch_gcd.task",
-            subset=subset_index,
-            product=product_index,
-            own=own,
-            subset_size=len(subset),
-            product_bits=int(product.bit_length()),
-        ):
-            divisors, seconds = _subset_pass(subset, product, own, backend)
-        telemetry.observe("batch_gcd.task", seconds, seconds)
-    report = telemetry.report().to_dict()
-    return subset_index, product_index, divisors, seconds, report
-
-
-def _run_fanout_task(
-    chunk_id: int,
-    attempt: int,
-    payload: tuple[tuple, FaultPlan | None],
-) -> tuple[int, int, list[int], float, dict[str, Any] | None]:
-    """Fanout process-pool entry point: one task through the fault seam."""
-    args, plan = payload
-    rule = trigger_fault(plan, chunk_id, attempt, pooled=True)
-    i, j, divisors, seconds, report = _run_task(args)
-    if rule is not None and rule.kind == "corrupt":
-        divisors = corrupt_chunk_results(divisors)
-    return i, j, divisors, seconds, report
-
-
-def _verify_fanout_task(chunk_id: int, payload: tuple, result: Any) -> None:
-    """Completeness check: the right pass, one divisor per subset modulus."""
-    args, _plan = payload
-    subset_index, product_index, subset = args[0], args[1], args[2]
-    i, j, divisors, _seconds, _report = result
-    if (i, j) != (subset_index, product_index) or len(divisors) != len(subset):
-        raise ChunkResultError(
-            f"task {chunk_id} returned pass ({i}, {j}) with "
-            f"{len(divisors)} divisors for pass "
-            f"({subset_index}, {product_index}) over {len(subset)} moduli"
-        )
-
-
 class ClusteredBatchGcd:
     """The k-subset cluster-parallel batch-GCD engine.
 
@@ -437,14 +372,15 @@ class ClusteredBatchGcd:
         processes: worker processes for the ``k**2`` tasks.  ``None`` runs
             in-process (a "simulated cluster", still exercising the exact
             task decomposition); values >= 1 use a process pool.
-        scheduler: task-graph driver — ``"streaming"`` (cached trees,
-            one-shot broadcast, bounded-window submission; the default) or
-            ``"fanout"`` (the original driver of self-contained payloads).
+        foreign_pass: how a subset is tested against a foreign product —
+            ``"remainder"`` (the paper's remainder tree; the default) or
+            ``"descent"`` (root gcd plus coprime-pruned descent, the
+            all-to-all engine).  Results are byte-identical.
         backend: big-int backend name (``"python"``, ``"gmpy2"``), an
             already-resolved :class:`~repro.numt.backend.BigIntBackend`,
             or ``None`` for ``$REPRO_NUMT_BACKEND`` / the active default.
-        max_inflight: bound on simultaneously submitted task chunks under
-            the streaming scheduler (``None`` = twice the worker count).
+        max_inflight: bound on simultaneously submitted task chunks
+            (``None`` = twice the worker count).
         max_retries: chunk re-submissions before degrading to in-process
             execution (see :class:`~repro.faults.recovery.RecoveryPolicy`).
         chunk_timeout: seconds before an in-flight chunk is abandoned and
@@ -463,7 +399,7 @@ class ClusteredBatchGcd:
         self,
         k: int = 16,
         processes: int | None = None,
-        scheduler: str = "streaming",
+        foreign_pass: str = "remainder",
         backend: str | BigIntBackend | None = None,
         max_inflight: int | None = None,
         max_retries: int = 2,
@@ -476,15 +412,16 @@ class ClusteredBatchGcd:
             raise ValueError("k must be >= 1")
         if processes is not None and processes < 1:
             raise ValueError("processes must be >= 1 or None")
-        if scheduler not in SCHEDULERS:
+        if foreign_pass not in FOREIGN_PASSES:
             raise ValueError(
-                f"unknown scheduler {scheduler!r} (choose from {SCHEDULERS})"
+                f"unknown foreign_pass {foreign_pass!r} "
+                f"(choose from {FOREIGN_PASSES})"
             )
         if max_inflight is not None and max_inflight < 1:
             raise ValueError("max_inflight must be >= 1 or None")
         self.k = k
         self.processes = processes
-        self.scheduler = scheduler
+        self.foreign_pass = foreign_pass
         self.backend = backend
         self.max_inflight = max_inflight
         self.checkpoint_dir = checkpoint_dir
@@ -503,63 +440,39 @@ class ClusteredBatchGcd:
         if any(m < 2 for m in moduli):
             raise ValueError("all moduli must be >= 2")
         corpus = list(moduli)
+        descent = self.foreign_pass == "descent"
+        engine = "alltoall" if descent else "clustered"
         if len(corpus) < 2:
-            self.last_stats = ClusterRunStats(
-                self.k, 0, 0.0, 0.0, scheduler=self.scheduler
-            )
+            self.last_stats = ClusterRunStats(self.k, 0, 0.0, 0.0, engine=engine)
             return BatchGcdResult(corpus, [1] * len(corpus))
         backend = resolve_backend(self.backend)
         plan = resolve_fault_plan(self.fault_plan)
         k = min(self.k, len(corpus))
-        subsets = [corpus[s::k] for s in range(k)]
-        if self.scheduler == "fanout":
-            return self._run_fanout(corpus, subsets, k, backend, plan)
-        return self._run_streaming(corpus, subsets, k, backend, plan)
-
-    def _checkpoint_store(
-        self, corpus: list[int], k: int, backend: BigIntBackend
-    ) -> CheckpointStore | None:
-        if self.checkpoint_dir is None:
-            return None
-        return CheckpointStore(
-            self.checkpoint_dir,
-            digest=corpus_digest(corpus),
-            k=k,
-            scheduler=self.scheduler,
-            backend=backend.name,
-        )
-
-    # -- streaming -------------------------------------------------------
-
-    def _run_streaming(
-        self,
-        corpus: list[int],
-        subsets: list[list[int]],
-        k: int,
-        backend: BigIntBackend,
-        plan: FaultPlan | None,
-    ) -> BatchGcdResult:
         telemetry = get_telemetry()
         clock = telemetry.clock
         instrument = telemetry.enabled
         started = clock.wall()
 
         # Build each subset's tree exactly once; products are the roots.
+        # Only remainder-tree foreign passes reuse Barrett reciprocals.
+        prepare = backend.use_barrett and not descent
         trees: list[list[list[int]]] = []
         reciprocals: list[list[list[tuple[int, int] | None]] | None] = []
         tree_build_seconds = 0.0
         with telemetry.span(
-            "batch_gcd.products", k=k, moduli=len(corpus), scheduler="streaming"
+            "batch_gcd.products",
+            k=k,
+            moduli=len(corpus),
+            foreign_pass=self.foreign_pass,
         ):
-            for s, subset in enumerate(subsets):
+            for s in range(k):
+                subset = corpus[s::k]
                 build_start = clock.wall()
                 with telemetry.span(
                     "batch_gcd.subset_tree", subset=s, leaves=len(subset)
                 ):
                     tree = product_tree(subset, backend=backend)
-                    recips = (
-                        prepare_reciprocals(tree) if backend.use_barrett else None
-                    )
+                    recips = prepare_reciprocals(tree) if prepare else None
                     telemetry.annotate(
                         root_bits=int(tree[-1][0].bit_length()),
                         reciprocal_nodes=sum(
@@ -571,14 +484,17 @@ class ClusteredBatchGcd:
                 reciprocals.append(recips)
         products = [tree[-1][0] for tree in trees]
         prologue_seconds = clock.wall() - started
-        telemetry.gauge(
-            "batch_gcd.max_product_bits",
-            max(int(p.bit_length()) for p in products),
-        )
+        bits = [int(p.bit_length()) for p in products]
+        telemetry.gauge("batch_gcd.max_product_bits", max(bits))
+        crossshard_bytes = 0
+        if descent:
+            # What a k-node deployment would move: every subset product
+            # sent to each of the other k - 1 nodes.
+            crossshard_bytes = (k - 1) * sum((b + 7) // 8 for b in bits)
+            telemetry.counter("batch_gcd.ipc_crossshard_bytes", crossshard_bytes)
 
         # Largest operands first: heavy subsets up front, and within each
         # subset the own pass (squared push-down, the heaviest) leads.
-        bits = [int(p.bit_length()) for p in products]
         order = sorted(range(k), key=lambda s: (-bits[s], s))
         tasks: list[tuple[int, int]] = []
         for i in order:
@@ -592,8 +508,14 @@ class ClusteredBatchGcd:
             )
 
         partials: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        store = self._checkpoint_store(corpus, k, backend)
-        if store is not None:
+        store = None
+        if self.checkpoint_dir is not None:
+            store = CheckpointStore(
+                self.checkpoint_dir,
+                digest=corpus_digest(corpus),
+                k=k,
+                backend=backend.name,
+            )
             partials.update(store.load())
         remaining_tasks = [t for t in tasks if t not in partials]
         chunk_size = max(1, k // 4)
@@ -613,6 +535,7 @@ class ClusteredBatchGcd:
             "trees": trees,
             "reciprocals": reciprocals,
             "products": products,
+            "foreign_pass": self.foreign_pass,
             "backend": backend,
             "instrument": instrument,
             "fault_plan": plan,
@@ -656,7 +579,8 @@ class ClusteredBatchGcd:
         on_submit = None
         if self.processes is not None:
             broadcast = (
-                trees, reciprocals, products, backend.name, instrument, plan,
+                trees, reciprocals, products, self.foreign_pass,
+                backend.name, instrument, plan,
             )
             if instrument:
                 broadcast_bytes = len(pickle.dumps(broadcast))
@@ -696,18 +620,19 @@ class ClusteredBatchGcd:
         )
         recovery_stats = recovery.run(consume)
 
-        divisors = self._aggregate_sparse(corpus, k, partials)
+        divisors = merge_sparse_hits(corpus, k, partials.items())
         self.last_stats = ClusterRunStats(
             k=k,
             tasks=len(tasks),
             wall_seconds=clock.wall() - started,
             cpu_seconds=cpu_seconds,
             product_build_seconds=prologue_seconds,
-            scheduler="streaming",
+            engine=engine,
             tree_builds=k,
             tree_build_seconds=tree_build_seconds,
             ipc_broadcast_bytes=broadcast_bytes,
             ipc_task_bytes=task_bytes,
+            ipc_crossshard_bytes=crossshard_bytes,
             checkpoint_loaded=len(tasks) - len(remaining_tasks),
             checkpoint_written=checkpoint_written,
         )
@@ -715,153 +640,15 @@ class ClusteredBatchGcd:
         telemetry.counter("batch_gcd.tasks", len(tasks))
         return BatchGcdResult(corpus, divisors)
 
-    # -- fanout (the original driver, kept as the baseline) --------------
-
-    def _run_fanout(
-        self,
-        corpus: list[int],
-        subsets: list[list[int]],
-        k: int,
-        backend: BigIntBackend,
-        plan: FaultPlan | None,
-    ) -> BatchGcdResult:
-        telemetry = get_telemetry()
-        clock = telemetry.clock
-        instrument = telemetry.enabled
-        started = clock.wall()
-        with telemetry.span(
-            "batch_gcd.products", k=k, moduli=len(corpus), scheduler="fanout"
-        ):
-            products = [tree_product(subset, backend=backend) for subset in subsets]
-        product_build_seconds = clock.wall() - started
-        telemetry.gauge(
-            "batch_gcd.max_product_bits",
-            max(int(p.bit_length()) for p in products),
-        )
-        all_passes = [(i, j) for i in range(k) for j in range(k)]
-        partials: dict[tuple[int, int], list[int]] = {}
-        store = self._checkpoint_store(corpus, k, backend)
-        if store is not None:
-            for (i, j), sparse in store.load().items():
-                dense = [1] * len(subsets[i])
-                for pos, divisor in sparse:
-                    dense[pos] = divisor
-                partials[(i, j)] = dense
-        passes = [p for p in all_passes if p not in partials]
-        tasks = [
-            (i, j, subsets[i], products[j], i == j, instrument, backend.name)
-            for i, j in passes
-        ]
-        telemetry.gauge("batch_gcd.queue_depth", len(tasks))
-        cpu_seconds = product_build_seconds
-        completed = 0
-        checkpoint_written = 0
-
-        def consume(
-            chunk_id: int,
-            outcome: tuple[int, int, list[int], float, dict[str, Any] | None],
-            queued_seconds: float,
-        ) -> None:
-            nonlocal cpu_seconds, completed, checkpoint_written
-            i, j, divisors, seconds, worker_report = outcome
-            partials[(i, j)] = divisors
-            cpu_seconds += seconds
-            completed += 1
-            # Drain progress does not depend on a worker report being
-            # attached (uninstrumented pool runs still gauge).
-            telemetry.gauge("batch_gcd.queue_depth", len(tasks) - completed)
-            if worker_report is not None:
-                telemetry.merge_report(RunReport.from_dict(worker_report))
-            if store is not None:
-                sparse = [
-                    (pos, d) for pos, d in enumerate(divisors) if d > 1
-                ]
-                store.record({(i, j): sparse})
-                checkpoint_written += 1
-
-        def local_task(chunk_id: int, attempt: int, payload):
-            args, _plan = payload
-            rule = trigger_fault(plan, chunk_id, attempt, pooled=False)
-            i, j, divisors, seconds, report = _run_task(args)
-            if rule is not None and rule.kind == "corrupt":
-                divisors = corrupt_chunk_results(divisors)
-            return i, j, divisors, seconds, report
-
-        def fallback_task(chunk_id: int, payload):
-            args, _plan = payload
-            return _run_task(args)
-
-        pool_factory = None
-        if self.processes is not None:
-
-            def pool_factory() -> ProcessPoolExecutor:
-                return ProcessPoolExecutor(max_workers=self.processes)
-
-        recovery = ResilientExecutor(
-            payloads=[(cid, (args, plan)) for cid, args in enumerate(tasks)],
-            policy=self.recovery,
-            fallback=fallback_task,
-            pool_factory=pool_factory,
-            pool_task=_run_fanout_task,
-            local_task=local_task,
-            verify=_verify_fanout_task,
-            window=2 * self.processes if self.processes is not None else 1,
-        )
-        recovery_stats = recovery.run(consume)
-
-        divisors = self._aggregate(corpus, k, partials)
-        self.last_stats = ClusterRunStats(
-            k=k,
-            tasks=len(all_passes),
-            wall_seconds=clock.wall() - started,
-            cpu_seconds=cpu_seconds,
-            product_build_seconds=product_build_seconds,
-            scheduler="fanout",
-            checkpoint_loaded=len(all_passes) - len(passes),
-            checkpoint_written=checkpoint_written,
-        )
-        self.last_stats.apply_recovery(recovery_stats)
-        telemetry.counter("batch_gcd.tasks", len(all_passes))
-        return BatchGcdResult(corpus, divisors)
-
-    # -- aggregation -----------------------------------------------------
-
-    @staticmethod
-    def _aggregate(
-        corpus: list[int], k: int, partials: dict[tuple[int, int], list[int]]
-    ) -> list[int]:
-        """lcm-combine dense fanout partials for every modulus."""
-        import math
-
-        combined = [1] * len(corpus)
-        for (i, _j), divisors in partials.items():
-            for pos, d in enumerate(divisors):
-                corpus_index = i + pos * k
-                if d > 1:
-                    current = combined[corpus_index]
-                    combined[corpus_index] = current * d // math.gcd(current, d)
-        # Divisors from different passes can overlap in prime content;
-        # normalise back to an actual divisor of N.
-        return [math.gcd(d, n) for d, n in zip(combined, corpus)]
-
-    @staticmethod
-    def _aggregate_sparse(
-        corpus: list[int],
-        k: int,
-        partials: dict[tuple[int, int], list[tuple[int, int]]],
-    ) -> list[int]:
-        """lcm-combine sparse streaming partials for every modulus."""
-        return merge_sparse_hits(corpus, k, partials.items())
-
 
 def clustered_batch_gcd(
     moduli: Sequence[int],
     k: int = 16,
     processes: int | None = None,
-    scheduler: str = "streaming",
+    foreign_pass: str = "remainder",
     backend: str | BigIntBackend | None = None,
 ) -> BatchGcdResult:
     """Convenience wrapper: run :class:`ClusteredBatchGcd` once."""
     return ClusteredBatchGcd(
-        k=k, processes=processes, scheduler=scheduler, backend=backend
+        k=k, processes=processes, foreign_pass=foreign_pass, backend=backend
     ).run(moduli)

@@ -114,7 +114,7 @@ class IncrementalBatchGcd:
         if len(corpus) < 2:
             self.last_mode = "trivial"
             self.last_stats = ClusterRunStats(
-                1, 0, clock.wall() - started, 0.0, scheduler="incremental"
+                1, 0, clock.wall() - started, 0.0, engine="incremental"
             )
             return BatchGcdResult(corpus, [1] * len(corpus))
         store = self.open_store()
@@ -142,6 +142,6 @@ class IncrementalBatchGcd:
         wall = clock.wall() - started
         telemetry.annotate(engine_mode=self.last_mode, inserts=inserts)
         self.last_stats = ClusterRunStats(
-            1, inserts, wall, wall, scheduler="incremental"
+            1, inserts, wall, wall, engine="incremental"
         )
         return result

@@ -2,7 +2,7 @@
 
 The engines are interchangeable behind ``run(moduli) -> BatchGcdResult``
 but have very different cost shapes: the classic tree wins small corpora
-outright, pooled clustered streaming wins large corpora on multi-core
+outright, the pooled clustered engine wins large corpora on multi-core
 hosts but pays pool startup (BENCH_batchgcd.json: 0.043 s pooled vs
 0.0185 s in-process at n=616), and the incremental engine wins the
 serving path where runs extend a persistent corpus.  This module owns
@@ -10,21 +10,21 @@ the decision so the pipeline, the CLIs and the service all pick the same
 way:
 
 - ``engine="classic"`` / ``"clustered"`` / ``"incremental"`` /
-  ``"alltoall"`` select explicitly;
+  ``"alltoall"`` select explicitly; ``"alltoall"`` is the clustered
+  engine with its ``descent`` foreign pass, one logical node per subset
+  (so its shard count is ``k``);
 - ``engine="auto"`` (the default study setting) picks the incremental
-  engine when a persistent ``store_dir`` is configured, the sharded
-  all-to-all engine when a ``shards`` count is configured, and otherwise
+  engine when a persistent ``store_dir`` is configured, and otherwise
   clustered — in-process for small corpora or single-core hosts, pooled
-  streaming with a derived worker count once the corpus is large enough
+  with a derived worker count once the corpus is large enough
   (:data:`AUTO_POOL_MIN_MODULI`) for the pool to amortise its startup.
 
 An explicit ``processes`` always wins over the derived worker count.
 
-Selection never falls back silently: a request that cannot be satisfied
-as stated — ``shards`` with an engine that has no shard axis, a
-persistent ``store_dir`` with the storeless all-to-all engine, or
-``auto`` given both (so either resolution would drop one knob) — raises
-``ValueError`` naming the conflict instead of guessing.
+Selection never falls back silently: a persistent ``store_dir`` given
+with an explicit engine that has no store (anything but
+``incremental``) raises ``ValueError`` naming the conflict instead of
+being dropped.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
-from repro.core.alltoall import DEFAULT_SHARDS, AllToAllBatchGcd
 from repro.core.batchgcd import batch_gcd
 from repro.core.clustered import ClusteredBatchGcd, ClusterRunStats
 from repro.core.incremental import IncrementalBatchGcd
@@ -81,7 +80,7 @@ class ClassicBatchGcd:
         started = clock.wall()
         result = batch_gcd(moduli, backend=self.backend)
         wall = clock.wall() - started
-        self.last_stats = ClusterRunStats(1, 1, wall, wall, scheduler="classic")
+        self.last_stats = ClusterRunStats(1, 1, wall, wall, engine="classic")
         return result
 
 
@@ -138,7 +137,6 @@ def select_engine(
     engine: str = "auto",
     k: int = 16,
     processes: int | None = None,
-    scheduler: str = "streaming",
     backend: str | BigIntBackend | None = None,
     max_inflight: int | None = None,
     max_retries: int = 2,
@@ -146,7 +144,6 @@ def select_engine(
     checkpoint_dir: str | Path | None = None,
     fault_plan: Any = None,
     store_dir: str | Path | None = None,
-    shards: int | None = None,
     cores: int | None = None,
 ) -> EngineChoice:
     """Resolve an engine name (possibly ``"auto"``) to a ready engine.
@@ -154,92 +151,40 @@ def select_engine(
     Args:
         corpus_size: number of moduli about to be run (drives ``auto``).
         engine: one of :data:`ENGINE_NAMES`.
-        k / processes / scheduler / backend / max_inflight / max_retries
-            / chunk_timeout / checkpoint_dir / fault_plan: the clustered
-            engine's knobs, passed through when it is selected (the
-            fault knobs also apply to the all-to-all engine).
+        k / processes / backend / max_inflight / max_retries /
+            chunk_timeout / checkpoint_dir / fault_plan: the clustered
+            engine's knobs, passed through when it is selected (also as
+            the incremental engine's bulk engine, and as ``alltoall``).
         store_dir: persistent store directory for the incremental engine;
             also what makes ``auto`` prefer it.
-        shards: logical node count for the all-to-all engine; also what
-            makes ``auto`` prefer it (``None`` when it is named
-            explicitly means :data:`~repro.core.alltoall.DEFAULT_SHARDS`).
         cores: core-count override for tests (``None`` = os.cpu_count()).
 
     Raises:
-        ValueError: on an unknown engine name, or on a request that
-            cannot be satisfied as stated — selection never silently
-            drops a knob to make a request fit (``shards`` with a
-            shardless engine, ``store_dir`` with the storeless all-to-all
-            engine, or ``auto`` given both).
+        ValueError: on an unknown engine name, or on a ``store_dir`` given
+            with an explicit engine other than ``incremental`` —
+            selection never silently drops a knob to make a request fit.
     """
     if engine not in ENGINE_NAMES:
         raise ValueError(
             f"unknown engine {engine!r} (choose from {ENGINE_NAMES})"
         )
-    if shards is not None and shards < 1:
-        raise ValueError("shards must be >= 1")
-    if shards is not None and engine in ("classic", "clustered", "incremental"):
+    if store_dir is not None and engine not in ("auto", "incremental"):
         raise ValueError(
-            f"engine {engine!r} has no shard axis: shards={shards} would be "
-            "ignored (use engine='alltoall', or drop the shard count)"
-        )
-    if engine == "alltoall" and store_dir is not None:
-        raise ValueError(
-            "the alltoall engine has no persistent store: "
+            f"the {engine} engine has no persistent store: "
             f"store_dir={str(store_dir)!r} would be ignored (use "
             "engine='incremental', or drop the store)"
         )
-    if engine == "auto" and store_dir is not None and shards is not None:
-        raise ValueError(
-            "auto cannot satisfy both a persistent store "
-            f"(store_dir={str(store_dir)!r} -> incremental) and a shard "
-            f"count (shards={shards} -> alltoall); name the engine "
-            "explicitly and drop the other knob"
-        )
-    resolved = engine
-    if engine == "auto":
-        if store_dir is not None:
-            resolved = "incremental"
-        elif shards is not None:
-            resolved = "alltoall"
-        else:
-            resolved = "clustered"
-    if resolved == "alltoall":
-        pool, pool_reason = (
-            auto_processes(corpus_size, requested=processes, cores=cores)
-            if engine == "auto"
-            else (processes, "alltoall engine requested")
-        )
-        reason = (
-            f"auto: shard count {shards} configured -> alltoall ({pool_reason})"
-            if engine == "auto"
-            else pool_reason
-        )
-        return EngineChoice(
-            "alltoall",
-            AllToAllBatchGcd(
-                shards=shards if shards is not None else DEFAULT_SHARDS,
-                processes=pool,
-                backend=backend,
-                max_inflight=max_inflight,
-                max_retries=max_retries,
-                chunk_timeout=chunk_timeout,
-                checkpoint_dir=checkpoint_dir,
-                fault_plan=fault_plan,
-            ),
-            pool,
-            reason,
-        )
-    if resolved == "classic":
+    if engine == "classic":
         return EngineChoice(
             "classic", ClassicBatchGcd(backend=backend), None,
             "classic engine requested",
         )
-    if resolved == "incremental":
-        bulk = ClusteredBatchGcd(
+
+    def clustered(pool: int | None, foreign_pass: str) -> ClusteredBatchGcd:
+        return ClusteredBatchGcd(
             k=k,
-            processes=processes,
-            scheduler=scheduler,
+            processes=pool,
+            foreign_pass=foreign_pass,
             backend=backend,
             max_inflight=max_inflight,
             max_retries=max_retries,
@@ -247,6 +192,8 @@ def select_engine(
             checkpoint_dir=checkpoint_dir,
             fault_plan=fault_plan,
         )
+
+    if engine == "incremental" or store_dir is not None:
         reason = (
             "incremental engine requested"
             if engine == "incremental"
@@ -254,28 +201,22 @@ def select_engine(
         )
         return EngineChoice(
             "incremental",
-            IncrementalBatchGcd(store_dir=store_dir, backend=backend, bulk=bulk),
+            IncrementalBatchGcd(
+                store_dir=store_dir,
+                backend=backend,
+                bulk=clustered(processes, "remainder"),
+            ),
             processes,
             reason,
+        )
+    if engine == "alltoall":
+        return EngineChoice(
+            "alltoall", clustered(processes, "descent"), processes,
+            f"alltoall engine requested: descent foreign pass over k={k} subsets",
         )
     pool, reason = (
         auto_processes(corpus_size, requested=processes, cores=cores)
         if engine == "auto"
         else (processes, "clustered engine requested")
     )
-    return EngineChoice(
-        "clustered",
-        ClusteredBatchGcd(
-            k=k,
-            processes=pool,
-            scheduler=scheduler,
-            backend=backend,
-            max_inflight=max_inflight,
-            max_retries=max_retries,
-            chunk_timeout=chunk_timeout,
-            checkpoint_dir=checkpoint_dir,
-            fault_plan=fault_plan,
-        ),
-        pool,
-        reason,
-    )
+    return EngineChoice("clustered", clustered(pool, "remainder"), pool, reason)

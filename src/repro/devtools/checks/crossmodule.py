@@ -66,9 +66,7 @@ _FLAG_ALIASES: dict[str, frozenset[str]] = {
     "batchgcd_engine": frozenset({"engine"}),
     "batchgcd_store_dir": frozenset({"store_dir"}),
     "batchgcd_k": frozenset({"k"}),
-    "batchgcd_shards": frozenset({"shards"}),
     "batchgcd_processes": frozenset({"processes"}),
-    "batchgcd_scheduler": frozenset({"scheduler"}),
     "batchgcd_backend": frozenset({"backend", "numt_backend"}),
     "batchgcd_inflight": frozenset({"max_inflight"}),
     "batchgcd_max_retries": frozenset({"max_retries"}),

@@ -15,12 +15,14 @@ Layout under ``checkpoint_dir``::
     pass-<i>-<j>.json        # sparse divisors of one completed pass
 
 The manifest binds the checkpoint to a specific computation: a SHA-256
-digest of the corpus plus the ``k`` / scheduler / backend parameters.  A
-mismatched manifest (different corpus or engine shape) is *ignored*, not
-an error — the run simply starts fresh and overwrites.  Writes go through
-a temp-file rename so a kill mid-write never leaves a torn shard; a shard
-listed in the manifest but unreadable on load is treated as incomplete
-and recomputed.
+digest of the corpus plus the ``k`` and backend parameters.  The
+foreign-pass strategy is deliberately *not* part of the identity: both
+strategies write identical per-pass hits, so a run checkpointed under one
+resumes under the other.  A mismatched manifest (different corpus or
+engine shape) is *ignored*, not an error — the run simply starts fresh
+and overwrites.  Writes go through a temp-file rename so a kill
+mid-write never leaves a torn shard; a shard listed in the manifest but
+unreadable on load is treated as incomplete and recomputed.
 
 Telemetry: loading records a ``batch_gcd.checkpoint_load`` span (with the
 number of passes restored), each incremental write a
@@ -58,20 +60,17 @@ class CheckpointStore:
         directory: the checkpoint directory (created on first write).
         digest: corpus identity from :func:`corpus_digest`.
         k: subset count of the run.
-        scheduler: task-graph driver name.
         backend: big-int backend name.
     """
 
     def __init__(
-        self, directory: "str | Path", *, digest: str, k: int, scheduler: str,
-        backend: str,
+        self, directory: "str | Path", *, digest: str, k: int, backend: str,
     ) -> None:
         self.directory = Path(directory)
         self._identity = {
             "version": _VERSION,
             "digest": digest,
             "k": k,
-            "scheduler": scheduler,
             "backend": backend,
         }
         self._passes: set[tuple[int, int]] = set()

@@ -76,6 +76,7 @@ from repro.numt.sieve import (
 from repro.numt.smooth import smooth_part, trial_factor
 from repro.numt.trees import (
     barrett_reduce,
+    gcd_descent_hits,
     newton_reciprocal,
     prepare_reciprocals,
     product_tree,
@@ -100,6 +101,7 @@ __all__ = [
     "empty_digest",
     "extend_digest",
     "first_n_primes",
+    "gcd_descent_hits",
     "get_backend",
     "introot",
     "is_perfect_power",

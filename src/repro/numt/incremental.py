@@ -70,7 +70,7 @@ from repro.faults.fsio import atomic_write_text as _atomic_write
 from repro.faults.fsio import fsync_file
 from repro.faults.journal import MutationJournal
 from repro.numt.backend import BigIntBackend, resolve_backend
-from repro.numt.trees import product_tree
+from repro.numt.trees import gcd_descent_hits, product_tree
 from repro.telemetry import get_telemetry
 
 __all__ = [
@@ -214,12 +214,21 @@ class IncrementalProductTree:
         """
         if modulus < 2:
             raise ValueError("all moduli must be >= 2")
+        index = len(self._levels[0])
+        self._levels[0].append(self._backend.wrap(modulus))
+        return [(0, index), *self.recompute_spine(index)]
+
+    def recompute_spine(self, leaf_index: int) -> list[tuple[int, int]]:
+        """Recompute every ancestor of ``leaf_index`` from its children.
+
+        Creates the parents an append has not grown yet, so the same walk
+        serves :meth:`append` and healing the rightmost spine after a
+        crash mid-insert left stale node records behind.  Returns the
+        recomputed ``(level, index)`` coordinates, leaf excluded.
+        """
         levels = self._levels
-        index = len(levels[0])
-        levels[0].append(self._backend.wrap(modulus))
-        dirty = [(0, index)]
-        level = 0
-        j = index
+        dirty: list[tuple[int, int]] = []
+        level, j = 0, leaf_index
         while len(levels[level]) > 1:
             parent = j >> 1
             nodes = levels[level]
@@ -234,29 +243,6 @@ class IncrementalProductTree:
                 levels[level + 1].append(value)
             else:
                 levels[level + 1][parent] = value
-            dirty.append((level + 1, parent))
-            level += 1
-            j = parent
-        return dirty
-
-    def recompute_spine(self, leaf_index: int) -> list[tuple[int, int]]:
-        """Recompute every ancestor of ``leaf_index`` from its children.
-
-        Used to heal the rightmost spine after a crash mid-insert left
-        stale node records behind; returns the recomputed coordinates.
-        """
-        levels = self._levels
-        dirty: list[tuple[int, int]] = []
-        level, j = 0, leaf_index
-        while len(levels[level]) > 1:
-            parent = j >> 1
-            nodes = levels[level]
-            left = nodes[2 * parent]
-            if 2 * parent + 1 < len(nodes):
-                value = left * nodes[2 * parent + 1]
-            else:
-                value = left
-            levels[level + 1][parent] = value
             dirty.append((level + 1, parent))
             level += 1
             j = parent
@@ -281,29 +267,17 @@ class IncrementalProductTree:
     def leaves_sharing(self, divisor: int) -> list[PartnerHit]:
         """Corpus members sharing a factor with ``divisor``, via descent.
 
-        Walks from the root, pruning every subtree whose product is
-        coprime to ``divisor``; visits O(log n) nodes per surviving path.
+        :func:`~repro.numt.trees.gcd_descent_hits` from the root, pruning
+        every subtree whose product is coprime to ``divisor``; visits
+        O(log n) nodes per surviving path.
         """
         if divisor <= 1 or not self.count:
             return []
-        unwrap = self._backend.unwrap
-        d = divisor
-        hits: list[PartnerHit] = []
-        stack: list[tuple[int, int]] = [(len(self._levels) - 1, 0)]
-        while stack:
-            level, j = stack.pop()
-            node = unwrap(self._levels[level][j])
-            g = math.gcd(d, node % d if node.bit_length() > d.bit_length() else node)
-            if g == 1:
-                continue
-            if level == 0:
-                hits.append(PartnerHit(j, g))
-                continue
-            below = self._levels[level - 1]
-            for child in (2 * j, 2 * j + 1):
-                if child < len(below):
-                    stack.append((level - 1, child))
-        return sorted(hits)
+        backend = self._backend
+        hits = gcd_descent_hits(
+            self._levels, backend.wrap(divisor), gcd=backend.gcd
+        )
+        return [PartnerHit(j, backend.unwrap(g)) for j, g in hits]
 
 
 class ProductTreeStore:

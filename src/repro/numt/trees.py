@@ -27,6 +27,13 @@ amortises one preparation over its k passes per subset.  Reciprocals only
 pay off where multiplication is genuinely subquadratic, so nodes below
 ``BARRETT_MIN_BITS`` keep plain ``%``.
 
+The third walk, :func:`gcd_descent_hits`, goes the other way: instead of
+reducing one value at every node, it carries ``gcd(node, x)`` down from
+the root and prunes every subtree coprime with it.  One root gcd settles
+the common case — ``x`` shares nothing with the tree — without touching
+a leaf.  The clustered engine's ``descent`` foreign pass and the
+incremental store's partner lookup are both this descent.
+
 All functions accept an optional big-int ``backend``
 (:mod:`repro.numt.backend`): the tree algorithms are identical, only the
 operand type changes.  The default is the active backend — plain ``int``.
@@ -34,13 +41,15 @@ operand type changes.  The default is the active backend — plain ``int``.
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+from typing import Callable, Sequence
 
 from repro.numt.backend import BigIntBackend, resolve_backend
 
 __all__ = [
     "BARRETT_MIN_BITS",
     "barrett_reduce",
+    "gcd_descent_hits",
     "newton_reciprocal",
     "prepare_reciprocals",
     "product_tree",
@@ -252,3 +261,46 @@ def remainder_tree_prepared(
             for i, node in enumerate(level)
         ]
     return remainders
+
+
+def gcd_descent_hits(
+    levels: list[list[int]],
+    x: int,
+    gcd: Callable[[int, int], int] = math.gcd,
+) -> list[tuple[int, int]]:
+    """``gcd(leaf, x)`` for every leaf sharing a factor with ``x``.
+
+    Descends ``levels`` (a tree from :func:`product_tree`) from the root
+    carrying the shared content ``g = gcd(node, x)``, and prunes every
+    subtree whose product is coprime with it.
+
+    Correctness: for a child ``c`` of a node, ``gcd(c, gcd(node, x)) ==
+    gcd(c, x)`` — no prime divides ``c`` more often than it divides the
+    node — so by induction every reached leaf yields exactly
+    ``gcd(leaf, x)``, and the pruned leaves are exactly those coprime
+    with ``x``.
+
+    Args:
+        levels: a product tree, leaves first.
+        x: the value to test the leaves against (a foreign product, or
+            one modulus's divisor).
+        gcd: the gcd of the tree's operand type (a backend's ``gcd``).
+
+    Returns:
+        ``(position, divisor)`` pairs sorted by position, for leaves with
+        divisor > 1.
+    """
+    shared = gcd(levels[-1][0], x)
+    if shared <= 1:
+        return []
+    frontier = {0: shared}
+    for level in reversed(levels[:-1]):
+        descended: dict[int, int] = {}
+        for parent, content in frontier.items():
+            for child in (2 * parent, 2 * parent + 1):
+                if child < len(level) and (g := gcd(level[child], content)) > 1:
+                    descended[child] = g
+        frontier = descended
+        if not frontier:
+            return []
+    return sorted(frontier.items())

@@ -332,14 +332,12 @@ def _run_study_instrumented(config: StudyConfig, tel: Telemetry) -> StudyResult:
         "batch_gcd",
         k=config.batchgcd_k,
         processes=config.batchgcd_processes,
-        scheduler=config.batchgcd_scheduler,
     ):
         choice = select_engine(
             len(moduli),
             engine=config.batchgcd_engine,
             k=config.batchgcd_k,
             processes=config.batchgcd_processes,
-            scheduler=config.batchgcd_scheduler,
             backend=config.batchgcd_backend,
             max_inflight=config.batchgcd_inflight,
             max_retries=config.batchgcd_max_retries,
@@ -347,7 +345,6 @@ def _run_study_instrumented(config: StudyConfig, tel: Telemetry) -> StudyResult:
             checkpoint_dir=config.batchgcd_checkpoint_dir,
             fault_plan=config.batchgcd_fault_plan,
             store_dir=config.batchgcd_store_dir,
-            shards=config.batchgcd_shards,
         )
         engine = choice.engine
         tel.annotate(

@@ -64,10 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="engine worker processes per job (default in-process)",
     )
     parser.add_argument(
-        "--scheduler", choices=("streaming", "fanout"), default=None,
-        help="clustered task-graph driver",
-    )
-    parser.add_argument(
         "--backend", default=None, help="big-int backend (python/gmpy2)"
     )
     parser.add_argument(
@@ -108,8 +104,6 @@ def config_from_args(args: argparse.Namespace) -> ServiceConfig:
         overrides["engine_k"] = args.k
     if args.processes is not None:
         overrides["engine_processes"] = args.processes
-    if args.scheduler is not None:
-        overrides["engine_scheduler"] = args.scheduler
     if args.backend is not None:
         overrides["engine_backend"] = args.backend
     if args.max_retries is not None:
@@ -134,7 +128,6 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"repro.service: state_dir={config.state_dir} "
         f"engine(mode={config.engine_mode}, k={config.engine_k}, "
-        f"scheduler={config.engine_scheduler}, "
         f"processes={config.engine_processes})",
         file=sys.stderr,
     )

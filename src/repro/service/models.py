@@ -309,7 +309,6 @@ class ServiceConfig:
         engine_k: subset count for the clustered engine (capped at the
             job's corpus size).
         engine_processes: worker processes per job (None = in-process).
-        engine_scheduler: clustered task-graph driver.
         engine_backend: big-int backend name (None = active default).
         engine_max_retries: chunk re-submissions inside one engine run.
         engine_chunk_timeout: per-chunk timeout inside one engine run.
@@ -330,7 +329,6 @@ class ServiceConfig:
     incremental_max_batch: int = 64
     engine_k: int = 4
     engine_processes: int | None = None
-    engine_scheduler: str = "streaming"
     engine_backend: str | None = None
     engine_max_retries: int = 2
     engine_chunk_timeout: float | None = None
@@ -351,7 +349,6 @@ class ServiceConfig:
             ),
             engine_k=study.batchgcd_k,
             engine_processes=study.batchgcd_processes,
-            engine_scheduler=study.batchgcd_scheduler,
             engine_backend=study.batchgcd_backend,
             engine_max_retries=study.batchgcd_max_retries,
             engine_chunk_timeout=study.batchgcd_chunk_timeout,

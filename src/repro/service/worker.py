@@ -74,7 +74,7 @@ class KeyCheckRunner:
     from its recorded per-job progress.
 
     Args:
-        config: engine knobs (mode, k, processes, scheduler, backend,
+        config: engine knobs (mode, k, processes, backend,
             chunk retry/timeout, fault plan).
         checkpoint_root: per-job checkpoint directories live under here;
             None disables engine checkpointing (clustered runs only).
@@ -99,7 +99,6 @@ class KeyCheckRunner:
         return ClusteredBatchGcd(
             k=max(1, min(config.engine_k, corpus_size)),
             processes=config.engine_processes,
-            scheduler=config.engine_scheduler,
             backend=config.engine_backend,
             max_retries=config.engine_max_retries,
             chunk_timeout=config.engine_chunk_timeout,

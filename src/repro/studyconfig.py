@@ -47,30 +47,22 @@ class StudyConfig:
         rimon_hosts: number of simulated Internet-Rimon-intercepted hosts.
         start, end: study window.
         batchgcd_engine: batch-GCD engine — ``"classic"``,
-            ``"clustered"``, ``"incremental"``, ``"alltoall"`` or
-            ``"auto"`` (the default), which prefers the incremental
-            engine when ``batchgcd_store_dir`` is set, the sharded
-            all-to-all engine when ``batchgcd_shards`` is set, and
+            ``"clustered"``, ``"incremental"``, ``"alltoall"`` (the
+            clustered engine's ``descent`` foreign pass at
+            ``batchgcd_k``) or ``"auto"`` (the default), which prefers
+            the incremental engine when ``batchgcd_store_dir`` is set and
             otherwise derives in-process vs pooled clustered execution
             from corpus size and core count (see
             :mod:`repro.core.select`).
         batchgcd_store_dir: directory for the incremental engine's
             persistent product-tree store (None = in-memory only).
-        batchgcd_k: subset count for the clustered batch GCD.
-        batchgcd_shards: logical node count for the all-to-all engine's
-            simulated sharded deployment (None = not configured; an
-            explicit ``engine="alltoall"`` then uses
-            :data:`repro.core.alltoall.DEFAULT_SHARDS`).  Setting it
-            with an engine that has no shard axis is a configuration
-            error — selection raises rather than ignoring it.
+        batchgcd_k: subset count for the clustered batch GCD (the
+            logical node count under ``"alltoall"``).
         batchgcd_processes: worker processes (None = in-process).
-        batchgcd_scheduler: task-graph driver for the clustered engine
-            (``"streaming"`` or ``"fanout"``; see
-            :mod:`repro.core.clustered`).
         batchgcd_backend: big-int backend name (``"python"``/``"gmpy2"``,
             None = ``$REPRO_NUMT_BACKEND`` or the active default).
-        batchgcd_inflight: bound on in-flight task chunks under the
-            streaming scheduler (None = twice the worker count).
+        batchgcd_inflight: bound on in-flight task chunks (None = twice
+            the worker count).
         batchgcd_max_retries: task-chunk re-submissions before a chunk
             degrades to fault-free in-process execution (see
             :mod:`repro.faults.recovery`).
@@ -98,9 +90,7 @@ class StudyConfig:
     batchgcd_engine: str = "auto"
     batchgcd_store_dir: str | None = None
     batchgcd_k: int = 16
-    batchgcd_shards: int | None = None
     batchgcd_processes: int | None = None
-    batchgcd_scheduler: str = "streaming"
     batchgcd_backend: str | None = None
     batchgcd_inflight: int | None = None
     batchgcd_max_retries: int = 2
@@ -152,14 +142,13 @@ class StudyConfig:
         — the engine caps ``k`` at the corpus size anyway — and the
         defaults favour latency over the batch run's throughput posture:
         in-process execution (no pool startup on small jobs; operators
-        opt into ``--processes`` for large tenants), the streaming
-        scheduler, and modest chunk retry bounds.
+        opt into ``--processes`` for large tenants) and modest chunk
+        retry bounds.
         """
         return cls(
             seed=seed,
             batchgcd_k=4,
             batchgcd_processes=None,
-            batchgcd_scheduler="streaming",
             batchgcd_max_retries=2,
         )
 

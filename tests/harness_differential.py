@@ -10,23 +10,24 @@ the same two building blocks:
   pairs, and a mixed blend — each a pure function of its ``Random``, so a
   failing case reproduces from the parametrize id alone;
 - an **engine-matrix runner** (:func:`assert_engine_parity`) that runs a
-  corpus through all eight engines and asserts the equality contracts.
+  corpus through every engine of :func:`engine_matrix` and asserts the
+  equality contracts.
 
 Equality contracts (what "parity" means, precisely):
 
-- *flags* (``divisor > 1``) are identical across all eight engines for
-  every modulus — the verdict the paper's pipeline consumes;
+- *flags* (``divisor > 1``) are identical across all engines for every
+  modulus — the verdict the paper's pipeline consumes;
 - *divisors* are byte-identical within each engine **family**.  The
   ``exact`` family (naive, classic, incremental) reports full shared
-  multiplicity; the ``clustered`` family (both clustered schedulers,
-  in-process and pooled, plus the all-to-all engine at ``shards == k``)
+  multiplicity; the ``clustered`` family (both foreign-pass strategies of
+  the clustered engine, in-process and pooled, at the same ``k``)
   reports the k-subset decomposition's divisor, which on non-squarefree
   corpora may be a proper divisor of the exact one (see
   :mod:`repro.core.clustered`).  Within a family there is no such
   freedom: any difference is a bug;
 - *factor sets* (:meth:`~repro.core.results.BatchGcdResult.recovered_primes`)
-  are identical across all eight engines: whatever multiplicity an
-  engine reports, resolving it must recover the same primes.
+  are identical across all engines: whatever multiplicity an engine
+  reports, resolving it must recover the same primes.
 """
 
 import math
@@ -34,7 +35,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.core.alltoall import AllToAllBatchGcd, alltoall_batch_gcd
 from repro.core.batchgcd import batch_gcd
 from repro.core.clustered import ClusteredBatchGcd
 from repro.core.incremental import IncrementalBatchGcd
@@ -63,45 +63,28 @@ class EngineSpec:
 
 
 def engine_matrix(k: int = 3, processes: int = 2) -> list[EngineSpec]:
-    """All eight engines, the k-subset family pinned to the same ``k``.
+    """Every engine, the k-subset family pinned to the same ``k``.
 
-    The all-to-all engine runs at ``shards=k`` so its round-robin
-    partition matches the clustered engines' subsets exactly — the
-    precondition for byte-identical divisors within the family.
+    The clustered family covers both foreign-pass strategies, in-process
+    and pooled: ``remainder`` (the paper's pass) and ``descent`` (the
+    all-to-all engine's pass).
     """
+
+    def clustered(foreign_pass: str, pool: int | None):
+        return lambda m: ClusteredBatchGcd(
+            k=k, processes=pool, foreign_pass=foreign_pass
+        ).run(m)
+
     return [
         EngineSpec("naive", EXACT, naive_pairwise_gcd),
         EngineSpec("classic", EXACT, batch_gcd),
         EngineSpec(
             "incremental", EXACT, lambda m: IncrementalBatchGcd().run(m)
         ),
-        EngineSpec(
-            "streaming",
-            CLUSTERED,
-            lambda m: ClusteredBatchGcd(k=k, scheduler="streaming").run(m),
-        ),
-        EngineSpec(
-            "fanout",
-            CLUSTERED,
-            lambda m: ClusteredBatchGcd(k=k, scheduler="fanout").run(m),
-        ),
-        EngineSpec(
-            "streaming-pool",
-            CLUSTERED,
-            lambda m: ClusteredBatchGcd(
-                k=k, processes=processes, scheduler="streaming"
-            ).run(m),
-        ),
-        EngineSpec(
-            "fanout-pool",
-            CLUSTERED,
-            lambda m: ClusteredBatchGcd(
-                k=k, processes=processes, scheduler="fanout"
-            ).run(m),
-        ),
-        EngineSpec(
-            "alltoall", CLUSTERED, lambda m: alltoall_batch_gcd(m, shards=k)
-        ),
+        EngineSpec("remainder", CLUSTERED, clustered("remainder", None)),
+        EngineSpec("remainder-pool", CLUSTERED, clustered("remainder", processes)),
+        EngineSpec("descent", CLUSTERED, clustered("descent", None)),
+        EngineSpec("descent-pool", CLUSTERED, clustered("descent", processes)),
     ]
 
 
@@ -150,23 +133,24 @@ def assert_engine_parity(
 
 
 def assert_alltoall_parity(
-    moduli: Sequence[int], shards: int, processes: int | None = None
+    moduli: Sequence[int], k: int, processes: int | None = None
 ) -> BatchGcdResult:
-    """The acceptance contract: alltoall(shards=N) ≡ clustered(k=N), byte for byte.
+    """The acceptance contract: descent(k) ≡ remainder(k), byte for byte.
 
-    Asserts divisor-list equality *and* full factorization equality
-    against the streaming clustered engine at the matching subset count,
-    and returns the all-to-all result.
+    Asserts divisor-list equality *and* full factorization equality of
+    the ``descent`` foreign pass (the all-to-all engine) against the
+    paper's ``remainder`` pass at the same ``k``, and returns the descent
+    result.
     """
-    reference = ClusteredBatchGcd(k=shards, scheduler="streaming").run(moduli)
-    result = AllToAllBatchGcd(shards=shards, processes=processes).run(moduli)
+    reference = ClusteredBatchGcd(k=k).run(moduli)
+    result = ClusteredBatchGcd(
+        k=k, processes=processes, foreign_pass="descent"
+    ).run(moduli)
     assert result.divisors == reference.divisors, (
-        f"alltoall(shards={shards}) divisors diverge from "
-        f"clustered(k={shards})"
+        f"descent(k={k}) divisors diverge from remainder(k={k})"
     )
     assert result.resolve() == reference.resolve(), (
-        f"alltoall(shards={shards}) factors diverge from "
-        f"clustered(k={shards})"
+        f"descent(k={k}) factors diverge from remainder(k={k})"
     )
     return result
 

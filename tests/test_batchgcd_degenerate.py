@@ -3,18 +3,20 @@
 The paper's corpora are full of pathologies — byte-identical duplicate
 keys across hosts, the 9-prime IBM remote-supervisor moduli (Section
 3.3.2), and corrupted records that are prime powers rather than
-semiprimes.  The naive pairwise engine, the classic Bernstein engine,
-both clustered schedulers (in-process and pooled), and the sharded
-all-to-all engine must agree on the vulnerable/clean verdict for every
-modulus; on non-squarefree inputs the reported *divisor* may
-legitimately differ in multiplicity, but never the flag.
+semiprimes.  Every engine of the differential harness's matrix — naive
+pairwise, classic Bernstein, incremental, and the clustered engine under
+both foreign-pass strategies (in-process and pooled) — must agree on the
+vulnerable/clean verdict for every modulus; on non-squarefree inputs the
+reported *divisor* may legitimately differ in multiplicity, but never
+the flag.
 
-The all-to-all engine carries a stronger contract than flag agreement:
-at ``shards=N`` it must be **byte-identical** to the streaming clustered
-engine at ``k=N`` — same divisor list, same recovered factors — on every
-one of these corpora, at every shard count (including a count that does
-not divide the corpus size).  :class:`TestAllToAllShardCounts` sweeps
-that contract over the same degenerate corpora the flag tests use.
+The all-to-all engine (the ``descent`` foreign pass) carries a stronger
+contract than flag agreement: at every ``k`` it must be
+**byte-identical** to the paper's ``remainder`` pass at the same ``k`` —
+same divisor list, same recovered factors — on every one of these
+corpora (including a ``k`` that does not divide the corpus size).
+:class:`TestAllToAllShardCounts` sweeps that contract over the same
+degenerate corpora the flag tests use.
 """
 
 import math
@@ -22,11 +24,9 @@ import random
 
 import pytest
 
-from tests.harness_differential import assert_alltoall_parity
-from repro.core.alltoall import alltoall_batch_gcd
+from tests.harness_differential import assert_alltoall_parity, engine_matrix
 from repro.core.batchgcd import batch_gcd
-from repro.core.clustered import ClusteredBatchGcd
-from repro.core.naive import naive_pairwise_gcd
+from repro.core.clustered import FOREIGN_PASSES, ClusteredBatchGcd
 from repro.crypto.primes import generate_prime
 
 
@@ -34,46 +34,15 @@ def _flags(result):
     return [d > 1 for d in result.divisors]
 
 
-def _engines():
-    """(label, runner) for every engine the corpus must agree across."""
-    return [
-        ("naive", naive_pairwise_gcd),
-        ("classic", batch_gcd),
-        (
-            "streaming",
-            lambda m: ClusteredBatchGcd(k=3, scheduler="streaming").run(m),
-        ),
-        (
-            "fanout",
-            lambda m: ClusteredBatchGcd(k=3, scheduler="fanout").run(m),
-        ),
-        (
-            "streaming-pool",
-            lambda m: ClusteredBatchGcd(
-                k=3, processes=2, scheduler="streaming"
-            ).run(m),
-        ),
-        (
-            "fanout-pool",
-            lambda m: ClusteredBatchGcd(
-                k=3, processes=2, scheduler="fanout"
-            ).run(m),
-        ),
-        ("alltoall", lambda m: alltoall_batch_gcd(m, shards=3)),
-        (
-            "alltoall-pool",
-            lambda m: alltoall_batch_gcd(m, shards=3, processes=2),
-        ),
-    ]
-
-
 def assert_identical_flags(moduli):
     reference = None
-    for label, run in _engines():
-        flags = _flags(run(moduli))
+    for spec in engine_matrix(k=3, processes=2):
+        flags = _flags(spec.run(moduli))
         if reference is None:
             reference = flags
-        assert flags == reference, f"{label} disagrees: {flags} != {reference}"
+        assert flags == reference, (
+            f"{spec.label} disagrees: {flags} != {reference}"
+        )
     return reference
 
 
@@ -154,13 +123,13 @@ class TestMixedPathologies:
             generate_prime(32, rng) * generate_prime(32, rng),
         ]
         classic = _flags(batch_gcd(moduli))
-        for scheduler in ("streaming", "fanout"):
+        for foreign_pass in FOREIGN_PASSES:
             for processes in (None, 2):
                 engine = ClusteredBatchGcd(
-                    k=k, processes=processes, scheduler=scheduler
+                    k=k, processes=processes, foreign_pass=foreign_pass
                 )
                 assert _flags(engine.run(moduli)) == classic, (
-                    f"{scheduler} k={k} processes={processes}"
+                    f"{foreign_pass} k={k} processes={processes}"
                 )
 
 
@@ -222,17 +191,17 @@ class TestPropertyDifferential:
         fast = RecoveryPolicy(
             max_retries=2, backoff_base=0.001, backoff_cap=0.002
         )
-        for scheduler in ("streaming", "fanout"):
+        for foreign_pass in FOREIGN_PASSES:
             # divisors must be *identical* to the fault-free run of the
             # same engine; against classic only the flags are guaranteed
             # (multiplicity may differ on non-squarefree corpora)
-            clean = ClusteredBatchGcd(k=3, scheduler=scheduler).run(moduli)
+            clean = ClusteredBatchGcd(k=3, foreign_pass=foreign_pass).run(moduli)
             engine = ClusteredBatchGcd(
-                k=3, scheduler=scheduler, fault_plan=plan, recovery=fast
+                k=3, foreign_pass=foreign_pass, fault_plan=plan, recovery=fast
             )
             result = engine.run(moduli)
             assert result.divisors == clean.divisors, (
-                f"{scheduler} diverged under faults (seed {seed})"
+                f"{foreign_pass} diverged under faults (seed {seed})"
             )
             assert _flags(result) == classic_flags
 
@@ -240,19 +209,19 @@ class TestPropertyDifferential:
     def test_resumed_runs_match_fault_free(self, seed, tmp_path):
         moduli = _random_pathological_corpus(random.Random(seed))
         classic_flags = _flags(batch_gcd(moduli))
-        for scheduler in ("streaming", "fanout"):
-            ckpt = tmp_path / scheduler
+        for foreign_pass in FOREIGN_PASSES:
+            ckpt = tmp_path / foreign_pass
             first = ClusteredBatchGcd(
-                k=3, scheduler=scheduler, checkpoint_dir=ckpt
+                k=3, foreign_pass=foreign_pass, checkpoint_dir=ckpt
             )
             interim = first.run(moduli)
             resumed = ClusteredBatchGcd(
-                k=3, scheduler=scheduler, checkpoint_dir=ckpt
+                k=3, foreign_pass=foreign_pass, checkpoint_dir=ckpt
             )
             result = resumed.run(moduli)
             assert resumed.last_stats.checkpoint_loaded == 9
             assert result.divisors == interim.divisors, (
-                f"{scheduler} resume diverged (seed {seed})"
+                f"{foreign_pass} resume diverged (seed {seed})"
             )
             assert _flags(result) == classic_flags
 
@@ -297,11 +266,12 @@ def _degenerate_corpora():
 
 
 class TestAllToAllShardCounts:
-    """alltoall(shards=N) == clustered(k=N), byte for byte, on every corpus.
+    """descent(k) == remainder(k), byte for byte, on every corpus.
 
-    N=7 deliberately does not divide most corpus sizes, so the
-    round-robin partition leaves uneven shards and the product tree's
-    odd-tail promotion is exercised on every level.
+    The all-to-all engine's shard count is ``k``.  k=7 deliberately does
+    not divide most corpus sizes, so the round-robin partition leaves
+    uneven subsets and the product tree's odd-tail promotion is exercised
+    on every level.
     """
 
     CORPORA = _degenerate_corpora()
@@ -309,12 +279,12 @@ class TestAllToAllShardCounts:
     @pytest.mark.parametrize(
         "name,moduli", CORPORA, ids=[n for n, _ in CORPORA]
     )
-    @pytest.mark.parametrize("shards", [1, 2, 3, 7])
-    def test_byte_identical_to_clustered(self, name, moduli, shards):
-        result = assert_alltoall_parity(moduli, shards=shards)
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_byte_identical_to_clustered(self, name, moduli, k):
+        result = assert_alltoall_parity(moduli, k=k)
         assert _flags(result) == _flags(batch_gcd(moduli))
 
-    @pytest.mark.parametrize("shards", [2, 7])
-    def test_pooled_byte_identical_to_clustered(self, shards):
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_pooled_byte_identical_to_clustered(self, k):
         moduli = _random_pathological_corpus(random.Random(303))
-        assert_alltoall_parity(moduli, shards=shards, processes=2)
+        assert_alltoall_parity(moduli, k=k, processes=2)

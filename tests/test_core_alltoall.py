@@ -1,9 +1,13 @@
-"""Tests for the sharded all-to-all GCD engine and its numt substrate.
+"""Tests for the all-to-all engine: the clustered driver's descent pass.
 
-Covers the pure sharding helpers (partition, exchange, pruned descent),
-the engine's parity contract against the clustered engine at equal shard
-count, the differential harness sweep over every pathology generator,
-and the operational surface: telemetry, checkpoint resume, and stats.
+``engine="alltoall"`` is :class:`~repro.core.clustered.ClusteredBatchGcd`
+with ``foreign_pass="descent"``: each of the ``k`` subsets is one logical
+node's shard, and a foreign pass is a root product GCD plus
+coprime-pruned descent (the descent itself is unit-tested in
+``tests/test_numt_trees.py``).  Covers the parity contract against the
+paper's remainder pass at equal ``k``, the differential harness sweep
+over every pathology generator, and the operational surface: telemetry,
+checkpoint resume, and stats.
 """
 
 import math
@@ -18,20 +22,16 @@ from tests.harness_differential import (
     assert_engine_parity,
     mixed_blend_corpus,
 )
-from repro.core.alltoall import AllToAllBatchGcd, alltoall_batch_gcd
 from repro.core.batchgcd import batch_gcd
+from repro.core.clustered import ClusteredBatchGcd
 from repro.core.results import merge_sparse_hits
 from repro.crypto.primes import generate_prime
-from repro.numt.sharding import (
-    Shard,
-    ShardProduct,
-    exchange_all_to_all,
-    gcd_descent_hits,
-    partition_round_robin,
-    shard_of,
-)
 from repro.numt.trees import product_tree
 from repro.telemetry import Telemetry, use_telemetry
+
+
+def _alltoall(k, **kwargs):
+    return ClusteredBatchGcd(k=k, foreign_pass="descent", **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -45,129 +45,6 @@ def corpus():
     moduli += [generate_prime(48, rng) * generate_prime(48, rng) for _ in range(30)]
     rng.shuffle(moduli)
     return moduli
-
-
-class TestPartition:
-    """Seeded property tests for the round-robin partition (satellite 2)."""
-
-    @given(
-        st.integers(min_value=0, max_value=10**6),
-        st.integers(min_value=1, max_value=11),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_every_modulus_in_exactly_one_shard(self, seed, shards):
-        rng = random.Random(seed)
-        corpus = [rng.randrange(2, 2**64) for _ in range(rng.randrange(1, 40))]
-        parts = partition_round_robin(corpus, shards)
-        placements: dict[int, int] = {}
-        for shard in parts:
-            for pos in range(len(shard.moduli)):
-                index = shard.global_index(pos)
-                assert index not in placements, (
-                    f"corpus index {index} owned by shards "
-                    f"{placements[index]} and {shard.index}"
-                )
-                placements[index] = shard.index
-                assert shard.moduli[pos] == corpus[index]
-        assert sorted(placements) == list(range(len(corpus)))
-
-    @given(
-        st.integers(min_value=0, max_value=10**6),
-        st.integers(min_value=1, max_value=11),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_shard_of_agrees_with_partition(self, seed, shards):
-        rng = random.Random(seed)
-        corpus = [rng.randrange(2, 2**32) for _ in range(rng.randrange(1, 30))]
-        parts = partition_round_robin(corpus, shards)
-        stride = parts[0].stride
-        for shard in parts:
-            for pos in range(len(shard.moduli)):
-                assert shard_of(shard.global_index(pos), stride) == shard.index
-
-    def test_deterministic_for_fixed_seed(self):
-        # The corpus is a pure function of the seed and the partition a
-        # pure function of the corpus, so two independent derivations
-        # must agree shard for shard.
-        first = partition_round_robin(mixed_blend_corpus(random.Random(99)), 5)
-        second = partition_round_robin(mixed_blend_corpus(random.Random(99)), 5)
-        assert first == second
-
-    def test_shard_count_capped_at_corpus_size(self):
-        parts = partition_round_robin([6, 10, 15], 7)
-        assert len(parts) == 3
-        assert [s.moduli for s in parts] == [(6,), (10,), (15,)]
-
-    def test_empty_corpus_single_empty_shard(self):
-        assert partition_round_robin([], 4) == [
-            Shard(index=0, stride=1, moduli=())
-        ]
-
-    def test_invalid_shard_count_raises(self):
-        with pytest.raises(ValueError):
-            partition_round_robin([6, 10], 0)
-        with pytest.raises(ValueError):
-            shard_of(3, 0)
-
-
-class TestExchange:
-    def test_every_shard_receives_every_other_product(self):
-        products = [
-            ShardProduct(shard=s, count=2, product=(s + 2) ** 5)
-            for s in range(4)
-        ]
-        inboxes, total = exchange_all_to_all(products)
-        for s in range(4):
-            assert [p.shard for p in inboxes[s]] == [
-                j for j in range(4) if j != s
-            ]
-        assert total == sum(3 * p.wire_bytes for p in products)
-
-    def test_single_shard_moves_no_bytes(self):
-        inboxes, total = exchange_all_to_all(
-            [ShardProduct(shard=0, count=3, product=2**100)]
-        )
-        assert inboxes == {0: []}
-        assert total == 0
-
-    def test_wire_bytes_rounds_up(self):
-        assert ShardProduct(shard=0, count=1, product=255).wire_bytes == 1
-        assert ShardProduct(shard=0, count=1, product=256).wire_bytes == 2
-
-
-class TestGcdDescent:
-    @given(
-        st.integers(min_value=0, max_value=10**6),
-        st.integers(min_value=1, max_value=13),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_matches_per_leaf_gcd(self, seed, leaves):
-        # The descent must report exactly gcd(leaf, foreign) for every
-        # leaf sharing content — including odd leaf counts, where the
-        # promoted tail node changes the tree shape.
-        rng = random.Random(seed)
-        pool = [generate_prime(16, rng) for _ in range(8)]
-        corpus = [
-            math.prod(rng.sample(pool, 2)) * rng.choice([1, rng.choice(pool)])
-            for _ in range(leaves)
-        ]
-        foreign = math.prod(rng.sample(pool, 3))
-        tree = product_tree(corpus)
-        hits = gcd_descent_hits(tree, foreign)
-        expected = [
-            (pos, math.gcd(n, foreign))
-            for pos, n in enumerate(corpus)
-            if math.gcd(n, foreign) > 1
-        ]
-        assert hits == expected
-
-    def test_coprime_root_prunes_everything(self):
-        tree = product_tree([6, 35, 143])
-        assert gcd_descent_hits(tree, 17 * 19) == []
-
-    def test_single_leaf_tree(self):
-        tree = product_tree([21])
-        assert gcd_descent_hits(tree, 7 * 11) == [(0, 7)]
 
 
 class TestMergeOrderIndependence:
@@ -200,46 +77,44 @@ class TestMergeOrderIndependence:
 class TestAllToAllEngine:
     @pytest.mark.parametrize("shards", [1, 2, 3, 7, 16])
     def test_byte_identical_to_clustered_at_equal_shards(self, corpus, shards):
-        assert_alltoall_parity(corpus, shards=shards)
+        assert_alltoall_parity(corpus, k=shards)
 
     def test_shards_one_matches_classic(self, corpus):
-        assert (
-            alltoall_batch_gcd(corpus, shards=1).divisors
-            == batch_gcd(corpus).divisors
-        )
+        assert _alltoall(1).run(corpus).divisors == batch_gcd(corpus).divisors
 
     def test_pooled_matches_in_process(self, corpus):
-        in_process = alltoall_batch_gcd(corpus, shards=4)
-        pooled = alltoall_batch_gcd(corpus, shards=4, processes=2)
+        in_process = _alltoall(4).run(corpus)
+        pooled = _alltoall(4, processes=2).run(corpus)
         assert pooled.divisors == in_process.divisors
 
     def test_shards_larger_than_corpus(self):
         moduli = [101 * 103, 101 * 107]
-        engine = AllToAllBatchGcd(shards=50)
+        engine = _alltoall(50)
         assert engine.run(moduli).divisors == [101, 101]
         assert engine.last_stats.k == 2
 
     def test_trivial_corpora(self):
-        engine = AllToAllBatchGcd(shards=3)
+        engine = _alltoall(3)
         assert engine.run([]).divisors == []
         assert engine.run([15]).divisors == [1]
         assert engine.last_stats.tasks == 0
+        assert engine.last_stats.engine == "alltoall"
 
     def test_invalid_inputs_raise(self):
         with pytest.raises(ValueError):
-            AllToAllBatchGcd(shards=0)
+            _alltoall(0)
         with pytest.raises(ValueError):
-            AllToAllBatchGcd(processes=0)
+            _alltoall(4, processes=0)
         with pytest.raises(ValueError):
-            AllToAllBatchGcd(max_inflight=0)
+            _alltoall(4, max_inflight=0)
         with pytest.raises(ValueError):
-            AllToAllBatchGcd().run([15, 1])
+            _alltoall(4).run([15, 1])
 
     def test_stats_shape(self, corpus):
-        engine = AllToAllBatchGcd(shards=4)
+        engine = _alltoall(4)
         engine.run(corpus)
         stats = engine.last_stats
-        assert stats.scheduler == "alltoall"
+        assert stats.engine == "alltoall"
         assert stats.k == 4
         assert stats.tasks == 16
         assert stats.tree_builds == 4
@@ -247,38 +122,28 @@ class TestAllToAllEngine:
         assert stats.wall_seconds > 0
 
     def test_single_shard_crosses_no_bytes(self, corpus):
-        engine = AllToAllBatchGcd(shards=1)
+        engine = _alltoall(1)
         engine.run(corpus)
         assert engine.last_stats.ipc_crossshard_bytes == 0
 
     def test_crossshard_bytes_match_product_sizes(self, corpus):
-        # Each shard's compact product is re-sent to every other shard.
-        shards = 4
-        engine = AllToAllBatchGcd(shards=shards)
+        # Each subset's product is re-sent to every other node.
+        k = 4
+        engine = _alltoall(k)
         engine.run(corpus)
-        roots = [
-            tree[-1][0]
-            for tree in (
-                product_tree(list(s.moduli))
-                for s in partition_round_robin(corpus, shards)
-            )
-        ]
-        expected = sum(
-            (shards - 1) * ((r.bit_length() + 7) // 8) for r in roots
-        )
+        roots = [product_tree(corpus[s::k])[-1][0] for s in range(k)]
+        expected = sum((k - 1) * ((r.bit_length() + 7) // 8) for r in roots)
         assert engine.last_stats.ipc_crossshard_bytes == expected
 
     def test_telemetry_spans_and_counters(self, corpus):
         telemetry = Telemetry()
-        engine = AllToAllBatchGcd(shards=4)
+        engine = _alltoall(4)
         with use_telemetry(telemetry), telemetry.span("batch_gcd"):
             engine.run(corpus)
         report = telemetry.report()
         products = report.find_span("batch_gcd.products")
         builds = [
-            c
-            for c in products.children
-            if c.name == "batch_gcd.alltoall.shard_tree"
+            c for c in products.children if c.name == "batch_gcd.subset_tree"
         ]
         assert len(builds) == 4
         tasks = [
@@ -287,6 +152,14 @@ class TestAllToAllEngine:
             if c.name == "batch_gcd.task"
         ]
         assert len(tasks) == 16
+        # Foreign passes descend; only the k own passes run a remainder tree.
+        passes = [
+            c
+            for task in tasks
+            for c in task.children
+            if c.name == "batch_gcd.task.remainder_tree"
+        ]
+        assert len(passes) == 4 and all(c.attrs["own"] for c in passes)
         assert (
             report.counters["batch_gcd.ipc_crossshard_bytes"]
             == engine.last_stats.ipc_crossshard_bytes
@@ -295,7 +168,7 @@ class TestAllToAllEngine:
         assert report.counters["batch_gcd.tasks"] == 16
 
     def test_pruned_pairs_counted_on_disjoint_shards(self):
-        # Two shards sharing nothing: every foreign pass is settled by
+        # Two subsets sharing nothing: every foreign pass is settled by
         # the root product GCD alone and counts as pruned.
         rng = random.Random(12)
         clean = [
@@ -304,15 +177,15 @@ class TestAllToAllEngine:
         ]
         telemetry = Telemetry()
         with use_telemetry(telemetry), telemetry.span("batch_gcd"):
-            AllToAllBatchGcd(shards=2).run(clean)
+            _alltoall(2).run(clean)
         report = telemetry.report()
         assert report.counters["batch_gcd.alltoall.pruned_pairs"] == 2
 
     def test_checkpoint_resume_is_byte_identical(self, corpus, tmp_path):
-        first = AllToAllBatchGcd(shards=3, checkpoint_dir=tmp_path)
+        first = _alltoall(3, checkpoint_dir=tmp_path)
         interim = first.run(corpus)
         assert first.last_stats.checkpoint_written == 9
-        resumed = AllToAllBatchGcd(shards=3, checkpoint_dir=tmp_path)
+        resumed = _alltoall(3, checkpoint_dir=tmp_path)
         result = resumed.run(corpus)
         assert resumed.last_stats.checkpoint_loaded == 9
         assert resumed.last_stats.checkpoint_written == 0
@@ -320,7 +193,7 @@ class TestAllToAllEngine:
 
 
 class TestDifferentialSweep:
-    """The harness's reason to exist: all eight engines over every pathology.
+    """The harness's reason to exist: every engine over every pathology.
 
     Seeded, not Hypothesis: a failure reproduces from the parametrize id.
     """
@@ -336,7 +209,7 @@ class TestDifferentialSweep:
     @pytest.mark.parametrize(
         "name,generator", CORPUS_GENERATORS, ids=[n for n, _ in CORPUS_GENERATORS]
     )
-    @pytest.mark.parametrize("shards", [1, 2, 3, 7])
-    def test_alltoall_parity_all_shard_counts(self, name, generator, shards):
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_alltoall_parity_all_shard_counts(self, name, generator, k):
         moduli = generator(random.Random(23))
-        assert_alltoall_parity(moduli, shards=shards)
+        assert_alltoall_parity(moduli, k=k)

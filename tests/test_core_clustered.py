@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.batchgcd import batch_gcd
-from repro.core.clustered import SCHEDULERS, ClusteredBatchGcd, clustered_batch_gcd
+from repro.core.clustered import FOREIGN_PASSES, ClusteredBatchGcd, clustered_batch_gcd
 from repro.crypto.primes import generate_prime
 from repro.telemetry import Telemetry, use_telemetry
 
@@ -143,35 +143,33 @@ class TestMultiprocessing:
 
 
 class TestTaskGraph:
-    """The streaming scheduler's cached, broadcast task graph."""
+    """The driver's cached, broadcast task graph."""
 
-    def test_rejects_unknown_scheduler(self):
-        with pytest.raises(ValueError):
-            ClusteredBatchGcd(k=2, scheduler="mapreduce")
+    def test_rejects_unknown_foreign_pass(self):
+        with pytest.raises(ValueError, match="foreign_pass"):
+            ClusteredBatchGcd(k=2, foreign_pass="mapreduce")
 
     def test_rejects_invalid_max_inflight(self):
         with pytest.raises(ValueError):
             ClusteredBatchGcd(k=2, max_inflight=0)
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
-    def test_schedulers_match_classic(self, corpus, scheduler):
-        result = clustered_batch_gcd(corpus, k=4, scheduler=scheduler)
+    @pytest.mark.parametrize("foreign_pass", FOREIGN_PASSES)
+    def test_foreign_passes_match_classic(self, corpus, foreign_pass):
+        result = clustered_batch_gcd(corpus, k=4, foreign_pass=foreign_pass)
         assert result.divisors == batch_gcd(corpus).divisors
 
-    def test_streaming_matches_fanout_on_pool(self, corpus):
-        streaming = clustered_batch_gcd(
-            corpus, k=4, processes=2, scheduler="streaming"
+    def test_remainder_matches_descent_on_pool(self, corpus):
+        remainder = clustered_batch_gcd(corpus, k=4, processes=2)
+        descent = clustered_batch_gcd(
+            corpus, k=4, processes=2, foreign_pass="descent"
         )
-        fanout = clustered_batch_gcd(
-            corpus, k=4, processes=2, scheduler="fanout"
-        )
-        assert streaming.divisors == fanout.divisors
+        assert remainder.divisors == descent.divisors
 
     def test_subset_trees_built_exactly_k_times(self, corpus):
-        # The tentpole: the fanout driver rebuilt every subset's tree in
-        # every task (k**2 builds); streaming builds each exactly once.
+        # Each subset's tree is built once in the parent and reused by
+        # all k of its passes: k builds, not k**2.
         telemetry = Telemetry()
-        engine = ClusteredBatchGcd(k=4, scheduler="streaming")
+        engine = ClusteredBatchGcd(k=4)
         with use_telemetry(telemetry), telemetry.span("batch_gcd"):
             engine.run(corpus)
         report = telemetry.report()
@@ -182,7 +180,7 @@ class TestTaskGraph:
         assert len(builds) == 4
         assert engine.last_stats.tree_builds == 4
         assert engine.last_stats.tree_build_seconds > 0
-        # ... and no task rebuilds one.
+        # ... and every task runs exactly one remainder tree over it.
         tasks = [
             c
             for c in report.find_span("batch_gcd").children
@@ -190,22 +188,9 @@ class TestTaskGraph:
         ]
         assert len(tasks) == 16
         for task in tasks:
-            assert all(
-                c.name != "batch_gcd.task.product_tree" for c in task.children
-            )
-
-    def test_fanout_rebuilds_trees_per_task(self, corpus):
-        telemetry = Telemetry()
-        engine = ClusteredBatchGcd(k=3, scheduler="fanout")
-        with use_telemetry(telemetry), telemetry.span("batch_gcd"):
-            engine.run(corpus)
-        report = telemetry.report()
-        assert report.find_span("batch_gcd.subset_tree") is None
-        task = report.find_span("batch_gcd.task")
-        assert any(
-            c.name == "batch_gcd.task.product_tree" for c in task.children
-        )
-        assert engine.last_stats.tree_builds == 0
+            assert [c.name for c in task.children] == [
+                "batch_gcd.task.remainder_tree"
+            ]
 
     def test_task_payloads_carry_no_subset_products(self, corpus):
         # The one-shot broadcast carries all big ints; task payloads are
@@ -213,7 +198,7 @@ class TestTaskGraph:
         # asymmetry checkable: all task payloads together stay tiny (a few
         # dozen bytes per task) while the broadcast holds the corpus.
         telemetry = Telemetry()
-        engine = ClusteredBatchGcd(k=4, processes=2, scheduler="streaming")
+        engine = ClusteredBatchGcd(k=4, processes=2)
         with use_telemetry(telemetry), telemetry.span("batch_gcd"):
             engine.run(corpus)
         stats = engine.last_stats
@@ -231,44 +216,36 @@ class TestTaskGraph:
         )
         assert report.timers["batch_gcd.queue_latency"].count > 0
 
-    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    @pytest.mark.parametrize("foreign_pass", FOREIGN_PASSES)
     def test_queue_depth_drains_without_worker_reports(
-        self, corpus, scheduler, monkeypatch
+        self, corpus, foreign_pass, monkeypatch
     ):
-        # Satellite regression: the fanout consume() used to decrement the
-        # queue_depth gauge only when a worker report was attached, so runs
-        # whose workers were uninstrumented appeared stuck at full depth.
-        # Simulate that shape: a recording parent registry, but every task
-        # outcome stripped of its report before consumption.
+        # Regression: a consume() that decremented the queue_depth gauge
+        # only when a worker report was attached left runs whose workers
+        # were uninstrumented stuck at full depth.  Simulate that shape: a
+        # recording parent registry, but every chunk outcome stripped of
+        # its report before consumption.
         from repro.core import clustered as mod
 
-        real_run_task = mod._run_task
         real_execute_chunk = mod._execute_chunk
-
-        def run_task_no_report(args):
-            i, j, divisors, seconds, _report = real_run_task(args)
-            return i, j, divisors, seconds, None
 
         def execute_chunk_no_report(state, pairs):
             results, _report = real_execute_chunk(state, pairs)
             return results, None
 
-        monkeypatch.setattr(mod, "_run_task", run_task_no_report)
         monkeypatch.setattr(mod, "_execute_chunk", execute_chunk_no_report)
         telemetry = Telemetry()
-        engine = ClusteredBatchGcd(k=3, scheduler=scheduler)
+        engine = ClusteredBatchGcd(k=3, foreign_pass=foreign_pass)
         with use_telemetry(telemetry):
             engine.run(corpus)
         assert telemetry.report().gauges["batch_gcd.queue_depth"] == 0
 
     def test_streaming_respects_max_inflight_window(self, corpus):
-        result = ClusteredBatchGcd(
-            k=4, processes=2, scheduler="streaming", max_inflight=1
-        ).run(corpus)
+        result = ClusteredBatchGcd(k=4, processes=2, max_inflight=1).run(corpus)
         assert result.divisors == batch_gcd(corpus).divisors
 
-    def test_stats_record_scheduler(self, corpus):
-        for scheduler in SCHEDULERS:
-            engine = ClusteredBatchGcd(k=2, scheduler=scheduler)
+    def test_stats_record_engine(self, corpus):
+        for foreign_pass, name in zip(FOREIGN_PASSES, ("clustered", "alltoall")):
+            engine = ClusteredBatchGcd(k=2, foreign_pass=foreign_pass)
             engine.run(corpus)
-            assert engine.last_stats.scheduler == scheduler
+            assert engine.last_stats.engine == name

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.core.alltoall import DEFAULT_SHARDS
 from repro.core.batchgcd import batch_gcd
 from repro.core.select import (
     AUTO_POOL_MAX_WORKERS,
@@ -79,20 +78,18 @@ class TestSelectEngine:
         choice = select_engine(10_000, engine="clustered", cores=8)
         assert choice.processes is None  # no auto-derivation when explicit
 
-    def test_auto_with_shards_prefers_alltoall(self):
-        choice = select_engine(100, engine="auto", shards=3)
-        assert choice.name == "alltoall"
-        assert choice.engine.shards == 3
-        assert "auto" in choice.reason
-
     def test_explicit_alltoall_defaults_shards(self):
+        # The all-to-all engine is the clustered driver's descent pass,
+        # one logical node per subset: its shard count is k.
         choice = select_engine(100, engine="alltoall")
         assert choice.name == "alltoall"
-        assert choice.engine.shards == DEFAULT_SHARDS
+        assert choice.engine.foreign_pass == "descent"
+        assert choice.engine.k == 16
+        assert select_engine(100, engine="alltoall", k=3).engine.k == 3
 
     def test_every_name_resolves(self, tmp_path):
         # store_dir only makes sense for the incremental resolution; the
-        # all-to-all engine rejects it rather than ignoring it.
+        # other explicit engines reject it rather than ignoring it.
         for name in ENGINE_NAMES:
             store = tmp_path / name if name in ("auto", "incremental") else None
             choice = select_engine(10, engine=name, store_dir=store)
@@ -118,47 +115,43 @@ class TestNoSilentFallback:
     """An unsatisfiable explicit request must raise, never be reinterpreted.
 
     The coverage gap this closes: nothing previously pinned down what
-    happens when an explicit ``alltoall``/``incremental``-style request
-    carries a knob the resolved engine cannot honour — selection could
-    have silently dropped the knob and run a different configuration
-    than the one asked for.
+    happens when an explicit engine request carries a knob the resolved
+    engine cannot honour — selection could have silently dropped the
+    knob and run a different configuration than the one asked for.
     """
 
-    @pytest.mark.parametrize("engine", ["classic", "clustered", "incremental"])
-    def test_shards_with_shardless_engine_raises_with_reason(self, engine):
-        with pytest.raises(ValueError, match="no shard axis"):
-            select_engine(100, engine=engine, shards=3)
+    @pytest.mark.parametrize("engine", ["classic", "clustered", "alltoall"])
+    def test_store_dir_with_storeless_engine_raises(self, engine, tmp_path):
+        with pytest.raises(ValueError, match=f"the {engine} engine has no persistent store"):
+            select_engine(100, engine=engine, store_dir=tmp_path / "store")
 
     def test_alltoall_with_store_dir_raises_with_reason(self, tmp_path):
-        with pytest.raises(ValueError, match="no persistent store"):
+        # The message names the dropped knob and the engine that takes it.
+        with pytest.raises(ValueError, match="no persistent store") as excinfo:
             select_engine(
                 100, engine="alltoall", store_dir=tmp_path / "store"
             )
-
-    def test_auto_with_both_store_and_shards_raises(self, tmp_path):
-        # Either resolution would silently drop one knob, so auto must
-        # refuse and name the conflict instead of picking.
-        with pytest.raises(ValueError, match="cannot satisfy both"):
-            select_engine(
-                100,
-                engine="auto",
-                store_dir=tmp_path / "store",
-                shards=3,
-            )
+        assert str(tmp_path / "store") in str(excinfo.value)
+        assert "engine='incremental'" in str(excinfo.value)
 
     def test_invalid_shard_count_raises(self):
-        with pytest.raises(ValueError, match="shards"):
-            select_engine(100, engine="alltoall", shards=0)
+        # The all-to-all engine's shard count is k.
+        with pytest.raises(ValueError, match="k must be"):
+            select_engine(100, engine="alltoall", k=0)
 
     def test_auto_without_conflicts_still_resolves(self, tmp_path):
-        # The guard must not over-trigger: each knob alone routes auto.
+        # The guard must not over-trigger: a store routes auto to the
+        # incremental engine, and so does an explicit incremental request.
         assert select_engine(100, engine="auto").name == "clustered"
-        assert (
-            select_engine(100, engine="auto", shards=2).name == "alltoall"
-        )
         assert (
             select_engine(
                 100, engine="auto", store_dir=tmp_path / "s"
+            ).name
+            == "incremental"
+        )
+        assert (
+            select_engine(
+                100, engine="incremental", store_dir=tmp_path / "s"
             ).name
             == "incremental"
         )
@@ -170,7 +163,7 @@ class TestClassicFacade:
         engine = ClassicBatchGcd()
         result = engine.run(moduli)
         assert result.divisors == batch_gcd(moduli).divisors
-        assert engine.last_stats.scheduler == "classic"
+        assert engine.last_stats.engine == "classic"
         assert engine.last_stats.tasks == 1
 
 
@@ -192,6 +185,24 @@ class TestConfigAndCliExposure:
         with pytest.raises(SystemExit) as excinfo:
             main(["--batchgcd-engine", "bogus"])
         assert excinfo.value.code == 2
+
+    def test_batchgcd_cli_rejects_store_dir_without_incremental(
+        self, tmp_path, capsys
+    ):
+        from repro.batchgcd_cli import main
+
+        source = tmp_path / "moduli.txt"
+        source.write_text("\n".join(f"{m:x}" for m in _corpus(5, n=4)) + "\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    str(source),
+                    "--engine", "clustered",
+                    "--store-dir", str(tmp_path / "store"),
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "no persistent store" in capsys.readouterr().err
 
     def test_batchgcd_cli_runs_incremental_engine(self, tmp_path, capsys):
         from repro.batchgcd_cli import main

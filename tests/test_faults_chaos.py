@@ -1,19 +1,19 @@
-"""Chaos matrix: every fault kind, every chunked engine, identical results.
+"""Chaos matrix: every fault kind, both foreign passes, identical results.
 
 The acceptance bar for the fault seam is behavioural: under any plan the
 engine can survive, the final :class:`BatchGcdResult` must be *identical*
 to the fault-free run, and the recovery counters must match what the
 plan's :meth:`~repro.faults.plan.FaultPlan.schedule` predicts.  The
-matrix here runs crash / corrupt / slow / timeout faults through both
-clustered schedulers *and* the sharded all-to-all engine in-process
-(exact counter arithmetic) and through real process pools (worker death,
-pool rebuilds), and finishes with the end-to-end drill: SIGKILL the CLI
+matrix here runs crash / corrupt / slow / timeout faults through the
+clustered engine under both foreign-pass strategies — ``clustered``
+(remainder) and ``alltoall`` (descent) — in-process (exact counter
+arithmetic) and through real process pools (worker death, pool
+rebuilds), and finishes with the end-to-end drill: SIGKILL the CLI
 mid-computation, resume from its checkpoint, and compare output
 byte-for-byte against an undisturbed run.
 
-The all-to-all engine rides the same arithmetic because at ``shards=3``
-its pass graph is the same shape as clustered ``k=3``: nine single-pass
-chunks with ids 0..8.
+Both strategies drive the same pass graph, so at ``k=3`` both run nine
+single-pass chunks with ids 0..8 and share the plan arithmetic.
 """
 
 import os
@@ -22,11 +22,9 @@ import signal
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
-from repro.core.alltoall import AllToAllBatchGcd
 from repro.core.batchgcd import batch_gcd
 from repro.core.clustered import ClusteredBatchGcd
 from repro.crypto.primes import generate_prime
@@ -57,68 +55,62 @@ def _corpus(seed=21, size=18, bits=40):
 MODULI = _corpus()
 BASELINE = batch_gcd(MODULI)
 
-#: k=3 gives chunk size 1 under streaming (and shards=3 under alltoall),
-#: so every engine runs 9 chunks with ids 0..8 — the plan arithmetic
-#: below relies on it.
+#: k=3 gives chunk size 1, so every run has 9 chunks with ids 0..8 —
+#: the plan arithmetic below relies on it.
 K = 3
 N_CHUNKS = K * K
 
-#: Engine labels the chaos matrix sweeps (clustered schedulers plus the
-#: sharded all-to-all engine at the matching shard count).
-ENGINES = ("streaming", "fanout", "alltoall")
+#: The engines the chaos matrix sweeps, by the foreign pass they select.
+ENGINES = ("clustered", "alltoall")
+FOREIGN_PASS = {"clustered": "remainder", "alltoall": "descent"}
 
 
-def _make_engine(scheduler, plan, processes=None, recovery=FAST, **kwargs):
-    if scheduler == "alltoall":
-        return AllToAllBatchGcd(
-            shards=K, processes=processes, fault_plan=plan,
-            recovery=recovery, **kwargs,
-        )
+def _make_engine(engine, plan, processes=None, recovery=FAST, **kwargs):
     return ClusteredBatchGcd(
-        k=K, processes=processes, scheduler=scheduler, fault_plan=plan,
-        recovery=recovery, **kwargs,
+        k=K, processes=processes, foreign_pass=FOREIGN_PASS[engine],
+        fault_plan=plan, recovery=recovery, **kwargs,
     )
 
 
-def _run(scheduler, plan, processes=None, recovery=FAST, **kwargs):
-    engine = _make_engine(
-        scheduler, plan, processes=processes, recovery=recovery, **kwargs
+def _run(engine, plan, processes=None, recovery=FAST, **kwargs):
+    runner = _make_engine(
+        engine, plan, processes=processes, recovery=recovery, **kwargs
     )
-    result = engine.run(MODULI)
+    result = runner.run(MODULI)
     assert result.divisors == BASELINE.divisors, (
-        f"{scheduler} diverged under plan {plan}"
+        f"{engine} diverged under plan {plan}"
     )
-    return engine.last_stats
+    return runner.last_stats
 
 
 class TestInProcessFaultMatrix:
     """Single-threaded runs: counter arithmetic is exact."""
 
-    @pytest.mark.parametrize("scheduler", ENGINES)
-    def test_crash_every_chunk_once(self, scheduler):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_crash_every_chunk_once(self, engine):
         plan = FaultPlan(seed=1, rules=(FaultRule(kind="crash", times=1),))
-        stats = _run(scheduler, plan)
+        stats = _run(engine, plan)
         assert stats.retries == N_CHUNKS
         assert stats.crashed_chunks == N_CHUNKS
         assert stats.inprocess_fallbacks == 0
 
-    @pytest.mark.parametrize("scheduler", ENGINES)
-    def test_corrupt_every_chunk_once(self, scheduler):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_corrupt_every_chunk_once(self, engine):
         plan = FaultPlan(seed=1, rules=(FaultRule(kind="corrupt", times=1),))
-        stats = _run(scheduler, plan)
+        stats = _run(engine, plan)
         assert stats.retries == N_CHUNKS
         assert stats.corrupt_chunks == N_CHUNKS
 
-    @pytest.mark.parametrize("scheduler", ENGINES)
-    def test_slow_chunks_complete_without_retry(self, scheduler):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_slow_chunks_complete_without_retry(self, engine):
         plan = FaultPlan(
             seed=1, rules=(FaultRule(kind="slow", seconds=0.005),)
         )
-        stats = _run(scheduler, plan)
+        stats = _run(engine, plan)
         assert stats.retries == 0 and stats.crashed_chunks == 0
 
-    @pytest.mark.parametrize("scheduler", ENGINES)
-    def test_seeded_mixed_plan_matches_schedule(self, scheduler):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_seeded_mixed_plan_matches_schedule(self, engine):
         plan = FaultPlan(
             seed=9,
             rules=(
@@ -132,27 +124,27 @@ class TestInProcessFaultMatrix:
         expected_crashes = sum(
             kinds.count("crash") for kinds in schedule.values()
         )
-        stats = _run(scheduler, plan)
+        stats = _run(engine, plan)
         assert stats.retries == expected_retries
         assert stats.crashed_chunks == expected_crashes
 
-    @pytest.mark.parametrize("scheduler", ENGINES)
-    def test_exhausted_retries_degrade_but_stay_correct(self, scheduler):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_exhausted_retries_degrade_but_stay_correct(self, engine):
         plan = FaultPlan(
             seed=2, rules=(FaultRule(kind="crash", times=10, chunks=(0, 4)),)
         )
-        stats = _run(scheduler, plan)
+        stats = _run(engine, plan)
         assert stats.inprocess_fallbacks == 2
         assert stats.retries == 2 * FAST.max_retries
 
     def test_env_var_activates_plan(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "corrupt:times=1,chunks=0")
-        stats = _run("streaming", plan=None)
+        stats = _run("clustered", plan=None)
         assert stats.corrupt_chunks == 1 and stats.retries == 1
 
     def test_no_plan_means_no_recovery_activity(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        stats = _run("streaming", plan=None)
+        stats = _run("clustered", plan=None)
         assert (
             stats.retries, stats.pool_rebuilds, stats.chunk_timeouts,
             stats.crashed_chunks, stats.corrupt_chunks,
@@ -169,7 +161,7 @@ class TestPooledFaultMatrix:
             seed=3, rules=(FaultRule(kind="crash", times=1, chunks=(2,)),)
         )
         stats = _run(
-            "streaming", plan, processes=1, max_inflight=1,
+            "clustered", plan, processes=1, max_inflight=1,
         )
         assert stats.pool_rebuilds == 1
         assert stats.retries == 1
@@ -184,17 +176,14 @@ class TestPooledFaultMatrix:
         assert stats.pool_rebuilds == 1
         assert stats.retries == 1
 
-    def test_fanout_worker_death_rebuilds_pool(self):
-        plan = FaultPlan(
-            seed=3, rules=(FaultRule(kind="crash", times=1, chunks=(0,)),)
-        )
-        stats = _run("fanout", plan, processes=2)
-        # a broken pool cannot attribute blame: every in-flight chunk
-        # retries, so the counters are lower bounds here
-        assert stats.pool_rebuilds >= 1
-        assert stats.retries >= 1
-
     def test_hung_worker_times_out_and_retries(self):
+        self._hung_worker(engine="clustered")
+
+    def test_alltoall_hung_worker_times_out_and_retries(self):
+        self._hung_worker(engine="alltoall")
+
+    @staticmethod
+    def _hung_worker(engine):
         plan = FaultPlan(
             seed=4,
             rules=(
@@ -205,23 +194,23 @@ class TestPooledFaultMatrix:
             max_retries=2, chunk_timeout=0.3, backoff_base=0.001,
             backoff_cap=0.002,
         )
-        stats = _run("streaming", plan, processes=2, recovery=policy)
+        stats = _run(engine, plan, processes=2, recovery=policy)
         assert stats.chunk_timeouts >= 1
         assert stats.retries >= 1
 
 
 class TestCheckpointResume:
-    @pytest.mark.parametrize("scheduler", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_faulty_checkpointed_rerun_is_byte_identical(
-        self, scheduler, tmp_path
+        self, engine, tmp_path
     ):
         plan = FaultPlan(seed=5, rules=(FaultRule(kind="crash", times=1),))
         first = _make_engine(
-            scheduler, plan, checkpoint_dir=tmp_path,
+            engine, plan, checkpoint_dir=tmp_path,
         )
         r1 = first.run(MODULI)
         assert first.last_stats.checkpoint_written == N_CHUNKS
-        second = _make_engine(scheduler, None, checkpoint_dir=tmp_path)
+        second = _make_engine(engine, None, checkpoint_dir=tmp_path)
         r2 = second.run(MODULI)
         assert second.last_stats.checkpoint_loaded == N_CHUNKS
         assert second.last_stats.checkpoint_written == 0

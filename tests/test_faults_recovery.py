@@ -5,17 +5,20 @@ engine; this file pins down the pieces in isolation — plan determinism
 and parsing, every ``ResilientExecutor`` recovery path against a fake
 pool (real :class:`~concurrent.futures.Future` objects, no processes),
 and the checkpoint store's identity/torn-shard handling.  It also holds
-the regression test for the streaming scheduler's old future leak: an
+the regression test for the clustered driver's old future leak: an
 exception escaping the drive loop must cancel and drain every in-flight
 future rather than orphan them.
 """
 
 import json
+import random
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.core.clustered import ClusteredBatchGcd
+from repro.crypto.primes import generate_prime
 from repro.faults import (
     CheckpointStore,
     ChunkResultError,
@@ -361,7 +364,7 @@ class TestResilientExecutorPooled:
 
 class TestCheckpointStore:
     def _store(self, tmp_path, digest="d1", **kwargs):
-        defaults = dict(digest=digest, k=4, scheduler="streaming", backend="python")
+        defaults = dict(digest=digest, k=4, backend="python")
         defaults.update(kwargs)
         return CheckpointStore(tmp_path, **defaults)
 
@@ -381,7 +384,8 @@ class TestCheckpointStore:
         self._store(tmp_path).record({(0, 0): [(0, 3)]})
         assert self._store(tmp_path, digest="other").load() == {}
         assert self._store(tmp_path, k=8).load() == {}
-        assert self._store(tmp_path, scheduler="fanout").load() == {}
+        assert self._store(tmp_path, k=2).load() == {}
+        assert self._store(tmp_path, backend="gmpy2").load() == {}
 
     def test_torn_shard_is_recomputed(self, tmp_path):
         store = self._store(tmp_path)
@@ -391,6 +395,32 @@ class TestCheckpointStore:
 
     def test_missing_directory_loads_empty(self, tmp_path):
         assert self._store(tmp_path / "never-written").load() == {}
+
+    def test_remainder_checkpoint_resumes_under_descent(self, tmp_path):
+        # The foreign-pass strategy is not part of the identity: both
+        # write identical per-pass hits, so either may finish the other's
+        # run.  Keep the first three passes of a remainder run, resume.
+        rng = random.Random(8)
+        pool = [generate_prime(32, rng) for _ in range(5)]
+        moduli = [
+            pool[i % 5] * generate_prime(32, rng) if i % 3 == 0
+            else generate_prime(32, rng) * generate_prime(32, rng)
+            for i in range(15)
+        ]
+        reference = ClusteredBatchGcd(k=3).run(moduli)
+        ClusteredBatchGcd(k=3, checkpoint_dir=tmp_path).run(moduli)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["passes"] = manifest["passes"][:3]
+        manifest_path.write_text(json.dumps(manifest))
+        resumed = ClusteredBatchGcd(
+            k=3, foreign_pass="descent", checkpoint_dir=tmp_path
+        )
+        result = resumed.run(moduli)
+        assert resumed.last_stats.checkpoint_loaded == 3
+        assert resumed.last_stats.checkpoint_written == 6
+        assert result.divisors == reference.divisors
+        assert result.resolve() == reference.resolve()
 
     def test_corpus_digest_is_order_sensitive(self):
         assert corpus_digest([15, 21]) != corpus_digest([21, 15])

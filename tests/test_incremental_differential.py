@@ -2,7 +2,7 @@
 
 Seeded dynamic corpora — insert-then-check sequences, duplicates, prime
 powers, nine-prime cliques — run through the incremental store/engine
-and through ``naive``/``classic``/``clustered_streaming``, asserting
+and through ``naive``/``classic``/``clustered``, asserting
 identical vulnerable sets everywhere and identical factors on squarefree
 corpora (well-formed RSA; on prime-power pathologies the divisor
 multiplicity caveat is the clustered engine's, shared and documented).
@@ -49,10 +49,7 @@ def _reference_engines():
     return [
         ("naive", naive_pairwise_gcd),
         ("classic", batch_gcd),
-        (
-            "clustered_streaming",
-            lambda m: ClusteredBatchGcd(k=3, scheduler="streaming").run(m),
-        ),
+        ("clustered", lambda m: ClusteredBatchGcd(k=3).run(m)),
     ]
 
 

@@ -85,6 +85,30 @@ class TestIncrementalProductTree:
             IncrementalProductTree.level_sizes(n) if n else [0]
         )
 
+    @pytest.mark.parametrize("n", range(18))
+    def test_append_dirties_the_leaf_and_one_ancestor_per_level(self, n):
+        # The dirty list drives the persisted node records and the
+        # rebuild_bytes counter: the new leaf, then its ancestor
+        # (index >> level) on every level above it, bottom-up.
+        rng = random.Random(200 + n)
+        tree = IncrementalProductTree([_semiprime(rng) for _ in range(n)])
+        dirty = tree.append(_semiprime(rng))
+        assert dirty == [(level, n >> level) for level in range(len(tree.levels))]
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
+    def test_recompute_spine_heals_a_stale_spine(self, n):
+        rng = random.Random(300 + n)
+        moduli = [_semiprime(rng) for _ in range(n)]
+        tree = IncrementalProductTree(moduli)
+        # A crash mid-insert leaves stale rightmost-spine records behind.
+        for level in tree.levels[1:]:
+            level[-1] = 1
+        healed = tree.recompute_spine(n - 1)
+        assert tree.levels == product_tree(moduli)
+        assert healed == [
+            (level, (n - 1) >> level) for level in range(1, len(tree.levels))
+        ]
+
     def test_divisor_against_equals_classic_union_divisor(self):
         rng = random.Random(2)
         pool = [generate_prime(32, rng) for _ in range(8)]

@@ -5,10 +5,13 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto.primes import generate_prime
+from repro.numt.incremental import IncrementalProductTree
 from repro.numt.trees import (
     BARRETT_MIN_BITS,
     NEWTON_DIRECT_BITS,
     barrett_reduce,
+    gcd_descent_hits,
     newton_reciprocal,
     prepare_reciprocals,
     product_tree,
@@ -210,3 +213,91 @@ class TestPreparedRemainderTree:
 
     def test_default_cutoff_above_karatsuba(self):
         assert BARRETT_MIN_BITS >= 2048
+
+
+def _stack_walk(levels, divisor):
+    """The incremental store's original partner walk, kept as an oracle.
+
+    Depth-first from the root, testing every node against the *original*
+    divisor (not the running shared content) and reducing large nodes
+    modulo it first.
+    """
+    hits = []
+    stack = [(len(levels) - 1, 0)]
+    while stack:
+        level, j = stack.pop()
+        node = levels[level][j]
+        g = math.gcd(
+            divisor,
+            node % divisor if node.bit_length() > divisor.bit_length() else node,
+        )
+        if g == 1:
+            continue
+        if level == 0:
+            hits.append((j, g))
+            continue
+        below = levels[level - 1]
+        stack.extend(
+            (level - 1, child)
+            for child in (2 * j, 2 * j + 1)
+            if child < len(below)
+        )
+    return sorted(hits)
+
+
+class TestGcdDescent:
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=1, max_value=13),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_leaf_gcd(self, seed, leaves):
+        # The descent must report exactly gcd(leaf, x) for every leaf
+        # sharing content — including odd leaf counts, where the
+        # promoted tail node changes the tree shape.
+        rng = random.Random(seed)
+        pool = [generate_prime(16, rng) for _ in range(8)]
+        corpus = [
+            math.prod(rng.sample(pool, 2)) * rng.choice([1, rng.choice(pool)])
+            for _ in range(leaves)
+        ]
+        foreign = math.prod(rng.sample(pool, 3))
+        hits = gcd_descent_hits(product_tree(corpus), foreign)
+        expected = [
+            (pos, math.gcd(n, foreign))
+            for pos, n in enumerate(corpus)
+            if math.gcd(n, foreign) > 1
+        ]
+        assert hits == expected
+
+    def test_coprime_root_prunes_everything(self):
+        tree = product_tree([6, 35, 143])
+        assert gcd_descent_hits(tree, 17 * 19) == []
+
+    def test_single_leaf_tree(self):
+        tree = product_tree([21])
+        assert gcd_descent_hits(tree, 7 * 11) == [(0, 7)]
+
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=1, max_value=40),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_small_divisor_matches_stack_walk(self, seed, leaves):
+        # The incremental store's partner lookup descends with one
+        # modulus's divisor — tiny next to the tree's nodes.  It must
+        # find exactly what the store's original stack walk found.
+        rng = random.Random(seed)
+        pool = [generate_prime(24, rng) for _ in range(6)]
+        corpus = [
+            rng.choice(pool) * generate_prime(24, rng)
+            if rng.random() < 0.4
+            else generate_prime(24, rng) * generate_prime(24, rng)
+            for _ in range(leaves)
+        ]
+        tree = product_tree(corpus)
+        store_tree = IncrementalProductTree(corpus)
+        for divisor in (rng.choice(pool), math.prod(pool[:2]), corpus[0]):
+            expected = _stack_walk(tree, divisor)
+            assert gcd_descent_hits(tree, divisor) == expected
+            assert store_tree.leaves_sharing(divisor) == expected
