@@ -2,7 +2,7 @@
 
 Times one complete study — world simulation, 51 monthly scans, protocol
 corpora, clustered batch GCD, fingerprinting, analysis — and records the
-shared benchmark study's per-phase timings as an artifact.
+shared benchmark study's stage-span walls as an artifact.
 """
 
 import pytest
@@ -22,9 +22,9 @@ def test_full_study_tiny(benchmark, study, artifact_dir):
     assert result.table1.vulnerable_moduli_raw > 0
     assert len(result.snapshots) == 51
 
-    # Record the shared benchmark study's per-phase accounting too.
+    # Record the shared benchmark study's per-stage accounting too.
     lines = [
-        f"{phase:18s} {seconds:8.2f}s" for phase, seconds in study.timings.items()
+        f"{span.name:18s} {span.wall_seconds:8.2f}s" for span in study.telemetry.spans
     ]
     if study.cluster_stats:
         lines.append(
@@ -32,4 +32,4 @@ def test_full_study_tiny(benchmark, study, artifact_dir):
             f"(k={study.cluster_stats.k}, {study.cluster_stats.tasks} tasks)"
         )
     write_artifact(artifact_dir, "phase_timings", "\n".join(lines))
-    assert study.timings["batch_gcd"] > 0
+    assert study.telemetry.find_span("batch_gcd").wall_seconds > 0

@@ -189,8 +189,7 @@ def test_concurrent_submission_latency(client, corpus_plan, bench_record):
 
     start = time.perf_counter()
     with ThreadPoolExecutor(max_workers=PARAMS["clients"]) as pool:
-        # Thread pool, not a process pool: the closure never pickles.
-        outcomes = list(pool.map(submit, corpus_plan))  # reprolint: disable=PAR001
+        outcomes = list(pool.map(submit, corpus_plan))
     elapsed = time.perf_counter() - start
 
     walls = []
@@ -242,8 +241,7 @@ def test_status_poll_latency(client, bench_record):
         return wall
 
     with ThreadPoolExecutor(max_workers=PARAMS["clients"]) as pool:
-        # Thread pool, not a process pool: the closure never pickles.
-        walls = list(pool.map(poll, sample))  # reprolint: disable=PAR001
+        walls = list(pool.map(poll, sample))
     bench_record["status_poll"] = _latency_stats(walls)
 
 

@@ -37,7 +37,7 @@ def _disabled_calls(n: int) -> float:
 
 
 def test_disabled_overhead_under_two_percent(study, artifact_dir):
-    study_wall = sum(study.timings.values())
+    study_wall = sum(root.wall_seconds for root in study.telemetry.spans)
     overhead = _disabled_calls(CALLS_PER_STUDY)
     fraction = overhead / study_wall
 

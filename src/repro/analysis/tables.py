@@ -59,8 +59,7 @@ class Table1DatasetSummary:
         """Share of distinct moduli that factored (paper: 0.37 %)."""
         if not self.total_distinct_moduli:
             return 0.0
-        # Weighted float *counts*, not big-int moduli: exact / is intended.
-        return self.vulnerable_moduli / self.total_distinct_moduli  # reprolint: disable=NUM001
+        return self.vulnerable_moduli / self.total_distinct_moduli
 
 
 def build_table1(

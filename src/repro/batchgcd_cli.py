@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 from repro.core.select import ENGINE_NAMES, select_engine
@@ -147,9 +146,6 @@ def main(argv: list[str] | None = None) -> int:
     telemetry = Telemetry(
         enabled=bool(args.telemetry_json or args.timings)
     )
-    # CLI-level elapsed display wants real time whether or not telemetry
-    # is enabled for the run.
-    started = time.perf_counter()  # reprolint: disable=DET003
     try:
         choice = select_engine(
             len(moduli),
@@ -172,7 +168,6 @@ def main(argv: list[str] | None = None) -> int:
         "batch_gcd", moduli=len(moduli), k=args.k, engine=choice.name
     ):
         result = engine.run(moduli)
-    elapsed = time.perf_counter() - started  # reprolint: disable=DET003
 
     lines = format_results(result)
     if args.output:
@@ -183,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     stats = engine.last_stats
     print(
         f"{result.vulnerable_count()} vulnerable of {len(moduli)} moduli "
-        f"in {elapsed:.2f}s (k={stats.k}, {stats.tasks} tasks, "
+        f"in {stats.wall_seconds:.2f}s (k={stats.k}, {stats.tasks} tasks, "
         f"cpu {stats.cpu_seconds:.2f}s)",
         file=sys.stderr,
     )

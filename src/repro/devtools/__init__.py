@@ -3,35 +3,31 @@
 The paper's results hinge on reproducibility: the world model, the
 scanners, and batch-GCD must be bit-identical for a given seed.  The
 codebase encodes that as conventions — every module threads explicit
-``random.Random(seed)`` instances, every duration flows through the
-injectable :mod:`repro.telemetry.clock`, and everything crossing the
-process-pool boundary in :mod:`repro.core.clustered` must pickle.
-Conventions rot; this package turns them into machine-checked rules.
+``random.Random(seed)`` instances, and every duration flows through the
+injectable :mod:`repro.telemetry.clock`.  Conventions rot; this package
+turns them into machine-checked rules.
 
 Layout:
 
 - :mod:`repro.devtools.findings` — :class:`Finding` and :class:`Severity`.
 - :mod:`repro.devtools.engine` — the single-pass AST engine: one
   :class:`ast.NodeVisitor` walk per file, dispatching each node to the
-  rules registered for its type, with import-alias resolution and scope
-  tracking shared by all rules.
+  rules registered for its type, with import-alias resolution shared by
+  all rules.
 - :mod:`repro.devtools.suppress` — inline ``# reprolint: disable=RULE``
-  comments.
-- :mod:`repro.devtools.baseline` — the committed grandfather file for
-  pre-existing findings (``reprolint-baseline.json``).
-- :mod:`repro.devtools.checks` — the rule families (DET/TEL/PAR/NUM).
+  comments, the only way to waive a finding.
+- :mod:`repro.devtools.checks` — the rule families (DET/TEL/FLT per
+  file; X/ASY/DUR over the whole-program graph).
 - :mod:`repro.devtools.lint` — the CLI:
   ``python -m repro.devtools.lint src tests --format text``.
 
 See ``docs/STATIC_ANALYSIS.md`` for the rule catalog and workflow.
 """
 
-from repro.devtools.baseline import Baseline
 from repro.devtools.engine import LintEngine, Rule, RuleRegistry, registry
 from repro.devtools.findings import Finding, Severity
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintEngine",
     "Rule",

@@ -18,7 +18,5 @@ def load_all() -> None:
         determinism,
         durability,
         faults,
-        numerics,
-        parallel,
         telemetry,
     )

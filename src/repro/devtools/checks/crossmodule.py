@@ -1,33 +1,22 @@
 """X — cross-module rules over the whole-program graph.
 
-Where the per-file families (DET/TEL/PAR/NUM) see one module at a time,
+Where the per-file families (DET/TEL/FLT) see one module at a time,
 these rules query :mod:`repro.devtools.graph` and check contracts that
 only exist *between* files:
 
-- **XPAR001** — interprocedural process-boundary safety.  Any function
-  reachable (through the resolved call graph, indirect edges included)
-  from a callable submitted to a ``ProcessPoolExecutor`` must not rebind
-  module globals or mutate module-level containers: each worker process
-  has its own copy, so the mutation silently diverges across workers and
-  across ``processes=None`` vs pooled runs.  Setting worker state in the
-  pool *initializer* (``_pool_init``-style) is the blessed pattern and is
-  not flagged.
 - **XTEL001** — telemetry contract drift.  Every metric name literal in
-  ``src/repro`` must appear in the machine-readable metric catalog of
-  ``docs/TELEMETRY.md``, and every catalogued metric must still be
-  emitted somewhere — both directions, so the documented schema and the
-  code cannot drift apart.  F-string names match ``<placeholder>``
-  wildcard segments.
+  ``src/repro`` must be canonical — dotted lower_snake
+  ``stage.substage`` segments, where an f-string field may stand for a
+  whole segment (``scans.era.*.records``) — and must appear in the
+  machine-readable metric catalog of ``docs/TELEMETRY.md``; every
+  catalogued metric must still be emitted somewhere.  Both directions
+  are checked, so the documented schema and the code cannot drift apart.
+  F-string names match ``<placeholder>`` wildcard segments.
 - **XCFG001** — ``StudyConfig`` ↔ CLI drift: a ``with_``/constructor
   keyword in either CLI that is not a real field (stale after a rename),
   an ``argparse`` flag whose dest names a field but is never threaded
   into a call, and an engine-tuning ``batchgcd_*`` field exposed by
   neither CLI.
-- **XDEAD001** — public ``repro`` symbols (module-level classes and
-  functions) referenced nowhere across ``src``, ``tests``,
-  ``benchmarks``, or ``examples`` — import aliases and ``__all__``
-  strings do not count as references, so merely re-exported surface is
-  still dead.
 - **XSVC001** — service contract drift.  Every HTTP endpoint registered
   in ``src/repro`` (``@route("GET", "/v1/jobs")``-style) must appear in
   the endpoint catalog of ``docs/SERVICE.md`` and every catalogued
@@ -51,6 +40,10 @@ _CATALOG_BEGIN = "<!-- metric-catalog:begin -->"
 _CATALOG_END = "<!-- metric-catalog:end -->"
 _CATALOG_ROW = re.compile(r"^\|\s*`([^`]+)`")
 _PLACEHOLDER = re.compile(r"<[^<>]+>")
+#: Dotted lower_snake segments; ``*`` (an f-string field) is a whole segment.
+_CANONICAL_NAME = re.compile(
+    r"^(?:[a-z][a-z0-9_]*|\*)(?:\.(?:[a-z][a-z0-9_]*|\*))*$"
+)
 
 _SERVICE_DOC = "docs/SERVICE.md"
 _ENDPOINT_BEGIN = "<!-- endpoint-catalog:begin -->"
@@ -74,48 +67,6 @@ _FLAG_ALIASES: dict[str, frozenset[str]] = {
     "batchgcd_checkpoint_dir": frozenset({"checkpoint_dir"}),
     "batchgcd_fault_plan": frozenset({"fault_plan"}),
 }
-#: Symbols referenced from outside the Python tree (pyproject scripts).
-_DEAD_EXEMPT = frozenset({"main"})
-
-
-@registry.register_project
-class ProcessBoundaryMutation(ProjectRule):
-    code = "XPAR001"
-    summary = "global state mutated by code reachable from a process-pool task"
-    severity = Severity.ERROR
-
-    def check_project(
-        self, graph: ProjectGraph
-    ) -> Iterator[tuple[str, int, int, str]]:
-        reported: set[str] = set()
-        for entry, submit in sorted(graph.pool_entry_points().items()):
-            for qualname in sorted(graph.reachable_from([entry])):
-                if qualname in reported:
-                    continue
-                func = graph.functions[qualname]
-                module = graph.modules.get(func.module)
-                if module is None:
-                    continue
-                mutated = list(func.global_writes) + [
-                    name
-                    for name in func.container_writes
-                    if name in module.mutable_globals
-                ]
-                if not mutated:
-                    continue
-                reported.add(qualname)
-                names = ", ".join(f"'{name}'" for name in sorted(set(mutated)))
-                yield (
-                    func.path,
-                    func.lineno,
-                    0,
-                    f"'{qualname}' mutates module global(s) {names} and is "
-                    f"reachable from process-pool entry point '{entry}' "
-                    f"(submitted at {submit.path}:{submit.lineno}); each worker "
-                    "owns a private copy, so the mutation diverges across "
-                    "processes — keep task state worker-local, or set it once "
-                    "in the pool initializer",
-                )
 
 
 def _parse_metric_catalog(text: str) -> list[tuple[str, int]] | None:
@@ -154,12 +105,30 @@ def _metric_matches(code_name: str, doc_pattern: str) -> bool:
 @registry.register_project
 class TelemetryContractDrift(ProjectRule):
     code = "XTEL001"
-    summary = "metric emitted but undocumented, or documented but never emitted"
+    summary = (
+        "metric name non-canonical, emitted but undocumented, "
+        "or documented but never emitted"
+    )
     severity = Severity.ERROR
 
     def check_project(
         self, graph: ProjectGraph
     ) -> Iterator[tuple[str, int, int, str]]:
+        calls = graph.metric_calls()
+        canonical = []
+        for call in calls:
+            if _CANONICAL_NAME.match(call.name):
+                canonical.append(call)
+            else:
+                yield (
+                    call.path,
+                    call.lineno,
+                    call.col,
+                    f"metric name {call.name!r} is not canonical; use dotted "
+                    "lower_snake `stage.substage` identifiers (e.g. "
+                    "'batch_gcd.products') so merged RunReports aggregate "
+                    "instead of fragmenting",
+                )
         doc_path = graph.root / _TELEMETRY_DOC
         try:
             doc_text = doc_path.read_text()
@@ -168,11 +137,10 @@ class TelemetryContractDrift(ProjectRule):
         catalog = _parse_metric_catalog(doc_text)
         if catalog is None:
             return  # doc exists but carries no machine-readable catalog
-        calls = graph.metric_calls()
         doc_rel = doc_path.as_posix()
 
         seen: set[tuple[str, str, int]] = set()
-        for call in calls:
+        for call in canonical:
             if not any(_metric_matches(call.name, pattern) for pattern, _ in catalog):
                 key = (call.name, call.path, call.lineno)
                 if key in seen:
@@ -376,26 +344,3 @@ class ServiceContractDrift(ProjectRule):
                     f"{_SERVICE_DOC} — add it to the service metrics table",
                 )
 
-
-@registry.register_project
-class DeadPublicSymbol(ProjectRule):
-    code = "XDEAD001"
-    summary = "public repro symbol referenced nowhere in src/tests/benchmarks/examples"
-    severity = Severity.WARNING
-
-    def check_project(
-        self, graph: ProjectGraph
-    ) -> Iterator[tuple[str, int, int, str]]:
-        for _, module in sorted(graph.modules.items()):
-            for name, lineno in sorted(module.public.items(), key=lambda kv: kv[1]):
-                if name in _DEAD_EXEMPT or name in graph.referenced_names:
-                    continue
-                yield (
-                    module.path,
-                    lineno,
-                    0,
-                    f"public symbol '{module.name}.{name}' is referenced "
-                    "nowhere in src, tests, benchmarks, or examples "
-                    "(imports and __all__ do not count) — delete it, make it "
-                    "private, or cover it with a test",
-                )

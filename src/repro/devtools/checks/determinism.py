@@ -18,9 +18,8 @@ ways that property silently rots: ambient randomness and ambient clocks.
 - **DET003** — duration clocks (``time.perf_counter`` /
   ``time.process_time`` / ``time.monotonic``) used directly instead of
   the injectable :class:`repro.telemetry.clock.Clock`.  A warning, not an
-  error: measuring real time is sometimes the point (CLI ``--timings``),
-  but each site should be deliberate — suppress or baseline it with a
-  justification.
+  error: measuring real time is sometimes the point, but each site
+  should be deliberate — suppress it inline with a justification.
 
 ``repro.telemetry.clock`` is exempt from DET002/DET003: it is the one
 module allowed to touch the real clocks.
@@ -131,5 +130,5 @@ class DurationClock(Rule):
                 node,
                 f"{resolved}() bypasses the injectable repro.telemetry.clock.Clock "
                 "(tests cannot fake it); prefer telemetry spans/timers, or "
-                "suppress/baseline with a justification if real time is the point",
+                "suppress with a justification if real time is the point",
             )

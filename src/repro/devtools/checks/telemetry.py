@@ -1,31 +1,24 @@
 """TEL — telemetry discipline rules.
 
-The telemetry layer (ARCHITECTURE.md, "Where to add instrumentation")
-has two conventions these rules enforce:
+**TEL001** — a ``span(...)``/``timer(...)`` call whose handle is
+discarded.  Both return context managers; as a bare expression statement
+nothing is entered, nothing is timed, and the bug is silent — reports
+simply miss the stage.  The fix is ``with ...: ...``.
 
-- **TEL001** — a ``span(...)``/``timer(...)`` call whose handle is
-  discarded.  Both return context managers; as a bare expression
-  statement nothing is entered, nothing is timed, and the bug is silent —
-  reports simply miss the stage.  The fix is ``with ...: ...``.
-- **TEL002** — non-canonical metric names.  Span/counter/gauge/timer
-  names are dotted ``stage.substage`` identifiers
-  (``batch_gcd.products``, ``scans.records``); anything else (spaces,
-  camelCase, leading dots) fragments the merged
-  :class:`~repro.telemetry.report.RunReport` across runs.
+Canonical metric names are checked by XTEL001
+(:mod:`repro.devtools.checks.crossmodule`), which already walks every
+metric name the program emits.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from typing import Iterator
 
 from repro.devtools.engine import ModuleContext, Rule, registry
 from repro.devtools.findings import Severity
 
 _CONTEXT_INSTRUMENTS = frozenset({"span", "timer"})
-_NAMED_INSTRUMENTS = frozenset({"span", "timer", "counter", "gauge", "observe"})
-_CANONICAL_NAME = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$")
 
 
 def _instrument_name(func: ast.expr) -> str | None:
@@ -57,26 +50,3 @@ class DiscardedSpanHandle(Rule):
                 f"`with {name}(...):`",
             )
 
-
-@registry.register
-class NonCanonicalMetricName(Rule):
-    code = "TEL002"
-    summary = "metric name is not dotted lower_snake (stage.substage)"
-    severity = Severity.ERROR
-    node_types = (ast.Call,)
-
-    def check(self, node: ast.Call, ctx: ModuleContext) -> Iterator[tuple[ast.AST, str]]:
-        name = _instrument_name(node.func)
-        if name not in _NAMED_INSTRUMENTS or not node.args:
-            return
-        first = node.args[0]
-        if not isinstance(first, ast.Constant) or not isinstance(first.value, str):
-            return
-        metric = first.value
-        if not _CANONICAL_NAME.match(metric):
-            yield (
-                first,
-                f"metric name {metric!r} is not canonical; use dotted lower_snake "
-                "`stage.substage` identifiers (e.g. 'batch_gcd.products') so "
-                "merged RunReports aggregate instead of fragmenting",
-            )

@@ -3,15 +3,11 @@
 One :class:`_Walker` (an :class:`ast.NodeVisitor`) traverses each file
 exactly once.  At every node it consults the registry's dispatch table and
 runs only the rules that registered interest in that node type, so adding
-rules does not add walks.  The walker also maintains the shared analysis
-state every rule needs:
-
-- an **import alias table** (``import random as r`` / ``from random import
-  Random``), so rules match on *resolved* dotted names like
-  ``random.Random`` instead of guessing from attribute spellings;
-- a **scope stack** recording functions defined inside enclosing function
-  scopes — what :mod:`repro.devtools.checks.parallel` needs to spot
-  closures handed to a process pool.
+rules does not add walks.  The walker also maintains the one piece of
+analysis state every rule shares, an **import alias table**
+(``import random as r`` / ``from random import Random``), so rules match
+on *resolved* dotted names like ``random.Random`` instead of guessing
+from attribute spellings.
 
 Rules are small classes registered on the module-level :data:`registry`;
 :meth:`Rule.check` yields ``(node, message)`` pairs and the engine turns
@@ -28,6 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.devtools.findings import Finding, Severity
 from repro.devtools.suppress import SuppressionIndex
+from repro.telemetry.clock import SystemClock
 
 __all__ = [
     "LintEngine",
@@ -48,8 +45,6 @@ class ModuleContext:
         self.source_lines = source_lines
         #: alias -> fully-qualified dotted name ("r" -> "random").
         self.imports: dict[str, str] = {}
-        #: innermost-last stack of (kind, locally-defined-function-names).
-        self.scopes: list[tuple[str, set[str]]] = [("module", set())]
 
     @property
     def is_repro_source(self) -> bool:
@@ -75,13 +70,6 @@ class ModuleContext:
             return None
         parts.append(base)
         return ".".join(reversed(parts))
-
-    def is_nested_function(self, name: str) -> bool:
-        """True if ``name`` is a function defined inside an enclosing function."""
-        return any(
-            kind == "function" and name in local_funcs
-            for kind, local_funcs in self.scopes
-        )
 
     def line_text(self, lineno: int) -> str:
         if 1 <= lineno <= len(self.source_lines):
@@ -115,7 +103,7 @@ class ProjectRule:
     against the whole-program :class:`~repro.devtools.graph.ProjectGraph`.
     :meth:`check_project` yields ``(path, line, col, message)`` tuples;
     the engine turns them into :class:`Finding` objects and applies the
-    same inline-suppression and baseline machinery as per-file rules.
+    same inline suppressions as for per-file rules.
     """
 
     code: str = ""
@@ -164,17 +152,15 @@ class RuleRegistry:
     def project_rules(self) -> list[ProjectRule]:
         return [self._project_rules[code] for code in sorted(self._project_rules)]
 
-    def get(self, code: str) -> Rule | ProjectRule:
-        if code in self._rules:
-            return self._rules[code]
-        return self._project_rules[code]
-
     def rules_for(self, node_type: type[ast.AST]) -> list[Rule]:
         return self._dispatch.get(node_type, [])
 
 
 #: The process-wide registry every ``@registry.register`` rule lands in.
 registry = RuleRegistry()
+
+#: The ``--stats`` self-timing clock (the linter measuring itself).
+_CLOCK = SystemClock()
 
 
 class _Walker(ast.NodeVisitor):
@@ -211,33 +197,6 @@ class _Walker(ast.NodeVisitor):
         self._dispatch(node)
         self.generic_visit(node)
 
-    def _visit_function(self, node: ast.AST, name: str | None) -> None:
-        if name is not None:
-            self.ctx.scopes[-1][1].add(name)
-        self._dispatch(node)
-        self.ctx.scopes.append(("function", set()))
-        try:
-            self.generic_visit(node)
-        finally:
-            self.ctx.scopes.pop()
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_function(node, node.name)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_function(node, node.name)
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        self._visit_function(node, None)
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self._dispatch(node)
-        self.ctx.scopes.append(("class", set()))
-        try:
-            self.generic_visit(node)
-        finally:
-            self.ctx.scopes.pop()
-
     # -- dispatch ---------------------------------------------------------
 
     def generic_visit(self, node: ast.AST) -> None:
@@ -260,16 +219,11 @@ class _Walker(ast.NodeVisitor):
                 for found_node, message in rule.check(node, self.ctx):
                     self.raw_findings.append((rule, found_node, message))
             return
-        import time
-
         for rule in self._registry.rules_for(type(node)):
-            # Wall-clock per rule for the --stats report: a measurement of
-            # the linter itself, never of reproduced results, so the
-            # duration-clock discipline does not apply.
-            started = time.perf_counter()  # reprolint: disable=DET003
+            started = _CLOCK.wall()
             for found_node, message in rule.check(node, self.ctx):
                 self.raw_findings.append((rule, found_node, message))
-            elapsed = time.perf_counter() - started  # reprolint: disable=DET003
+            elapsed = _CLOCK.wall() - started
             self._timings[rule.code] = self._timings.get(rule.code, 0.0) + elapsed
 
 
@@ -298,12 +252,16 @@ class LintEngine:
         self, source: str, path: str, module: str | None = None
     ) -> list[Finding]:
         """Lint one source text; ``path`` is used for reporting and scoping."""
+        # Imported here, not with the package, so that
+        # ``python -m repro.devtools.graph`` does not run a second copy.
+        from repro.devtools.graph import module_name_for
+
         suppressions = SuppressionIndex(source)
         if suppressions.skip_file:
             return []
         ctx = ModuleContext(
             path=path,
-            module=module if module is not None else _module_name(path),
+            module=module if module is not None else module_name_for(path),
             source_lines=source.splitlines(),
         )
         try:
@@ -349,30 +307,17 @@ class LintEngine:
     # -- trees ------------------------------------------------------------
 
     def lint_paths(
-        self,
-        paths: Iterable[str | Path],
-        project: bool = True,
-        only_files: Iterable[str | Path] | None = None,
+        self, paths: Iterable[str | Path], project: bool = True
     ) -> list[Finding]:
         """Lint every ``.py`` file under the given files/directories.
 
         With ``project=True`` (the default) the cross-module rules also
         run, over a whole-program graph built from the ``repro`` source
         files in the set — one extra pass total, shared by all of them.
-
-        ``only_files`` restricts the *per-file* rules to that subset
-        (the ``--changed-only`` seam); project rules always analyze the
-        full set, because a changed module can break an invariant whose
-        finding lands in an unchanged one.
         """
         findings: list[Finding] = []
         files = collect_files(paths)
-        if only_files is None:
-            per_file = files
-        else:
-            wanted = {Path(f).resolve() for f in only_files}
-            per_file = [file for file in files if file.resolve() in wanted]
-        for file in per_file:
+        for file in files:
             findings.extend(
                 self.lint_source(file.read_text(), file.as_posix())
             )
@@ -389,12 +334,10 @@ class LintEngine:
             return []
         if not any(graphmod.is_repro_source_path(file) for file in files):
             return []
-        import time
-
-        started = time.perf_counter()  # reprolint: disable=DET003 (linter self-measurement)
+        started = _CLOCK.wall()
         graph = graphmod.build_graph(files)
         if self._collect_timings:
-            elapsed = time.perf_counter() - started  # reprolint: disable=DET003
+            elapsed = _CLOCK.wall() - started
             self.rule_timings["(graph build)"] = (
                 self.rule_timings.get("(graph build)", 0.0) + elapsed
             )
@@ -413,10 +356,10 @@ class LintEngine:
 
         findings: list[Finding] = []
         for rule in self._registry.project_rules():
-            started = time.perf_counter()  # reprolint: disable=DET003
+            started = _CLOCK.wall()
             results = list(rule.check_project(graph))
             if self._collect_timings:
-                elapsed = time.perf_counter() - started  # reprolint: disable=DET003
+                elapsed = _CLOCK.wall() - started
                 self.rule_timings[rule.code] = (
                     self.rule_timings.get(rule.code, 0.0) + elapsed
                 )
@@ -456,15 +399,3 @@ def collect_files(paths: Iterable[str | Path]) -> list[Path]:
             out.add(path)
     return sorted(out)
 
-
-def _module_name(path: str) -> str:
-    """Best-effort dotted module name; ``src/`` layouts anchor the package."""
-    parts = list(Path(path).parts)
-    if "src" in parts:
-        parts = parts[parts.index("src") + 1 :]
-    if not parts:
-        return ""
-    parts[-1] = Path(parts[-1]).stem
-    if parts[-1] == "__init__":
-        parts.pop()
-    return ".".join(parts)

@@ -1,9 +1,7 @@
 """Findings: what a lint rule reports.
 
 A :class:`Finding` is one violation at one source location.  Findings are
-value objects — the engine produces them, the CLI formats them, and the
-baseline matches them by ``(rule, path, line text)`` so that grandfathered
-findings survive unrelated edits that shift line numbers.
+value objects — the engine produces them and the CLI formats them.
 """
 
 from __future__ import annotations
@@ -15,9 +13,9 @@ from dataclasses import dataclass, field
 class Severity(enum.Enum):
     """How seriously a finding gates the build.
 
-    Both levels fail the CLI when new (not suppressed, not baselined);
-    the split exists so reports and the baseline can distinguish hard
-    invariant violations from convention drift.
+    Both levels fail the CLI unless suppressed; the split exists so
+    reports can distinguish hard invariant violations from convention
+    drift.
     """
 
     ERROR = "error"
@@ -38,7 +36,7 @@ class Finding:
         col: 0-based column offset.
         message: human-readable explanation with the suggested fix.
         severity: gating level.
-        line_text: the stripped source line, used for baseline matching.
+        line_text: the stripped source line (carried in JSON output).
     """
 
     rule: str
@@ -48,10 +46,6 @@ class Finding:
     message: str
     severity: Severity = Severity.ERROR
     line_text: str = field(default="", compare=False)
-
-    def key(self) -> tuple[str, str, str]:
-        """Baseline matching key: stable across line-number drift."""
-        return (self.rule, self.path, self.line_text)
 
     def to_dict(self) -> dict[str, object]:
         """JSON-ready representation (used by ``--format json``)."""

@@ -1,13 +1,11 @@
-"""Whole-program analysis: symbol table, import graph, and call graph.
+"""Whole-program analysis: import graph, call graph, and cross-module facts.
 
 The per-file engine (:mod:`repro.devtools.engine`) sees one module at a
-time, so it cannot follow a callable through two call layers into the
-process pool, or notice a telemetry metric that `clustered.py` emits but
-``docs/TELEMETRY.md`` never documents.  This module builds the
+time, so it cannot follow a blocking call through two call layers onto
+the event loop, or notice a telemetry metric that `clustered.py` emits
+but ``docs/TELEMETRY.md`` never documents.  This module builds the
 project-wide view those checks need, in **one AST pass per file**:
 
-- a **symbol table** — for every module under ``src/repro``, the
-  classes/functions it defines, its public surface, and its ``__all__``;
 - an **import graph** — which repro modules import which, resolved
   through each file's alias table (the same resolution discipline the
   engine uses, so ``import x as y`` cannot hide an edge);
@@ -16,13 +14,12 @@ project-wide view those checks need, in **one AST pass per file**:
   ``repro.telemetry.registry``), with conservative handling of methods
   (``self.m()`` binds to the enclosing class; a bare callable passed as
   an argument becomes an *indirect* edge) — over-approximation is the
-  right failure mode for safety rules like XPAR001.
+  right failure mode for safety rules like ASY001.
 
 Alongside the graph proper, the single pass collects the cross-module
-facts the XTEL/XCFG/XDEAD rules query: metric name literals, process-pool
-submissions, ``argparse`` flag dests, ``StudyConfig``-shaped constructor
-keywords, dataclass fields, and the project-wide set of referenced names
-(spanning ``src``, ``tests``, ``benchmarks``, and ``examples``).
+facts the XTEL/XCFG/XSVC rules query: metric name literals, route
+registrations, ``argparse`` flag dests, ``StudyConfig``-shaped
+constructor keywords, and dataclass fields.
 
 For the async-safety rules (ASY*/XTNT*), the same pass additionally
 records per-function **call sites** (raw spelling, terminal attribute,
@@ -34,12 +31,13 @@ locals, and ``self.attr = Cls(...)`` instance attributes.  The sketch
 lets ``self._queue.submit()`` resolve through the receiver's class to
 ``JobQueue.submit``, which is what makes event-loop reachability
 (:meth:`ProjectGraph.async_origins`) see through the service's
-composition seams.
+composition seams.  Module-level mutable containers are recorded too:
+ASY004 treats them as shared state.
 
 Builds are cached per run, keyed on every involved file's
-``(path, mtime, size)``, so the lint CLI, the four cross-module rules,
-and ``python -m repro.devtools.graph`` share one pass.  The JSON and DOT
-exports are deterministic: sorted keys, relative paths, no timestamps.
+``(path, mtime, size)``, so the lint CLI, the cross-module rules, and
+``python -m repro.devtools.graph`` share one pass.  The JSON export is
+deterministic: sorted keys, relative paths, no timestamps.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ __all__ = [
     "FunctionNode",
     "MetricCall",
     "ModuleNode",
-    "PoolSubmit",
     "ProjectGraph",
     "RouteCall",
     "build_graph",
@@ -80,13 +77,6 @@ _POOLISH_RECEIVERS = ("pool", "executor")
 _POOL_TASK_KWARGS = frozenset({"pool_task"})
 #: Constructors whose ``target=`` keyword runs on a spawned thread/process.
 _THREAD_CLASSES = frozenset({"Thread", "Process", "Timer"})
-_MUTATOR_METHODS = frozenset(
-    {
-        "append", "extend", "insert", "add", "update", "setdefault", "pop",
-        "popitem", "remove", "discard", "clear", "appendleft", "extendleft",
-    }
-)
-_REFERENCE_TREES = ("src", "tests", "benchmarks", "examples")
 _RESOLVE_DEPTH = 10
 
 
@@ -139,16 +129,6 @@ class MetricCall:
     path: str
     lineno: int
     col: int
-
-
-@dataclass(frozen=True, slots=True)
-class PoolSubmit:
-    """A callable handed to a process pool's ``submit``/``map``."""
-
-    target: str | None  #: raw dotted spelling of the callable (None = lambda)
-    path: str
-    lineno: int
-    kind: str  #: "submit" or "map"
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,10 +187,6 @@ class FunctionNode:
     raw_indirect: list[str] = field(default_factory=list)
     #: raw callables handed across an offload boundary (to_thread, pools).
     raw_offload: list[str] = field(default_factory=list)
-    #: module globals this function rebinds via a ``global`` declaration.
-    global_writes: list[str] = field(default_factory=list)
-    #: module-level mutable bindings this function mutates in place.
-    container_writes: list[str] = field(default_factory=list)
     #: every call expression in the body, in source order.
     call_sites: list[CallSite] = field(default_factory=list)
     #: line numbers holding an ``await`` expression.
@@ -231,11 +207,6 @@ class ModuleNode:
     path: str
     imports: dict[str, str] = field(default_factory=dict)
     imported_modules: set[str] = field(default_factory=set)
-    #: locally defined top-level classes/functions (and methods via ".").
-    definitions: set[str] = field(default_factory=set)
-    #: public module-level symbols: name -> lineno.
-    public: dict[str, int] = field(default_factory=dict)
-    all_exports: tuple[str, ...] = ()
     #: class name -> ((field, lineno), ...) from annotated class bodies.
     dataclass_fields: dict[str, tuple[tuple[str, int], ...]] = field(
         default_factory=dict
@@ -243,7 +214,6 @@ class ModuleNode:
     #: module-level names bound to list/dict/set displays (mutable state).
     mutable_globals: set[str] = field(default_factory=set)
     metric_calls: list[MetricCall] = field(default_factory=list)
-    pool_submits: list[PoolSubmit] = field(default_factory=list)
     argparse_flags: list[ArgparseFlag] = field(default_factory=list)
     route_calls: list[RouteCall] = field(default_factory=list)
     #: keyword names used in any call in this module (flag-threading check).
@@ -268,7 +238,6 @@ class _ModuleVisitor(ast.NodeVisitor):
         self.functions = functions
         self._class_stack: list[str] = []
         self._func_stack: list[FunctionNode] = []
-        self._global_decls: list[set[str]] = []
         self._bare_calls: set[int] = set()
         self._awaited_calls: set[int] = set()
 
@@ -313,12 +282,6 @@ class _ModuleVisitor(ast.NodeVisitor):
 
     def _handle_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         is_method = bool(self._class_stack) and not self._func_stack
-        if not self._class_stack and not self._func_stack:
-            self.mod.definitions.add(node.name)
-            if not node.name.startswith("_") and not _registration_decorated(node):
-                self.mod.public.setdefault(node.name, node.lineno)
-        elif is_method:
-            self.mod.definitions.add(f"{self._class_stack[-1]}.{node.name}")
         func = FunctionNode(
             qualname=f"{self._qualprefix()}.{node.name}",
             module=self.mod.name,
@@ -342,22 +305,16 @@ class _ModuleVisitor(ast.NodeVisitor):
             if isinstance(decorator, ast.Call) and self._maybe_route(decorator):
                 func.route_decorated = True
         self._func_stack.append(func)
-        self._global_decls.append(set())
         try:
             for child in node.body:
                 self.visit(child)
         finally:
             self._func_stack.pop()
-            self._global_decls.pop()
 
     visit_FunctionDef = _handle_function
     visit_AsyncFunctionDef = _handle_function
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        if not self._class_stack and not self._func_stack:
-            self.mod.definitions.add(node.name)
-            if not node.name.startswith("_") and not _registration_decorated(node):
-                self.mod.public.setdefault(node.name, node.lineno)
         fields: list[tuple[str, int]] = []
         for stmt in node.body:
             if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
@@ -371,29 +328,19 @@ class _ModuleVisitor(ast.NodeVisitor):
             self._class_stack.pop()
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        if not self._class_stack and not self._func_stack:
+        if (
+            not self._class_stack
+            and not self._func_stack
+            and _is_mutable_display(node.value)
+        ):
             for target in node.targets:
-                if not isinstance(target, ast.Name):
-                    continue
-                if target.id == "__all__":
-                    self.mod.all_exports = tuple(
-                        element.value
-                        for element in ast.walk(node.value)
-                        if isinstance(element, ast.Constant)
-                        and isinstance(element.value, str)
-                    )
-                elif _is_mutable_display(node.value):
+                if isinstance(target, ast.Name) and target.id != "__all__":
                     self.mod.mutable_globals.add(target.id)
         self._record_types(node.targets, self._value_type(node.value))
-        self._record_stores(node.targets)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         self._record_types([node.target], _annotation_name(node.annotation))
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._record_stores([node.target])
         self.generic_visit(node)
 
     def visit_Expr(self, node: ast.Expr) -> None:
@@ -448,26 +395,6 @@ class _ModuleVisitor(ast.NodeVisitor):
             return self._value_type(expr.body) or self._value_type(expr.orelse)
         return None
 
-    def visit_Global(self, node: ast.Global) -> None:
-        if self._global_decls:
-            self._global_decls[-1].update(node.names)
-
-    def _record_stores(self, targets: Iterable[ast.expr]) -> None:
-        if not self._func_stack:
-            return
-        func = self._func_stack[-1]
-        declared = self._global_decls[-1] if self._global_decls else set()
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id in declared:
-                if target.id not in func.global_writes:
-                    func.global_writes.append(target.id)
-            elif isinstance(target, (ast.Subscript, ast.Attribute)) and isinstance(
-                target.value, ast.Name
-            ):
-                name = target.value.id
-                if name not in func.container_writes:
-                    func.container_writes.append(name)
-
     # -- calls ------------------------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -497,16 +424,6 @@ class _ModuleVisitor(ast.NodeVisitor):
                 if target is not None:
                     func.raw_offload.append(target)
 
-        if self._func_stack and isinstance(node.func, ast.Attribute):
-            receiver = node.func.value
-            if (
-                isinstance(receiver, ast.Name)
-                and node.func.attr in _MUTATOR_METHODS
-            ):
-                func = self._func_stack[-1]
-                if receiver.id not in func.container_writes:
-                    func.container_writes.append(receiver.id)
-
         if terminal in _METRIC_INSTRUMENTS and node.args:
             metric = _metric_literal(node.args[0])
             if metric is not None:
@@ -519,34 +436,6 @@ class _ModuleVisitor(ast.NodeVisitor):
                         col=node.args[0].col_offset,
                     )
                 )
-
-        if (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr in _POOL_METHODS
-            and _looks_like_pool(node.func)
-            and node.args
-        ):
-            self.mod.pool_submits.append(
-                PoolSubmit(
-                    target=_dotted(node.args[0]),
-                    path=self.mod.path,
-                    lineno=node.lineno,
-                    kind=node.func.attr,
-                )
-            )
-
-        for keyword in node.keywords:
-            if keyword.arg in _POOL_TASK_KWARGS:
-                target = _dotted(keyword.value)
-                if target is not None:
-                    self.mod.pool_submits.append(
-                        PoolSubmit(
-                            target=target,
-                            path=self.mod.path,
-                            lineno=node.lineno,
-                            kind="submit",
-                        )
-                    )
 
         if terminal in _ROUTE_REGISTRARS:
             self._maybe_route(node)
@@ -630,23 +519,6 @@ class _ModuleVisitor(ast.NodeVisitor):
             return
         func = self._func_stack[-1]
         (func.raw_indirect if indirect else func.raw_calls).append(raw)
-
-
-def _registration_decorated(
-    node: ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef,
-) -> bool:
-    """True for ``@registry.register``-style (attribute) decorators.
-
-    Registration decorators consume the definition — nothing ever spells
-    its name again, so dead-symbol analysis must not flag it.  Plain-name
-    transformers (``@dataclass``, ``@contextmanager``) leave the symbol
-    callable and are not exempt.
-    """
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        if isinstance(target, ast.Attribute):
-            return True
-    return False
 
 
 def _dotted(expr: ast.expr) -> str | None:
@@ -763,71 +635,22 @@ def _is_config_call(func: ast.expr, raw: str | None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# reference collection (for XDEAD001)
-# ---------------------------------------------------------------------------
-
-
-class _ReferenceVisitor(ast.NodeVisitor):
-    """Collect every name a file *uses* — not defines, imports, or exports.
-
-    Import aliases and ``__all__`` strings are deliberately excluded: a
-    symbol that is only re-exported but never actually used is still dead
-    surface.
-    """
-
-    def __init__(self) -> None:
-        self.names: set[str] = set()
-
-    def visit_Import(self, node: ast.Import) -> None:
-        pass
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        pass
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        if any(
-            isinstance(target, ast.Name) and target.id == "__all__"
-            for target in node.targets
-        ):
-            return
-        self.generic_visit(node)
-
-    def visit_Name(self, node: ast.Name) -> None:
-        if isinstance(node.ctx, ast.Load):
-            self.names.add(node.id)
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        self.names.add(node.attr)
-        self.generic_visit(node)
-
-    def visit_Constant(self, node: ast.Constant) -> None:
-        # getattr(obj, "symbol") and friends: identifier-shaped strings
-        # count as references, erring on the side of "not dead".
-        if isinstance(node.value, str) and node.value.isidentifier():
-            self.names.add(node.value)
-
-
-# ---------------------------------------------------------------------------
 # the graph
 # ---------------------------------------------------------------------------
 
 
 class ProjectGraph:
-    """The whole-program view: modules, functions, edges, references."""
+    """The whole-program view: modules, functions, and call edges."""
 
     def __init__(
         self,
         root: Path,
         modules: dict[str, ModuleNode],
         functions: dict[str, FunctionNode],
-        referenced_names: frozenset[str],
-        reference_paths: tuple[str, ...],
     ) -> None:
         self.root = root
         self.modules = modules
         self.functions = functions
-        self.referenced_names = referenced_names
-        self.reference_paths = reference_paths
         self._async_origins: dict[str, str] | None = None
         self._effect_index: object | None = None
         self._finalize()
@@ -950,18 +773,6 @@ class ProjectGraph:
 
     # -- queries ----------------------------------------------------------
 
-    def reachable_from(self, roots: Iterable[str]) -> set[str]:
-        """Call-graph closure (roots included) over resolved edges."""
-        seen: set[str] = set()
-        stack = [root for root in roots if root in self.functions]
-        while stack:
-            qualname = stack.pop()
-            if qualname in seen:
-                continue
-            seen.add(qualname)
-            stack.extend(self.functions[qualname].calls)
-        return seen
-
     def async_origins(self) -> dict[str, str]:
         """Map every event-loop-colored function to the async root reaching it.
 
@@ -1004,24 +815,6 @@ class ProjectGraph:
             self._effect_index = EffectIndex(self)
         return self._effect_index
 
-    def pool_entry_points(self) -> dict[str, PoolSubmit]:
-        """Resolved qualname -> the submission site that ships it."""
-        entries: dict[str, PoolSubmit] = {}
-        for module in self.modules.values():
-            for submit in module.pool_submits:
-                if submit.target is None:
-                    continue
-                resolved = self.resolve(module.name, submit.target)
-                if resolved is not None:
-                    entries.setdefault(resolved, submit)
-        return entries
-
-    def import_edges(self) -> dict[str, tuple[str, ...]]:
-        return {
-            name: tuple(sorted(m for m in module.imported_modules if m in self.modules))
-            for name, module in sorted(self.modules.items())
-        }
-
     def metric_calls(self) -> list[MetricCall]:
         out: list[MetricCall] = []
         for _, module in sorted(self.modules.items()):
@@ -1041,7 +834,7 @@ class ProjectGraph:
         """Deterministic JSON-ready dump of the whole graph."""
         origins = self.async_origins()
         return {
-            "schema_version": 3,
+            "schema_version": 4,
             "root": ".",
             "modules": {
                 name: {
@@ -1049,9 +842,6 @@ class ProjectGraph:
                     "imports": sorted(
                         m for m in module.imported_modules if m in self.modules
                     ),
-                    "public": sorted(module.public),
-                    "exports": sorted(module.all_exports),
-                    "definitions": sorted(module.definitions),
                 }
                 for name, module in sorted(self.modules.items())
             },
@@ -1060,7 +850,6 @@ class ProjectGraph:
                 for qualname, func in sorted(self.functions.items())
                 if func.calls
             },
-            "pool_entry_points": sorted(self.pool_entry_points()),
             "async_roots": sorted(
                 qualname
                 for qualname, func in self.functions.items()
@@ -1089,21 +878,6 @@ class ProjectGraph:
     def to_json(self) -> str:
         return json.dumps(self.to_payload(), indent=2, sort_keys=True)
 
-    def to_dot(self, kind: str = "imports") -> str:
-        """GraphViz DOT text for the import graph or the call graph."""
-        lines = [f"digraph repro_{kind} {{", "  rankdir=LR;", "  node [shape=box];"]
-        if kind == "imports":
-            for name, targets in self.import_edges().items():
-                lines.append(f'  "{name}";')
-                for target in targets:
-                    lines.append(f'  "{name}" -> "{target}";')
-        else:
-            for qualname, func in sorted(self.functions.items()):
-                for callee in sorted(func.calls):
-                    lines.append(f'  "{qualname}" -> "{callee}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
 
 # ---------------------------------------------------------------------------
 # building + caching
@@ -1123,34 +897,18 @@ def _signature(files: Iterable[Path]) -> tuple[tuple[str, int, int], ...]:
     return tuple(out)
 
 
-def _reference_files(root: Path) -> list[Path]:
-    files: list[Path] = []
-    for tree in _REFERENCE_TREES:
-        base = root / tree
-        if base.is_dir():
-            files.extend(
-                candidate
-                for candidate in base.rglob("*.py")
-                if "__pycache__" not in candidate.parts
-            )
-    return sorted(files)
-
-
 def build_graph(files: Sequence[str | Path], root: Path | None = None) -> ProjectGraph:
     """Build (or fetch from the per-run cache) the project graph.
 
-    ``files`` are the repro source files to model; the reference universe
-    for dead-symbol analysis is always the full ``src``/``tests``/
-    ``benchmarks``/``examples`` trees under ``root`` (derived from the
-    file paths when not given).
+    ``files`` are the repro source files to model; ``root`` (derived from
+    the file paths when not given) is where the contract docs live.
     """
     source_files = sorted(
         {Path(f) for f in files if is_repro_source_path(f)}
     )
     if root is None:
         root = project_root_for(source_files)
-    reference_files = _reference_files(root) or source_files
-    key = (_signature(source_files), _signature(reference_files))
+    key = _signature(source_files)
     cached = _CACHE.get(key)
     if cached is not None:
         return cached
@@ -1167,25 +925,7 @@ def build_graph(files: Sequence[str | Path], root: Path | None = None) -> Projec
         _ModuleVisitor(node, functions).visit(tree)
         modules[node.name] = node
 
-    referenced: set[str] = set()
-    reference_paths: list[str] = []
-    for file in reference_files:
-        try:
-            tree = ast.parse(file.read_text(), filename=file.as_posix())
-        except (OSError, SyntaxError):
-            continue
-        visitor = _ReferenceVisitor()
-        visitor.visit(tree)
-        referenced.update(visitor.names)
-        reference_paths.append(file.as_posix())
-
-    graph = ProjectGraph(
-        root=root,
-        modules=modules,
-        functions=functions,
-        referenced_names=frozenset(referenced),
-        reference_paths=tuple(reference_paths),
-    )
+    graph = ProjectGraph(root=root, modules=modules, functions=functions)
     _CACHE.clear()  # keep at most the latest build
     _CACHE[key] = graph
     return graph
@@ -1201,23 +941,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     parser = _argparse.ArgumentParser(
         prog="python -m repro.devtools.graph",
-        description="Export the repro whole-program import/call graph.",
+        description="Export the repro whole-program graph as JSON.",
     )
     parser.add_argument(
         "paths",
         nargs="*",
         default=["src"],
         help="files or directories to model (default: src)",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="emit the full graph as JSON (default)"
-    )
-    parser.add_argument(
-        "--dot",
-        choices=("imports", "calls"),
-        default=None,
-        metavar="KIND",
-        help="emit GraphViz DOT for the import or call graph instead",
     )
     parser.add_argument(
         "--out", default=None, metavar="PATH", help="write to PATH instead of stdout"
@@ -1227,7 +957,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     from repro.devtools.engine import collect_files
 
     graph = build_graph(collect_files(args.paths))
-    text = graph.to_dot(args.dot) if args.dot else graph.to_json() + "\n"
+    text = graph.to_json() + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:

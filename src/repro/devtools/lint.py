@@ -3,37 +3,22 @@
 Usage::
 
     python -m repro.devtools.lint [paths ...]
-        [--format text|json|sarif] [--baseline FILE] [--write-baseline]
-        [--update-baseline] [--changed-only [BASE]] [--no-project]
-        [--list-rules]
+        [--format text|json] [--no-project] [--list-rules] [--stats]
 
-Exit codes: 0 = clean (every finding suppressed or baselined), 1 = new
-findings, 2 = bad invocation.  ``--write-baseline`` snapshots the current
-findings into the baseline file (with TODO justifications for a human to
-fill in) and exits 0 — the workflow for adopting a new rule over existing
-code.  ``--update-baseline`` regenerates the file in place while
-*preserving* existing justifications (migrating them across line-text
-drift), and refuses — exit 2 — when an entry would lose one.
-``--no-project`` skips the cross-module rules (XPAR/XTEL/XCFG/XDEAD/
-XSVC/ASY/XTNT), which need the whole-program graph of
-:mod:`repro.devtools.graph`.  ``--changed-only [BASE]`` (default base
-``HEAD``) restricts the per-file rules to files ``git diff`` reports
-changed against BASE plus untracked files — the fast pre-commit loop;
-project rules still analyze the whole program.  ``--format sarif``
-emits a SARIF 2.1.0 log (:mod:`repro.devtools.sarif`) for code-scanning
-uploads.
+Exit codes: 0 = clean (every finding suppressed inline), 1 = findings,
+2 = bad invocation.  The inline ``# reprolint: disable=RULE`` comment
+(:mod:`repro.devtools.suppress`) is the only waiver.  ``--no-project``
+skips the cross-module rules (X*/ASY*/DUR*), which need the
+whole-program graph of :mod:`repro.devtools.graph`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
-from pathlib import Path
 from typing import Sequence
 
-from repro.devtools.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.devtools.engine import LintEngine, registry
 
 __all__ = ["main"]
@@ -54,40 +39,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
-        help="output format (default: text; sarif emits a SARIF 2.1.0 log)",
-    )
-    parser.add_argument(
-        "--changed-only",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="BASE",
-        help="restrict per-file rules to files changed vs BASE (default "
-        "HEAD) plus untracked files; project rules still run whole-program",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=DEFAULT_BASELINE_NAME,
-        help=f"baseline file of grandfathered findings (default: {DEFAULT_BASELINE_NAME}; "
-        "a missing file is an empty baseline)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file and report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="snapshot current findings into the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="regenerate the baseline in place, preserving existing "
-        "justifications; errors if an entry would lose one",
+        help="output format (default: text)",
     )
     parser.add_argument(
         "--no-project",
@@ -103,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help="report per-rule wall time (text: a table after the summary; "
-        "json: a 'stats' key; ignored for sarif)",
+        "json: a 'stats' key)",
     )
     return parser
 
@@ -116,27 +70,6 @@ def _list_rules() -> None:
         print(f"{rule.code:<{width}}  [{rule.severity.value:<7}]  {rule.summary}")
 
 
-def _changed_files(base: str) -> set[Path] | None:
-    """Files ``git diff`` reports against ``base``, plus untracked ones."""
-    try:
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", base, "--"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    names = [*diff.stdout.splitlines(), *untracked.stdout.splitlines()]
-    return {Path(name) for name in names if name.endswith(".py")}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     engine = LintEngine(collect_timings=args.stats)
@@ -145,66 +78,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         _list_rules()
         return 0
 
-    only_files: set[Path] | None = None
-    if args.changed_only is not None:
-        only_files = _changed_files(args.changed_only)
-        if only_files is None:
-            print(
-                "error: --changed-only needs a git checkout and a valid "
-                f"base ref (got {args.changed_only!r})",
-                file=sys.stderr,
-            )
-            return 2
+    findings = engine.lint_paths(args.paths, project=not args.no_project)
 
-    findings = engine.lint_paths(
-        args.paths, project=not args.no_project, only_files=only_files
-    )
-
-    if args.write_baseline:
-        Baseline.from_findings(findings).write(args.baseline)
-        print(
-            f"wrote {len(findings)} finding(s) to {args.baseline}; "
-            "fill in the justifications before committing"
-        )
-        return 0
-
-    try:
-        baseline = Baseline() if args.no_baseline else Baseline.load(args.baseline)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.update_baseline:
-        refreshed, unresolved = baseline.refreshed(findings)
-        if unresolved:
-            print(
-                "error: refusing to update the baseline — these entries "
-                "would lose their justification (write them by hand, or use "
-                "--write-baseline and fill in the TODOs):",
-                file=sys.stderr,
-            )
-            for rule, path, line_text in unresolved:
-                print(f"  {rule} {path}: {line_text!r}", file=sys.stderr)
-            return 2
-        refreshed.write(args.baseline)
-        print(
-            f"updated {args.baseline}: {len(refreshed)} allowance(s), "
-            "justifications preserved"
-        )
-        return 0
-
-    new = baseline.filter_new(findings)
-    stale = baseline.stale_entries(findings)
-
-    if args.format == "sarif":
-        from repro.devtools.sarif import sarif_payload
-
-        print(json.dumps(sarif_payload(new), indent=2, sort_keys=True))
-    elif args.format == "json":
+    if args.format == "json":
         payload: dict[str, object] = {
-            "findings": [finding.to_dict() for finding in new],
-            "baselined": len(findings) - len(new),
-            "stale_baseline_entries": [list(key) for key in stale],
+            "findings": [finding.to_dict() for finding in findings],
         }
         if args.stats:
             payload["stats"] = {
@@ -215,15 +93,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             }
         print(json.dumps(payload, indent=2))
     else:
-        for finding in new:
+        for finding in findings:
             print(finding.render())
-        baselined = len(findings) - len(new)
-        summary = f"reprolint: {len(new)} new finding(s), {baselined} baselined"
-        if stale:
-            summary += f", {len(stale)} stale baseline entr(y/ies) — prune them:"
-        print(summary)
-        for rule, path, line_text in stale:
-            print(f"  stale: {rule} {path}: {line_text!r}")
+        print(f"reprolint: {len(findings)} new finding(s)")
         if args.stats and engine.rule_timings:
             print("per-rule wall time:")
             width = max(len(code) for code in engine.rule_timings)
@@ -233,7 +105,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             for code, seconds in ordered:
                 print(f"  {code:<{width}}  {seconds:8.3f}s")
 
-    return 1 if new else 0
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess in tests

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import logging
 import random
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.eol import ModelEolAnalysis, analyze_eol
 from repro.analysis.exposure import ExposureStats, analyze_exposure
@@ -232,7 +231,6 @@ class StudyResult:
     ibm_ip_reuse: IpReuseStats
     weak_moduli_truth: set[int]
     divisors: dict[str, int]
-    timings: dict[str, float] = field(default_factory=dict)
     telemetry: RunReport | None = None
 
     def vulnerable_moduli(self) -> set[int]:
@@ -278,9 +276,6 @@ def run_study(
 
 def _run_study_instrumented(config: StudyConfig, tel: Telemetry) -> StudyResult:
     """The pipeline body, recording one span per stage into ``tel``."""
-    timings: dict[str, float] = {}
-
-    started = time.perf_counter()
     with tel.span("world_build", seed=config.seed, scale=config.scale):
         world = build_world(config)
         store = CertificateStore()
@@ -307,16 +302,13 @@ def _run_study_instrumented(config: StudyConfig, tel: Telemetry) -> StudyResult:
                 "scan %s (%s): %d records", month, source.name, snapshot.host_count
             )
         tel.annotate(snapshots=len(snapshots))
-    timings["world_and_scans"] = time.perf_counter() - started
 
-    started = time.perf_counter()
     with tel.span("corpus"):
         protocol_corpora = build_protocol_corpora(
             scale=config.scale,
             factory=world.background_factory,
             rng=_model_rng(config.seed, "protocols"),
         )
-        timings["protocols"] = time.perf_counter() - started
         corpus: dict[int, None] = {}
         for n in store.moduli_with_weights():
             corpus[n] = None
@@ -327,7 +319,6 @@ def _run_study_instrumented(config: StudyConfig, tel: Telemetry) -> StudyResult:
         tel.annotate(distinct_moduli=len(moduli))
     logger.info("batch GCD over %d distinct moduli", len(moduli))
 
-    started = time.perf_counter()
     with tel.span(
         "batch_gcd",
         k=config.batchgcd_k,
@@ -354,9 +345,7 @@ def _run_study_instrumented(config: StudyConfig, tel: Telemetry) -> StudyResult:
         )
         logger.info("batch-GCD engine: %s (%s)", choice.name, choice.reason)
         batch_result = engine.run(moduli)
-    timings["batch_gcd"] = time.perf_counter() - started
 
-    started = time.perf_counter()
     with tel.span("fingerprint"):
         fingerprints = fingerprint_study(
             store,
@@ -364,9 +353,7 @@ def _run_study_instrumented(config: StudyConfig, tel: Telemetry) -> StudyResult:
             openssl_table=config.openssl_table(),
             check_safe_primes=False,
         )
-    timings["fingerprint"] = time.perf_counter() - started
 
-    started = time.perf_counter()
     with tel.span("analysis"):
         vulnerable = fingerprints.vulnerable_moduli()
         series = build_series(
@@ -414,7 +401,5 @@ def _run_study_instrumented(config: StudyConfig, tel: Telemetry) -> StudyResult:
                 for n in protocol_corpus.weak_moduli_truth
             },
             divisors=world.divisors,
-            timings=timings,
         )
-    timings["analysis"] = time.perf_counter() - started
     return result

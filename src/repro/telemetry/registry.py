@@ -233,10 +233,7 @@ def get_telemetry() -> Telemetry:
     return _active
 
 
-# Workers swap in a private registry via use_telemetry() and merge the
-# report back explicitly; the module global is the intended per-process
-# context slot, not shared task state.
-def set_telemetry(telemetry: Telemetry | None) -> Telemetry:  # reprolint: disable=XPAR001
+def set_telemetry(telemetry: Telemetry | None) -> Telemetry:
     """Install a registry as active; returns the previous one."""
     global _active
     previous = _active

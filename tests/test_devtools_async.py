@@ -4,23 +4,19 @@ Graph-level tests drive :func:`repro.devtools.graph.build_graph` over
 scratch trees and assert on the event-loop coloring itself; rule-level
 tests drive the real CLI entry point the same way CI does, so the full
 pipeline (graph -> coloring -> rules -> suppression -> exit code) is
-exercised end to end.  SARIF and ``--changed-only`` round out the CLI
-surface added alongside the rules.
+exercised end to end.
 """
 
 import ast
 import json
 import os
-import subprocess
 import textwrap
 
 import pytest
 
 from repro.devtools import dataflow
 from repro.devtools import graph as graphmod
-from repro.devtools.findings import Finding, Severity
 from repro.devtools.lint import main
-from repro.devtools.sarif import SARIF_VERSION, sarif_payload
 
 
 def write(root, relative, content):
@@ -177,7 +173,7 @@ class TestAsyncColoring:
     def test_payload_carries_async_facts(self, tmp_path):
         write(tmp_path, "src/repro/svc.py", SVC)
         payload = json.loads(build(tmp_path, "src/repro/svc.py").to_json())
-        assert payload["schema_version"] == 3
+        assert payload["schema_version"] == 4
         assert payload["async_roots"] == ["repro.svc.handler"]
         assert "repro.svc.direct" in payload["async_colored"]
         assert "repro.svc.offloaded" in payload["offload_boundaries"]
@@ -559,123 +555,3 @@ class TestXtnt001:
             """,
         )
         assert "XTNT001" not in lint_rules(capsys)
-
-
-# ---------------------------------------------------------------------------
-# SARIF export
-# ---------------------------------------------------------------------------
-
-
-class TestSarif:
-    def test_payload_matches_the_2_1_0_shape(self):
-        finding = Finding(
-            rule="ASY001",
-            path="src/repro/svc.py",
-            line=12,
-            col=4,
-            message="blocking call",
-            severity=Severity.ERROR,
-            line_text="time.sleep(0.2)",
-        )
-        payload = sarif_payload([finding])
-        assert payload["version"] == SARIF_VERSION == "2.1.0"
-        assert payload["$schema"].endswith("sarif-schema-2.1.0.json")
-        (run,) = payload["runs"]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "reprolint"
-        codes = [rule["id"] for rule in driver["rules"]]
-        assert codes == sorted(codes)
-        for rule in driver["rules"]:
-            assert rule["shortDescription"]["text"]
-            assert rule["defaultConfiguration"]["level"] in {"error", "warning"}
-        (result,) = run["results"]
-        assert result["ruleId"] == "ASY001"
-        assert result["level"] == "error"
-        assert driver["rules"][result["ruleIndex"]]["id"] == "ASY001"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == "src/repro/svc.py"
-        assert location["region"] == {"startLine": 12, "startColumn": 5}
-
-    def test_cli_emits_sarif_and_keeps_exit_semantics(self, tree, capsys):
-        write(tree, "src/repro/bad.py", "import random\n\nrng = random.Random()\n")
-        assert main(["src", "--format", "sarif"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        (result,) = payload["runs"][0]["results"]
-        assert result["ruleId"] == "DET001"
-        write(tree, "src/repro/bad.py", "VALUE = 1\n")
-        assert main(["src", "--format", "sarif"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["runs"][0]["results"] == []
-
-
-# ---------------------------------------------------------------------------
-# --changed-only
-# ---------------------------------------------------------------------------
-
-VIOLATION = "import random\n\nrng = random.Random()\n"
-
-
-def git(tree, *args):
-    return subprocess.run(
-        ["git", "-c", "user.email=t@example.com", "-c", "user.name=t", *args],
-        cwd=tree,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-
-
-class TestChangedOnly:
-    def test_restricts_per_file_rules_to_the_diff(self, tree, capsys):
-        write(tree, "src/repro/a.py", VIOLATION)
-        write(tree, "src/repro/b.py", VIOLATION)
-        git(tree, "init", "-q")
-        git(tree, "add", ".")
-        git(tree, "commit", "-q", "-m", "seed")
-        write(tree, "src/repro/a.py", VIOLATION + "\n# touched\n")
-        assert main(["src", "--format", "json", "--changed-only"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert {finding["path"] for finding in payload["findings"]} == {
-            "src/repro/a.py"
-        }
-
-    def test_untracked_files_are_included(self, tree, capsys):
-        write(tree, "src/repro/a.py", "VALUE = 1\n")
-        git(tree, "init", "-q")
-        git(tree, "add", ".")
-        git(tree, "commit", "-q", "-m", "seed")
-        write(tree, "src/repro/fresh.py", VIOLATION)
-        assert main(["src", "--format", "json", "--changed-only"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert {finding["path"] for finding in payload["findings"]} == {
-            "src/repro/fresh.py"
-        }
-
-    def test_project_rules_still_run_whole_program(self, tree, capsys):
-        """The graph rules ignore the restriction: they need every module."""
-        write(tree, "src/repro/a.py", "def _helper():\n    return 1\n")
-        write(
-            tree,
-            "src/repro/svc.py",
-            "import time\n"
-            "\n"
-            "from repro.a import _helper\n"
-            "\n"
-            "\n"
-            "async def _handler():\n"
-            "    time.sleep(0.2)\n"
-            "    return _helper()\n",
-        )
-        git(tree, "init", "-q")
-        git(tree, "add", ".")
-        git(tree, "commit", "-q", "-m", "seed")
-        write(tree, "src/repro/a.py", "def _helper():\n    return 2\n")
-        assert main(["src", "--format", "json", "--changed-only"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        rules = {finding["rule"] for finding in payload["findings"]}
-        assert "ASY001" in rules  # found in svc.py, which is NOT in the diff
-
-    def test_without_a_git_checkout_exits_two(self, tree, capsys):
-        write(tree, "src/repro/a.py", "VALUE = 1\n")
-        assert main(["src", "--changed-only"]) == 2
-        assert "--changed-only needs a git checkout" in capsys.readouterr().err

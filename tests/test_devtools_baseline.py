@@ -1,156 +1,11 @@
-"""Baseline and suppression-index unit tests for reprolint."""
+"""Inline-suppression tests for reprolint.
 
-import json
+``# reprolint: disable=RULE`` is the only waiver: there is no baseline
+file, so every finding is either fixed or suppressed on its own line.
+"""
 
-import pytest
-
-from repro.devtools import Baseline, Finding, Severity
 from repro.devtools.engine import LintEngine
 from repro.devtools.suppress import SuppressionIndex
-
-
-def make_finding(rule="DET001", path="src/repro/m.py", line=5, text="rng = X()"):
-    return Finding(
-        rule=rule,
-        path=path,
-        line=line,
-        col=0,
-        message="msg",
-        severity=Severity.ERROR,
-        line_text=text,
-    )
-
-
-class TestBaselineMatching:
-    def test_covered_finding_is_filtered(self):
-        finding = make_finding()
-        baseline = Baseline.from_findings([finding])
-        assert baseline.filter_new([finding]) == []
-
-    def test_line_number_drift_still_matches(self):
-        baseline = Baseline.from_findings([make_finding(line=5)])
-        moved = make_finding(line=50)
-        assert baseline.filter_new([moved]) == []
-
-    def test_changed_line_text_invalidates(self):
-        baseline = Baseline.from_findings([make_finding(text="old text")])
-        edited = make_finding(text="new text")
-        assert baseline.filter_new([edited]) == [edited]
-
-    def test_allowance_counts(self):
-        baseline = Baseline.from_findings([make_finding(), make_finding()])
-        three = [make_finding(), make_finding(), make_finding()]
-        assert len(baseline.filter_new(three)) == 1
-
-    def test_stale_entries_reported(self):
-        baseline = Baseline.from_findings([make_finding(), make_finding(rule="NUM001")])
-        stale = baseline.stale_entries([make_finding()])
-        assert stale == [("NUM001", "src/repro/m.py", "rng = X()")]
-        assert baseline.stale_entries([make_finding(), make_finding(rule="NUM001")]) == []
-
-
-class TestBaselinePersistence:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        original = Baseline.from_findings([make_finding()], justification="because")
-        original.write(path)
-        loaded = Baseline.load(path)
-        assert loaded.filter_new([make_finding()]) == []
-        assert json.loads(path.read_text())["entries"][0]["justification"] == "because"
-
-    def test_missing_file_is_empty(self, tmp_path):
-        baseline = Baseline.load(tmp_path / "absent.json")
-        assert len(baseline) == 0
-        finding = make_finding()
-        assert baseline.filter_new([finding]) == [finding]
-
-    def test_invalid_json_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ValueError, match="not valid JSON"):
-            Baseline.load(path)
-
-    def test_wrong_version_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"version": 99, "entries": []}')
-        with pytest.raises(ValueError, match="v1"):
-            Baseline.load(path)
-
-    def test_empty_justification_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "entries": [
-                        {
-                            "rule": "DET003",
-                            "path": "src/repro/m.py",
-                            "line_text": "x",
-                            "count": 1,
-                            "justification": "",
-                        }
-                    ],
-                }
-            )
-        )
-        with pytest.raises(ValueError, match="justification"):
-            Baseline.load(path)
-
-
-class TestBaselineRefreshed:
-    def test_exact_match_preserves_justification(self):
-        baseline = Baseline.from_findings([make_finding()], justification="because")
-        refreshed, unresolved = baseline.refreshed([make_finding()])
-        assert unresolved == []
-        assert refreshed.to_payload()["entries"][0]["justification"] == "because"
-
-    def test_drifted_line_text_migrates_unique_justification(self):
-        baseline = Baseline.from_findings(
-            [make_finding(text="old text")], justification="because"
-        )
-        refreshed, unresolved = baseline.refreshed([make_finding(text="new text")])
-        assert unresolved == []
-        entry = refreshed.to_payload()["entries"][0]
-        assert entry["line_text"] == "new text"
-        assert entry["justification"] == "because"
-
-    def test_brand_new_finding_is_unresolved(self):
-        baseline = Baseline.from_findings([make_finding()], justification="because")
-        fresh = make_finding(rule="NUM001", text="y = g()")
-        refreshed, unresolved = baseline.refreshed([make_finding(), fresh])
-        assert unresolved == [fresh.key()]
-        # the exact match still carries its justification over
-        entries = {
-            entry["rule"]: entry["justification"]
-            for entry in refreshed.to_payload()["entries"]
-        }
-        assert entries["DET001"] == "because"
-
-    def test_ambiguous_drift_is_unresolved(self):
-        baseline = Baseline.from_findings(
-            [make_finding(text="old one"), make_finding(text="old two")],
-            justification="because",
-        )
-        drifted = make_finding(text="new text")
-        _, unresolved = baseline.refreshed([drifted])
-        assert unresolved == [drifted.key()]
-
-    def test_fixed_findings_are_dropped(self):
-        baseline = Baseline.from_findings(
-            [make_finding(), make_finding(rule="NUM001")], justification="because"
-        )
-        refreshed, unresolved = baseline.refreshed([make_finding()])
-        assert unresolved == []
-        assert len(refreshed) == 1
-
-    def test_count_shrink_updates_allowance(self):
-        baseline = Baseline.from_findings(
-            [make_finding()] * 3, justification="because"
-        )
-        refreshed, unresolved = baseline.refreshed([make_finding()])
-        assert unresolved == []
-        assert refreshed.to_payload()["entries"][0]["count"] == 1
 
 
 class TestSuppressionIndex:
@@ -161,9 +16,9 @@ class TestSuppressionIndex:
         assert not index.is_suppressed("DET002", 2)
 
     def test_multiple_rules(self):
-        index = SuppressionIndex("y = f()  # reprolint: disable=DET001,NUM001\n")
+        index = SuppressionIndex("y = f()  # reprolint: disable=DET001,DET002\n")
         assert index.is_suppressed("DET001", 1)
-        assert index.is_suppressed("NUM001", 1)
+        assert index.is_suppressed("DET002", 1)
 
     def test_bare_disable_silences_all(self):
         index = SuppressionIndex("y = f()  # reprolint: disable\n")
@@ -186,7 +41,7 @@ class TestSuppressionIndex:
 
 
 class TestSuppressionThroughEngine:
-    """Suppressions as the lint engine and the baseline actually apply them."""
+    """Suppressions as the lint engine actually applies them."""
 
     VIOLATING = "value = random.random() + time.time()"
 
@@ -208,13 +63,3 @@ class TestSuppressionThroughEngine:
     def test_unknown_rule_suppresses_nothing(self):
         line = f"{self.VIOLATING}  # reprolint: disable=NOPE999"
         assert {f.rule for f in self.lint(line)} == {"DET001", "DET002"}
-
-    def test_baseline_misses_suppressed_then_edited_line(self):
-        """A baselined line whose text drifts resurfaces as a new finding."""
-        original = self.lint(self.VIOLATING)
-        baseline = Baseline.from_findings(original, justification="legacy")
-        edited = self.lint("value = random.random() + time.time() + 1")
-        assert baseline.filter_new(edited) == edited
-        # and --update-baseline would migrate rather than silently rewrite
-        _, unresolved = baseline.refreshed(edited)
-        assert unresolved == []

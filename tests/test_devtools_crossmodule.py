@@ -7,6 +7,8 @@ matching clean tree where it does not, exercised through the real
 
 import textwrap
 
+import pytest
+
 from repro.devtools.engine import LintEngine
 
 
@@ -24,124 +26,6 @@ def lint(tmp_path, monkeypatch, *paths):
 
 def only(findings, rule):
     return [finding for finding in findings if finding.rule == rule]
-
-
-class TestProcessBoundaryMutation:
-    def test_fires_on_container_mutation_reachable_from_pool_map(
-        self, tmp_path, monkeypatch
-    ):
-        write(
-            tmp_path,
-            "src/repro/work.py",
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            _CACHE = {}
-
-            def _helper(n):
-                _CACHE[n] = n * n
-                return _CACHE[n]
-
-            def task(n):
-                return _helper(n)
-
-            def run(values):
-                with ProcessPoolExecutor() as pool:
-                    return list(pool.map(task, values))
-            """,
-        )
-        findings = only(lint(tmp_path, monkeypatch), "XPAR001")
-        assert len(findings) == 1
-        assert findings[0].path == "src/repro/work.py"
-        assert "'repro.work._helper'" in findings[0].message
-        assert "'_CACHE'" in findings[0].message
-        assert "repro.work.task" in findings[0].message
-
-    def test_fires_on_transitive_global_rebind(self, tmp_path, monkeypatch):
-        write(
-            tmp_path,
-            "src/repro/work.py",
-            """
-            _MODE = "fast"
-
-            def _set_mode(mode):
-                global _MODE
-                _MODE = mode
-
-            def task(n):
-                _set_mode("slow")
-                return n
-
-            def run(pool, values):
-                return [pool.submit(task, value) for value in values]
-            """,
-        )
-        findings = only(lint(tmp_path, monkeypatch), "XPAR001")
-        assert len(findings) == 1
-        assert "'repro.work._set_mode'" in findings[0].message
-        assert "'_MODE'" in findings[0].message
-
-    def test_clean_when_state_stays_worker_local(self, tmp_path, monkeypatch):
-        write(
-            tmp_path,
-            "src/repro/work.py",
-            """
-            def task(n):
-                cache = {}
-                cache[n] = n * n
-                return cache[n]
-
-            def run(pool, values):
-                return [pool.submit(task, value) for value in values]
-            """,
-        )
-        assert only(lint(tmp_path, monkeypatch), "XPAR001") == []
-
-    def test_pool_initializer_pattern_is_blessed(self, tmp_path, monkeypatch):
-        write(
-            tmp_path,
-            "src/repro/work.py",
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            _BACKEND = None
-
-            def _pool_init(backend):
-                global _BACKEND
-                _BACKEND = backend
-
-            def task(n):
-                return (_BACKEND, n)
-
-            def run(values):
-                with ProcessPoolExecutor(initializer=_pool_init) as pool:
-                    return list(pool.map(task, values))
-            """,
-        )
-        assert only(lint(tmp_path, monkeypatch), "XPAR001") == []
-
-    def test_inline_suppression_covers_project_findings(
-        self, tmp_path, monkeypatch
-    ):
-        write(
-            tmp_path,
-            "src/repro/work.py",
-            """
-            _MODE = "fast"
-
-            def _set_mode(mode):  # reprolint: disable=XPAR001
-                global _MODE
-                _MODE = mode
-
-            def task(n):
-                _set_mode("slow")
-                return n
-
-            def run(pool, values):
-                return [pool.submit(task, value) for value in values]
-            """,
-        )
-        assert only(lint(tmp_path, monkeypatch), "XPAR001") == []
 
 
 TELEMETRY_DOC = """\
@@ -201,6 +85,91 @@ class TestTelemetryContractDrift:
             """,
         )
         assert only(lint(tmp_path, monkeypatch), "XTEL001") == []
+
+    def test_inline_disable_suppresses(self, tmp_path, monkeypatch):
+        write(tmp_path, "docs/TELEMETRY.md", TELEMETRY_DOC)
+        write(
+            tmp_path,
+            "src/repro/met.py",
+            """
+            def record(telemetry, name):
+                telemetry.counter("stage.count", 1)
+                telemetry.counter(f"scans.era.{name}.records", 1)
+                telemetry.counter("rogue.metric", 1)  # reprolint: disable=XTEL001
+            """,
+        )
+        assert only(lint(tmp_path, monkeypatch), "XTEL001") == []
+
+
+def metric_findings(tmp_path, monkeypatch, name_expr):
+    """XTEL001 findings for one emitted name, with no catalog doc present."""
+    write(
+        tmp_path,
+        "src/repro/met.py",
+        f"""
+        def record(telemetry, name):
+            telemetry.counter({name_expr}, 1)
+        """,
+    )
+    return only(lint(tmp_path, monkeypatch), "XTEL001")
+
+
+class TestMetricNames:
+    """XTEL001's name check: dotted lower_snake, ``*`` as a whole segment."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["Batch_GCD.products", "batch gcd", ".products", "batch_gcd..task", "camelCase.x"],
+    )
+    def test_bad_name_fires(self, tmp_path, monkeypatch, name):
+        (finding,) = metric_findings(tmp_path, monkeypatch, repr(name))
+        assert "not canonical" in finding.message
+        assert finding.path == "src/repro/met.py"
+
+    @pytest.mark.parametrize(
+        "name_expr",
+        [
+            '"batch_gcd.products"',
+            '"world_build"',
+            '"scans.era_2012.records"',
+            'f"fingerprint.rule.{name}"',
+            'f"scans.era.{name}.records"',
+        ],
+        ids=[
+            "batch_gcd.products",
+            "world_build",
+            "scans.era_2012.records",
+            "fingerprint.rule.*",
+            "scans.era.*.records",
+        ],
+    )
+    def test_good_name_passes(self, tmp_path, monkeypatch, name_expr):
+        assert metric_findings(tmp_path, monkeypatch, name_expr) == []
+
+    def test_partial_wildcard_segment_fires(self, tmp_path, monkeypatch):
+        (finding,) = metric_findings(
+            tmp_path, monkeypatch, 'f"scans.era_{name}.records"'
+        )
+        assert "'scans.era_*.records'" in finding.message
+
+    def test_dynamic_name_not_checked(self, tmp_path, monkeypatch):
+        assert metric_findings(tmp_path, monkeypatch, "name") == []
+
+    def test_non_canonical_name_is_reported_once(self, tmp_path, monkeypatch):
+        """Against a catalog, a bad name is not also reported undocumented."""
+        write(tmp_path, "docs/TELEMETRY.md", TELEMETRY_DOC)
+        write(
+            tmp_path,
+            "src/repro/met.py",
+            """
+            def record(telemetry, name):
+                telemetry.counter("stage.count", 1)
+                telemetry.counter(f"scans.era.{name}.records", 1)
+                telemetry.counter("Stage.Count", 1)
+            """,
+        )
+        (finding,) = only(lint(tmp_path, monkeypatch), "XTEL001")
+        assert "not canonical" in finding.message
 
 
 STUDYCONFIG = """
@@ -322,89 +291,6 @@ class TestStudyConfigCliDrift:
             """,
         )
         assert only(lint(tmp_path, monkeypatch), "XCFG001") == []
-
-
-class TestDeadPublicSymbol:
-    def test_fires_on_unreferenced_public_symbol(self, tmp_path, monkeypatch):
-        write(
-            tmp_path,
-            "src/repro/extra.py",
-            """
-            def unused_helper():
-                return 1
-            """,
-        )
-        findings = only(lint(tmp_path, monkeypatch), "XDEAD001")
-        assert len(findings) == 1
-        assert "'repro.extra.unused_helper'" in findings[0].message
-
-    def test_import_and_all_do_not_count_as_references(
-        self, tmp_path, monkeypatch
-    ):
-        write(
-            tmp_path,
-            "src/repro/extra.py",
-            """
-            def exported_helper():
-                return 1
-            """,
-        )
-        write(
-            tmp_path,
-            "src/repro/__init__.py",
-            """
-            from repro.extra import exported_helper
-
-            __all__ = ["exported_helper"]
-            """,
-        )
-        findings = only(lint(tmp_path, monkeypatch), "XDEAD001")
-        assert len(findings) == 1
-        assert "exported_helper" in findings[0].message
-
-    def test_clean_when_referenced_from_tests(self, tmp_path, monkeypatch):
-        write(
-            tmp_path,
-            "src/repro/extra.py",
-            """
-            def used_helper():
-                return 1
-            """,
-        )
-        write(
-            tmp_path,
-            "tests/test_extra.py",
-            """
-            from repro.extra import used_helper
-
-            def test_used_helper():
-                assert used_helper() == 1
-            """,
-        )
-        assert only(lint(tmp_path, monkeypatch), "XDEAD001") == []
-
-    def test_private_main_and_registered_symbols_exempt(
-        self, tmp_path, monkeypatch
-    ):
-        write(
-            tmp_path,
-            "src/repro/extra.py",
-            """
-            from repro.plugins import registry
-
-            def main():
-                return 0
-
-            def _internal():
-                return 1
-
-            @registry.register
-            class Plugin:
-                pass
-            """,
-        )
-        write(tmp_path, "src/repro/plugins.py", "registry = None\n")
-        assert only(lint(tmp_path, monkeypatch), "XDEAD001") == []
 
 
 SERVER_MODULE = """

@@ -430,7 +430,7 @@ class TestExportDeterminism:
         write(tmp_path, "src/repro/fx.py", self.SOURCE)
         graph = build(tmp_path, "src/repro/fx.py")
         payload = json.loads(graph.to_json())
-        assert payload["schema_version"] == 3
+        assert payload["schema_version"] == 4
         entry = payload["effects"]["repro.fx.publish"]
         assert entry["own"] == sorted(entry["own"])
         assert "rename" in entry["own"]

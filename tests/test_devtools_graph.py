@@ -23,52 +23,6 @@ def build(root, *relatives):
 
 
 class TestSymbolTable:
-    def test_modules_definitions_and_public_surface(self, tmp_path):
-        write(
-            tmp_path,
-            "src/repro/alpha.py",
-            """
-            __all__ = ["visible"]
-
-            def visible():
-                return 1
-
-            def _hidden():
-                return 2
-
-            class Widget:
-                def method(self):
-                    return 3
-            """,
-        )
-        graph = build(tmp_path, "src/repro/alpha.py")
-        module = graph.modules["repro.alpha"]
-        assert module.all_exports == ("visible",)
-        assert {"visible", "_hidden", "Widget", "Widget.method"} <= module.definitions
-        assert set(module.public) == {"visible", "Widget"}
-
-    def test_registration_decorated_symbols_not_public(self, tmp_path):
-        write(
-            tmp_path,
-            "src/repro/alpha.py",
-            """
-            from repro.beta import registry
-            from dataclasses import dataclass
-
-            @registry.register
-            class Registered:
-                pass
-
-            @dataclass
-            class Plain:
-                x: int = 0
-            """,
-        )
-        graph = build(tmp_path, "src/repro/alpha.py")
-        module = graph.modules["repro.alpha"]
-        assert "Registered" not in module.public
-        assert "Plain" in module.public
-
     def test_dataclass_fields_collected_with_linenos(self, tmp_path):
         write(
             tmp_path,
@@ -97,9 +51,9 @@ class TestImportGraph:
             "src/repro/pkg/b.py",
             "src/repro/pkg/c.py",
         )
-        edges = graph.import_edges()
-        assert edges["repro.pkg.a"] == ("repro.pkg",)
-        assert edges["repro.pkg.b"] == ("repro.pkg",)
+        modules = json.loads(graph.to_json())["modules"]
+        assert modules["repro.pkg.a"]["imports"] == ["repro.pkg"]
+        assert modules["repro.pkg.b"]["imports"] == ["repro.pkg"]
 
 
 class TestCallGraph:
@@ -214,28 +168,6 @@ class TestCallGraph:
         graph = build(tmp_path, "src/repro/nest.py")
         assert "repro.nest.outer.inner" in graph.functions["repro.nest.outer"].calls
 
-    def test_reachability_closure(self, tmp_path):
-        write(
-            tmp_path,
-            "src/repro/chain.py",
-            """
-            def a():
-                return b()
-
-            def b():
-                return c()
-
-            def c():
-                return 1
-
-            def unrelated():
-                return 2
-            """,
-        )
-        graph = build(tmp_path, "src/repro/chain.py")
-        reachable = graph.reachable_from(["repro.chain.a"])
-        assert reachable == {"repro.chain.a", "repro.chain.b", "repro.chain.c"}
-
 
 class TestFactCollection:
     def test_pool_entry_points(self, tmp_path):
@@ -246,14 +178,25 @@ class TestFactCollection:
             def task(n):
                 return n
 
+            def mapped(n):
+                return n
+
             def run(pool, xs):
                 return [pool.submit(task, x) for x in xs]
+
+            def run_map(executor, xs):
+                return list(executor.map(mapped, xs))
+
+            def not_a_pool(table, xs):
+                return list(table.map(mapped, xs))
             """,
         )
         graph = build(tmp_path, "src/repro/work.py")
-        entries = graph.pool_entry_points()
-        assert set(entries) == {"repro.work.task"}
-        assert entries["repro.work.task"].kind == "submit"
+        functions = graph.functions
+        assert functions["repro.work.run"].offloads == ("repro.work.task",)
+        assert functions["repro.work.run_map"].offloads == ("repro.work.mapped",)
+        # map() only counts on a pool/executor-named receiver
+        assert functions["repro.work.not_a_pool"].offloads == ()
 
     def test_pool_task_kwarg_counts_as_entry_point(self, tmp_path):
         # the recovery seam submits its pool_task= argument on the
@@ -271,9 +214,9 @@ class TestFactCollection:
             """,
         )
         graph = build(tmp_path, "src/repro/work.py")
-        entries = graph.pool_entry_points()
-        assert set(entries) == {"repro.work.chunk_task"}
-        assert entries["repro.work.chunk_task"].kind == "submit"
+        assert graph.functions["repro.work.run"].offloads == (
+            "repro.work.chunk_task",
+        )
 
     def test_metric_literals_and_fstring_wildcards(self, tmp_path):
         write(
@@ -289,26 +232,23 @@ class TestFactCollection:
         names = {call.name for call in graph.metric_calls()}
         assert names == {"stage.count", "stage.era.*.depth"}
 
-    def test_global_and_container_writes(self, tmp_path):
+    def test_mutable_globals(self, tmp_path):
         write(
             tmp_path,
             "src/repro/state.py",
             """
+            __all__ = ["remember"]
             _MODE = "fast"
             _CACHE = {}
-
-            def set_mode(mode):
-                global _MODE
-                _MODE = mode
+            _SEEN = set()
 
             def remember(key, value):
+                local = {}
                 _CACHE[key] = value
             """,
         )
         graph = build(tmp_path, "src/repro/state.py")
-        assert graph.functions["repro.state.set_mode"].global_writes == ["_MODE"]
-        assert "_CACHE" in graph.functions["repro.state.remember"].container_writes
-        assert graph.modules["repro.state"].mutable_globals == {"_CACHE"}
+        assert graph.modules["repro.state"].mutable_globals == {"_CACHE", "_SEEN"}
 
     def test_argparse_and_config_kwargs(self, tmp_path):
         write(
@@ -428,17 +368,8 @@ class TestCachingAndDeterminism:
         graph = build(tmp_path, "src/repro/b.py")
         assert graph.to_json() == graph.to_json()
         payload = json.loads(graph.to_json())
-        assert payload["schema_version"] == 3
+        assert payload["schema_version"] == 4
         assert "repro.b" in payload["modules"]
-
-    def test_dot_export_shapes(self, tmp_path):
-        write(tmp_path, "src/repro/c.py", "import repro.d\n")
-        write(tmp_path, "src/repro/d.py", "def f():\n    return 1\n")
-        graph = build(tmp_path, "src/repro/c.py", "src/repro/d.py")
-        dot = graph.to_dot("imports")
-        assert dot.startswith("digraph repro_imports {")
-        assert '"repro.c" -> "repro.d";' in dot
-        assert graph.to_dot("calls").startswith("digraph repro_calls {")
 
 
 class TestGraphCli:
@@ -451,17 +382,15 @@ class TestGraphCli:
             env={"PYTHONPATH": str(REPO_ROOT / "src")},
         )
 
-    def test_json_export_is_byte_identical_across_runs(self):
-        first = self.run_graph("--json")
-        second = self.run_graph("--json")
+    def test_json_export_is_byte_identical_across_runs(self, tmp_path):
+        first = self.run_graph()
+        out = tmp_path / "graph.json"
+        second = self.run_graph("--out", str(out))
         assert first.returncode == 0, first.stderr
-        assert first.stdout == second.stdout
+        assert second.returncode == 0, second.stderr
+        assert first.stdout == out.read_text()
         payload = json.loads(first.stdout)
+        assert payload["schema_version"] == 4
         assert "repro.core.clustered" in payload["modules"]
-        assert payload["pool_entry_points"]  # the batch-GCD workers
-
-    def test_dot_export(self, tmp_path):
-        out = tmp_path / "imports.dot"
-        result = self.run_graph("--dot", "imports", "--out", str(out))
-        assert result.returncode == 0, result.stderr
-        assert out.read_text().startswith("digraph repro_imports {")
+        # the batch-GCD worker runs off the caller's thread
+        assert "repro.core.clustered._run_chunk" in payload["offload_boundaries"]

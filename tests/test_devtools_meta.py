@@ -2,21 +2,34 @@
 
 This is the same gate CI runs (``python -m repro.devtools.lint src tests
 benchmarks examples``): zero findings — per-file rules and the
-cross-module X rules alike — that are not suppressed inline or
-grandfathered in the committed ``reprolint-baseline.json``.  A second
-check seeds a violation into a copy of a real module and asserts the
-linter catches it, so the gate cannot silently go blind.
+cross-module rules alike — that are not suppressed inline.  Every
+suppression must name a registered rule, and one planted violation per
+rule proves the gate still bites on each of them.
 """
 
+import io
 import json
+import re
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
+
+import pytest
+
+from repro.devtools.engine import LintEngine, registry
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 LINT_PATHS = ("src", "tests", "benchmarks", "examples")
+
+_DISABLE = re.compile(r"#\s*reprolint:\s*disable=([A-Z0-9,\s]+)")
+
+
+def registered_codes():
+    LintEngine()  # loads every rule family onto the registry
+    return {rule.code for rule in (*registry.rules(), *registry.project_rules())}
 
 
 def run_lint(*args, cwd=REPO_ROOT):
@@ -43,60 +56,98 @@ class TestRepositoryIsClean:
         explicit = run_lint(*LINT_PATHS, "--format", "json")
         assert json.loads(result.stdout) == json.loads(explicit.stdout)
 
-    def test_baseline_is_fully_used(self):
-        """Every grandfathered allowance still matches a real finding."""
-        result = run_lint(*LINT_PATHS, "--format", "json")
-        payload = json.loads(result.stdout)
-        assert payload["stale_baseline_entries"] == []
+    def test_suppressions_name_registered_rules(self):
+        """A waiver for an unknown (e.g. retired) code is inert: flag it.
 
-    def test_baseline_only_grandfathers_det003(self):
-        """The baseline is for the known duration-clock sites, nothing else."""
-        payload = json.loads((REPO_ROOT / "reprolint-baseline.json").read_text())
-        rules = {entry["rule"] for entry in payload["entries"]}
-        assert rules == {"DET003"}
-        assert all(entry["justification"] for entry in payload["entries"])
+        Only COMMENT tokens count, so string fixtures in the suppression
+        tests may still spell made-up codes.
+        """
+        known = registered_codes()
+        unknown = []
+        for tree in LINT_PATHS:
+            for path in sorted((REPO_ROOT / tree).rglob("*.py")):
+                readline = io.StringIO(path.read_text()).readline
+                for token in tokenize.generate_tokens(readline):
+                    if token.type != tokenize.COMMENT:
+                        continue
+                    match = _DISABLE.search(token.string)
+                    if match is None:
+                        continue
+                    codes = {code.strip() for code in match.group(1).split(",")}
+                    where = f"{path.relative_to(REPO_ROOT)}:{token.start[0]}"
+                    unknown.extend(f"{where}: {code}" for code in sorted(codes - known - {""}))
+        assert unknown == []
 
 
-class TestGateStillBites:
-    def test_seeded_violation_fails(self, tmp_path):
-        """Copy a real module, plant an unseeded RNG, expect exit 1."""
-        victim = tmp_path / "src" / "repro" / "planted.py"
-        victim.parent.mkdir(parents=True)
-        source = (REPO_ROOT / "src" / "repro" / "numt" / "primality.py").read_text()
-        victim.write_text(source + "\n\n_PLANTED = random.Random()\n")
-        result = run_lint("src", cwd=tmp_path)
-        assert result.returncode == 1, result.stdout + result.stderr
-        assert "DET001" in result.stdout
-
-    def test_seeded_cross_module_violation_fails(self, tmp_path):
-        """Plant a pool-reachable global mutation, expect XPAR001 at exit 1."""
-        victim = tmp_path / "src" / "repro" / "planted.py"
-        victim.parent.mkdir(parents=True)
-        victim.write_text(
-            "_STATE = {}\n"
+#: One planted violation per registered rule: code -> {path: source}.
+PLANTS = {
+    "DET001": {
+        # A real module with one unseeded RNG appended.
+        "src/repro/planted.py": (
+            (REPO_ROOT / "src" / "repro" / "numt" / "primality.py").read_text()
+            + "\n\n_PLANTED = random.Random()\n"
+        ),
+    },
+    "DET002": {
+        "src/repro/planted.py": (
+            "import time\n"
             "\n"
             "\n"
-            "def task(n):\n"
-            "    _STATE[n] = n\n"
-            "    return n\n"
+            "def stamp():\n"
+            "    return time.time()\n"
+        ),
+    },
+    "DET003": {
+        "src/repro/planted.py": (
+            "import time\n"
             "\n"
             "\n"
-            "def run(pool, values):\n"
-            "    return [pool.submit(task, value) for value in values]\n"
-        )
-        result = run_lint("src", cwd=tmp_path)
-        assert result.returncode == 1, result.stdout + result.stderr
-        assert "XPAR001" in result.stdout
-
-    def plant(self, tmp_path, source):
-        victim = tmp_path / "src" / "repro" / "planted.py"
-        victim.parent.mkdir(parents=True)
-        victim.write_text(source)
-        return run_lint("src", cwd=tmp_path)
-
-    def test_planted_asy001_blocking_call_fails(self, tmp_path):
-        result = self.plant(
-            tmp_path,
+            "def tick():\n"
+            "    return time.perf_counter()\n"
+        ),
+    },
+    "TEL001": {
+        "src/repro/planted.py": (
+            "def stage(telemetry):\n"
+            '    telemetry.span("stage.work")\n'
+        ),
+    },
+    "FLT001": {
+        "src/repro/planted.py": (
+            "def collect(future):\n"
+            "    return future.result()\n"
+        ),
+    },
+    "XTEL001": {
+        "docs/TELEMETRY.md": (REPO_ROOT / "docs" / "TELEMETRY.md").read_text(),
+        "src/repro/planted.py": (
+            "def record(telemetry):\n"
+            '    telemetry.counter("planted.undocumented")\n'
+            '    telemetry.counter("Planted Name")\n'
+        ),
+    },
+    "XCFG001": {
+        "src/repro/studyconfig.py": (
+            "class StudyConfig:\n"
+            "    seed: int = 2016\n"
+            "    batchgcd_planted: int = 1\n"
+        ),
+    },
+    "XSVC001": {
+        "src/repro/planted.py": (
+            "def route(method, pattern):\n"
+            "    def deco(fn):\n"
+            "        return fn\n"
+            "    return deco\n"
+            "\n"
+            "\n"
+            '@route("GET", "/v1/planted")\n'
+            "async def _planted(request):\n"
+            "    return None\n"
+        ),
+    },
+    "ASY001": {
+        "src/repro/planted.py": (
             "import time\n"
             "\n"
             "\n"
@@ -106,27 +157,21 @@ class TestGateStillBites:
             "\n"
             "def _work():\n"
             "    time.sleep(0.2)\n"
-            "    return 1\n",
-        )
-        assert result.returncode == 1, result.stdout + result.stderr
-        assert "ASY001" in result.stdout
-
-    def test_planted_asy002_unawaited_coroutine_fails(self, tmp_path):
-        result = self.plant(
-            tmp_path,
+            "    return 1\n"
+        ),
+    },
+    "ASY002": {
+        "src/repro/planted.py": (
             "async def _job():\n"
             "    return 1\n"
             "\n"
             "\n"
             "def _kick():\n"
-            "    _job()\n",
-        )
-        assert result.returncode == 1, result.stdout + result.stderr
-        assert "ASY002" in result.stdout
-
-    def test_planted_asy003_discarded_task_fails(self, tmp_path):
-        result = self.plant(
-            tmp_path,
+            "    _job()\n"
+        ),
+    },
+    "ASY003": {
+        "src/repro/planted.py": (
             "import asyncio\n"
             "\n"
             "\n"
@@ -135,14 +180,11 @@ class TestGateStillBites:
             "\n"
             "\n"
             "async def _go():\n"
-            "    asyncio.create_task(_job())\n",
-        )
-        assert result.returncode == 1, result.stdout + result.stderr
-        assert "ASY003" in result.stdout
-
-    def test_planted_asy004_rmw_hazard_fails(self, tmp_path):
-        result = self.plant(
-            tmp_path,
+            "    asyncio.create_task(_job())\n"
+        ),
+    },
+    "ASY004": {
+        "src/repro/planted.py": (
             "import asyncio\n"
             "\n"
             "\n"
@@ -153,14 +195,11 @@ class TestGateStillBites:
             "    async def bump(self):\n"
             "        n = self._n\n"
             "        await asyncio.sleep(0)\n"
-            "        self._n = n + 1\n",
-        )
-        assert result.returncode == 1, result.stdout + result.stderr
-        assert "ASY004" in result.stdout
-
-    def test_planted_xtnt001_taint_fails(self, tmp_path):
-        result = self.plant(
-            tmp_path,
+            "        self._n = n + 1\n"
+        ),
+    },
+    "XTNT001": {
+        "src/repro/planted.py": (
             "def route(method, pattern):\n"
             "    def deco(fn):\n"
             "        return fn\n"
@@ -169,37 +208,28 @@ class TestGateStillBites:
             "\n"
             '@route("GET", "/v1/jobs/<job_id>")\n'
             "async def _get_job(job_id):\n"
-            "    return int(job_id, 16)\n",
-        )
-        assert result.returncode == 1, result.stdout + result.stderr
-        assert "XTNT001" in result.stdout
-
-    def test_planted_dur001_unsynced_rename_source_fails(self, tmp_path):
-        result = self.plant(
-            tmp_path,
+            "    return int(job_id, 16)\n"
+        ),
+    },
+    "DUR001": {
+        "src/repro/planted.py": (
             "import os\n"
             "\n"
             "\n"
             "def publish(directory, payload):\n"
             '    tmp = directory / "data.tmp"\n'
             "    tmp.write_text(payload)\n"
-            '    os.replace(tmp, directory / "data.json")\n',
-        )
-        assert result.returncode == 1, result.stdout + result.stderr
-        assert "DUR001" in result.stdout
-
-    def test_planted_dur002_in_place_commit_point_fails(self, tmp_path):
-        result = self.plant(
-            tmp_path,
+            '    os.replace(tmp, directory / "data.json")\n'
+        ),
+    },
+    "DUR002": {
+        "src/repro/planted.py": (
             "def commit(directory, payload):\n"
-            '    (directory / "manifest.json").write_text(payload)\n',
-        )
-        assert result.returncode == 1, result.stdout + result.stderr
-        assert "DUR002" in result.stdout
-
-    def test_planted_dur003_mutation_before_append_fails(self, tmp_path):
-        result = self.plant(
-            tmp_path,
+            '    (directory / "manifest.json").write_text(payload)\n'
+        ),
+    },
+    "DUR003": {
+        "src/repro/planted.py": (
             "from repro.faults.journal import MutationJournal\n"
             "\n"
             "\n"
@@ -211,14 +241,12 @@ class TestGateStillBites:
             "    def mutate(self, record, fast):\n"
             "        if fast:\n"
             '            self._journal.append({"r": record})\n'
-            "        self._path.write_text(record)\n",
-        )
-        assert result.returncode == 1, result.stdout + result.stderr
-        assert "DUR003" in result.stdout
-
-    def test_planted_dur004_rename_without_dir_fsync_fails(self, tmp_path):
-        result = self.plant(
-            tmp_path,
+            "        self._path.write_text(record)\n"
+        ),
+    },
+    "DUR004": {
+        # The source file *is* fsynced: only the directory entry is at risk.
+        "src/repro/planted.py": (
             "import os\n"
             "\n"
             "\n"
@@ -228,17 +256,11 @@ class TestGateStillBites:
             "        handle.write(payload)\n"
             "        handle.flush()\n"
             "        os.fsync(handle.fileno())\n"
-            '    os.replace(tmp, directory / "data.json")\n',
-        )
-        assert result.returncode == 1, result.stdout + result.stderr
-        assert "DUR004" in result.stdout
-        # The source file *was* fsynced — only the directory entry is at
-        # risk, so the stricter DUR001 must stay quiet.
-        assert "DUR001" not in result.stdout
-
-    def test_planted_dur005_torn_tail_reader_fails(self, tmp_path):
-        result = self.plant(
-            tmp_path,
+            '    os.replace(tmp, directory / "data.json")\n'
+        ),
+    },
+    "DUR005": {
+        "src/repro/planted.py": (
             "import json\n"
             "\n"
             "\n"
@@ -246,10 +268,34 @@ class TestGateStillBites:
             "    records = []\n"
             "    for line in path.read_text().splitlines():\n"
             "        records.append(json.loads(line))\n"
-            "    return records\n",
-        )
+            "    return records\n"
+        ),
+    },
+}
+
+
+class TestGateStillBites:
+    def test_every_rule_has_a_plant(self):
+        assert set(PLANTS) == registered_codes()
+
+    @pytest.mark.parametrize("code", sorted(PLANTS))
+    def test_planted_violation_fails(self, tmp_path, code):
+        for relative, source in PLANTS[code].items():
+            path = tmp_path / relative
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source)
+        result = run_lint("src", "--format", "json", cwd=tmp_path)
         assert result.returncode == 1, result.stdout + result.stderr
-        assert "DUR005" in result.stdout
+        findings = json.loads(result.stdout)["findings"]
+        found = {finding["rule"] for finding in findings}
+        assert code in found, result.stdout
+        if code == "XTEL001":
+            messages = " ".join(finding["message"] for finding in findings)
+            assert "'planted.undocumented'" in messages
+            assert "'Planted Name' is not canonical" in messages
+        if code == "DUR004":
+            # the stricter DUR001 must stay quiet on an fsynced source
+            assert "DUR001" not in found
 
 
 class TestLintRuntimeBudget:

@@ -224,167 +224,6 @@ class TestTel001DiscardedHandle:
         ) == []
 
 
-class TestTel002MetricNames:
-    @pytest.mark.parametrize(
-        "name",
-        ["Batch_GCD.products", "batch gcd", ".products", "batch_gcd..task", "camelCase.x"],
-    )
-    def test_positive_bad_names(self, engine, name):
-        snippet = f"""
-        def stage(telemetry):
-            telemetry.counter({name!r})
-        """
-        assert codes(engine, snippet) == ["TEL002"]
-
-    @pytest.mark.parametrize(
-        "name", ["batch_gcd.products", "world_build", "scans.era_2012.records"]
-    )
-    def test_negative_canonical_names(self, engine, name):
-        snippet = f"""
-        def stage(telemetry):
-            telemetry.counter({name!r})
-        """
-        assert codes(engine, snippet) == []
-
-    def test_negative_dynamic_name_not_checked(self, engine):
-        assert codes(
-            engine,
-            """
-            def stage(telemetry, name):
-                telemetry.counter(name)
-            """,
-        ) == []
-
-
-class TestPar001UnpicklablePoolCallable:
-    def test_positive_lambda_submit(self, engine):
-        assert codes(
-            engine,
-            """
-            def run(pool, items):
-                return [pool.submit(lambda x: x + 1, i) for i in items]
-            """,
-        ) == ["PAR001"]
-
-    def test_positive_nested_function_map(self, engine):
-        findings = lint(
-            engine,
-            """
-            def run(executor, items):
-                def work(item):
-                    return item + 1
-                return list(executor.map(work, items))
-            """,
-        )
-        assert [f.rule for f in findings] == ["PAR001"]
-        assert "hoist" in findings[0].message
-
-    def test_negative_module_level_function(self, engine):
-        assert codes(
-            engine,
-            """
-            def work(item):
-                return item + 1
-
-            def run(pool, items):
-                return list(pool.map(work, items))
-            """,
-        ) == []
-
-    def test_negative_non_pool_map(self, engine):
-        assert codes(
-            engine,
-            """
-            def run(frame):
-                return frame.map(lambda x: x + 1)
-            """,
-        ) == []
-
-
-class TestPar002MutableDefault:
-    def test_positive_list_default(self, engine):
-        assert codes(
-            engine,
-            """
-            def accumulate(value, into=[]):
-                into.append(value)
-                return into
-            """,
-        ) == ["PAR002"]
-
-    def test_positive_dict_call_default(self, engine):
-        assert codes(
-            engine,
-            """
-            def merge(extra=dict()):
-                return extra
-            """,
-        ) == ["PAR002"]
-
-    def test_negative_none_default(self, engine):
-        assert codes(
-            engine,
-            """
-            def accumulate(value, into=None):
-                into = [] if into is None else into
-                into.append(value)
-                return into
-            """,
-        ) == []
-
-
-class TestNum001FloatOnBigint:
-    def test_positive_true_division(self, engine):
-        assert codes(
-            engine,
-            """
-            def cofactor(modulus, p):
-                return modulus / p
-            """,
-        ) == ["NUM001"]
-
-    def test_positive_math_sqrt(self, engine):
-        findings = lint(
-            engine,
-            """
-            import math
-
-            def root(modulus):
-                return math.sqrt(modulus)
-            """,
-        )
-        assert [f.rule for f in findings] == ["NUM001"]
-        assert "isqrt" in findings[0].message
-
-    def test_positive_float_cast(self, engine):
-        assert codes(
-            engine,
-            """
-            def approx(prime):
-                return float(prime)
-            """,
-        ) == ["NUM001"]
-
-    def test_negative_floor_division(self, engine):
-        assert codes(
-            engine,
-            """
-            def cofactor(modulus, p):
-                return modulus // p
-            """,
-        ) == []
-
-    def test_negative_unrelated_names(self, engine):
-        # counters like primes_examined must not match the heuristic
-        assert codes(
-            engine,
-            """
-            def rate(satisfying, primes_examined):
-                return satisfying / primes_examined
-            """,
-        ) == []
-
-
 class TestEngineBehaviour:
     def test_parse_error_is_a_finding(self, engine):
         findings = lint(engine, "def broken(:\n")

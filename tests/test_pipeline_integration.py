@@ -25,11 +25,6 @@ class TestStudyStructure:
         assert stats.k == tiny_study.config.batchgcd_k
         assert stats.tasks == stats.k**2
 
-    def test_timings_recorded(self, tiny_study):
-        for phase in ("world_and_scans", "protocols", "batch_gcd",
-                      "fingerprint"):
-            assert tiny_study.timings[phase] > 0
-
 
 class TestHeadlineResults:
     def test_vulnerable_moduli_found(self, tiny_study):

@@ -27,17 +27,6 @@ class TestStageSpans:
         for span in report.spans:
             assert span.wall_seconds > 0, span.name
 
-    def test_stage_walls_consistent_with_timings(self, tiny_study, report):
-        # The legacy timings dict and the span tree measure the same run.
-        walls = {s.name: s.wall_seconds for s in report.spans}
-        combined = walls["world_build"] + walls["timeline_walk"]
-        assert combined == pytest.approx(
-            tiny_study.timings["world_and_scans"], rel=0.25
-        )
-        assert walls["batch_gcd"] == pytest.approx(
-            tiny_study.timings["batch_gcd"], rel=0.25
-        )
-
     def test_world_build_annotated_with_config(self, tiny_study, report):
         attrs = report.find_span("world_build").attrs
         assert attrs["seed"] == tiny_study.config.seed
