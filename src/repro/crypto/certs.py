@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 
 from repro.crypto.rsa import RsaKeyPair, RsaPrivateKey, RsaPublicKey
@@ -85,6 +85,10 @@ class Certificate:
     signature: int = 0
     signature_hash: str = "sha256"
     is_ca: bool = False
+    # Memo of fingerprint(), invisible to ==, hash and repr.  It is not an
+    # __init__ argument, so dataclasses.replace leaves it unset and every
+    # derived certificate hashes itself afresh.
+    _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def tbs_bytes(self) -> bytes:
         """Serialise the to-be-signed portion (everything but the signature)."""
@@ -103,10 +107,18 @@ class Certificate:
         return "\n".join(fields).encode()
 
     def fingerprint(self) -> str:
-        """SHA-256 fingerprint over the full certificate, signature included."""
-        return hashlib.sha256(
-            self.tbs_bytes() + b"\n" + str(self.signature).encode()
-        ).hexdigest()
+        """SHA-256 fingerprint over the full certificate, signature included.
+
+        Computed on the first call and memoised on the (immutable) object:
+        a scan sees the same certificate object every month it is served.
+        """
+        digest = self._fingerprint
+        if digest is None:
+            digest = hashlib.sha256(
+                self.tbs_bytes() + b"\n" + str(self.signature).encode()
+            ).hexdigest()
+            object.__setattr__(self, "_fingerprint", digest)
+        return digest
 
     @property
     def is_self_signed(self) -> bool:

@@ -5,8 +5,8 @@ everything the higher layers need:
 
 - :mod:`repro.numt.sieve` — small-prime sieves used by prime generation and
   by the OpenSSL prime fingerprint (Section 3.3.4 of the paper).
-- :mod:`repro.numt.primality` — Miller–Rabin probabilistic primality testing
-  and prime search.
+- :mod:`repro.numt.primality` — Miller–Rabin primality testing, exact below
+  ~3.3e24 by proven witness sets, and next-prime search.
 - :mod:`repro.numt.arith` — extended gcd, modular inverse, integer roots,
   perfect-power detection and CRT.
 - :mod:`repro.numt.trees` — product trees and remainder trees, the building
@@ -63,11 +63,7 @@ from repro.numt.incremental import (
     empty_digest,
     extend_digest,
 )
-from repro.numt.primality import (
-    is_probable_prime,
-    next_prime,
-    random_prime,
-)
+from repro.numt.primality import is_probable_prime, next_prime
 from repro.numt.sieve import (
     first_n_primes,
     primes_below,
@@ -112,7 +108,6 @@ __all__ = [
     "prepare_reciprocals",
     "primes_below",
     "product_tree",
-    "random_prime",
     "remainder_tree",
     "remainder_tree_prepared",
     "remainder_tree_squared",

@@ -1,9 +1,27 @@
-"""Miller–Rabin primality testing and prime search.
+"""Miller–Rabin primality testing.
 
-Deterministic witness sets are used for inputs below 3.3 * 10**24 (Sorenson &
-Webster), and random witnesses above that, giving an error probability below
-4**-rounds.  This is the primality backend for all prime generation in
-:mod:`repro.crypto.primes`.
+:func:`is_probable_prime` first screens ``n`` against the first 256
+primes (a set lookup up to 1619, then one gcd with their primorial) and
+runs one base-2 strong-probable-prime round.  A survivor then faces the
+witnesses of the first tier whose bound exceeds it:
+
+- below 341,550,071,728,321 (about 2**48.3): 3, 5, 7, 11, 13, 17
+  (Jaeschke, "On strong pseudoprimes to several bases", Math. Comp. 61,
+  1993);
+- below 2**64: 325, 9375, 28178, 450775, 9780504, 1795265022 (Jim
+  Sinclair's set, https://miller-rabin.appspot.com/);
+- below 3,317,044,064,679,887,385,961,981 (about 2**81.5): the primes 3
+  through 41 (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+  bases", Math. Comp. 86, 2017);
+- above that: ``rounds`` random witnesses, drawn from ``random.Random(n)``
+  unless the caller passes an rng, so a composite passes with probability
+  below ``4**-rounds``.
+
+Each fixed set, together with base 2, is proven to admit no strong
+pseudoprime below its bound, so those three tiers are exact.  The first
+and third bounds are terms of OEIS A014233, the least strong pseudoprime
+to the first 7 and to the first 13 prime bases.  This is the primality
+backend for all prime generation in :mod:`repro.crypto.primes`.
 """
 
 from __future__ import annotations
@@ -13,11 +31,17 @@ import random
 
 from repro.numt.sieve import first_n_primes
 
-__all__ = ["is_probable_prime", "next_prime", "random_prime"]
+__all__ = ["is_probable_prime", "next_prime"]
 
-# Deterministic Miller-Rabin witness set valid for all n < 3,317,044,064,679,887,385,961,981.
-_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
-_DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# ``(bound, witnesses after the base-2 round)``, smallest bound first: the
+# first tier with ``n < bound`` decides.  Every Sinclair witness is below
+# 2**31, and that tier only sees ``n`` above the Jaeschke bound, so no
+# witness is ever 0 mod ``n`` (which would wrongly reject a prime).
+_WITNESS_TIERS: tuple[tuple[int, tuple[int, ...]], ...] = (
+    (341_550_071_728_321, (3, 5, 7, 11, 13, 17)),
+    (1 << 64, (325, 9375, 28178, 450775, 9780504, 1795265022)),
+    (3_317_044_064_679_887_385_961_981, (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
+)
 
 _SMALL_PRIMES = first_n_primes(256)
 _SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
@@ -44,7 +68,8 @@ def _miller_rabin_round(n: int, d: int, r: int, a: int) -> bool:
 def is_probable_prime(n: int, rounds: int = 32, rng: random.Random | None = None) -> bool:
     """Miller–Rabin primality test.
 
-    Deterministic (no false positives) for ``n`` below ~3.3e24; otherwise
+    Deterministic (no false positives) for ``n`` below ~3.3e24: at most
+    7 rounds below 2**64 and 13 from there to that bound.  Above it,
     probabilistic with error below ``4**-rounds``.
 
     Args:
@@ -71,13 +96,14 @@ def is_probable_prime(n: int, rounds: int = 32, rng: random.Random | None = None
     # only its survivors pay for the full witness set.
     if not _miller_rabin_round(n, d, r, 2):
         return False
-    if n < _DETERMINISTIC_BOUND:
-        witnesses: tuple[int, ...] | list[int] = _DETERMINISTIC_WITNESSES[1:]
+    for bound, witnesses in _WITNESS_TIERS:
+        if n < bound:
+            break
     else:
         # Seeding on n keeps witness selection reproducible run-to-run
         # while still varying witnesses between candidates.
         rng = rng or random.Random(n)
-        witnesses = [rng.randrange(2, n - 1) for _ in range(rounds)]
+        witnesses = tuple(rng.randrange(2, n - 1) for _ in range(rounds))
     return all(_miller_rabin_round(n, d, r, a) for a in witnesses)
 
 
@@ -91,22 +117,3 @@ def next_prime(n: int) -> int:
     while not is_probable_prime(candidate):
         candidate += 2
     return candidate
-
-
-def random_prime(bits: int, rng: random.Random) -> int:
-    """Return a uniformly-sampled prime of exactly ``bits`` bits.
-
-    Candidates are drawn with the top bit forced (so the bit length is exact)
-    and the bottom bit forced (odd), then Miller–Rabin tested.
-
-    Raises:
-        ValueError: if ``bits < 2`` (no primes of that size exist).
-    """
-    if bits < 2:
-        raise ValueError(f"no primes with {bits} bits")
-    if bits == 2:
-        return rng.choice((2, 3))
-    while True:
-        candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if is_probable_prime(candidate):
-            return candidate

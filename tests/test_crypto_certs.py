@@ -1,17 +1,20 @@
 """Tests for the certificate model, issuance, and key substitution."""
 
+import dataclasses
 import random
 from datetime import date
 
 import pytest
 
 from repro.crypto.certs import (
+    Certificate,
     DistinguishedName,
     issue_certificate,
     self_signed_certificate,
     substitute_public_key,
 )
-from repro.crypto.rsa import generate_rsa_keypair
+from repro.crypto.rsa import RsaPublicKey, generate_rsa_keypair
+from repro.scans.records import CertificateStore
 
 
 @pytest.fixture(scope="module")
@@ -19,8 +22,7 @@ def keypair():
     return generate_rsa_keypair(128, random.Random(11))
 
 
-@pytest.fixture
-def cert(keypair):
+def _make_cert(keypair):
     return self_signed_certificate(
         subject=DistinguishedName(O="Acme", CN="device-1"),
         keypair=keypair,
@@ -29,6 +31,20 @@ def cert(keypair):
         not_after=date(2022, 1, 1),
         subject_alt_names=("acme.example",),
     )
+
+
+@pytest.fixture
+def cert(keypair):
+    return _make_cert(keypair)
+
+
+def _rebuilt(certificate):
+    """A freshly constructed twin: same fields, never fingerprinted."""
+    return Certificate(**{
+        f.name: getattr(certificate, f.name)
+        for f in dataclasses.fields(certificate)
+        if f.init
+    })
 
 
 class TestDistinguishedName:
@@ -143,3 +159,42 @@ class TestKeySubstitution:
         mitm = generate_rsa_keypair(128, random.Random(14))
         swapped = substitute_public_key(cert, mitm.public, signer=mitm.private)
         assert swapped.verify_signature(signer=mitm.public)
+
+
+class TestFingerprintMemo:
+    def test_pinned_fingerprint(self, cert):
+        assert cert.fingerprint() == (
+            "cf2030f8848e486c05161bd937dd1db77e4a126a19314310ec854c8f738c519a"
+        )
+
+    def test_memo_invisible_to_eq_hash_repr(self, cert):
+        twin = _rebuilt(cert)
+        before = (repr(cert), hash(cert))
+        cert.fingerprint()
+        assert (repr(cert), hash(cert)) == before
+        assert cert == twin
+        assert hash(cert) == hash(twin)
+        assert twin.fingerprint() == cert.fingerprint()
+
+    def test_replaced_key_rehashes(self, cert):
+        original = cert.fingerprint()
+        corrupted = dataclasses.replace(
+            cert, public_key=RsaPublicKey(cert.public_key.n ^ 2, cert.public_key.e)
+        )
+        assert corrupted.fingerprint() != original
+        assert corrupted.fingerprint() == _rebuilt(corrupted).fingerprint()
+
+    def test_substituted_key_rehashes(self, cert):
+        original = cert.fingerprint()
+        other = generate_rsa_keypair(128, random.Random(13))
+        swapped = substitute_public_key(cert, other.public)
+        assert swapped.fingerprint() != original
+        assert swapped.fingerprint() == _rebuilt(swapped).fingerprint()
+
+    def test_equal_distinct_objects_intern_to_one_id(self, keypair):
+        a, b = _make_cert(keypair), _make_cert(keypair)
+        assert a == b and a is not b
+        a.fingerprint()  # memoised on a only
+        store = CertificateStore()
+        assert store.intern(a, weight=1) == store.intern(b, weight=1) == 0
+        assert len(store) == 1

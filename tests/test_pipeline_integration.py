@@ -1,5 +1,6 @@
 """End-to-end integration tests over the shared tiny study."""
 
+import hashlib
 
 from repro.pipeline import build_world, run_study
 from repro.studyconfig import StudyConfig
@@ -79,6 +80,20 @@ class TestHeadlineResults:
 
 
 class TestDeterminism:
+    def test_golden_divisors_and_certificates(self, tiny_study):
+        # One digest over the batch-GCD divisors (hex, corpus order) and the
+        # interned certificates' fingerprints (id order).  Key generation,
+        # primality testing, certificate hashing and interning all feed it,
+        # so an optimisation of any of them must leave it unchanged.
+        digest = hashlib.sha256()
+        for divisor in tiny_study.batch_result.divisors:
+            digest.update(f"{divisor:x}\n".encode())
+        for entry in tiny_study.store.entries():
+            digest.update(f"{entry.certificate.fingerprint()}\n".encode())
+        assert digest.hexdigest() == (
+            "f3b221972ce38ba0ab6f0d7dc39d77293045169d05d697fe5b4c734e95074acc"
+        )
+
     def test_same_seed_same_world(self):
         config = StudyConfig.tiny().with_(
             end=Month(2011, 6), bit_error_rate=0.0, rimon_hosts=2
