@@ -11,6 +11,12 @@ modulus — ``<modulus> <factor> <cofactor>`` in hex — plus a summary on
 stderr.  Moduli that were flagged but could not be split (duplicate
 inputs) are reported with ``-`` placeholders.
 
+Every batch-GCD engine knob (:class:`repro.core.select.EngineConfig`) is
+a flag of the same name — ``--engine``, ``--k``, ``--processes``,
+``--backend``, ``--chunk-timeout``, ``--checkpoint-dir``,
+``--fault-plan``, ``--store-dir`` — over :data:`DEFAULT_ENGINE`, the
+clustered engine at k=16.
+
 ``--telemetry-json PATH`` records the computation (the product-build span
 plus every (subset, product) task span, merged back from worker
 processes) and writes the RunReport; ``--timings`` prints the same
@@ -24,11 +30,15 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.core.select import ENGINE_NAMES, select_engine
-from repro.numt.backend import available_backends
+from repro.core.select import (
+    EngineConfig,
+    add_engine_flags,
+    engine_config_from_args,
+    select_engine,
+)
 from repro.telemetry import Telemetry, use_telemetry
 
-__all__ = ["main", "read_moduli", "format_results"]
+__all__ = ["build_parser", "format_results", "main", "read_moduli"]
 
 
 def read_moduli(lines) -> list[int]:
@@ -66,8 +76,12 @@ def format_results(result) -> list[str]:
     return lines
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
+#: What ``repro-batchgcd`` runs when no engine flag is given.
+DEFAULT_ENGINE = EngineConfig(engine="clustered")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro-batchgcd`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="repro-batchgcd",
         description="Factor RSA moduli that share primes, via batch GCD "
@@ -76,54 +90,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("input", help="file of hex moduli, one per line ('-' for stdin)")
     parser.add_argument("-o", "--output", help="output file (default stdout)")
     parser.add_argument(
-        "--engine", choices=ENGINE_NAMES, default="clustered",
-        help="batch-GCD engine; 'alltoall' is the clustered engine with the "
-        "all-to-all descent foreign pass over --k subsets; 'auto' derives "
-        "pooled vs in-process from corpus size and cores, and prefers "
-        "'incremental' when --store-dir is set (default: clustered)",
-    )
-    parser.add_argument(
-        "--store-dir", metavar="DIR",
-        help="persistent product-tree store for the incremental engine: "
-        "runs extending the stored corpus insert only the new moduli "
-        "(default: none)",
-    )
-    parser.add_argument("--k", type=int, default=16, help="subset count (default 16)")
-    parser.add_argument(
-        "--processes", type=int, default=None,
-        help="worker processes (default: in-process)",
-    )
-    parser.add_argument(
         "--dedup", action="store_true",
         help="drop duplicate moduli before the computation",
-    )
-    parser.add_argument(
-        "--backend", choices=sorted(available_backends()), default=None,
-        help="big-int backend (default: $REPRO_NUMT_BACKEND or python)",
-    )
-    parser.add_argument(
-        "--max-inflight", type=int, default=None, metavar="N",
-        help="bound on in-flight task chunks (default: 2x processes)",
-    )
-    parser.add_argument(
-        "--max-retries", type=int, default=2, metavar="N",
-        help="chunk re-submissions before degrading to in-process "
-        "execution (default: 2)",
-    )
-    parser.add_argument(
-        "--chunk-timeout", type=float, default=None, metavar="SECONDS",
-        help="abandon and retry an in-flight chunk after this long "
-        "(default: no timeout; pooled runs only)",
-    )
-    parser.add_argument(
-        "--checkpoint-dir", metavar="DIR",
-        help="persist completed subset passes here so a killed run "
-        "resumes (default: no checkpointing)",
-    )
-    parser.add_argument(
-        "--fault-plan", metavar="SPEC",
-        help="inject deterministic faults: a spec string or plan file "
-        "(see docs/FAULTS.md; default: $REPRO_FAULTS, else off)",
     )
     parser.add_argument(
         "--telemetry-json", metavar="PATH",
@@ -133,6 +101,13 @@ def main(argv: list[str] | None = None) -> int:
         "--timings", action="store_true",
         help="print a per-task timing summary on stderr",
     )
+    add_engine_flags(parser)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point."""
+    parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.input == "-":
@@ -146,26 +121,15 @@ def main(argv: list[str] | None = None) -> int:
     telemetry = Telemetry(
         enabled=bool(args.telemetry_json or args.timings)
     )
+    config = engine_config_from_args(args, DEFAULT_ENGINE)
     try:
-        choice = select_engine(
-            len(moduli),
-            engine=args.engine,
-            k=args.k,
-            processes=args.processes,
-            backend=args.backend,
-            max_inflight=args.max_inflight,
-            max_retries=args.max_retries,
-            chunk_timeout=args.chunk_timeout,
-            checkpoint_dir=args.checkpoint_dir,
-            fault_plan=args.fault_plan,
-            store_dir=args.store_dir,
-        )
+        choice = select_engine(len(moduli), config)
     except ValueError as exc:
         parser.error(str(exc))
     engine = choice.engine
     print(f"engine: {choice.name} ({choice.reason})", file=sys.stderr)
     with use_telemetry(telemetry), telemetry.span(
-        "batch_gcd", moduli=len(moduli), k=args.k, engine=choice.name
+        "batch_gcd", moduli=len(moduli), k=config.k, engine=choice.name
     ):
         result = engine.run(moduli)
 

@@ -3,12 +3,15 @@
 Usage::
 
     repro-study [--preset tiny|medium|full] [--seed N] [--verbose]
-                [--telemetry-json PATH] [--timings]
+                [--telemetry-json PATH] [--timings] [--batchgcd-<knob> V ...]
 
 ``--telemetry-json`` writes the run's :class:`repro.telemetry.RunReport`
 (per-stage wall/CPU spans, batch-GCD task spans merged from workers,
 scanner counters — schema in ``docs/TELEMETRY.md``); ``--timings`` prints
-the human-readable summary after the report bundle.
+the human-readable summary after the report bundle.  Every batch-GCD
+engine knob (:class:`repro.core.select.EngineConfig`) has a
+``--batchgcd-<knob>`` flag, e.g. ``--batchgcd-k`` or
+``--batchgcd-chunk-timeout``; an unset flag keeps the preset's value.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ import logging
 import pathlib
 import sys
 
-from repro.core.select import ENGINE_NAMES
-from repro.numt.backend import available_backends
+from repro.core.select import add_engine_flags, engine_config_from_args
 from repro.pipeline import run_study
 from repro.reporting.study import (
     render_figure1,
@@ -35,7 +37,7 @@ from repro.reporting.study import (
 from repro.studyconfig import StudyConfig
 from repro.telemetry import Telemetry
 
-__all__ = ["main"]
+__all__ = ["build_parser", "main"]
 
 _PRESETS = {
     "tiny": StudyConfig.tiny,
@@ -68,8 +70,8 @@ VENDOR_FIGURES = (
 )
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Run the study at the requested preset and print the report bundle."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro-study`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="repro-study",
         description="Reproduce 'Weak Keys Remain Widespread in Network "
@@ -91,89 +93,21 @@ def main(argv: list[str] | None = None) -> int:
         "--timings", action="store_true",
         help="print a per-stage wall/CPU timing summary",
     )
-    parser.add_argument(
-        "--batchgcd-engine", choices=ENGINE_NAMES, default=None,
-        metavar="NAME",
-        help="batch-GCD engine: classic, clustered, incremental, alltoall "
-        "(clustered with the all-to-all descent foreign pass), or auto "
-        "(derive pooled vs in-process from corpus size and cores; "
-        "default: auto)",
-    )
-    parser.add_argument(
-        "--batchgcd-store-dir", metavar="DIR",
-        help="persistent product-tree store for the incremental batch-GCD "
-        "engine (default: none)",
-    )
-    parser.add_argument(
-        "--batchgcd-k", type=int, default=None, metavar="K",
-        help="clustered batch-GCD subset count (default: preset value)",
-    )
-    parser.add_argument(
-        "--batchgcd-processes", type=int, default=None, metavar="N",
-        help="batch-GCD worker processes (default: in-process)",
-    )
-    parser.add_argument(
-        "--batchgcd-inflight", type=int, default=None, metavar="N",
-        help="bound on in-flight batch-GCD task chunks "
-        "(default: 2x processes)",
-    )
-    parser.add_argument(
-        "--batchgcd-max-retries", type=int, default=None, metavar="N",
-        help="batch-GCD chunk re-submissions before degrading to "
-        "in-process execution (default: 2)",
-    )
-    parser.add_argument(
-        "--batchgcd-chunk-timeout", type=float, default=None,
-        metavar="SECONDS",
-        help="abandon and retry an in-flight batch-GCD chunk after this "
-        "long (default: no timeout; pooled runs only)",
-    )
-    parser.add_argument(
-        "--batchgcd-checkpoint-dir", metavar="DIR",
-        help="persist completed batch-GCD subset passes here so a killed "
-        "run resumes (default: no checkpointing)",
-    )
-    parser.add_argument(
-        "--batchgcd-fault-plan", metavar="SPEC",
-        help="inject deterministic batch-GCD faults: a spec string or "
-        "plan file (see docs/FAULTS.md; default: $REPRO_FAULTS, else off)",
-    )
-    parser.add_argument(
-        "--numt-backend", choices=sorted(available_backends()), default=None,
-        metavar="NAME",
-        help="big-int backend for the batch GCD "
-        "(default: $REPRO_NUMT_BACKEND or python)",
-    )
-    args = parser.parse_args(argv)
+    add_engine_flags(parser, prefix="batchgcd-")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run the study at the requested preset and print the report bundle."""
+    args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(asctime)s %(name)s %(message)s",
     )
     config = _PRESETS[args.preset](seed=args.seed)
-    if args.batchgcd_engine is not None:
-        config = config.with_(batchgcd_engine=args.batchgcd_engine)
-    if args.batchgcd_store_dir is not None:
-        config = config.with_(batchgcd_store_dir=args.batchgcd_store_dir)
-    if args.numt_backend is not None:
-        config = config.with_(batchgcd_backend=args.numt_backend)
-    if args.batchgcd_k is not None:
-        config = config.with_(batchgcd_k=args.batchgcd_k)
-    if args.batchgcd_processes is not None:
-        config = config.with_(batchgcd_processes=args.batchgcd_processes)
-    if args.batchgcd_inflight is not None:
-        config = config.with_(batchgcd_inflight=args.batchgcd_inflight)
-    if args.batchgcd_max_retries is not None:
-        config = config.with_(batchgcd_max_retries=args.batchgcd_max_retries)
-    if args.batchgcd_chunk_timeout is not None:
-        config = config.with_(
-            batchgcd_chunk_timeout=args.batchgcd_chunk_timeout
-        )
-    if args.batchgcd_checkpoint_dir is not None:
-        config = config.with_(
-            batchgcd_checkpoint_dir=args.batchgcd_checkpoint_dir
-        )
-    if args.batchgcd_fault_plan is not None:
-        config = config.with_(batchgcd_fault_plan=args.batchgcd_fault_plan)
+    config = config.with_(
+        batchgcd=engine_config_from_args(args, config.batchgcd)
+    )
     telemetry = (
         Telemetry() if (args.telemetry_json or args.timings) else None
     )

@@ -19,7 +19,8 @@ greatest common divisor with the product of all the *other* moduli:
   product-tree store (:mod:`repro.numt.incremental`) answering "is this
   new modulus weak against everything seen so far?" in one descent, with
   O(log n) inserts instead of per-run full recomputes.
-- :mod:`repro.core.select` — the engine seam: resolves a study's engine
+- :mod:`repro.core.select` — the engine seam: declares the engine knobs
+  once (:class:`~repro.core.select.EngineConfig`) and resolves an engine
   name (including ``"auto"``) to a constructed engine, deriving
   in-process vs pooled execution from corpus size and core count.
 
@@ -28,7 +29,7 @@ performs factor recovery — including the pairwise fallback for moduli that
 share *both* primes with other moduli (divisor == N).
 """
 
-from repro.core.batchgcd import batch_gcd, batch_gcd_divisors
+from repro.core.batchgcd import ClassicBatchGcd, batch_gcd, batch_gcd_divisors
 from repro.core.clustered import ClusteredBatchGcd, clustered_batch_gcd
 from repro.core.incremental import (
     INCREMENTAL_MAX_BATCH,
@@ -41,8 +42,8 @@ from repro.core.select import (
     AUTO_POOL_MAX_WORKERS,
     AUTO_POOL_MIN_MODULI,
     ENGINE_NAMES,
-    ClassicBatchGcd,
     EngineChoice,
+    EngineConfig,
     auto_processes,
     select_engine,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "ClusteredBatchGcd",
     "ENGINE_NAMES",
     "EngineChoice",
+    "EngineConfig",
     "FactoredModulus",
     "INCREMENTAL_MAX_BATCH",
     "IncrementalBatchGcd",

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.core.clustered import ClusterRunStats
 from repro.core.results import BatchGcdResult
 from repro.numt.backend import BigIntBackend, resolve_backend
 from repro.numt.trees import product_tree, remainder_tree_squared
+from repro.telemetry import get_telemetry
 
-__all__ = ["batch_gcd_divisors", "batch_gcd"]
+__all__ = ["ClassicBatchGcd", "batch_gcd_divisors", "batch_gcd"]
 
 
 def batch_gcd_divisors(
@@ -30,8 +32,8 @@ def batch_gcd_divisors(
 
     Args:
         moduli: the corpus.
-        backend: big-int backend name or instance (``None`` = active
-            default, plain ``int``).
+        backend: big-int backend name or instance (``None`` =
+            ``$REPRO_NUMT_BACKEND``, else plain ``int``).
 
     Raises:
         ValueError: if any modulus is < 2 (zero and one would corrupt the
@@ -58,3 +60,24 @@ def batch_gcd(
 ) -> BatchGcdResult:
     """Run the classic batch GCD over a corpus and wrap the result."""
     return BatchGcdResult(list(moduli), batch_gcd_divisors(moduli, backend=backend))
+
+
+class ClassicBatchGcd:
+    """Engine facade over the classic single-machine tree.
+
+    Exists so every selectable engine exposes the same
+    ``run``/``last_stats`` surface the CLIs and the pipeline expect; it is
+    also the incremental engine's default bulk engine.
+    """
+
+    def __init__(self, backend: str | BigIntBackend | None = None) -> None:
+        self.backend = backend
+        self.last_stats: ClusterRunStats | None = None
+
+    def run(self, moduli: Sequence[int]) -> BatchGcdResult:
+        clock = get_telemetry().clock
+        started = clock.wall()
+        result = batch_gcd(moduli, backend=self.backend)
+        wall = clock.wall() - started
+        self.last_stats = ClusterRunStats(1, 1, wall, wall, engine="classic")
+        return result

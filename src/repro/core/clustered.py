@@ -378,21 +378,17 @@ class ClusteredBatchGcd:
             all-to-all engine).  Results are byte-identical.
         backend: big-int backend name (``"python"``, ``"gmpy2"``), an
             already-resolved :class:`~repro.numt.backend.BigIntBackend`,
-            or ``None`` for ``$REPRO_NUMT_BACKEND`` / the active default.
+            or ``None`` for ``$REPRO_NUMT_BACKEND``, else python.
         max_inflight: bound on simultaneously submitted task chunks
             (``None`` = twice the worker count).
-        max_retries: chunk re-submissions before degrading to in-process
-            execution (see :class:`~repro.faults.recovery.RecoveryPolicy`).
-        chunk_timeout: seconds before an in-flight chunk is abandoned and
-            retried (``None`` disables; pooled runs only).
         checkpoint_dir: directory for subset-pass checkpoints (``None``
             disables checkpointing).
         fault_plan: a :class:`~repro.faults.plan.FaultPlan`, spec string,
             or plan-file path to inject deterministic faults; ``None``
             defers to ``$REPRO_FAULTS`` (and stays off without it).
-        recovery: a fully-specified
-            :class:`~repro.faults.recovery.RecoveryPolicy` overriding
-            ``max_retries``/``chunk_timeout`` (backoff tuning for tests).
+        recovery: chunk retry, timeout and backoff bounds (``None`` =
+            :class:`~repro.faults.recovery.RecoveryPolicy` defaults: two
+            retries, no timeout).
     """
 
     def __init__(
@@ -402,8 +398,6 @@ class ClusteredBatchGcd:
         foreign_pass: str = "remainder",
         backend: str | BigIntBackend | None = None,
         max_inflight: int | None = None,
-        max_retries: int = 2,
-        chunk_timeout: float | None = None,
         checkpoint_dir: str | Path | None = None,
         fault_plan: FaultPlan | str | None = None,
         recovery: RecoveryPolicy | None = None,
@@ -426,9 +420,7 @@ class ClusteredBatchGcd:
         self.max_inflight = max_inflight
         self.checkpoint_dir = checkpoint_dir
         self.fault_plan = fault_plan
-        self.recovery = recovery or RecoveryPolicy(
-            max_retries=max_retries, chunk_timeout=chunk_timeout
-        )
+        self.recovery = recovery or RecoveryPolicy()
         self.last_stats: ClusterRunStats | None = None
 
     def run(self, moduli: Sequence[int]) -> BatchGcdResult:

@@ -11,9 +11,10 @@ is set) and pays only for what changed:
   O(log n) spine rebuild per new modulus — instead of an O(n log n)
   recompute;
 - a **cold** store (or an extension too large for per-modulus inserts to
-  win) delegates to a bulk engine — the classic in-process tree by
-  default, or any engine with a ``run(moduli)`` method (the service
-  passes its configured :class:`~repro.core.clustered.ClusteredBatchGcd`)
+  win) delegates to a bulk engine — the classic in-process tree
+  (:class:`~repro.core.batchgcd.ClassicBatchGcd`) by default, or any
+  engine with a ``run(moduli)`` method (engine selection passes its
+  configured :class:`~repro.core.clustered.ClusteredBatchGcd`)
   — and bootstraps the store from its result in one shot;
 - a corpus that does **not** extend the store (the store is append-only)
   is computed fresh via the bulk engine and the store is left untouched.
@@ -31,7 +32,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Protocol, Sequence
 
-from repro.core.batchgcd import batch_gcd
+from repro.core.batchgcd import ClassicBatchGcd
 from repro.core.clustered import ClusterRunStats
 from repro.core.results import BatchGcdResult
 from repro.numt.backend import BigIntBackend
@@ -52,16 +53,6 @@ class BulkEngine(Protocol):
     def run(self, moduli: Sequence[int]) -> BatchGcdResult: ...
 
 
-class _ClassicBulk:
-    """Default bulk engine: the classic in-process tree."""
-
-    def __init__(self, backend: str | BigIntBackend | None) -> None:
-        self._backend = backend
-
-    def run(self, moduli: Sequence[int]) -> BatchGcdResult:
-        return batch_gcd(moduli, backend=self._backend)
-
-
 class IncrementalBatchGcd:
     """Batch-GCD engine backed by a (persistent) incremental tree store.
 
@@ -70,8 +61,9 @@ class IncrementalBatchGcd:
             tree in memory only (the store then lives for one run and the
             engine behaves like a classic engine with incremental
             aggregation semantics).
-        backend: big-int backend name or instance (``None`` = active
-            default; a persisted store pins its backend).
+        backend: big-int backend name or instance (``None`` =
+            ``$REPRO_NUMT_BACKEND``, else python; a persisted store pins
+            its backend).
         bulk: engine for cold bootstraps and oversized extensions; any
             object with ``run(moduli) -> BatchGcdResult``.  ``None`` uses
             the classic in-process tree.
@@ -90,7 +82,9 @@ class IncrementalBatchGcd:
             raise ValueError("max_incremental_batch must be >= 1")
         self.store_dir = store_dir
         self.backend = backend
-        self.bulk: BulkEngine = bulk if bulk is not None else _ClassicBulk(backend)
+        self.bulk: BulkEngine = (
+            bulk if bulk is not None else ClassicBatchGcd(backend)
+        )
         self.max_incremental_batch = max_incremental_batch
         self.last_stats: ClusterRunStats | None = None
         self.last_mode: str | None = None

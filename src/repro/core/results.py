@@ -122,25 +122,6 @@ class BatchGcdResult:
                     primes.add(f)
         return primes
 
-    def merge(self, other: "BatchGcdResult") -> "BatchGcdResult":
-        """Combine results over the same corpus (divisor = lcm per modulus).
-
-        Used by the clustered engine to aggregate per-subset passes.  Both
-        operands must cover the same moduli in the same order.
-        """
-        if self.moduli != other.moduli:
-            raise ValueError("cannot merge results over different corpora")
-        merged = [
-            _lcm_capped(a, b, n)
-            for a, b, n in zip(self.divisors, other.divisors, self.moduli)
-        ]
-        return BatchGcdResult(self.moduli, merged)
-
-
-def _lcm_capped(a: int, b: int, n: int) -> int:
-    """lcm of two divisors of ``n`` (itself a divisor of ``n``)."""
-    return a * b // math.gcd(a, b)
-
 
 def _split(n: int, divisor: int) -> FactoredModulus:
     """Split ``n`` by a known proper divisor."""
@@ -173,19 +154,20 @@ def merge_sparse_hits(
 ) -> list[int]:
     """Merge sparse per-pass hit sets into one aligned divisor list.
 
-    This is the canonical aggregation shared by the clustered and
-    all-to-all engines: each pass ``(owner, other)`` contributes
-    ``(position, divisor)`` records for the owning subset/shard, whose
+    This is the one aggregation of the clustered engine, under either
+    foreign pass: each ``(subset, product)`` pass contributes
+    ``(position, divisor)`` records for its owning subset, whose
     ``position``-th modulus sits at corpus index
-    ``owner + position * stride`` under the round-robin partition.
-    Contributions for the same modulus combine by lcm and the total is
-    capped back to an actual divisor of the modulus (divisors from
-    different passes can overlap in prime content).
+    ``owner + position * stride`` under the round-robin partition
+    (``stride`` is the subset count ``k``).  Contributions for the same
+    modulus combine by lcm and the total is capped back to an actual
+    divisor of the modulus (divisors from different passes can overlap
+    in prime content).
 
     The lcm fold is commutative and associative and the cap is applied
-    once at the end, so the result is independent of the order hit sets
-    are merged in — the property that lets a sharded deployment combine
-    per-shard results as they arrive.
+    once at the end, so the result is independent of the order passes
+    complete in — the property that lets pooled chunks and checkpointed
+    passes merge as they arrive.
     """
     combined = [1] * len(moduli)
     for (owner, _other), found in hits:
@@ -195,14 +177,3 @@ def merge_sparse_hits(
             combined[index] = current * divisor // math.gcd(current, divisor)
     return [math.gcd(d, n) for d, n in zip(combined, moduli)]
 
-
-def combine_results(results: Iterable[BatchGcdResult]) -> BatchGcdResult:
-    """Merge any number of results over the same corpus."""
-    iterator = iter(results)
-    try:
-        combined = next(iterator)
-    except StopIteration:
-        raise ValueError("combine_results needs at least one result") from None
-    for result in iterator:
-        combined = combined.merge(result)
-    return combined

@@ -1,10 +1,10 @@
-"""Engine selection: one seam mapping a study config to a batch-GCD engine.
+"""Engine selection: one seam mapping engine knobs to a batch-GCD engine.
 
 The engines are interchangeable behind ``run(moduli) -> BatchGcdResult``
 but have very different cost shapes: the classic tree wins small corpora
 outright, the pooled clustered engine wins large corpora on multi-core
-hosts but pays pool startup (BENCH_batchgcd.json: 0.043 s pooled vs
-0.0185 s in-process at n=616), and the incremental engine wins the
+hosts but pays pool startup (BENCH_batchgcd.json: 0.039 s pooled vs
+0.0165 s in-process at n=616), and the incremental engine wins the
 serving path where runs extend a persistent corpus.  This module owns
 the decision so the pipeline, the CLIs and the service all pick the same
 way:
@@ -25,33 +25,46 @@ Selection never falls back silently: a persistent ``store_dir`` given
 with an explicit engine that has no store (anything but
 ``incremental``) raises ``ValueError`` naming the conflict instead of
 being dropped.
+
+The knobs themselves are declared once, as the fields of
+:class:`EngineConfig`.  ``StudyConfig.batchgcd`` and
+``ServiceConfig.engine`` each hold one, :func:`select_engine` takes its
+fields as keywords, and :data:`ENGINE_FLAGS` generates every CLI's
+engine flags from them (:func:`add_engine_flags`,
+:func:`engine_config_from_args`).
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any
 
-from repro.core.batchgcd import batch_gcd
-from repro.core.clustered import ClusteredBatchGcd, ClusterRunStats
+from repro.core.batchgcd import ClassicBatchGcd
+from repro.core.clustered import ClusteredBatchGcd
 from repro.core.incremental import IncrementalBatchGcd
-from repro.core.results import BatchGcdResult
-from repro.numt.backend import BigIntBackend
-from repro.telemetry import get_telemetry
+from repro.faults.plan import FaultPlan
+from repro.faults.recovery import RecoveryPolicy
+from repro.numt.backend import BigIntBackend, available_backends
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = [
     "AUTO_POOL_MIN_MODULI",
     "AUTO_POOL_MAX_WORKERS",
+    "ENGINE_FLAGS",
     "ENGINE_NAMES",
-    "ClassicBatchGcd",
     "EngineChoice",
+    "EngineConfig",
+    "add_engine_flags",
     "auto_processes",
+    "engine_config_from_args",
     "select_engine",
 ]
 
-#: Engine names accepted by StudyConfig.batchgcd_engine and the CLIs.
+#: Engine names accepted by :attr:`EngineConfig.engine`.
 ENGINE_NAMES = ("auto", "classic", "clustered", "incremental", "alltoall")
 
 #: Smallest corpus for which ``auto`` reaches for a process pool: below
@@ -64,24 +77,123 @@ AUTO_POOL_MIN_MODULI = 2000
 AUTO_POOL_MAX_WORKERS = 8
 
 
-class ClassicBatchGcd:
-    """Engine facade over the classic single-machine tree.
+@dataclass(frozen=True, slots=True)
+class EngineConfig:
+    """Every batch-GCD engine knob, declared once.
 
-    Exists so every selectable engine exposes the same
-    ``run``/``last_stats`` surface the CLIs and the pipeline expect.
+    Attributes:
+        engine: one of :data:`ENGINE_NAMES`.  ``"auto"`` prefers the
+            incremental engine when ``store_dir`` is set and otherwise
+            derives in-process vs pooled clustered execution from corpus
+            size and core count.
+        k: subset count for the clustered engine (the logical node count
+            under ``"alltoall"``); the engine caps it at the corpus size.
+        processes: worker processes (None = in-process, or derived by
+            ``"auto"``).
+        backend: big-int backend name (``"python"``/``"gmpy2"``; None =
+            ``$REPRO_NUMT_BACKEND``, else python).
+        chunk_timeout: seconds before an in-flight task chunk is abandoned
+            and retried (None disables; pooled runs only).
+        checkpoint_dir: directory for subset-pass checkpoints so a killed
+            run resumes (None disables checkpointing).
+        fault_plan: deterministic fault-injection plan — a spec string or
+            plan-file path (see :mod:`repro.faults.plan`; None defers to
+            ``$REPRO_FAULTS`` and stays off without it).
+        store_dir: directory for the incremental engine's persistent
+            product-tree store (None = in-memory only).
     """
 
-    def __init__(self, backend: str | BigIntBackend | None = None) -> None:
-        self.backend = backend
-        self.last_stats: ClusterRunStats | None = None
+    engine: str = "auto"
+    k: int = 16
+    processes: int | None = None
+    backend: str | BigIntBackend | None = None
+    chunk_timeout: float | None = None
+    checkpoint_dir: str | Path | None = None
+    fault_plan: str | FaultPlan | None = None
+    store_dir: str | Path | None = None
 
-    def run(self, moduli: Sequence[int]) -> BatchGcdResult:
-        clock = get_telemetry().clock
-        started = clock.wall()
-        result = batch_gcd(moduli, backend=self.backend)
-        wall = clock.wall() - started
-        self.last_stats = ClusterRunStats(1, 1, wall, wall, engine="classic")
-        return result
+
+#: argparse keywords of each :class:`EngineConfig` field's flag.  The flag
+#: is spelled from the field name (``chunk_timeout`` -> ``--chunk-timeout``,
+#: or ``--batchgcd-chunk-timeout`` under a prefix) and parses into a
+#: ``dest`` of the same name; ``choices`` given as a function are resolved
+#: when the parser is built.
+ENGINE_FLAGS: dict[str, dict[str, Any]] = {
+    "engine": {
+        "choices": ENGINE_NAMES,
+        "metavar": "NAME",
+        "help": "batch-GCD engine: classic, clustered, incremental, "
+        "alltoall (clustered with the all-to-all descent foreign pass), or "
+        "auto (incremental when a store dir is set, else clustered, pooled "
+        "once the corpus is large enough for the pool to pay off)",
+    },
+    "k": {"type": int, "metavar": "K", "help": "clustered-engine subset count"},
+    "processes": {
+        "type": int,
+        "metavar": "N",
+        "help": "worker processes (default: in-process, or derived by auto)",
+    },
+    "backend": {
+        "choices": lambda: sorted(available_backends()),
+        "metavar": "NAME",
+        "help": "big-int backend (default: $REPRO_NUMT_BACKEND or python)",
+    },
+    "chunk_timeout": {
+        "type": float,
+        "metavar": "SECONDS",
+        "help": "abandon and retry an in-flight task chunk after this long "
+        "(default: no timeout; pooled runs only)",
+    },
+    "checkpoint_dir": {
+        "metavar": "DIR",
+        "help": "persist completed subset passes here so a killed run "
+        "resumes (default: no checkpointing)",
+    },
+    "fault_plan": {
+        "metavar": "SPEC",
+        "help": "inject deterministic faults: a spec string or plan file "
+        "(see docs/FAULTS.md; default: $REPRO_FAULTS, else off)",
+    },
+    "store_dir": {
+        "metavar": "DIR",
+        "help": "persistent product-tree store for the incremental engine: "
+        "runs extending the stored corpus insert only the new moduli "
+        "(default: none)",
+    },
+}
+
+
+def add_engine_flags(
+    parser: argparse.ArgumentParser,
+    prefix: str = "",
+    exclude: tuple[str, ...] = (),
+) -> None:
+    """Add one flag per :data:`ENGINE_FLAGS` entry not in ``exclude``.
+
+    Every flag defaults to None, meaning "keep the base record's value"
+    in :func:`engine_config_from_args`.
+    """
+    for name, options in ENGINE_FLAGS.items():
+        if name in exclude:
+            continue
+        options = dict(options)
+        if callable(options.get("choices")):
+            options["choices"] = options["choices"]()
+        flag = f"--{prefix}{name.replace('_', '-')}"
+        parser.add_argument(flag, dest=name, default=None, **options)
+
+
+def engine_config_from_args(
+    args: argparse.Namespace, base: EngineConfig | None = None
+) -> EngineConfig:
+    """``base`` (default: :class:`EngineConfig`'s defaults) with every
+    engine field the command line set."""
+    given = {
+        spec.name: value
+        for spec in fields(EngineConfig)
+        if (value := getattr(args, spec.name, None)) is not None
+    }
+    return replace(base or EngineConfig(), **given)
 
 
 @dataclass(frozen=True)
@@ -134,36 +246,27 @@ def auto_processes(
 
 def select_engine(
     corpus_size: int,
-    engine: str = "auto",
-    k: int = 16,
-    processes: int | None = None,
-    backend: str | BigIntBackend | None = None,
-    max_inflight: int | None = None,
-    max_retries: int = 2,
-    chunk_timeout: float | None = None,
-    checkpoint_dir: str | Path | None = None,
-    fault_plan: Any = None,
-    store_dir: str | Path | None = None,
+    config: EngineConfig | None = None,
+    *,
     cores: int | None = None,
+    **knobs: Any,
 ) -> EngineChoice:
     """Resolve an engine name (possibly ``"auto"``) to a ready engine.
 
     Args:
         corpus_size: number of moduli about to be run (drives ``auto``).
-        engine: one of :data:`ENGINE_NAMES`.
-        k / processes / backend / max_inflight / max_retries /
-            chunk_timeout / checkpoint_dir / fault_plan: the clustered
-            engine's knobs, passed through when it is selected (also as
-            the incremental engine's bulk engine, and as ``alltoall``).
-        store_dir: persistent store directory for the incremental engine;
-            also what makes ``auto`` prefer it.
+        config: the engine knobs (None = :class:`EngineConfig` defaults).
         cores: core-count override for tests (``None`` = os.cpu_count()).
+        **knobs: :class:`EngineConfig` fields overriding ``config``'s.
 
     Raises:
+        TypeError: on a keyword that is not an :class:`EngineConfig` field.
         ValueError: on an unknown engine name, or on a ``store_dir`` given
             with an explicit engine other than ``incremental`` —
             selection never silently drops a knob to make a request fit.
     """
+    config = replace(config or EngineConfig(), **knobs)
+    engine, store_dir = config.engine, config.store_dir
     if engine not in ENGINE_NAMES:
         raise ValueError(
             f"unknown engine {engine!r} (choose from {ENGINE_NAMES})"
@@ -176,23 +279,22 @@ def select_engine(
         )
     if engine == "classic":
         return EngineChoice(
-            "classic", ClassicBatchGcd(backend=backend), None,
+            "classic", ClassicBatchGcd(backend=config.backend), None,
             "classic engine requested",
         )
 
     def clustered(pool: int | None, foreign_pass: str) -> ClusteredBatchGcd:
         return ClusteredBatchGcd(
-            k=k,
+            k=config.k,
             processes=pool,
             foreign_pass=foreign_pass,
-            backend=backend,
-            max_inflight=max_inflight,
-            max_retries=max_retries,
-            chunk_timeout=chunk_timeout,
-            checkpoint_dir=checkpoint_dir,
-            fault_plan=fault_plan,
+            backend=config.backend,
+            checkpoint_dir=config.checkpoint_dir,
+            fault_plan=config.fault_plan,
+            recovery=RecoveryPolicy(chunk_timeout=config.chunk_timeout),
         )
 
+    processes = config.processes
     if engine == "incremental" or store_dir is not None:
         reason = (
             "incremental engine requested"
@@ -203,7 +305,7 @@ def select_engine(
             "incremental",
             IncrementalBatchGcd(
                 store_dir=store_dir,
-                backend=backend,
+                backend=config.backend,
                 bulk=clustered(processes, "remainder"),
             ),
             processes,
@@ -212,7 +314,8 @@ def select_engine(
     if engine == "alltoall":
         return EngineChoice(
             "alltoall", clustered(processes, "descent"), processes,
-            f"alltoall engine requested: descent foreign pass over k={k} subsets",
+            f"alltoall engine requested: descent foreign pass over "
+            f"k={config.k} subsets",
         )
     pool, reason = (
         auto_processes(corpus_size, requested=processes, cores=cores)

@@ -12,11 +12,6 @@ only exist *between* files:
   catalogued metric must still be emitted somewhere.  Both directions
   are checked, so the documented schema and the code cannot drift apart.
   F-string names match ``<placeholder>`` wildcard segments.
-- **XCFG001** — ``StudyConfig`` ↔ CLI drift: a ``with_``/constructor
-  keyword in either CLI that is not a real field (stale after a rename),
-  an ``argparse`` flag whose dest names a field but is never threaded
-  into a call, and an engine-tuning ``batchgcd_*`` field exposed by
-  neither CLI.
 - **XSVC001** — service contract drift.  Every HTTP endpoint registered
   in ``src/repro`` (``@route("GET", "/v1/jobs")``-style) must appear in
   the endpoint catalog of ``docs/SERVICE.md`` and every catalogued
@@ -50,24 +45,6 @@ _ENDPOINT_BEGIN = "<!-- endpoint-catalog:begin -->"
 _ENDPOINT_END = "<!-- endpoint-catalog:end -->"
 _ENDPOINT_ROW = re.compile(r"^\|\s*`([A-Z]+)`\s*\|\s*`([^`]+)`")
 _SERVICE_METRIC_PREFIX = "service."
-
-_CONFIG_MODULE = "repro.studyconfig"
-_CONFIG_CLASS = "StudyConfig"
-_CLI_MODULES = ("repro.cli", "repro.batchgcd_cli")
-#: Engine-tuning fields with a deliberately different CLI spelling.
-_FLAG_ALIASES: dict[str, frozenset[str]] = {
-    "batchgcd_engine": frozenset({"engine"}),
-    "batchgcd_store_dir": frozenset({"store_dir"}),
-    "batchgcd_k": frozenset({"k"}),
-    "batchgcd_processes": frozenset({"processes"}),
-    "batchgcd_backend": frozenset({"backend", "numt_backend"}),
-    "batchgcd_inflight": frozenset({"max_inflight"}),
-    "batchgcd_max_retries": frozenset({"max_retries"}),
-    "batchgcd_chunk_timeout": frozenset({"chunk_timeout"}),
-    "batchgcd_checkpoint_dir": frozenset({"checkpoint_dir"}),
-    "batchgcd_fault_plan": frozenset({"fault_plan"}),
-}
-
 
 def _parse_metric_catalog(text: str) -> list[tuple[str, int]] | None:
     """``(pattern, lineno)`` rows of the documented catalog, or None."""
@@ -165,83 +142,6 @@ class TelemetryContractDrift(ProjectRule):
                     "src/repro — prune the catalog row or restore the "
                     "instrumentation",
                 )
-
-
-@registry.register_project
-class StudyConfigCliDrift(ProjectRule):
-    code = "XCFG001"
-    summary = "StudyConfig fields and CLI argparse flags have drifted apart"
-    severity = Severity.ERROR
-
-    def check_project(
-        self, graph: ProjectGraph
-    ) -> Iterator[tuple[str, int, int, str]]:
-        config_module = graph.modules.get(_CONFIG_MODULE)
-        if config_module is None:
-            return
-        fields = config_module.dataclass_fields.get(_CONFIG_CLASS)
-        if not fields:
-            return
-        field_names = {name for name, _ in fields}
-        clis = [
-            graph.modules[name] for name in _CLI_MODULES if name in graph.modules
-        ]
-
-        for cli in clis:
-            for kwarg, lineno in sorted(cli.config_kwargs):
-                if kwarg not in field_names:
-                    yield (
-                        cli.path,
-                        lineno,
-                        0,
-                        f"'{kwarg}' is not a {_CONFIG_CLASS} field — the CLI "
-                        "keyword is stale (field renamed or removed in "
-                        f"{_CONFIG_MODULE})",
-                    )
-            for flag in cli.argparse_flags:
-                matched = self._field_for_dest(flag.dest, field_names)
-                if matched is None:
-                    continue
-                if matched in cli.call_kwargs or flag.dest in cli.call_kwargs:
-                    continue
-                yield (
-                    cli.path,
-                    flag.lineno,
-                    0,
-                    f"flag '--{flag.dest.replace('_', '-')}' maps to "
-                    f"{_CONFIG_CLASS}.{matched} but is never threaded into a "
-                    "call — the parsed value is silently dropped",
-                )
-
-        for name, lineno in fields:
-            if not name.startswith("batchgcd_"):
-                continue
-            if any(self._exposes(cli, name) for cli in clis):
-                continue
-            yield (
-                config_module.path,
-                lineno,
-                0,
-                f"engine-tuning knob {_CONFIG_CLASS}.{name} is exposed by "
-                "neither CLI — thread it through repro.cli or "
-                "repro.batchgcd_cli (or drop the field)",
-            )
-
-    @staticmethod
-    def _field_for_dest(dest: str, field_names: set[str]) -> str | None:
-        if dest in field_names:
-            return dest
-        for field, aliases in _FLAG_ALIASES.items():
-            if dest in aliases and field in field_names:
-                return field
-        return None
-
-    @staticmethod
-    def _exposes(cli, field: str) -> bool:
-        if field in cli.call_kwargs:
-            return True
-        accepted = {field} | _FLAG_ALIASES.get(field, frozenset())
-        return any(flag.dest in accepted for flag in cli.argparse_flags)
 
 
 def _parse_endpoint_catalog(text: str) -> list[tuple[str, str, int]] | None:

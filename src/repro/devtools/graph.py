@@ -17,9 +17,8 @@ project-wide view those checks need, in **one AST pass per file**:
   right failure mode for safety rules like ASY001.
 
 Alongside the graph proper, the single pass collects the cross-module
-facts the XTEL/XCFG/XSVC rules query: metric name literals, route
-registrations, ``argparse`` flag dests, ``StudyConfig``-shaped
-constructor keywords, and dataclass fields.
+facts the XTEL/XSVC rules query: metric name literals and route
+registrations.
 
 For the async-safety rules (ASY*/XTNT*), the same pass additionally
 records per-function **call sites** (raw spelling, terminal attribute,
@@ -50,7 +49,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 __all__ = [
-    "ArgparseFlag",
     "CallSite",
     "FunctionNode",
     "MetricCall",
@@ -132,15 +130,6 @@ class MetricCall:
 
 
 @dataclass(frozen=True, slots=True)
-class ArgparseFlag:
-    """One ``add_argument`` call, reduced to its destination name."""
-
-    dest: str
-    path: str
-    lineno: int
-
-
-@dataclass(frozen=True, slots=True)
 class RouteCall:
     """One HTTP endpoint registration (``@route("GET", "/v1/jobs")``).
 
@@ -207,19 +196,10 @@ class ModuleNode:
     path: str
     imports: dict[str, str] = field(default_factory=dict)
     imported_modules: set[str] = field(default_factory=set)
-    #: class name -> ((field, lineno), ...) from annotated class bodies.
-    dataclass_fields: dict[str, tuple[tuple[str, int], ...]] = field(
-        default_factory=dict
-    )
     #: module-level names bound to list/dict/set displays (mutable state).
     mutable_globals: set[str] = field(default_factory=set)
     metric_calls: list[MetricCall] = field(default_factory=list)
-    argparse_flags: list[ArgparseFlag] = field(default_factory=list)
     route_calls: list[RouteCall] = field(default_factory=list)
-    #: keyword names used in any call in this module (flag-threading check).
-    call_kwargs: set[str] = field(default_factory=set)
-    #: (kwarg, lineno) pairs of StudyConfig(...)/config.with_(...) calls.
-    config_kwargs: list[tuple[str, int]] = field(default_factory=list)
     #: class name -> {attribute -> raw class-like type} from ``self.x = Cls()``
     #: assignments and annotated ``self.x: Cls`` declarations.
     attr_types: dict[str, dict[str, str]] = field(default_factory=dict)
@@ -315,12 +295,6 @@ class _ModuleVisitor(ast.NodeVisitor):
     visit_AsyncFunctionDef = _handle_function
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        fields: list[tuple[str, int]] = []
-        for stmt in node.body:
-            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                fields.append((stmt.target.id, stmt.lineno))
-        if fields:
-            self.mod.dataclass_fields[node.name] = tuple(fields)
         self._class_stack.append(node.name)
         try:
             self.generic_visit(node)
@@ -439,21 +413,6 @@ class _ModuleVisitor(ast.NodeVisitor):
 
         if terminal in _ROUTE_REGISTRARS:
             self._maybe_route(node)
-
-        if isinstance(node.func, ast.Attribute) and node.func.attr == "add_argument":
-            flag = _argparse_dest(node)
-            if flag is not None:
-                self.mod.argparse_flags.append(
-                    ArgparseFlag(dest=flag, path=self.mod.path, lineno=node.lineno)
-                )
-
-        for keyword in node.keywords:
-            if keyword.arg is not None:
-                self.mod.call_kwargs.add(keyword.arg)
-        if _is_config_call(node.func, raw):
-            for keyword in node.keywords:
-                if keyword.arg is not None:
-                    self.mod.config_kwargs.append((keyword.arg, node.lineno))
 
         # Callables passed as arguments become indirect call edges.
         for arg in list(node.args) + [kw.value for kw in node.keywords]:
@@ -605,33 +564,6 @@ def _looks_like_pool(func: ast.Attribute) -> bool:
     else:
         return False
     return any(hint in lowered for hint in _POOLISH_RECEIVERS)
-
-
-def _argparse_dest(node: ast.Call) -> str | None:
-    for keyword in node.keywords:
-        if (
-            keyword.arg == "dest"
-            and isinstance(keyword.value, ast.Constant)
-            and isinstance(keyword.value.value, str)
-        ):
-            return keyword.value.value
-    flags = [
-        arg.value
-        for arg in node.args
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
-    ]
-    if not flags:
-        return None
-    for flag in flags:
-        if flag.startswith("--"):
-            return flag.lstrip("-").replace("-", "_")
-    return flags[0].lstrip("-").replace("-", "_")
-
-
-def _is_config_call(func: ast.expr, raw: str | None) -> bool:
-    if isinstance(func, ast.Attribute) and func.attr == "with_":
-        return True
-    return raw is not None and "StudyConfig" in raw.split(".")
 
 
 # ---------------------------------------------------------------------------

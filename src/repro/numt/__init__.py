@@ -49,10 +49,7 @@ from repro.numt.arith import (
 from repro.numt.backend import (
     BigIntBackend,
     available_backends,
-    get_backend,
     resolve_backend,
-    set_backend,
-    use_backend,
 )
 from repro.numt.incremental import (
     IncrementalProductTree,
@@ -79,7 +76,6 @@ from repro.numt.trees import (
     remainder_tree,
     remainder_tree_prepared,
     remainder_tree_squared,
-    remainders_mod_squares,
     tree_product,
 )
 
@@ -98,7 +94,6 @@ __all__ = [
     "extend_digest",
     "first_n_primes",
     "gcd_descent_hits",
-    "get_backend",
     "introot",
     "is_perfect_power",
     "is_probable_prime",
@@ -111,12 +106,9 @@ __all__ = [
     "remainder_tree",
     "remainder_tree_prepared",
     "remainder_tree_squared",
-    "remainders_mod_squares",
     "resolve_backend",
-    "set_backend",
     "smallest_factor_below",
     "smooth_part",
     "tree_product",
     "trial_factor",
-    "use_backend",
 ]

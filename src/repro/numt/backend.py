@@ -15,10 +15,10 @@ whose native division is already subquadratic).  Nothing else in the
 tree algorithms changes — ``*``, ``%`` and ``//`` dispatch through the
 operand type.
 
-Selection follows the telemetry active-registry idiom: an explicit
-``backend=`` argument wins, otherwise the module-level active backend
-(set via :func:`set_backend` / :func:`use_backend`, initialised from the
-``REPRO_NUMT_BACKEND`` environment variable) applies.  ``gmpy2`` is
+Selection is per call: an explicit ``backend=`` argument wins,
+otherwise the ``REPRO_NUMT_BACKEND`` environment variable, otherwise
+pure Python.  There is no process-global active backend; a run picks
+its backend with ``--backend`` (``EngineConfig.backend``).  ``gmpy2`` is
 never imported unless asked for, and asking for it on a machine without
 it is a loud :class:`ValueError`, not a silent fallback.
 """
@@ -26,18 +26,14 @@ it is a loud :class:`ValueError`, not a silent fallback.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 __all__ = [
     "BigIntBackend",
     "PYTHON_BACKEND",
     "available_backends",
-    "get_backend",
     "resolve_backend",
-    "set_backend",
-    "use_backend",
 ]
 
 #: Environment variable consulted when no backend is named explicitly.
@@ -115,11 +111,10 @@ def available_backends() -> list[str]:
 
 
 def resolve_backend(name: str | BigIntBackend | None = None) -> BigIntBackend:
-    """Resolve a backend by name, environment, or the active default.
+    """Resolve a backend by name, environment, or the python default.
 
     Precedence: an explicit ``name`` (or an already-constructed backend,
-    returned as-is), then ``$REPRO_NUMT_BACKEND``, then the module's
-    active backend.
+    returned as-is), then ``$REPRO_NUMT_BACKEND``, then pure Python.
 
     Raises:
         ValueError: for an unknown name, or for a known backend whose
@@ -130,7 +125,7 @@ def resolve_backend(name: str | BigIntBackend | None = None) -> BigIntBackend:
     if name is None:
         name = os.environ.get(BACKEND_ENV_VAR) or None
     if name is None:
-        return get_backend()
+        return PYTHON_BACKEND
     loader = _LOADERS.get(name)
     if loader is None:
         raise ValueError(
@@ -144,29 +139,3 @@ def resolve_backend(name: str | BigIntBackend | None = None) -> BigIntBackend:
             f"(is the {name} package installed?)"
         )
     return backend
-
-
-_active: BigIntBackend = PYTHON_BACKEND
-
-
-def get_backend() -> BigIntBackend:
-    """The currently active backend (pure-Python by default)."""
-    return _active
-
-
-def set_backend(backend: BigIntBackend | None) -> BigIntBackend:
-    """Install a backend as active; returns the previous one."""
-    global _active
-    previous = _active
-    _active = backend if backend is not None else PYTHON_BACKEND
-    return previous
-
-
-@contextmanager
-def use_backend(backend: str | BigIntBackend | None) -> Iterator[BigIntBackend]:
-    """Activate a backend for the dynamic extent of a ``with`` block."""
-    previous = set_backend(resolve_backend(backend))
-    try:
-        yield get_backend()
-    finally:
-        set_backend(previous)

@@ -36,7 +36,8 @@ incremental store's partner lookup are both this descent.
 
 All functions accept an optional big-int ``backend``
 (:mod:`repro.numt.backend`): the tree algorithms are identical, only the
-operand type changes.  The default is the active backend — plain ``int``.
+operand type changes.  The default is ``$REPRO_NUMT_BACKEND``, else plain
+``int``.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ __all__ = [
     "remainder_tree",
     "remainder_tree_prepared",
     "remainder_tree_squared",
-    "remainders_mod_squares",
     "tree_product",
 ]
 
@@ -77,8 +77,8 @@ def product_tree(
 
     Args:
         values: the leaf values (moduli).
-        backend: big-int backend for the tree's operands (default: the
-            active backend, plain ``int``).
+        backend: big-int backend for the tree's operands (default:
+            ``$REPRO_NUMT_BACKEND``, else plain ``int``).
 
     Returns:
         A list of levels; ``levels[0]`` is ``list(values)`` and each
@@ -144,23 +144,6 @@ def remainder_tree_squared(
             remainders[i // 2] % (node * node) for i, node in enumerate(level)
         ]
     return remainders
-
-
-def remainders_mod_squares(
-    x: int, moduli: Sequence[int], backend: BigIntBackend | None = None
-) -> list[int]:
-    """Return ``x mod Ni**2`` for each modulus, via one shared tree.
-
-    The batch-GCD algorithm needs ``P mod Ni**2`` (not ``P mod Ni``) so that
-    ``(P mod Ni**2) / Ni`` retains the cofactor information required by the
-    final ``gcd(Ni, z_i / Ni)`` step.  This is a thin wrapper over
-    :func:`remainder_tree_squared`, which reduces modulo squared *nodes* of
-    the moduli tree rather than building a second tree whose every operand
-    is twice as long.
-    """
-    if not moduli:
-        return []
-    return remainder_tree_squared(product_tree(moduli, backend=backend), value=x)
 
 
 def newton_reciprocal(m: int) -> int:

@@ -321,22 +321,10 @@ def _run_study_instrumented(config: StudyConfig, tel: Telemetry) -> StudyResult:
 
     with tel.span(
         "batch_gcd",
-        k=config.batchgcd_k,
-        processes=config.batchgcd_processes,
+        k=config.batchgcd.k,
+        processes=config.batchgcd.processes,
     ):
-        choice = select_engine(
-            len(moduli),
-            engine=config.batchgcd_engine,
-            k=config.batchgcd_k,
-            processes=config.batchgcd_processes,
-            backend=config.batchgcd_backend,
-            max_inflight=config.batchgcd_inflight,
-            max_retries=config.batchgcd_max_retries,
-            chunk_timeout=config.batchgcd_chunk_timeout,
-            checkpoint_dir=config.batchgcd_checkpoint_dir,
-            fault_plan=config.batchgcd_fault_plan,
-            store_dir=config.batchgcd_store_dir,
-        )
+        choice = select_engine(len(moduli), config.batchgcd)
         engine = choice.engine
         tel.annotate(
             engine=choice.name,

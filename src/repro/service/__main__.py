@@ -10,9 +10,13 @@ Examples::
     REPRO_SERVICE_API_KEYS=s3cret python -m repro.service \\
         --state-dir /var/lib/repro --port 8080 --processes 2 --k 16
 
-Engine flags mirror ``repro.batchgcd_cli`` (same vocabulary, same
-defaults via :meth:`repro.studyconfig.StudyConfig.service`).  See
-``docs/SERVICE.md`` for the API reference and operational notes.
+Engine flags are generated from the same table as ``repro-batchgcd``'s
+(:data:`repro.core.select.ENGINE_FLAGS`): ``--k``, ``--processes``,
+``--backend``, ``--chunk-timeout`` and ``--fault-plan``, plus
+``--engine-mode`` for the engine itself.  The service derives
+``checkpoint_dir`` and ``store_dir`` from ``--state-dir``.  Defaults are
+:class:`~repro.service.models.ServiceConfig`'s.  See ``docs/SERVICE.md``
+for the API reference and operational notes.
 """
 
 from __future__ import annotations
@@ -20,10 +24,15 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.core.select import add_engine_flags, engine_config_from_args
 from repro.service.app import ServiceApp
 from repro.service.auth import keys_from_env
-from repro.service.models import ServiceConfig
-from repro.studyconfig import StudyConfig
+from repro.service.models import (
+    DEFAULT_ENGINE,
+    DERIVED_ENGINE_KNOBS,
+    ENGINE_MODES,
+    ServiceConfig,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
         "$REPRO_SERVICE_API_KEYS, comma-separated)",
     )
     parser.add_argument(
-        "--engine-mode", choices=("clustered", "incremental"), default=None,
+        "--engine-mode", dest="engine", choices=ENGINE_MODES, default=None,
         help="job execution mode: independent per-job clustered runs "
         "(default) or one persistent incremental product-tree store "
         "checking every modulus against all previously ingested ones",
@@ -57,24 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
         "inserts; bigger jobs re-bootstrap via a clustered run",
     )
     parser.add_argument(
-        "--k", type=int, default=None, help="clustered-engine subset count"
-    )
-    parser.add_argument(
-        "--processes", type=int, default=None,
-        help="engine worker processes per job (default in-process)",
-    )
-    parser.add_argument(
-        "--backend", default=None, help="big-int backend (python/gmpy2)"
-    )
-    parser.add_argument(
-        "--max-retries", type=int, default=None,
-        help="engine chunk re-submissions per run",
-    )
-    parser.add_argument(
-        "--chunk-timeout", type=float, default=None,
-        help="engine per-chunk timeout, seconds",
-    )
-    parser.add_argument(
         "--max-attempts", type=int, default=None,
         help="job run attempts before terminal failure",
     )
@@ -82,42 +73,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--webhook-retries", type=int, default=None,
         help="webhook delivery attempts per job",
     )
-    parser.add_argument(
-        "--fault-plan", default=None,
-        help="deterministic fault-injection spec (chaos drills)",
-    )
+    add_engine_flags(parser, exclude=("engine", *DERIVED_ENGINE_KNOBS))
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ServiceConfig:
-    study = StudyConfig.service()
-    overrides = {
-        "host": args.host,
-        "port": args.port,
-        "api_keys": tuple(args.api_key) + keys_from_env(),
-    }
-    if args.engine_mode is not None:
-        overrides["engine_mode"] = args.engine_mode
+    overrides = {}
     if args.incremental_max_batch is not None:
         overrides["incremental_max_batch"] = args.incremental_max_batch
-    if args.k is not None:
-        overrides["engine_k"] = args.k
-    if args.processes is not None:
-        overrides["engine_processes"] = args.processes
-    if args.backend is not None:
-        overrides["engine_backend"] = args.backend
-    if args.max_retries is not None:
-        overrides["engine_max_retries"] = args.max_retries
-    if args.chunk_timeout is not None:
-        overrides["engine_chunk_timeout"] = args.chunk_timeout
     if args.max_attempts is not None:
         overrides["max_attempts"] = args.max_attempts
     if args.webhook_retries is not None:
         overrides["webhook_max_attempts"] = args.webhook_retries
-    if args.fault_plan is not None:
-        overrides["fault_plan"] = args.fault_plan
-    return ServiceConfig.from_study(
-        study, state_dir=args.state_dir, **overrides
+    return ServiceConfig(
+        state_dir=args.state_dir,
+        host=args.host,
+        port=args.port,
+        api_keys=tuple(args.api_key) + keys_from_env(),
+        engine=engine_config_from_args(args, DEFAULT_ENGINE),
+        **overrides,
     )
 
 
@@ -127,8 +101,8 @@ def main(argv: list[str] | None = None) -> int:
     app = ServiceApp(config)
     print(
         f"repro.service: state_dir={config.state_dir} "
-        f"engine(mode={config.engine_mode}, k={config.engine_k}, "
-        f"processes={config.engine_processes})",
+        f"engine(mode={config.engine.engine}, k={config.engine.k}, "
+        f"processes={config.engine.processes})",
         file=sys.stderr,
     )
     app.run()

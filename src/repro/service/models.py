@@ -24,11 +24,12 @@ clocks, no threads — those live in :mod:`repro.service.queue`,
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Mapping, Sequence
 
-from repro.studyconfig import StudyConfig
+from repro.core.incremental import INCREMENTAL_MAX_BATCH
+from repro.core.select import EngineConfig
 
 __all__ = [
     "JobRecord",
@@ -282,12 +283,22 @@ def parse_submission(payload: Any) -> tuple[list[int], str | None]:
     return moduli, webhook_url
 
 
+#: ``EngineConfig.engine`` values the service runs jobs under
+#: (``--engine-mode``).
+ENGINE_MODES = ("clustered", "incremental")
+
+#: Engine knobs the service derives from its state dir (per-job
+#: checkpoints, the incremental store) and therefore does not expose.
+DERIVED_ENGINE_KNOBS = ("checkpoint_dir", "store_dir")
+
+#: The service's engine when no flag is given: in-process clustered runs
+#: at a small k, since service jobs are interactive-scale corpora.
+DEFAULT_ENGINE = EngineConfig(engine="clustered", k=4)
+
+
 @dataclass(frozen=True, slots=True)
 class ServiceConfig:
     """Every knob of one service process.
-
-    Engine fields default from :meth:`repro.studyconfig.StudyConfig.service`
-    so the serving layer and the batch CLIs share one tuning vocabulary.
 
     Attributes:
         state_dir: journal + checkpoints + endpoint file live here.
@@ -295,29 +306,28 @@ class ServiceConfig:
             port is published in ``<state_dir>/endpoint.json``).
         api_keys: accepted ``X-Api-Key`` values (empty = open service).
         max_body_bytes: request body bound (HTTP 413 above it).
-        engine_mode: job execution mode — ``"clustered"`` (the default:
-            each job is an independent full engine run over its own
-            corpus) or ``"incremental"`` (jobs accumulate into one
-            persistent product-tree store under
-            ``<state_dir>/incremental-store`` and every modulus is also
-            checked against all previously ingested moduli; small jobs
-            are served by per-modulus store inserts, bulk jobs by a
-            clustered run that re-bootstraps the store).
-        incremental_max_batch: under ``engine_mode="incremental"``, the
+        engine: the batch-GCD engine knobs.  ``engine.engine`` is the job
+            execution mode — ``"clustered"`` (the default: each job is an
+            independent full engine run over its own corpus) or
+            ``"incremental"`` (jobs accumulate into one persistent
+            product-tree store under ``<state_dir>/incremental-store``
+            and every modulus is also checked against all previously
+            ingested moduli; small jobs are served by per-modulus store
+            inserts, bulk jobs by a clustered run that re-bootstraps the
+            store).  Defaults to :data:`DEFAULT_ENGINE`.  The service derives
+            ``checkpoint_dir`` (per job) and ``store_dir`` from
+            ``state_dir``, so a record naming either is rejected.
+        incremental_max_batch: under ``engine.engine="incremental"``, the
             largest job served by per-modulus inserts; bigger jobs take
             the bulk-rebootstrap path.
-        engine_k: subset count for the clustered engine (capped at the
-            job's corpus size).
-        engine_processes: worker processes per job (None = in-process).
-        engine_backend: big-int backend name (None = active default).
-        engine_max_retries: chunk re-submissions inside one engine run.
-        engine_chunk_timeout: per-chunk timeout inside one engine run.
         max_attempts: job run attempts (claims) before the job fails —
             this is the *outer* retry loop around whole engine runs.
         webhook_max_attempts: completion callback delivery attempts.
         webhook_backoff_base: first webhook retry delay, seconds.
-        fault_plan: deterministic fault-injection spec forwarded to the
-            engine (tests and chaos drills only).
+
+    Raises:
+        ValueError: on an engine outside :data:`ENGINE_MODES`, or on an
+            engine record naming a path the service derives itself.
     """
 
     state_dir: str
@@ -325,33 +335,22 @@ class ServiceConfig:
     port: int = 0
     api_keys: tuple[str, ...] = ()
     max_body_bytes: int = 8 * 1024 * 1024
-    engine_mode: str = "clustered"
-    incremental_max_batch: int = 64
-    engine_k: int = 4
-    engine_processes: int | None = None
-    engine_backend: str | None = None
-    engine_max_retries: int = 2
-    engine_chunk_timeout: float | None = None
+    engine: EngineConfig = DEFAULT_ENGINE
+    incremental_max_batch: int = INCREMENTAL_MAX_BATCH
     max_attempts: int = 3
     webhook_max_attempts: int = 3
     webhook_backoff_base: float = 0.05
-    fault_plan: str | None = None
 
-    @classmethod
-    def from_study(cls, study: StudyConfig, *, state_dir: str, **overrides: Any) -> "ServiceConfig":
-        """Engine knobs from a :class:`StudyConfig`, service knobs on top."""
-        config = cls(
-            state_dir=state_dir,
-            engine_mode=(
-                "incremental"
-                if study.batchgcd_engine == "incremental"
-                else "clustered"
-            ),
-            engine_k=study.batchgcd_k,
-            engine_processes=study.batchgcd_processes,
-            engine_backend=study.batchgcd_backend,
-            engine_max_retries=study.batchgcd_max_retries,
-            engine_chunk_timeout=study.batchgcd_chunk_timeout,
-            fault_plan=study.batchgcd_fault_plan,
-        )
-        return replace(config, **overrides) if overrides else config
+    def __post_init__(self) -> None:
+        if self.engine.engine not in ENGINE_MODES:
+            raise ValueError(
+                f"the service runs jobs under {' or '.join(ENGINE_MODES)}, "
+                f"not engine={self.engine.engine!r}"
+            )
+        for name in DERIVED_ENGINE_KNOBS:
+            value = getattr(self.engine, name)
+            if value is not None:
+                raise ValueError(
+                    f"the service derives {name} from state_dir; "
+                    f"{name}={str(value)!r} would be ignored"
+                )

@@ -23,7 +23,11 @@ Error model: every non-2xx body is ``{"error": <stable code>,
 docs/SERVICE.md): ``unauthorized`` 401, ``not_found`` 404,
 ``method_not_allowed`` 405, ``conflict``/``result_not_ready`` 409,
 ``payload_too_large`` 413, and the submission validation codes from
-:mod:`repro.service.models` at 400.
+:mod:`repro.service.models` at 400.  A request head that is not
+parseable HTTP/1.1 — a malformed request line, a ``Content-Length`` that
+is not a non-negative integer, or a head over 32 KiB — is answered 400
+``bad_request`` and the connection is closed, since its body was never
+read.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ from repro.telemetry import Telemetry
 __all__ = ["Request", "Response", "ServiceServer", "route"]
 
 _MAX_HEADER_BYTES = 32 * 1024
+_HEAD_TOO_LONG = f"request head exceeds {_MAX_HEADER_BYTES} bytes"
+_DIGITS = re.compile(r"[0-9]+")
 _PLACEHOLDER = re.compile(r"<([a-z_]+)>")
 
 
@@ -138,8 +144,8 @@ def _error(status: int, code: str, message: str) -> Response:
     return Response(status, {"error": code, "message": message})
 
 
-class _BadRequestLine(Exception):
-    """The connection sent something that is not parseable HTTP/1.1."""
+class _BadRequest(Exception):
+    """The request head is not parseable HTTP/1.1 (answered 400, then closed)."""
 
 
 class ServiceServer:
@@ -216,7 +222,14 @@ class ServiceServer:
             while True:
                 try:
                     request = await self._read_request(reader)
-                except _BadRequestLine:
+                except _BadRequest as exc:
+                    # The body was never read, so the stream cannot be
+                    # resynchronised: answer, then close.
+                    self._telemetry.counter("service.http.requests")
+                    self._telemetry.counter("service.http.errors")
+                    response = _error(400, "bad_request", str(exc))
+                    writer.write(response.encode(keep_alive=False))
+                    await writer.drain()
                     break
                 if request is None:
                     break  # clean EOF between requests
@@ -249,15 +262,15 @@ class ServiceServer:
         except asyncio.IncompleteReadError as exc:
             if not exc.partial:
                 return None  # clean close before the next request
-            raise _BadRequestLine() from None
+            raise  # the peer closed mid-head; nobody is left to answer
         except asyncio.LimitOverrunError:
-            raise _BadRequestLine() from None
+            raise _BadRequest(_HEAD_TOO_LONG) from None
         if len(head) > _MAX_HEADER_BYTES:
-            raise _BadRequestLine()
+            raise _BadRequest(_HEAD_TOO_LONG)
         lines = head.decode("latin-1").split("\r\n")
         parts = lines[0].split(" ")
         if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-            raise _BadRequestLine()
+            raise _BadRequest("malformed request line")
         method, target, _ = parts
         headers: dict[str, str] = {}
         for line in lines[1:]:
@@ -265,14 +278,17 @@ class ServiceServer:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            raise _BadRequestLine() from None
-        if length < 0 or length > self._config.max_body_bytes:
+        raw_length = headers.get("content-length", "0")
+        if not _DIGITS.fullmatch(raw_length):
+            raise _BadRequest("Content-Length must be a non-negative integer")
+        digits = raw_length.lstrip("0") or "0"
+        # Past 19 digits a length exceeds any bound (and int() refuses
+        # long enough digit strings), so count digits before converting.
+        length = int(digits) if len(digits) <= 19 else None
+        if length is None or length > self._config.max_body_bytes:
             # Read nothing further; the dispatch layer answers 413.
             body = b""
-            headers["x-repro-body-overflow"] = str(length)
+            headers["x-repro-body-overflow"] = digits
         else:
             body = await reader.readexactly(length) if length else b""
         split = urlsplit(target)

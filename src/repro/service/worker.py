@@ -12,7 +12,7 @@ One :class:`ServiceWorker` thread drains the :class:`~repro.service.queue.JobQue
    :class:`~repro.faults.checkpoint.CheckpointStore` under
    ``<state_dir>/checkpoints/<job_id>/``, so a SIGKILL mid-run resumes
    the *same engine computation* on restart instead of recomputing;
-   under ``engine_mode="incremental"`` small jobs are instead served by
+   under ``engine.engine="incremental"`` small jobs are instead served by
    per-modulus inserts into the persistent
    :class:`~repro.numt.incremental.ProductTreeStore` (checked against
    every previously ingested modulus), with bulk jobs falling back to a
@@ -41,8 +41,8 @@ import urllib.request
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.core.clustered import ClusteredBatchGcd
 from repro.core.results import BatchGcdResult
+from repro.core.select import select_engine
 from repro.numt.incremental import ProductTreeStore
 from repro.service.models import JobRecord, JobResult, ServiceConfig
 from repro.service.queue import JobQueue
@@ -57,9 +57,9 @@ INCREMENTAL_STORE_DIR = "incremental-store"
 class KeyCheckRunner:
     """Run one job's corpus through the configured batch-GCD path.
 
-    Under ``engine_mode="clustered"`` (the default) every job is an
+    Under ``engine.engine="clustered"`` (the default) every job is an
     independent :class:`~repro.core.clustered.ClusteredBatchGcd` run over
-    its own corpus.  Under ``engine_mode="incremental"`` jobs accumulate
+    its own corpus.  Under ``engine.engine="incremental"`` jobs accumulate
     into one persistent
     :class:`~repro.numt.incremental.ProductTreeStore` under
     ``<state_dir>/incremental-store``, so each modulus is also checked
@@ -74,8 +74,8 @@ class KeyCheckRunner:
     from its recorded per-job progress.
 
     Args:
-        config: engine knobs (mode, k, processes, backend,
-            chunk retry/timeout, fault plan).
+        config: the service knobs; its ``engine`` record builds every
+            clustered run through :func:`~repro.core.select.select_engine`.
         checkpoint_root: per-job checkpoint directories live under here;
             None disables engine checkpointing (clustered runs only).
         telemetry: service-level metrics sink (the worker's registry);
@@ -94,23 +94,11 @@ class KeyCheckRunner:
         )
         self._telemetry = telemetry or Telemetry(enabled=False)
 
-    def _engine(self, corpus_size: int, checkpoint_dir: Path | None) -> ClusteredBatchGcd:
-        config = self._config
-        return ClusteredBatchGcd(
-            k=max(1, min(config.engine_k, corpus_size)),
-            processes=config.engine_processes,
-            backend=config.engine_backend,
-            max_retries=config.engine_max_retries,
-            chunk_timeout=config.engine_chunk_timeout,
-            checkpoint_dir=checkpoint_dir,
-            fault_plan=config.fault_plan,
-        )
-
     def open_store(self) -> ProductTreeStore:
-        """The persistent corpus store (``engine_mode="incremental"``)."""
+        """The persistent corpus store (``engine.engine="incremental"``)."""
         return ProductTreeStore(
             Path(self._config.state_dir) / INCREMENTAL_STORE_DIR,
-            backend=self._config.engine_backend,
+            backend=self._config.engine.backend,
         )
 
     def __call__(self, job: JobRecord) -> tuple[JobResult, dict[str, Any]]:
@@ -126,12 +114,14 @@ class KeyCheckRunner:
             with job_telemetry.span(
                 "service.job", job=job.job_id, moduli=len(job.moduli)
             ):
-                if config.engine_mode == "incremental":
+                if config.engine.engine == "incremental":
                     job_result = self._run_incremental(job, checkpoint_dir)
                 else:
-                    outcome = self._engine(len(job.moduli), checkpoint_dir).run(
-                        job.moduli
-                    )
+                    outcome = select_engine(
+                        len(job.moduli),
+                        config.engine,
+                        checkpoint_dir=checkpoint_dir,
+                    ).engine.run(job.moduli)
                     job_result = self._result_for(job, outcome, range(len(job.moduli)))
         return job_result, job_telemetry.report().to_dict()
 
@@ -146,7 +136,12 @@ class KeyCheckRunner:
             # adopt its divisors wholesale (the store is append-only and
             # the already-applied part of this job is a corpus prefix).
             corpus = store.moduli + list(job.moduli[applied:])
-            outcome = self._engine(len(corpus), checkpoint_dir).run(corpus)
+            outcome = select_engine(
+                len(corpus),
+                self._config.engine,
+                engine="clustered",
+                checkpoint_dir=checkpoint_dir,
+            ).engine.run(corpus)
             jobs = store.jobs
             jobs[job.job_id] = (base, len(job.moduli))
             store.bootstrap(corpus, outcome.divisors, jobs=jobs)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.core.select import EngineConfig
 from repro.devices.population import DivisorLimits
 from repro.numt.sieve import first_n_primes
 from repro.timeline import STUDY_END, STUDY_START, Month
@@ -46,33 +47,8 @@ class StudyConfig:
             DESIGN.md.
         rimon_hosts: number of simulated Internet-Rimon-intercepted hosts.
         start, end: study window.
-        batchgcd_engine: batch-GCD engine — ``"classic"``,
-            ``"clustered"``, ``"incremental"``, ``"alltoall"`` (the
-            clustered engine's ``descent`` foreign pass at
-            ``batchgcd_k``) or ``"auto"`` (the default), which prefers
-            the incremental engine when ``batchgcd_store_dir`` is set and
-            otherwise derives in-process vs pooled clustered execution
-            from corpus size and core count (see
-            :mod:`repro.core.select`).
-        batchgcd_store_dir: directory for the incremental engine's
-            persistent product-tree store (None = in-memory only).
-        batchgcd_k: subset count for the clustered batch GCD (the
-            logical node count under ``"alltoall"``).
-        batchgcd_processes: worker processes (None = in-process).
-        batchgcd_backend: big-int backend name (``"python"``/``"gmpy2"``,
-            None = ``$REPRO_NUMT_BACKEND`` or the active default).
-        batchgcd_inflight: bound on in-flight task chunks (None = twice
-            the worker count).
-        batchgcd_max_retries: task-chunk re-submissions before a chunk
-            degrades to fault-free in-process execution (see
-            :mod:`repro.faults.recovery`).
-        batchgcd_chunk_timeout: seconds before an in-flight chunk is
-            abandoned and retried (None disables; pooled runs only).
-        batchgcd_checkpoint_dir: directory for subset-pass checkpoints so
-            a killed run resumes (None disables checkpointing).
-        batchgcd_fault_plan: deterministic fault-injection plan — a spec
-            string or plan-file path (see :mod:`repro.faults.plan`; None
-            defers to ``$REPRO_FAULTS`` and stays off without it).
+        batchgcd: the batch-GCD engine knobs (see
+            :class:`repro.core.select.EngineConfig`).
     """
 
     seed: int = 2016
@@ -87,16 +63,7 @@ class StudyConfig:
     rimon_hosts: int = 24
     start: Month = STUDY_START
     end: Month = STUDY_END
-    batchgcd_engine: str = "auto"
-    batchgcd_store_dir: str | None = None
-    batchgcd_k: int = 16
-    batchgcd_processes: int | None = None
-    batchgcd_backend: str | None = None
-    batchgcd_inflight: int | None = None
-    batchgcd_max_retries: int = 2
-    batchgcd_chunk_timeout: float | None = None
-    batchgcd_checkpoint_dir: str | None = None
-    batchgcd_fault_plan: str | None = None
+    batchgcd: EngineConfig = EngineConfig()
 
     def openssl_table(self) -> tuple[int, ...] | None:
         """The odd-prime table for OpenSSL-style generation (None = default)."""
@@ -134,25 +101,6 @@ class StudyConfig:
         )
 
     @classmethod
-    def service(cls, seed: int = 2016) -> "StudyConfig":
-        """Engine tuning for the serving layer (:mod:`repro.service`).
-
-        Service jobs are interactive-scale corpora (hundreds to a few
-        thousand moduli per submission), so the subset count stays small
-        — the engine caps ``k`` at the corpus size anyway — and the
-        defaults favour latency over the batch run's throughput posture:
-        in-process execution (no pool startup on small jobs; operators
-        opt into ``--processes`` for large tenants) and modest chunk
-        retry bounds.
-        """
-        return cls(
-            seed=seed,
-            batchgcd_k=4,
-            batchgcd_processes=None,
-            batchgcd_max_retries=2,
-        )
-
-    @classmethod
     def medium(cls, seed: int = 2016) -> "StudyConfig":
         """Example-sized configuration (~1:5000)."""
         return cls(
@@ -180,7 +128,7 @@ class StudyConfig:
             openssl_table_size=64,
             bit_error_rate=1e-3,
             rimon_hosts=6,
-            batchgcd_k=4,
+            batchgcd=EngineConfig(k=4),
         )
 
     def with_(self, **changes) -> "StudyConfig":

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.batchgcd import batch_gcd
-from repro.core.results import BatchGcdResult, FactoredModulus, combine_results
+from repro.core.results import BatchGcdResult, FactoredModulus, merge_sparse_hits
 
 
 class TestBatchGcdResult:
@@ -65,26 +65,12 @@ class TestFactoredModulus:
 
 
 class TestMerge:
+    """``merge_sparse_hits``: the one aggregation of per-pass divisors."""
+
     def test_merge_takes_lcm(self):
-        moduli = [3 * 5 * 7]
-        a = BatchGcdResult(moduli, [3 * 5])
-        b = BatchGcdResult(moduli, [5 * 7])
-        merged = a.merge(b)
-        assert merged.divisors == [3 * 5 * 7]
-
-    def test_merge_rejects_different_corpora(self):
-        with pytest.raises(ValueError):
-            BatchGcdResult([15], [1]).merge(BatchGcdResult([21], [1]))
-
-    def test_combine_results(self):
-        moduli = [3 * 5 * 7]
-        parts = [
-            BatchGcdResult(moduli, [3]),
-            BatchGcdResult(moduli, [5]),
-            BatchGcdResult(moduli, [1]),
-        ]
-        assert combine_results(parts).divisors == [15]
-
-    def test_combine_empty_rejected(self):
-        with pytest.raises(ValueError):
-            combine_results([])
+        # Two passes hit modulus 0 (subset 0, position 0) with overlapping
+        # divisors; modulus 1 (subset 1) gets one hit.  With stride 2,
+        # position 0 of subset 1 is corpus index 1.
+        moduli = [3 * 5 * 7, 11 * 13]
+        hits = [((0, 1), [(0, 3 * 5)]), ((0, 0), [(0, 5 * 7)]), ((1, 0), [(0, 13)])]
+        assert merge_sparse_hits(moduli, 2, hits) == [3 * 5 * 7, 13]

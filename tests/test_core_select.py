@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from repro.core.batchgcd import batch_gcd
+from repro.core.batchgcd import ClassicBatchGcd, batch_gcd
 from repro.core.select import (
     AUTO_POOL_MAX_WORKERS,
     AUTO_POOL_MIN_MODULI,
     ENGINE_NAMES,
-    ClassicBatchGcd,
+    EngineConfig,
     auto_processes,
     select_engine,
 )
@@ -36,7 +36,7 @@ class TestAutoProcesses:
 
     def test_small_corpus_stays_in_process(self):
         # BENCH_batchgcd.json: pool startup dominates small corpora
-        # (0.043 s pooled vs 0.0185 s in-process at n=616).
+        # (0.039 s pooled vs 0.0165 s in-process at n=616).
         assert auto_processes(616, cores=8)[0] is None
         assert auto_processes(AUTO_POOL_MIN_MODULI - 1, cores=8)[0] is None
 
@@ -54,6 +54,17 @@ class TestSelectEngine:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
             select_engine(10, engine="bogus")
+
+    def test_keywords_override_the_record(self):
+        base = EngineConfig(engine="alltoall", k=5, chunk_timeout=2.0)
+        choice = select_engine(100, base, k=3)
+        assert choice.name == "alltoall"
+        assert choice.engine.k == 3
+        assert choice.engine.recovery.chunk_timeout == 2.0
+
+    def test_keyword_outside_the_record_rejected(self):
+        with pytest.raises(TypeError):
+            select_engine(100, max_retries=2)
 
     def test_auto_small_corpus_is_in_process_clustered(self):
         choice = select_engine(100, engine="auto", cores=8)
@@ -170,8 +181,9 @@ class TestClassicFacade:
 class TestConfigAndCliExposure:
     def test_studyconfig_defaults(self):
         config = StudyConfig()
-        assert config.batchgcd_engine == "auto"
-        assert config.batchgcd_store_dir is None
+        assert config.batchgcd == EngineConfig()
+        assert config.batchgcd.engine == "auto"
+        assert config.batchgcd.store_dir is None
 
     def test_cli_exposes_engine_flags(self, capsys):
         from repro.cli import main

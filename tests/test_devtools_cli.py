@@ -11,7 +11,7 @@ CLEAN = "VALUE = 1\n"
 #: The whole catalog: the per-file rules plus the whole-program ones.
 RULE_CODES = (
     "DET001", "DET002", "DET003", "TEL001", "FLT001",
-    "XTEL001", "XCFG001", "XSVC001", "XTNT001",
+    "XTEL001", "XSVC001", "XTNT001",
     "ASY001", "ASY002", "ASY003", "ASY004",
     "DUR001", "DUR002", "DUR003", "DUR004", "DUR005",
 )

@@ -172,127 +172,6 @@ class TestMetricNames:
         assert "not canonical" in finding.message
 
 
-STUDYCONFIG = """
-class StudyConfig:
-    seed: int = 2016
-    batchgcd_k: int = 16
-"""
-
-
-class TestStudyConfigCliDrift:
-    def test_fires_on_stale_config_kwarg(self, tmp_path, monkeypatch):
-        write(tmp_path, "src/repro/studyconfig.py", STUDYCONFIG)
-        write(
-            tmp_path,
-            "src/repro/cli.py",
-            """
-            import argparse
-
-            def main():
-                parser = argparse.ArgumentParser()
-                parser.add_argument("--seed", type=int)
-                parser.add_argument("--batchgcd-k", type=int)
-                args = parser.parse_args()
-                config = build()
-                config = config.with_(seed=args.seed)
-                config = config.with_(batchgcd_k=args.batchgcd_k)
-                return config.with_(world_scale=3)
-            """,
-        )
-        findings = only(lint(tmp_path, monkeypatch), "XCFG001")
-        assert len(findings) == 1
-        assert findings[0].path == "src/repro/cli.py"
-        assert "'world_scale' is not a StudyConfig field" in findings[0].message
-
-    def test_fires_on_parsed_but_unapplied_flag(self, tmp_path, monkeypatch):
-        write(tmp_path, "src/repro/studyconfig.py", STUDYCONFIG)
-        write(
-            tmp_path,
-            "src/repro/cli.py",
-            """
-            import argparse
-
-            def main():
-                parser = argparse.ArgumentParser()
-                parser.add_argument("--seed", type=int)
-                parser.add_argument("--batchgcd-k", type=int)
-                args = parser.parse_args()
-                config = build()
-                return config.with_(batchgcd_k=args.batchgcd_k)
-            """,
-        )
-        findings = only(lint(tmp_path, monkeypatch), "XCFG001")
-        assert len(findings) == 1
-        assert "'--seed'" in findings[0].message
-        assert "silently dropped" in findings[0].message
-
-    def test_fires_on_unexposed_batchgcd_knob(self, tmp_path, monkeypatch):
-        write(tmp_path, "src/repro/studyconfig.py", STUDYCONFIG)
-        write(
-            tmp_path,
-            "src/repro/cli.py",
-            """
-            import argparse
-
-            def main():
-                parser = argparse.ArgumentParser()
-                parser.add_argument("--seed", type=int)
-                args = parser.parse_args()
-                config = build()
-                return config.with_(seed=args.seed)
-            """,
-        )
-        findings = only(lint(tmp_path, monkeypatch), "XCFG001")
-        assert len(findings) == 1
-        assert findings[0].path == "src/repro/studyconfig.py"
-        assert "StudyConfig.batchgcd_k" in findings[0].message
-
-    def test_clean_when_fields_and_flags_agree(self, tmp_path, monkeypatch):
-        write(tmp_path, "src/repro/studyconfig.py", STUDYCONFIG)
-        write(
-            tmp_path,
-            "src/repro/cli.py",
-            """
-            import argparse
-
-            def main():
-                parser = argparse.ArgumentParser()
-                parser.add_argument("--seed", type=int)
-                parser.add_argument("--batchgcd-k", type=int)
-                args = parser.parse_args()
-                config = build()
-                config = config.with_(seed=args.seed)
-                return config.with_(batchgcd_k=args.batchgcd_k)
-            """,
-        )
-        assert only(lint(tmp_path, monkeypatch), "XCFG001") == []
-
-    def test_alias_spelling_counts_as_exposure(self, tmp_path, monkeypatch):
-        write(
-            tmp_path,
-            "src/repro/studyconfig.py",
-            """
-            class StudyConfig:
-                batchgcd_backend: str = "python"
-            """,
-        )
-        write(
-            tmp_path,
-            "src/repro/cli.py",
-            """
-            import argparse
-
-            def main():
-                parser = argparse.ArgumentParser()
-                parser.add_argument("--numt-backend", dest="numt_backend")
-                args = parser.parse_args()
-                config = build()
-                return config.with_(batchgcd_backend=args.numt_backend)
-            """,
-        )
-        assert only(lint(tmp_path, monkeypatch), "XCFG001") == []
-
-
 SERVER_MODULE = """
 _ROUTES = []
 

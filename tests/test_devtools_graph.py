@@ -22,22 +22,6 @@ def build(root, *relatives):
     return graphmod.build_graph([root / rel for rel in relatives], root=root)
 
 
-class TestSymbolTable:
-    def test_dataclass_fields_collected_with_linenos(self, tmp_path):
-        write(
-            tmp_path,
-            "src/repro/conf.py",
-            """
-            class Config:
-                seed: int = 0
-                scale: int = 1000
-            """,
-        )
-        graph = build(tmp_path, "src/repro/conf.py")
-        fields = dict(graph.modules["repro.conf"].dataclass_fields["Config"])
-        assert fields == {"seed": 3, "scale": 4}
-
-
 class TestImportGraph:
     def test_repro_imports_resolved_including_relative(self, tmp_path):
         write(tmp_path, "src/repro/pkg/__init__.py", "")
@@ -249,31 +233,6 @@ class TestFactCollection:
         )
         graph = build(tmp_path, "src/repro/state.py")
         assert graph.modules["repro.state"].mutable_globals == {"_CACHE", "_SEEN"}
-
-    def test_argparse_and_config_kwargs(self, tmp_path):
-        write(
-            tmp_path,
-            "src/repro/cli.py",
-            """
-            import argparse
-
-            def main():
-                parser = argparse.ArgumentParser()
-                parser.add_argument("--batchgcd-k", type=int)
-                parser.add_argument("input", dest="source")
-                args = parser.parse_args()
-                config = load()
-                return config.with_(batchgcd_k=args.batchgcd_k)
-            """,
-        )
-        graph = build(tmp_path, "src/repro/cli.py")
-        module = graph.modules["repro.cli"]
-        assert [flag.dest for flag in module.argparse_flags] == [
-            "batchgcd_k",
-            "source",
-        ]
-        assert [kwarg for kwarg, _ in module.config_kwargs] == ["batchgcd_k"]
-        assert "batchgcd_k" in module.call_kwargs
 
 
 class TestRouteFacts:

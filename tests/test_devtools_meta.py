@@ -126,13 +126,6 @@ PLANTS = {
             '    telemetry.counter("Planted Name")\n'
         ),
     },
-    "XCFG001": {
-        "src/repro/studyconfig.py": (
-            "class StudyConfig:\n"
-            "    seed: int = 2016\n"
-            "    batchgcd_planted: int = 1\n"
-        ),
-    },
     "XSVC001": {
         "src/repro/planted.py": (
             "def route(method, pattern):\n"

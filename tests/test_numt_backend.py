@@ -7,10 +7,7 @@ from repro.numt.backend import (
     BACKEND_ENV_VAR,
     PYTHON_BACKEND,
     available_backends,
-    get_backend,
     resolve_backend,
-    set_backend,
-    use_backend,
 )
 from repro.numt.trees import product_tree, tree_product
 
@@ -18,9 +15,9 @@ GMPY2_AVAILABLE = "gmpy2" in available_backends()
 
 
 class TestResolution:
-    def test_default_is_python(self):
+    def test_default_is_python(self, monkeypatch):
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         assert resolve_backend() is PYTHON_BACKEND
-        assert get_backend() is PYTHON_BACKEND
 
     def test_explicit_name(self):
         assert resolve_backend("python") is PYTHON_BACKEND
@@ -50,27 +47,6 @@ class TestResolution:
 
     def test_available_always_includes_python(self):
         assert "python" in available_backends()
-
-
-class TestActivation:
-    def test_use_backend_restores_previous(self):
-        before = get_backend()
-        with use_backend("python") as active:
-            assert active is PYTHON_BACKEND
-        assert get_backend() is before
-
-    def test_use_backend_restores_after_error(self):
-        before = get_backend()
-        with pytest.raises(RuntimeError), use_backend("python"):
-            raise RuntimeError("boom")
-        assert get_backend() is before
-
-    def test_set_backend_none_resets_to_python(self):
-        previous = set_backend(None)
-        try:
-            assert get_backend() is PYTHON_BACKEND
-        finally:
-            set_backend(previous)
 
 
 class TestBackendSemantics:

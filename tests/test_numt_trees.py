@@ -18,7 +18,6 @@ from repro.numt.trees import (
     remainder_tree,
     remainder_tree_prepared,
     remainder_tree_squared,
-    remainders_mod_squares,
     tree_product,
 )
 
@@ -97,25 +96,28 @@ class TestRemainderTreeSquared:
 
 
 class TestRemaindersModSquares:
-    def test_empty(self):
-        assert remainders_mod_squares(5, []) == []
+    """``remainder_tree_squared(tree, value=x)``: an external value, not P."""
 
     def test_matches_direct(self):
         values = [7, 9, 11]
         x = 10**9 + 7
-        assert remainders_mod_squares(x, values) == [x % (v * v) for v in values]
+        assert remainder_tree_squared(product_tree(values), value=x) == [
+            x % (v * v) for v in values
+        ]
 
     def test_value_larger_than_root_squared(self):
-        # Deduplicated onto remainder_tree_squared(value=...): an external
-        # value first reduces modulo root**2, then pushes down normally.
+        # An external value first reduces modulo root**2, then pushes down
+        # normally.
         values = [101, 103, 107]
         x = math.prod(values) ** 3 + 12345
-        assert remainders_mod_squares(x, values) == [x % (v * v) for v in values]
+        assert remainder_tree_squared(product_tree(values), value=x) == [
+            x % (v * v) for v in values
+        ]
 
     @given(moduli_lists, st.integers(min_value=0, max_value=2**200))
     @settings(max_examples=40)
     def test_property_matches_direct(self, values, x):
-        assert remainders_mod_squares(x, values) == [
+        assert remainder_tree_squared(product_tree(values), value=x) == [
             x % (v * v) for v in values
         ]
 

@@ -23,7 +23,7 @@ class TestStudyStructure:
     def test_cluster_stats_present(self, tiny_study):
         stats = tiny_study.cluster_stats
         assert stats is not None
-        assert stats.k == tiny_study.config.batchgcd_k
+        assert stats.k == tiny_study.config.batchgcd.k
         assert stats.tasks == stats.k**2
 
 

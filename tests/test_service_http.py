@@ -10,6 +10,7 @@ what the clustered engine returns for the same corpus.
 import http.client
 import json
 import random
+import socket
 import threading
 import time
 
@@ -176,6 +177,52 @@ class TestErrorModel:
         _, api = app
         status, body = api.request("POST", "/v1/jobs", raw_body="{nope")
         assert status == 400 and body["error"] == "bad_request"
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"GARBAGE\r\n\r\n",
+            b"GET /healthz HTTP/1.1 trailing\r\n\r\n",
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 40_000 + b"\r\n\r\n",
+        ],
+        ids=[
+            "request-line",
+            "request-line-extra-token",
+            "content-length-not-a-number",
+            "content-length-negative",
+            "head-over-32KiB",
+        ],
+    )
+    def test_malformed_head_is_400_then_closed(self, app, head):
+        _, api = app
+        with socket.create_connection(("127.0.0.1", api.port), timeout=30) as sock:
+            sock.sendall(head)
+            raw = b""
+            while chunk := sock.recv(65536):  # the server closes after answering
+                raw += chunk
+        status_line, _, rest = raw.partition(b"\r\n")
+        headers, _, body = rest.partition(b"\r\n\r\n")
+        assert status_line == b"HTTP/1.1 400 Bad Request", raw
+        assert b"Connection: close" in headers.split(b"\r\n")
+        payload = json.loads(body)
+        assert payload["error"] == "bad_request" and payload["message"]
+        status, _ = api.request("GET", "/healthz")
+        assert status == 200  # one bad connection does not hurt the server
+
+    def test_content_length_past_int_parsing_is_413(self, app):
+        _, api = app
+        head = b"POST /v1/jobs HTTP/1.1\r\nContent-Length: " + b"9" * 5000
+        with socket.create_connection(("127.0.0.1", api.port), timeout=30) as sock:
+            sock.sendall(head + b"\r\n\r\n")
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+        assert raw.startswith(b"HTTP/1.1 413 Payload Too Large\r\n"), raw
+        assert json.loads(raw.partition(b"\r\n\r\n")[2])["error"] == (
+            "payload_too_large"
+        )
 
     def test_result_before_completion_is_409(self, app):
         service, api = app

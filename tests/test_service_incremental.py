@@ -1,4 +1,4 @@
-"""Service routing through the incremental store (``engine_mode``).
+"""Service routing through the incremental store (``--engine-mode``).
 
 The acceptance bar from the issue: jobs served by the incremental path
 must be byte-identical to a full :class:`ClusteredBatchGcd` run — the
@@ -9,8 +9,11 @@ corpus as it stood when that job ran, projected onto the job's moduli.
 
 import random
 
+import pytest
+
 from repro.core.batchgcd import batch_gcd
 from repro.core.clustered import ClusteredBatchGcd
+from repro.core.select import EngineConfig
 from repro.crypto.primes import generate_prime
 from repro.service.models import JobRecord, ServiceConfig
 from repro.service.queue import JobQueue
@@ -19,7 +22,6 @@ from repro.service.worker import (
     KeyCheckRunner,
     ServiceWorker,
 )
-from repro.studyconfig import StudyConfig
 from repro.telemetry import Telemetry
 
 
@@ -40,7 +42,7 @@ def _job(job_id, seq, moduli):
 def _config(tmp_path, **overrides):
     return ServiceConfig(
         state_dir=str(tmp_path),
-        engine_mode="incremental",
+        engine=EngineConfig(engine="incremental", k=4),
         **overrides,
     )
 
@@ -129,7 +131,7 @@ class TestIncrementalRouting:
 
     def test_clustered_mode_untouched_by_default(self, tmp_path):
         config = ServiceConfig(state_dir=str(tmp_path))
-        assert config.engine_mode == "clustered"
+        assert config.engine.engine == "clustered"
         moduli = _moduli(10, 8)
         result, _ = KeyCheckRunner(config)(_job("job-a", 0, moduli))
         reference = ClusteredBatchGcd(k=4).run(moduli)
@@ -140,14 +142,17 @@ class TestIncrementalRouting:
 
 
 class TestConfigPlumbing:
-    def test_from_study_maps_engine_mode(self, tmp_path):
-        study = StudyConfig.service().with_(batchgcd_engine="incremental")
-        config = ServiceConfig.from_study(study, state_dir=str(tmp_path))
-        assert config.engine_mode == "incremental"
-        default = ServiceConfig.from_study(
-            StudyConfig.service(), state_dir=str(tmp_path)
-        )
-        assert default.engine_mode == "clustered"
+    def test_engine_record_is_checked_not_overridden(self, tmp_path):
+        # The service runs clustered or incremental jobs and derives its
+        # checkpoint and store paths from state_dir: a record asking for
+        # anything else raises instead of being silently replaced.
+        for engine in (
+            EngineConfig(engine="auto"),
+            EngineConfig(engine="clustered", checkpoint_dir="elsewhere"),
+            EngineConfig(engine="incremental", store_dir="elsewhere"),
+        ):
+            with pytest.raises(ValueError):
+                ServiceConfig(state_dir=str(tmp_path), engine=engine)
 
     def test_service_main_flags(self, tmp_path):
         from repro.service.__main__ import build_parser, config_from_args
@@ -160,7 +165,7 @@ class TestConfigPlumbing:
             ]
         )
         config = config_from_args(args)
-        assert config.engine_mode == "incremental"
+        assert config.engine.engine == "incremental"
         assert config.incremental_max_batch == 9
 
 
