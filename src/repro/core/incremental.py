@@ -41,9 +41,9 @@ from repro.telemetry import get_telemetry
 
 __all__ = ["BulkEngine", "IncrementalBatchGcd", "INCREMENTAL_MAX_BATCH"]
 
-#: Default largest corpus extension served by per-modulus inserts; a
-#: bigger delta re-runs the bulk engine and re-bootstraps the store
-#: (k inserts cost O(k·n) big-int work vs O(n log n) for one rebuild).
+#: Largest corpus extension served by per-modulus inserts; a bigger
+#: delta re-runs the bulk engine and re-bootstraps the store (k inserts
+#: cost O(k·n) big-int work vs O(n log n) for one rebuild).
 INCREMENTAL_MAX_BATCH = 64
 
 
@@ -66,9 +66,8 @@ class IncrementalBatchGcd:
             its backend).
         bulk: engine for cold bootstraps and oversized extensions; any
             object with ``run(moduli) -> BatchGcdResult``.  ``None`` uses
-            the classic in-process tree.
-        max_incremental_batch: largest corpus extension served by
-            per-modulus inserts before delegating to ``bulk``.
+            the classic in-process tree.  Extensions of more than
+            :data:`INCREMENTAL_MAX_BATCH` moduli go to it too.
     """
 
     def __init__(
@@ -76,16 +75,12 @@ class IncrementalBatchGcd:
         store_dir: str | Path | None = None,
         backend: str | BigIntBackend | None = None,
         bulk: BulkEngine | None = None,
-        max_incremental_batch: int = INCREMENTAL_MAX_BATCH,
     ) -> None:
-        if max_incremental_batch < 1:
-            raise ValueError("max_incremental_batch must be >= 1")
         self.store_dir = store_dir
         self.backend = backend
         self.bulk: BulkEngine = (
             bulk if bulk is not None else ClassicBatchGcd(backend)
         )
-        self.max_incremental_batch = max_incremental_batch
         self.last_stats: ClusterRunStats | None = None
         self.last_mode: str | None = None
 
@@ -123,7 +118,7 @@ class IncrementalBatchGcd:
             result = self.bulk.run(corpus)
         else:
             new = corpus[base:]
-            if base == 0 or len(new) > self.max_incremental_batch:
+            if base == 0 or len(new) > INCREMENTAL_MAX_BATCH:
                 self.last_mode = "bootstrap"
                 result = self.bulk.run(corpus)
                 store.bootstrap(corpus, result.divisors)

@@ -29,10 +29,9 @@ over the call graph and the statement-level CFG:
 - **DUR004** (warning) — an atomic rename with no directory fsync
   anywhere in the function's transitive effects: the kernel keeps the
   new directory entry across SIGKILL, but only ``fsync(dirfd)`` pins it
-  across power loss.  Protocols where losing the rename is harmless
-  (e.g. the journal's commit truncation — replay is idempotent)
-  document the exemption with an inline
-  ``# reprolint: disable=DUR004``.
+  across power loss.  A protocol where losing the rename is harmless
+  (say, a truncation an idempotent replay would redo) documents the
+  exemption with an inline disable comment naming the rule.
 - **DUR005** — an append-only JSONL reader whose per-line
   ``json.loads`` has no torn-tail guard (``try``/``except`` inside the
   loop): the expected torn final line after a kill makes recovery throw

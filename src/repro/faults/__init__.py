@@ -16,11 +16,12 @@ reproduction's answer.  Three layers, each usable alone:
   granular JSON checkpoints so a killed run resumes with a byte-identical
   final result.
 - :mod:`repro.faults.journal` — :class:`MutationJournal`, the write-ahead
-  append/commit journal the durable stores (service job queue, incremental
-  product-tree store) build their SIGKILL-mid-mutation recovery on.
+  append/commit journal the incremental product-tree store builds its
+  SIGKILL-mid-insert recovery on.
 - :mod:`repro.faults.fsio` — the shared durable-write primitives
-  (:func:`fsync_file`, :func:`fsync_dir`, :func:`atomic_write_text`)
-  every persistence protocol above routes its commit points through;
+  (:func:`fsync_file`, :func:`fsync_dir`, :func:`atomic_write_text`, and
+  the append-only log pair :func:`append_jsonl` / :func:`read_jsonl`)
+  every persistence protocol above routes its writes through;
   machine-checked by the DUR rules of reprolint.
 
 See ``docs/FAULTS.md`` for formats and semantics.

@@ -1,9 +1,9 @@
 """Durable filesystem primitives shared by every persistence protocol.
 
-The repo grew five hand-rolled write protocols (checkpoint shards, the
-mutation journal, product-tree manifests, the service job-queue journal,
-``endpoint.json`` publish) and each one needs the same three moves done
-in the same order to survive a crash:
+Every on-disk format in the repo (checkpoint shards, the mutation
+journal, the product-tree store, the service job-queue journal,
+``endpoint.json`` publish) is built from two shapes, each with one
+helper here, plus the fsync moves they share:
 
 - :func:`fsync_file` — flush the user-space buffer *and* fsync the file
   descriptor.  A SIGKILL loses whatever sits in the Python-level buffer;
@@ -17,6 +17,12 @@ in the same order to survive a crash:
 - :func:`fsync_dir` — make a completed rename durable.  The kernel keeps
   the new directory entry after a SIGKILL, but only a directory fsync
   pins it across power loss.
+- :func:`append_jsonl` / :func:`read_jsonl` — the append-only log: one
+  JSON record per line, fsynced before the append returns.  One torn-tail
+  policy covers every log: a kill mid-append leaves a partial final
+  line, which :func:`read_jsonl` skips and the next :func:`append_jsonl`
+  newline-terminates first, so the records on both sides of a tear
+  survive.
 
 The DUR rules in :mod:`repro.devtools.checks.durability` machine-check
 that persistence code either routes through these helpers or reproduces
@@ -27,11 +33,18 @@ rule prevents.
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
-from typing import IO
+from typing import IO, Any, Iterable
 
-__all__ = ["atomic_write_text", "fsync_dir", "fsync_file"]
+__all__ = [
+    "append_jsonl",
+    "atomic_write_text",
+    "fsync_dir",
+    "fsync_file",
+    "read_jsonl",
+]
 
 
 def fsync_file(handle: IO) -> None:
@@ -73,3 +86,45 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         fsync_file(handle)
     os.replace(tmp, target)
     fsync_dir(target.parent)
+
+
+def append_jsonl(path: str | Path, records: Iterable[Any]) -> None:
+    """Durably append one sorted-key JSON line per record to ``path``.
+
+    A file that ends mid-line (a kill mid-append) is newline-terminated
+    first, so the torn fragment stays one unparsable line that
+    :func:`read_jsonl` skips instead of swallowing the first new record.
+    The lines are fsynced before the call returns.  Parent directories
+    are created on demand.
+    """
+    target = Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    text = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+    with open(target, "ab+") as handle:
+        if handle.tell():
+            handle.seek(-1, os.SEEK_END)
+            if handle.read(1) != b"\n":
+                text = "\n" + text
+        handle.write(text.encode("utf-8"))
+        fsync_file(handle)
+
+
+def read_jsonl(path: str | Path) -> list[Any]:
+    """Every parseable line of ``path``, in file order.
+
+    Blank and unparsable lines (a torn tail, or a fragment an append
+    newline-terminated) are skipped; a missing file reads as ``[]``.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8", errors="replace")
+    except OSError:
+        return []
+    records = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        try:
+            records.append(json.loads(line))
+        except ValueError:
+            continue
+    return records

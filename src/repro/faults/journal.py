@@ -1,9 +1,8 @@
 """Append-only mutation journal: write-ahead durability for small stores.
 
-:class:`MutationJournal` is the write-ahead half of the crash-safety
-story shared by the durable stores in this codebase (the service job
-queue journals transitions; the incremental product-tree store journals
-inserts).  The contract is deliberately minimal:
+:class:`MutationJournal` is the write-ahead half of the incremental
+product-tree store's crash-safety story.  The contract is deliberately
+minimal:
 
 - **append before mutate** — a caller appends one JSON record describing
   the mutation it is *about* to apply, applies it, and later calls
@@ -12,14 +11,15 @@ inserts).  The contract is deliberately minimal:
   leaves the record behind, and :meth:`pending` surfaces it on the next
   open so the mutation can be replayed.
 - **torn tails are expected** — a kill mid-append can leave a partial
-  final line.  Replay parses line by line and stops at the first
-  unparsable line; everything before it is trusted, everything after is
-  discarded.  Appends are newline-terminated *before* the payload is
-  flushed so a previous record can never be fused with the next one.
+  final line.  The journal is an append-only log of
+  :func:`repro.faults.fsio.append_jsonl` / :func:`~repro.faults.fsio.read_jsonl`:
+  replay skips the unparsable fragment, and the next append
+  newline-terminates it first, so no record is ever fused with it.
 - **commit truncates** — committed records carry no information (the
   authoritative state lives in the caller's own files), so :meth:`commit`
-  rewrites the journal without them via a temp-file rename, keeping the
-  file bounded by the in-flight window rather than by history.
+  rewrites the journal without them through
+  :func:`~repro.faults.fsio.atomic_write_text`, keeping the file bounded
+  by the in-flight window rather than by history.
 
 Records are JSON objects with sorted keys; the caller owns the schema.
 Every record is stamped with a monotonically increasing ``_seq`` so
@@ -29,9 +29,10 @@ replay order and the commit horizon are unambiguous.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
+
+from repro.faults.fsio import append_jsonl, atomic_write_text, read_jsonl
 
 __all__ = ["MutationJournal"]
 
@@ -48,32 +49,17 @@ class MutationJournal:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._next_seq = 0
-        for record in self._read():
+        for record in self.pending():
             self._next_seq = max(self._next_seq, int(record["_seq"]) + 1)
-
-    # -- reading ---------------------------------------------------------
-
-    def _read(self) -> Iterator[dict[str, Any]]:
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                return  # torn tail: trust nothing at or after the tear
-            if not isinstance(record, dict) or "_seq" not in record:
-                return
-            yield record
 
     def pending(self) -> list[dict[str, Any]]:
         """All durable, uncommitted records in append order."""
-        return sorted(self._read(), key=lambda r: int(r["_seq"]))
-
-    # -- writing ---------------------------------------------------------
+        records = [
+            record
+            for record in read_jsonl(self.path)
+            if isinstance(record, dict) and "_seq" in record
+        ]
+        return sorted(records, key=lambda r: int(r["_seq"]))
 
     def append(self, record: dict[str, Any]) -> int:
         """Durably append one mutation record; returns its ``_seq``.
@@ -84,37 +70,16 @@ class MutationJournal:
         if "_seq" in record:
             raise ValueError("'_seq' is reserved for the journal")
         seq = self._next_seq
-        stamped = dict(record)
-        stamped["_seq"] = seq
-        line = json.dumps(stamped, sort_keys=True) + "\n"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line)
-            handle.flush()
-            os.fsync(handle.fileno())
+        append_jsonl(self.path, [{**record, "_seq": seq}])
         self._next_seq = seq + 1
         return seq
 
     def commit(self, through_seq: int) -> None:
-        """Drop every record with ``_seq <= through_seq`` (atomic rewrite).
-
-        The rewrite is fsynced before the rename so a power loss cannot
-        commit a torn journal over a good one.  The rename itself is
-        *not* followed by a directory fsync: losing it merely resurrects
-        already-committed records, and replay is idempotent, so the
-        extra fsync would buy nothing (the documented DUR004 exemption).
-        """
+        """Drop every record with ``_seq <= through_seq`` (atomic rewrite)."""
         keep = [r for r in self.pending() if int(r["_seq"]) > through_seq]
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in keep)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        # Losing this rename to a power loss only re-exposes committed
-        # records to an idempotent replay.  # reprolint: disable=DUR004
-        tmp.replace(self.path)
+        atomic_write_text(
+            self.path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in keep)
+        )
 
     def clear(self) -> None:
         """Drop every record (the caller's state is fully committed)."""

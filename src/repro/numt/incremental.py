@@ -15,11 +15,11 @@ seen so far):
   classic ``gcd(m, (P·m mod m²)/m)`` test, since ``P·m mod m² =
   m·(P mod m)``) followed by a divisor-guided walk down the tree to
   locate the partner leaves.
-- :class:`ProductTreeStore` persists that tree on disk — per-node
-  records sharded per level, an atomically-renamed manifest as the
-  commit point, and a write-ahead
-  :class:`~repro.faults.journal.MutationJournal` so a SIGKILL mid-insert
-  replays cleanly on the next open.  Identity extends
+- :class:`ProductTreeStore` persists the corpus on disk — an append-only
+  leaf log, an atomically-renamed manifest as the commit point, and a
+  write-ahead :class:`~repro.faults.journal.MutationJournal` so a SIGKILL
+  mid-insert replays cleanly on the next open — and rebuilds the product
+  tree in memory from the leaves when it opens.  Identity extends
   :func:`repro.faults.checkpoint.corpus_digest`'s SHA-256 corpus digest
   to a *chained* form (:func:`extend_digest`) updatable in O(1) per
   insert: both hash the records ``f"{n:x}\\n"``, the chained form just
@@ -30,13 +30,19 @@ Layout under ``directory``::
     manifest.json        # version/backend/count/digest/jobs — commit point
     journal.jsonl        # write-ahead insert records (empty when idle)
     hits.json            # sparse accumulated divisors [[index, hex], ...]
-    nodes/level-<l>.jsonl# per-node records [index, hex]; append-mostly
+    nodes/level-0.jsonl  # leaf log, one [index, hex] record per insert
 
-Each insert appends one record per dirty spine node (O(log n) appends),
-rewrites the sparse hits file when the vulnerable set changed, then
-renames a fresh manifest: a kill at any point either replays the
-journalled insert on the next open or never sees it.  Level files are
-compacted (atomic rewrite) once superseded records dominate.
+The store persists only what it cannot derive: the internal tree levels
+are products of the leaves, so they live in memory only.  Each insert
+appends its journal record, appends one leaf record, rewrites the sparse
+hits file when the vulnerable set changed, renames a fresh manifest and
+commits the journal: a kill at any point either replays the journalled
+insert on the next open or never sees it.  The journal and the leaf log
+are append-only logs of :func:`repro.faults.fsio.append_jsonl` /
+:func:`~repro.faults.fsio.read_jsonl`, so a torn final line is skipped on
+read and newline-terminated before the next append.  Leaf records at or
+past the committed count (an insert killed before its manifest rename)
+are ignored; the journal replays them.
 
 Divisor semantics match the clustered engine's: the accumulated divisor
 for a corpus member is the gcd-capped lcm of its pairwise shares, so the
@@ -62,12 +68,7 @@ import math
 from pathlib import Path
 from typing import Any, Iterable, NamedTuple, Sequence
 
-#: Commit-point writes (hits, manifest, level rewrites) go through the
-#: shared durable primitive: temp-in-same-dir, fsync, atomic rename,
-#: directory fsync.  Imported as an alias (not rebound) so the program
-#: graph resolves call sites through it.  See repro.faults.fsio.
-from repro.faults.fsio import atomic_write_text as _atomic_write
-from repro.faults.fsio import fsync_file
+from repro.faults.fsio import append_jsonl, atomic_write_text, fsync_dir, read_jsonl
 from repro.faults.journal import MutationJournal
 from repro.numt.backend import BigIntBackend, resolve_backend
 from repro.numt.trees import gcd_descent_hits, product_tree
@@ -87,11 +88,8 @@ _MANIFEST = "manifest.json"
 _JOURNAL = "journal.jsonl"
 _HITS = "hits.json"
 _NODES_DIR = "nodes"
+_LEAVES = "level-0.jsonl"
 _VERSION = 1
-
-#: Compact a level file once it holds this many times more records than
-#: live nodes (superseded spine rewrites accumulate at ~1 per insert).
-_COMPACT_FACTOR = 4
 
 
 def empty_digest() -> str:
@@ -154,15 +152,6 @@ class IncrementalProductTree:
         else:
             self._levels = [[]]
 
-    @classmethod
-    def from_levels(
-        cls, levels: list[list[int]], backend: str | BigIntBackend | None = None
-    ) -> "IncrementalProductTree":
-        """Adopt an already-built level structure (loading a store)."""
-        tree = cls(backend=backend)
-        tree._levels = levels if levels else [[]]
-        return tree
-
     @property
     def backend(self) -> BigIntBackend:
         return self._backend
@@ -190,20 +179,6 @@ class IncrementalProductTree:
             return self._backend.wrap(1)
         return self._levels[-1][0]
 
-    def leaf(self, index: int) -> int:
-        """Leaf value as a plain int."""
-        return self._backend.unwrap(self._levels[0][index])
-
-    @staticmethod
-    def level_sizes(count: int) -> list[int]:
-        """Expected per-level node counts for a corpus of ``count`` leaves."""
-        if count == 0:
-            return [0]
-        sizes = [count]
-        while sizes[-1] > 1:
-            sizes.append((sizes[-1] + 1) // 2)
-        return sizes
-
     # -- mutation --------------------------------------------------------
 
     def append(self, modulus: int) -> list[tuple[int, int]]:
@@ -214,21 +189,11 @@ class IncrementalProductTree:
         """
         if modulus < 2:
             raise ValueError("all moduli must be >= 2")
-        index = len(self._levels[0])
-        self._levels[0].append(self._backend.wrap(modulus))
-        return [(0, index), *self.recompute_spine(index)]
-
-    def recompute_spine(self, leaf_index: int) -> list[tuple[int, int]]:
-        """Recompute every ancestor of ``leaf_index`` from its children.
-
-        Creates the parents an append has not grown yet, so the same walk
-        serves :meth:`append` and healing the rightmost spine after a
-        crash mid-insert left stale node records behind.  Returns the
-        recomputed ``(level, index)`` coordinates, leaf excluded.
-        """
         levels = self._levels
-        dirty: list[tuple[int, int]] = []
-        level, j = 0, leaf_index
+        j = len(levels[0])
+        levels[0].append(self._backend.wrap(modulus))
+        dirty = [(0, j)]
+        level = 0
         while len(levels[level]) > 1:
             parent = j >> 1
             nodes = levels[level]
@@ -297,8 +262,8 @@ class ProductTreeStore:
 
     Raises:
         StoreCorruptError: on open, if leaf records are missing below
-            the committed count (internal levels self-heal; leaves are
-            the ground truth and cannot be reconstructed).
+            the committed count (the leaves are the ground truth; every
+            tree level above them is rebuilt from them).
         ValueError: on a backend mismatch with the persisted manifest.
     """
 
@@ -313,7 +278,6 @@ class ProductTreeStore:
         self._hits: dict[int, int] = {}
         self._moduli: list[int] = []
         self._digest = empty_digest()
-        self._level_records: list[int] = []  # per-level on-disk record counts
         self.replayed_inserts = 0
         if self.directory is None:
             self._tree = IncrementalProductTree(backend=backend)
@@ -431,9 +395,10 @@ class ProductTreeStore:
 
         The bulk-ingest path: a full engine run already computed the
         corpus divisors, so the store adopts them and builds the product
-        tree once (no per-insert spine work).  All files are rewritten
-        through temp-file renames with the manifest last, so a kill
-        mid-bootstrap leaves the previous committed state loadable.
+        tree once (no per-insert spine work).  The leaf log and the hits
+        file are rewritten through temp-file renames with the manifest
+        last, so a kill mid-bootstrap leaves the previous committed state
+        loadable (the new leaf log only extends the old one).
 
         Args:
             moduli: the full corpus, in order.  Must extend the current
@@ -468,7 +433,13 @@ class ProductTreeStore:
             if jobs is not None:
                 self._jobs = dict(jobs)
             if self.directory is not None:
-                self._write_all_levels()
+                atomic_write_text(
+                    self._leaves_path,
+                    "".join(
+                        json.dumps([i, f"{m:x}"]) + "\n"
+                        for i, m in enumerate(self._moduli)
+                    ),
+                )
                 self._write_hits()
                 self._write_manifest()
                 self._journal.clear()
@@ -506,7 +477,8 @@ class ProductTreeStore:
             telemetry.counter("batch_gcd.incremental.rebuild_bytes", rebuilt)
             telemetry.annotate(spine_nodes=len(dirty))
             if self.directory is not None:
-                self._append_level_records(dirty)
+                # Durable before the manifest commits count=N on its strength.
+                append_jsonl(self._leaves_path, [[index, f"{modulus:x}"]])
                 if outcome.divisor > 1 or outcome.partners:
                     self._write_hits()
                 self._write_manifest()
@@ -522,61 +494,9 @@ class ProductTreeStore:
 
     # -- persistence -----------------------------------------------------
 
-    def _level_path(self, level: int) -> Path:
-        return self.directory / _NODES_DIR / f"level-{level}.jsonl"
-
-    def _append_level_records(self, dirty: list[tuple[int, int]]) -> None:
-        unwrap = self._tree.backend.unwrap
-        by_level: dict[int, list[int]] = {}
-        for level, i in dirty:
-            by_level.setdefault(level, []).append(i)
-        while len(self._level_records) < len(self._tree.levels):
-            self._level_records.append(0)
-        (self.directory / _NODES_DIR).mkdir(parents=True, exist_ok=True)
-        for level, indices in by_level.items():
-            lines = "".join(
-                json.dumps([i, f"{unwrap(self._tree.levels[level][i]):x}"])
-                + "\n"
-                for i in indices
-            )
-            with open(self._level_path(level), "a", encoding="utf-8") as fh:
-                fh.write(lines)
-                # The manifest commits count=N on the strength of these
-                # appended spine records; without the fsync a power loss
-                # after the (fsynced) manifest rename could surface a
-                # manifest that promises leaves the level files lost.
-                fsync_file(fh)
-            self._level_records[level] += len(indices)
-            live = len(self._tree.levels[level])
-            if self._level_records[level] > _COMPACT_FACTOR * live + 16:
-                self._rewrite_level(level)
-
-    def _rewrite_level(self, level: int) -> None:
-        unwrap = self._tree.backend.unwrap
-        nodes = self._tree.levels[level]
-        text = "".join(
-            json.dumps([i, f"{unwrap(v):x}"]) + "\n" for i, v in enumerate(nodes)
-        )
-        _atomic_write(self._level_path(level), text)
-        self._level_records[level] = len(nodes)
-
-    def _write_all_levels(self) -> None:
-        nodes_dir = self.directory / _NODES_DIR
-        nodes_dir.mkdir(parents=True, exist_ok=True)
-        levels = self._tree.levels
-        self._level_records = [0] * len(levels)
-        for level in range(len(levels)):
-            self._rewrite_level(level)
-        # Prune level files beyond the current height (bootstrap shrink
-        # cannot happen — append-only — but stale files from a crashed
-        # larger bootstrap must not confuse a later load).
-        for stale in nodes_dir.glob("level-*.jsonl"):
-            try:
-                number = int(stale.stem.split("-")[1])
-            except (IndexError, ValueError):
-                continue
-            if number >= len(levels):
-                stale.unlink()
+    @property
+    def _leaves_path(self) -> Path:
+        return self.directory / _NODES_DIR / _LEAVES
 
     def _write_hits(self) -> None:
         payload = {
@@ -584,7 +504,7 @@ class ProductTreeStore:
                 [i, f"{d:x}"] for i, d in sorted(self._hits.items())
             ]
         }
-        _atomic_write(self.directory / _HITS, json.dumps(payload))
+        atomic_write_text(self.directory / _HITS, json.dumps(payload))
 
     def _write_manifest(self) -> None:
         manifest = {
@@ -597,7 +517,7 @@ class ProductTreeStore:
                 for job, (base, done) in sorted(self._jobs.items())
             },
         }
-        _atomic_write(
+        atomic_write_text(
             self.directory / _MANIFEST, json.dumps(manifest, sort_keys=True)
         )
 
@@ -630,67 +550,44 @@ class ProductTreeStore:
             for record in self._journal.pending()
             if int(record["index"]) >= count
         ]
-        levels, self._level_records = self._load_levels(count, resolved)
-        self._tree = IncrementalProductTree.from_levels(levels, backend=resolved)
-        self._moduli = [self._tree.leaf(i) for i in range(count)]
-        if pending and count:
-            # A crashed insert may have left stale rightmost-spine
-            # records behind; recompute that spine from its (clean)
-            # children before replaying.
-            self._tree.recompute_spine(count - 1)
+        self._moduli = self._load_leaves(count)
+        self._drop_internal_levels()
+        self._tree = IncrementalProductTree(self._moduli, backend=resolved)
         self._load_hits(count)
         self.replayed_inserts = self._replay(pending)
         if pending:
             self._journal.clear()
 
-    def _load_levels(
-        self, count: int, backend: BigIntBackend
-    ) -> tuple[list[list[int]], list[int]]:
-        sizes = IncrementalProductTree.level_sizes(count)
-        levels: list[list[int]] = []
-        records: list[int] = []
-        rebuild = False
-        for level, size in enumerate(sizes):
-            values: dict[int, int] = {}
-            seen = 0
+    def _load_leaves(self, count: int) -> list[int]:
+        leaves: dict[int, int] = {}
+        for record in read_jsonl(self._leaves_path):
             try:
-                text = self._level_path(level).read_text()
-            except OSError:
-                text = ""
-            for line in text.splitlines():
-                if not line.strip():
-                    continue
-                try:
-                    i, hexval = json.loads(line)
-                    i = int(i)
-                    value = int(hexval, 16)
-                except (ValueError, TypeError):
-                    break  # torn tail
-                seen += 1
-                if i < size:
-                    values[i] = value
-            if len(values) != size:
-                if level == 0:
-                    raise StoreCorruptError(
-                        f"store at {self.directory} is missing "
-                        f"{size - len(values)} of {size} leaf records"
-                    )
-                rebuild = True
-                break
-            levels.append(backend.wrap_all([values[i] for i in range(size)]))
-            records.append(seen)
-        if rebuild:
-            # Internal levels are derivable: rebuild them from the
-            # (authoritative) leaves and rewrite the files.
-            leaves = backend.unwrap_all(levels[0])
-            tree = product_tree(leaves, backend=backend)
-            self._tree = IncrementalProductTree.from_levels(tree, backend=backend)
-            self._level_records = [0] * len(tree)
-            self._write_all_levels()
-            return self._tree.levels, self._level_records
-        if count == 0:
-            return [[]], records or [0]
-        return levels, records
+                index, hexval = record
+                index, value = int(index), int(hexval, 16)
+            except (ValueError, TypeError):
+                continue
+            if 0 <= index < count:
+                leaves[index] = value
+        if len(leaves) != count:
+            raise StoreCorruptError(
+                f"store at {self.directory} is missing "
+                f"{count - len(leaves)} of {count} leaf records"
+            )
+        return [leaves[i] for i in range(count)]
+
+    def _drop_internal_levels(self) -> None:
+        """Delete the internal-level files the per-level layout persisted.
+
+        This layout rebuilds them from the leaves on every open; once it
+        appends a leaf, a stale copy would mislead a per-level reader,
+        which trusts any level file that is complete.
+        """
+        nodes_dir = self.directory / _NODES_DIR
+        stale = [p for p in nodes_dir.glob("level-*.jsonl") if p.name != _LEAVES]
+        for path in stale:
+            path.unlink()
+        if stale:
+            fsync_dir(nodes_dir)
 
     def _load_hits(self, count: int) -> None:
         try:

@@ -61,11 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
         "checking every modulus against all previously ingested ones",
     )
     parser.add_argument(
-        "--incremental-max-batch", type=int, default=None,
-        help="incremental mode: largest job served by per-modulus store "
-        "inserts; bigger jobs re-bootstrap via a clustered run",
-    )
-    parser.add_argument(
         "--max-attempts", type=int, default=None,
         help="job run attempts before terminal failure",
     )
@@ -79,8 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> ServiceConfig:
     overrides = {}
-    if args.incremental_max_batch is not None:
-        overrides["incremental_max_batch"] = args.incremental_max_batch
     if args.max_attempts is not None:
         overrides["max_attempts"] = args.max_attempts
     if args.webhook_retries is not None:

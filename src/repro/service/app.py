@@ -97,7 +97,6 @@ class ServiceApp:
             serving.cancel()
             await self.server.stop()
             self.worker.stop()
-            self.queue.close()
 
     # -- embedded mode ---------------------------------------------------
 
@@ -128,10 +127,9 @@ class ServiceApp:
         await self.server.stop()
 
     def shutdown(self, timeout: float = 10.0) -> None:
-        """Stop the background loop, the worker, and the journal."""
+        """Stop the background loop and the worker."""
         if self._loop is not None and self._shutdown_event is not None:
             self._loop.call_soon_threadsafe(self._shutdown_event.set)
         if self._thread is not None:
             self._thread.join(timeout)
         self.worker.stop()
-        self.queue.close()

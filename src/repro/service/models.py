@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Mapping, Sequence
 
-from repro.core.incremental import INCREMENTAL_MAX_BATCH
 from repro.core.select import EngineConfig
 
 __all__ = [
@@ -312,14 +311,13 @@ class ServiceConfig:
             ``"incremental"`` (jobs accumulate into one persistent
             product-tree store under ``<state_dir>/incremental-store``
             and every modulus is also checked against all previously
-            ingested moduli; small jobs are served by per-modulus store
-            inserts, bulk jobs by a clustered run that re-bootstraps the
-            store).  Defaults to :data:`DEFAULT_ENGINE`.  The service derives
+            ingested moduli; jobs of at most
+            :data:`~repro.core.incremental.INCREMENTAL_MAX_BATCH` moduli
+            are served by per-modulus store inserts, bigger ones by a
+            clustered run that re-bootstraps the store).  Defaults to
+            :data:`DEFAULT_ENGINE`.  The service derives
             ``checkpoint_dir`` (per job) and ``store_dir`` from
             ``state_dir``, so a record naming either is rejected.
-        incremental_max_batch: under ``engine.engine="incremental"``, the
-            largest job served by per-modulus inserts; bigger jobs take
-            the bulk-rebootstrap path.
         max_attempts: job run attempts (claims) before the job fails —
             this is the *outer* retry loop around whole engine runs.
         webhook_max_attempts: completion callback delivery attempts.
@@ -336,7 +334,6 @@ class ServiceConfig:
     api_keys: tuple[str, ...] = ()
     max_body_bytes: int = 8 * 1024 * 1024
     engine: EngineConfig = DEFAULT_ENGINE
-    incremental_max_batch: int = INCREMENTAL_MAX_BATCH
     max_attempts: int = 3
     webhook_max_attempts: int = 3
     webhook_backoff_base: float = 0.05

@@ -6,8 +6,10 @@ changes.  Restart replays the journal in order and reconstructs the
 exact queue — so a SIGKILL at any instant loses at most the work of the
 in-flight engine run (which the engine's own
 :class:`~repro.faults.checkpoint.CheckpointStore` checkpoints
-separately).  A torn final line (kill mid-append) is detected and
-ignored.
+separately).  The journal is an append-only log of
+:func:`repro.faults.fsio.append_jsonl` / :func:`~repro.faults.fsio.read_jsonl`:
+a torn final line (kill mid-append) is skipped on replay and
+newline-terminated before the next append.
 
 Crash-mid-claim recovery.  A ``claimed`` event with no later terminal
 event means the process died while running the job.  Replay counts that
@@ -37,12 +39,11 @@ instead of polling.
 
 from __future__ import annotations
 
-import json
 import threading
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
-from repro.faults.fsio import fsync_file
+from repro.faults.fsio import append_jsonl, read_jsonl
 from repro.service.models import (
     WEBHOOK_DELIVERED,
     WEBHOOK_GAVE_UP,
@@ -105,61 +106,22 @@ class JobQueue:
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self._journal_path = self.state_dir / _JOURNAL
         self._replay()
-        self._journal_file = self._journal_path.open("a", encoding="utf-8")
-        self._terminate_torn_tail()
-
-    def _terminate_torn_tail(self) -> None:
-        """Newline-terminate a torn final line so new appends stay parseable.
-
-        A kill mid-append can leave the journal without a trailing
-        newline; appending straight after it would fuse the next event
-        onto the torn fragment and lose *that* event too.  Replay
-        already skips the unparseable fragment either way.
-        """
-        try:
-            with self._journal_path.open("rb") as fh:
-                fh.seek(0, 2)
-                if fh.tell() == 0:
-                    return
-                fh.seek(-1, 2)
-                torn = fh.read(1) != b"\n"
-        except OSError:
-            return
-        if torn:
-            self._journal_file.write("\n")
-            fsync_file(self._journal_file)
 
     # -- journal ---------------------------------------------------------
 
     def _append(self, event: str, **payload: Any) -> None:
-        """Write one event line; callers hold the lock."""
-        record = {"v": _SCHEMA_VERSION, "event": event, **payload}
-        self._journal_file.write(json.dumps(record, sort_keys=True) + "\n")
-        # flush alone only survives SIGKILL; the fsync makes the journal
-        # the write-ahead authority across power loss too.
-        fsync_file(self._journal_file)
-
-    def _read_journal(self) -> Iterator[dict[str, Any]]:
-        try:
-            text = self._journal_path.read_text(encoding="utf-8")
-        except OSError:
-            return
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn tail from a kill mid-append
-            if isinstance(record, dict) and "event" in record:
-                yield record
+        """Durably write one event line; callers hold the lock."""
+        append_jsonl(
+            self._journal_path, [{"v": _SCHEMA_VERSION, "event": event, **payload}]
+        )
 
     def _replay(self) -> None:
         events = 0
         claimed_open: dict[str, int] = {}  # job_id -> open claim count
         with self._telemetry.span("service.journal.replay"):
-            for record in self._read_journal():
+            for record in read_jsonl(self._journal_path):
+                if not isinstance(record, dict) or "event" not in record:
+                    continue
                 events += 1
                 self._apply(record, claimed_open)
             # Jobs claimed but never terminated died with the process.
@@ -473,8 +435,7 @@ class JobQueue:
             return self._queue_paused
 
     def close(self) -> None:
-        with self._lock:
-            self._journal_file.close()
+        """Nothing to release: each append opens and closes the journal."""
 
     # -- internals -------------------------------------------------------
 

@@ -41,6 +41,7 @@ import urllib.request
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.core.incremental import INCREMENTAL_MAX_BATCH
 from repro.core.results import BatchGcdResult
 from repro.core.select import select_engine
 from repro.numt.incremental import ProductTreeStore
@@ -64,10 +65,11 @@ class KeyCheckRunner:
     :class:`~repro.numt.incremental.ProductTreeStore` under
     ``<state_dir>/incremental-store``, so each modulus is also checked
     against everything previously ingested: jobs of at most
-    ``incremental_max_batch`` moduli are served by per-modulus store
-    inserts (one O(log n) spine rebuild each instead of a full engine
-    run), while bulk jobs run the clustered engine over the union corpus
-    and re-bootstrap the store from its result.  Either way a job's
+    :data:`~repro.core.incremental.INCREMENTAL_MAX_BATCH` (64) moduli are
+    served by per-modulus store inserts (one O(log n) spine rebuild each
+    instead of a full engine run), while bulk jobs run the clustered
+    engine over the union corpus and re-bootstrap the store from its
+    result.  Either way a job's
     result indexes only its *own* moduli — the store supplies the
     history they are checked against.  A SIGKILL mid-insert replays from
     the store's journal, and a re-delivered job resumes idempotently
@@ -130,7 +132,7 @@ class KeyCheckRunner:
     ) -> JobResult:
         store = self.open_store()
         base, applied = store.job_progress(job.job_id) or (store.count, 0)
-        bulk = len(job.moduli) - applied > self._config.incremental_max_batch
+        bulk = len(job.moduli) - applied > INCREMENTAL_MAX_BATCH
         if bulk:
             # Bulk ingest: one clustered run over the union corpus, then
             # adopt its divisors wholesale (the store is append-only and

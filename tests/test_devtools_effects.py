@@ -404,12 +404,24 @@ class TestRealRepoSummaries:
         assert "dir_fsync" in index.own("repro.faults.fsio.fsync_dir")
 
     def test_journal_append_fsyncs_and_read_is_guarded(self):
-        index = self._index()
-        append = index.own("repro.faults.journal.MutationJournal.append")
-        assert {"open_append", "write", "flush", "fsync"} <= append
-        read = index.effects("repro.faults.journal.MutationJournal._read")
-        assert read.by_kind("jsonl_read")
-        assert not read.by_kind("jsonl_read_unguarded")
+        # The one JSONL append and the one line-by-line read.  The append
+        # opens for append and writes itself, and fsyncs through
+        # fsync_file; every log (the journal included) routes through it.
+        graph = build(
+            REPO_ROOT, "src/repro/faults/fsio.py", "src/repro/faults/journal.py"
+        )
+        index = graph.effect_index()
+        append = index.effects("repro.faults.fsio.append_jsonl")
+        assert {"open_append", "write"} <= append.own
+        assert {"flush", "fsync"} <= append.transitive
+        assert "repro.faults.fsio.fsync_file" in (
+            graph.functions["repro.faults.fsio.append_jsonl"].calls
+        )
+        assert {"open_append", "write", "flush", "fsync"} <= index.transitive(
+            "repro.faults.journal.MutationJournal.append"
+        )
+        read = index.effects("repro.faults.fsio.read_jsonl")
+        assert [e.kind for e in read.effects] == ["jsonl_read"]
 
 
 class TestExportDeterminism:

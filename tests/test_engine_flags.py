@@ -42,7 +42,7 @@ STUDY_OWN = {"--preset", "--seed", "--verbose", "--telemetry-json", "--timings"}
 BATCHGCD_OWN = {"--output", "--dedup", "--telemetry-json", "--timings"}
 SERVICE_OWN = {
     "--state-dir", "--host", "--port", "--api-key",
-    "--incremental-max-batch", "--max-attempts", "--webhook-retries",
+    "--max-attempts", "--webhook-retries",
 }
 
 

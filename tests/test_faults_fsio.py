@@ -4,7 +4,13 @@ import os
 
 import pytest
 
-from repro.faults.fsio import atomic_write_text, fsync_dir, fsync_file
+from repro.faults.fsio import (
+    append_jsonl,
+    atomic_write_text,
+    fsync_dir,
+    fsync_file,
+    read_jsonl,
+)
 
 
 class TestFsyncFile:
@@ -82,3 +88,43 @@ class TestAtomicWriteText:
         ((src, dst),) = [seen[0]]
         assert os.path.dirname(os.fspath(src)) == os.fspath(tmp_path)
         assert os.fspath(dst) == os.fspath(target)
+
+
+class TestJsonl:
+    def test_missing_file_reads_as_empty(self, tmp_path):
+        assert read_jsonl(tmp_path / "log.jsonl") == []
+
+    def test_appends_sorted_key_lines_and_creates_directories(self, tmp_path):
+        path = tmp_path / "deep" / "log.jsonl"
+        append_jsonl(path, [{"b": 1, "a": 2}, [0, "ff"]])
+        append_jsonl(path, [])
+        assert path.read_text() == '{"a": 2, "b": 1}\n[0, "ff"]\n'
+        assert read_jsonl(path) == [{"a": 2, "b": 1}, [0, "ff"]]
+
+    def test_torn_and_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"n": 1}\n\n{"n": 2, "to\n{"n": 3}\n[4, "ab')
+        assert read_jsonl(path) == [{"n": 1}, {"n": 3}]
+
+    def test_append_after_a_torn_line_keeps_both_sides(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        append_jsonl(path, [{"n": 1}])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"n": 2, "to')  # kill mid-append
+        append_jsonl(path, [{"n": 3}])
+        assert read_jsonl(path) == [{"n": 1}, {"n": 3}]
+        assert path.read_text().endswith('{"n": 2, "to\n{"n": 3}\n')
+
+    def test_each_append_fsyncs_before_it_returns(self, tmp_path, monkeypatch):
+        path = tmp_path / "log.jsonl"
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os,
+            "fsync",
+            lambda fd: (synced.append(path.read_text()), real_fsync(fd)),
+        )
+        append_jsonl(path, [{"n": 1}])
+        append_jsonl(path, [{"n": 2}])
+        # One fsync per append, each after that append's bytes are written.
+        assert synced == ['{"n": 1}\n', '{"n": 1}\n{"n": 2}\n']

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.batchgcd import batch_gcd
 from repro.core.clustered import ClusteredBatchGcd
+from repro.core.incremental import INCREMENTAL_MAX_BATCH
 from repro.core.select import EngineConfig
 from repro.crypto.primes import generate_prime
 from repro.service.models import JobRecord, ServiceConfig
@@ -39,21 +40,24 @@ def _job(job_id, seq, moduli):
     return JobRecord(job_id=job_id, seq=seq, digest="t", moduli=list(moduli))
 
 
-def _config(tmp_path, **overrides):
+def _config(tmp_path):
     return ServiceConfig(
         state_dir=str(tmp_path),
         engine=EngineConfig(engine="incremental", k=4),
-        **overrides,
     )
+
+
+#: Jobs larger than this take the bulk path (clustered run + bootstrap).
+BULK = INCREMENTAL_MAX_BATCH + 6
 
 
 class TestIncrementalRouting:
     def test_small_jobs_accumulate_and_match_clustered(self, tmp_path):
-        config = _config(tmp_path, incremental_max_batch=16)
+        config = _config(tmp_path)
         telemetry = Telemetry()
         runner = KeyCheckRunner(config, telemetry=telemetry)
         batches = [
-            _moduli(1, 30),  # bulk: bootstrap via clustered run
+            _moduli(1, BULK),  # bulk: bootstrap via clustered run
             _moduli(2, 8),   # small: per-modulus inserts
             _moduli(3, 5),
         ]
@@ -98,7 +102,7 @@ class TestIncrementalRouting:
         assert any(j == 2 for j, _ in results[1].divisors)
 
     def test_redelivered_job_is_idempotent(self, tmp_path):
-        config = _config(tmp_path, incremental_max_batch=8)
+        config = _config(tmp_path)
         runner = KeyCheckRunner(config)
         moduli = _moduli(5, 6)
         first, _ = runner(_job("job-a", 0, moduli))
@@ -108,10 +112,10 @@ class TestIncrementalRouting:
         assert again.factored == first.factored
 
     def test_bulk_job_reboots_store_idempotently(self, tmp_path):
-        config = _config(tmp_path, incremental_max_batch=4)
+        config = _config(tmp_path)
         runner = KeyCheckRunner(config)
         small = _moduli(6, 3)
-        bulk = _moduli(7, 12)
+        bulk = _moduli(7, BULK)
         runner(_job("job-s", 0, small))
         first, _ = runner(_job("job-b", 1, bulk))
         again, _ = runner(_job("job-b", 1, bulk))
@@ -119,7 +123,7 @@ class TestIncrementalRouting:
         assert again.divisors == first.divisors
 
     def test_store_survives_runner_restart(self, tmp_path):
-        config = _config(tmp_path, incremental_max_batch=32)
+        config = _config(tmp_path)
         moduli = _moduli(8, 10)
         KeyCheckRunner(config)(_job("job-a", 0, moduli))
         fresh = KeyCheckRunner(config)
@@ -161,18 +165,16 @@ class TestConfigPlumbing:
             [
                 "--state-dir", str(tmp_path),
                 "--engine-mode", "incremental",
-                "--incremental-max-batch", "9",
             ]
         )
         config = config_from_args(args)
         assert config.engine.engine == "incremental"
-        assert config.incremental_max_batch == 9
 
 
 class TestWorkerIntegration:
     def test_worker_drains_jobs_through_the_store(self, tmp_path):
         queue = JobQueue(tmp_path / "state")
-        config = _config(tmp_path / "state", incremental_max_batch=64)
+        config = _config(tmp_path / "state")
         telemetry = Telemetry()
         worker = ServiceWorker(queue, config=config, telemetry=telemetry)
         batches = [_moduli(11, 6), _moduli(12, 4)]
