@@ -31,10 +31,11 @@ The driver.  The parent builds each subset's product tree **once** (``k``
 builds total, each under a ``batch_gcd.subset_tree`` span) and broadcasts
 trees + products (+ Barrett reciprocals, see below) to the worker pool
 **once** through the executor initializer.  Task payloads shrink to
-``(subset, product)`` index pairs, submitted in chunks, largest operands
-first, through a bounded in-flight window (``submit`` + ``wait``) so
-completed results merge back immediately instead of queueing behind slow
-head-of-line tasks.  Workers return sparse ``(position, divisor)`` hits.
+index pairs, submitted in chunks, largest operands first, through a
+bounded in-flight window (``submit`` + ``wait``) so completed results
+merge back immediately instead of queueing behind slow head-of-line
+tasks.  Workers return sparse ``(position, divisor)`` hits, one record
+per (subset, product) pass.
 
 Foreign passes.  The own pass (``j == s``) is always the squared
 remainder tree.  A foreign pass (``j != s``) computes ``gcd(N_i, P_j)``
@@ -42,16 +43,22 @@ for every ``N_i`` of subset ``s`` by one of two strategies, chosen with
 ``foreign_pass``:
 
 - ``"remainder"`` (default, the paper's Figure 2): push ``P_j`` down
-  subset ``s``'s tree.  When the big-int backend profits from them, the
-  parent prepares Barrett reciprocals for the tree's large nodes once,
-  and all ``k - 1`` foreign passes over that tree reuse them.
-- ``"descent"`` (Pelofske's all-to-all GCD, arXiv 2405.03166): one root
-  ``gcd(P_s, P_j)`` — a coprime pair, the common case in a low-entropy
-  hunt, is settled without touching a leaf — then a coprime-pruned
-  descent of subset ``s``'s tree
-  (:func:`repro.numt.trees.gcd_descent_hits`).  Read as a simulated
+  subset ``s``'s tree, one task per pass, ``k**2`` tasks.  When the
+  big-int backend profits from them, the parent prepares Barrett
+  reciprocals for the tree's large nodes once, and all ``k - 1`` foreign
+  passes over that tree reuse them.
+- ``"descent"`` (Pelofske's all-to-all GCD, arXiv 2405.03166): the ``k``
+  own passes, then one task per unordered subset pair ``{s, j}`` —
+  ``k + k(k-1)/2`` tasks.  The task computes one root
+  ``g = gcd(P_s, P_j)``; a coprime pair, the common case in a
+  low-entropy hunt, settles both passes without touching a leaf, and
+  otherwise coprime-pruned descents of tree ``s`` and tree ``j`` with
+  ``g`` (:func:`repro.numt.trees.gcd_descent_hits`) yield the passes
+  ``(s, j)`` and ``(j, s)``: every node ``c`` of tree ``s`` divides
+  ``P_s``, so ``gcd(c, g) == gcd(c, P_j)``.  Read as a simulated
   ``k``-node deployment, each node holds one subset and only the ``k``
-  root products cross the interconnect; ``engine="alltoall"`` selects it.
+  root products cross the interconnect; ``engine="alltoall"`` and
+  ``engine="auto"`` select it.
 
 Both strategies yield exactly ``gcd(N_i, P_j)`` per modulus, so every
 pass writes the same sparse hits and the final result is byte-identical
@@ -73,7 +80,8 @@ recovery seam of :mod:`repro.faults`:
   persisted through :class:`~repro.faults.checkpoint.CheckpointStore`, and
   a restarted run — under either foreign-pass strategy — resumes from the
   surviving passes with a byte-identical final
-  :class:`~repro.core.results.BatchGcdResult`;
+  :class:`~repro.core.results.BatchGcdResult` (a paired task runs unless
+  both of its passes survived, and records only the missing ones);
 - an optional seeded :class:`~repro.faults.plan.FaultPlan` (CLI
   ``--fault-plan`` / ``$REPRO_FAULTS``; ``None`` — a single pointer check
   — by default) injects deterministic crash / timeout / corrupt / slow
@@ -82,19 +90,22 @@ recovery seam of :mod:`repro.faults`:
 Telemetry: when a registry is active (see :mod:`repro.telemetry`), the run
 records a ``batch_gcd.products`` span for the build phase (one
 ``batch_gcd.subset_tree`` child per tree) and one ``batch_gcd.task`` span
-per (subset, product) task — workers record into their own per-process
-registry and the parent merges the snapshots back, so the final report
-shows every task's wall/CPU time and operand bit-sizes regardless of
-whether the task ran in-process or on the pool.  Remainder-tree passes
-carry a ``batch_gcd.task.remainder_tree`` child (``own`` tells the own
-pass from a foreign one); descent runs count the foreign passes settled
-by the root gcd alone in ``batch_gcd.alltoall.pruned_pairs`` and the
-bytes a real deployment would exchange in
-``batch_gcd.ipc_crossshard_bytes``.  Pooled runs additionally record the
-``batch_gcd.ipc_broadcast_bytes`` / ``batch_gcd.ipc_task_bytes`` counters
-(pickled payload sizes) and a ``batch_gcd.queue_latency`` timer
-(submit-to-merge per chunk); the ``batch_gcd.queue_depth`` gauge drains to
-zero as tasks complete.  Recovery actions surface as the
+per task — workers record into their own per-process registry and the
+parent merges the snapshots back, so the final report shows every task's
+wall/CPU time and operand bit-sizes regardless of whether the task ran
+in-process or on the pool.  Every task carries one
+``batch_gcd.task.remainder_tree`` child around its walk: ``own`` tells
+the own pass from foreign work, and ``walk`` is ``"remainder"`` or
+``"descent"`` (a pair's root gcd and both descents; the span keeps its
+name because the external benchmark reads the foreign-pass time from
+it).  Descent runs count the foreign passes settled by the root gcd
+alone in ``batch_gcd.alltoall.pruned_pairs`` and the bytes a real
+deployment would exchange in ``batch_gcd.ipc_crossshard_bytes``.  Pooled
+runs additionally record the ``batch_gcd.ipc_broadcast_bytes`` /
+``batch_gcd.ipc_task_bytes`` counters (pickled payload sizes) and a
+``batch_gcd.queue_latency`` timer (submit-to-merge per chunk); the
+``batch_gcd.queue_depth`` gauge counts passes and drains to zero as
+tasks complete.  Recovery actions surface as the
 ``batch_gcd.retries`` / ``batch_gcd.pool_rebuilds`` /
 ``batch_gcd.chunk_timeout`` counters and the
 ``batch_gcd.checkpoint_load`` / ``batch_gcd.checkpoint_write`` spans.
@@ -145,7 +156,9 @@ class ClusterRunStats:
 
     Attributes:
         k: number of subsets.
-        tasks: number of (subset, product) tasks executed (``k**2``).
+        tasks: number of tasks in the run's task graph: ``k**2`` (one
+            per pass) under ``remainder``; ``k + k(k-1)/2`` (the own
+            passes plus one per subset pair) under ``descent``.
         wall_seconds: end-to-end elapsed time.
         cpu_seconds: total compute time — the build prologue plus the sum
             of per-task compute times (the "1089 CPU hours" figure of the
@@ -177,8 +190,8 @@ class ClusterRunStats:
         corrupt_chunks: chunk results rejected by completeness checks.
         inprocess_fallbacks: chunks degraded to fault-free in-process
             execution after retries/rebuilds exhausted.
-        checkpoint_loaded: completed passes restored from the checkpoint
-            at the start of the run.
+        checkpoint_loaded: completed passes (not tasks) restored from the
+            checkpoint at the start of the run.
         checkpoint_written: passes persisted to the checkpoint this run.
     """
 
@@ -244,66 +257,105 @@ def _pool_init(
     }
 
 
+def _task_passes(
+    task: tuple[int, int], paired: bool
+) -> tuple[tuple[int, int], ...]:
+    """The (subset, product) passes one task settles.
+
+    A task ``(i, j)`` is the one pass ``(i, j)``, except a paired
+    (``descent``) task over two subsets, which settles ``(i, j)`` and
+    ``(j, i)`` together.
+    """
+    i, j = task
+    return ((i, j), (j, i)) if paired and i != j else ((i, j),)
+
+
 def _task_divisors(
     state: dict[str, Any], i: int, j: int
-) -> list[tuple[int, int]]:
-    """One (subset, product) pass against broadcast state, sparse result.
+) -> list[list[tuple[int, int]]]:
+    """One task against broadcast state: sparse hits per settled pass.
 
-    Returns ``(position, divisor)`` pairs for the positions of subset ``i``
-    whose modulus shares a factor with product ``j`` — almost always a
-    short list, which is what keeps result payloads small.
+    Returns one list per pass of :func:`_task_passes`, in that order, of
+    ``(position, divisor)`` pairs for the positions of the pass's subset
+    whose modulus shares a factor with the pass's product — almost always
+    short lists, which is what keeps result payloads small.
     """
     backend: BigIntBackend = state["backend"]
     gcd = backend.gcd
     unwrap = backend.unwrap
-    tree = state["trees"][i]
+    trees = state["trees"]
+    tree = trees[i]
     leaves = tree[0]
     telemetry = get_telemetry()
     if i == j:
-        with telemetry.span("batch_gcd.task.remainder_tree", own=True):
+        with telemetry.span(
+            "batch_gcd.task.remainder_tree", own=True, walk="remainder"
+        ):
             remainders = remainder_tree_squared(tree)
-        return [
+        return [[
             (pos, unwrap(d))
             for pos, (n, z) in enumerate(zip(leaves, remainders))
             if (d := gcd(n, z // n)) > 1
-        ]
+        ]]
     if state["foreign_pass"] == "descent":
-        found = gcd_descent_hits(tree, state["products"][j], gcd=gcd)
-        telemetry.counter("batch_gcd.alltoall.pruned_pairs", int(not found))
-        return [(pos, unwrap(d)) for pos, d in found]
-    with telemetry.span("batch_gcd.task.remainder_tree", own=False):
+        # Every node c of tree i divides P_i, so gcd(c, gcd(P_i, P_j)) ==
+        # gcd(c, P_j): one root gcd serves both directions of the pair.
+        with telemetry.span(
+            "batch_gcd.task.remainder_tree", own=False, walk="descent"
+        ):
+            shared = gcd(state["products"][i], state["products"][j])
+            found = [
+                gcd_descent_hits(trees[s], shared, gcd=gcd) if shared > 1 else []
+                for s in (i, j)
+            ]
+        telemetry.counter("batch_gcd.alltoall.pruned_pairs", 2 * int(shared <= 1))
+        return [[(pos, unwrap(d)) for pos, d in hits] for hits in found]
+    with telemetry.span(
+        "batch_gcd.task.remainder_tree", own=False, walk="remainder"
+    ):
         remainders = remainder_tree_prepared(
             state["products"][j], tree, state["reciprocals"][i]
         )
-    return [
+    return [[
         (pos, unwrap(d))
         for pos, (n, z) in enumerate(zip(leaves, remainders))
         if (d := gcd(n, z)) > 1
-    ]
+    ]]
 
 
 def _execute_chunk(
-    state: dict[str, Any], pairs: Sequence[tuple[int, int]]
+    state: dict[str, Any], tasks: Sequence[tuple[int, int]]
 ) -> tuple[list[tuple[int, int, list[tuple[int, int]], float]], dict[str, Any] | None]:
-    """Run a chunk of (subset, product) index pairs against broadcast state.
+    """Run a chunk of tasks against broadcast state.
 
-    Returns per-task ``(i, j, sparse_divisors, seconds)`` records plus the
-    serialised telemetry report when instrumentation is on (one
-    ``batch_gcd.task`` span and timer observation per task).
+    Returns one ``(i, j, sparse_divisors, seconds)`` record per pass — a
+    paired task's second pass carries 0 s, so the records still sum to
+    task time — plus the serialised telemetry report when instrumentation
+    is on (one ``batch_gcd.task`` span and timer observation per task).
     """
+    paired = state["foreign_pass"] == "descent"
+
+    def records(task, found, seconds):
+        return [
+            (i, j, hits, seconds if n == 0 else 0.0)
+            for n, ((i, j), hits) in enumerate(
+                zip(_task_passes(task, paired), found)
+            )
+        ]
+
     if not state["instrument"]:
         clock = get_telemetry().clock
         results = []
-        for i, j in pairs:
+        for i, j in tasks:
             started = clock.wall()
             found = _task_divisors(state, i, j)
-            results.append((i, j, found, clock.wall() - started))
+            results.extend(records((i, j), found, clock.wall() - started))
         return results, None
     telemetry = Telemetry()
     clock = telemetry.clock
     results = []
     with use_telemetry(telemetry):
-        for i, j in pairs:
+        for i, j in tasks:
             started = clock.wall()
             with telemetry.span(
                 "batch_gcd.task",
@@ -316,7 +368,7 @@ def _execute_chunk(
                 found = _task_divisors(state, i, j)
             seconds = clock.wall() - started
             telemetry.observe("batch_gcd.task", seconds, seconds)
-            results.append((i, j, found, seconds))
+            results.extend(records((i, j), found, seconds))
     return results, telemetry.report().to_dict()
 
 
@@ -325,20 +377,20 @@ def _faulted_chunk(
     plan: FaultPlan | None,
     chunk_id: int,
     attempt: int,
-    pairs: Sequence[tuple[int, int]],
+    tasks: Sequence[tuple[int, int]],
     *,
     pooled: bool,
 ) -> tuple[list[tuple[int, int, list[tuple[int, int]], float]], dict[str, Any] | None]:
     """Execute one chunk attempt through the fault seam."""
     rule = trigger_fault(plan, chunk_id, attempt, pooled=pooled)
-    results, report = _execute_chunk(state, pairs)
+    results, report = _execute_chunk(state, tasks)
     if rule is not None and rule.kind == "corrupt":
         results = corrupt_chunk_results(results)
     return results, report
 
 
 def _run_chunk(
-    chunk_id: int, attempt: int, pairs: Sequence[tuple[int, int]]
+    chunk_id: int, attempt: int, tasks: Sequence[tuple[int, int]]
 ) -> tuple[list[tuple[int, int, list[tuple[int, int]], float]], dict[str, Any] | None]:
     """Process-pool entry point (top level so it pickles): index pairs only."""
     assert _WORKER_STATE is not None, "worker used before _pool_init broadcast"
@@ -347,16 +399,22 @@ def _run_chunk(
         _WORKER_STATE["fault_plan"],
         chunk_id,
         attempt,
-        pairs,
+        tasks,
         pooled=True,
     )
 
 
-def _verify_chunk(chunk_id: int, pairs: Sequence[tuple[int, int]], result: Any) -> None:
-    """Completeness check: one record per submitted (subset, product) pair."""
+def _verify_chunk(
+    chunk_id: int,
+    tasks: Sequence[tuple[int, int]],
+    result: Any,
+    *,
+    paired: bool,
+) -> None:
+    """Completeness check: one record per pass of every submitted task."""
     results, _report = result
     got = {(i, j) for i, j, _found, _seconds in results}
-    expected = set(pairs)
+    expected = {p for task in tasks for p in _task_passes(task, paired)}
     if got != expected:
         raise ChunkResultError(
             f"chunk {chunk_id} returned passes {sorted(got)} "
@@ -369,13 +427,14 @@ class ClusteredBatchGcd:
 
     Args:
         k: number of subsets (the paper used 16 for 81 M moduli).
-        processes: worker processes for the ``k**2`` tasks.  ``None`` runs
+        processes: worker processes for the tasks.  ``None`` runs
             in-process (a "simulated cluster", still exercising the exact
             task decomposition); values >= 1 use a process pool.
         foreign_pass: how a subset is tested against a foreign product —
-            ``"remainder"`` (the paper's remainder tree; the default) or
-            ``"descent"`` (root gcd plus coprime-pruned descent, the
-            all-to-all engine).  Results are byte-identical.
+            ``"remainder"`` (the paper's remainder tree, ``k**2`` tasks;
+            the default) or ``"descent"`` (one root gcd per subset pair
+            plus coprime-pruned descents, the all-to-all engine).
+            Results are byte-identical.
         backend: big-int backend name (``"python"``, ``"gmpy2"``), an
             already-resolved :class:`~repro.numt.backend.BigIntBackend`,
             or ``None`` for ``$REPRO_NUMT_BACKEND``, else python.
@@ -485,21 +544,32 @@ class ClusteredBatchGcd:
             crossshard_bytes = (k - 1) * sum((b + 7) // 8 for b in bits)
             telemetry.counter("batch_gcd.ipc_crossshard_bytes", crossshard_bytes)
 
-        # Largest operands first: heavy subsets up front, and within each
-        # subset the own pass (squared push-down, the heaviest) leads.
+        # Largest operands first.  Remainder: heavy subsets up front, and
+        # within each subset the own pass (squared push-down, the
+        # heaviest) leads.  Descent: the k own passes, then one task per
+        # unordered subset pair, largest products first.
         order = sorted(range(k), key=lambda s: (-bits[s], s))
         tasks: list[tuple[int, int]] = []
-        for i in order:
-            tasks.append((i, i))
+        if descent:
+            tasks.extend((i, i) for i in order)
             tasks.extend(
-                (i, j)
-                for j in sorted(
-                    (j for j in range(k) if j != i),
-                    key=lambda j: (-bits[j], j),
+                sorted(
+                    ((i, j) for i in range(k) for j in range(i + 1, k)),
+                    key=lambda t: (-(bits[t[0]] + bits[t[1]]), t),
                 )
             )
+        else:
+            for i in order:
+                tasks.append((i, i))
+                tasks.extend(
+                    (i, j)
+                    for j in sorted(
+                        (j for j in range(k) if j != i),
+                        key=lambda j: (-bits[j], j),
+                    )
+                )
 
-        partials: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        restored: dict[tuple[int, int], list[tuple[int, int]]] = {}
         store = None
         if self.checkpoint_dir is not None:
             store = CheckpointStore(
@@ -508,17 +578,29 @@ class ClusteredBatchGcd:
                 k=k,
                 backend=backend.name,
             )
-            partials.update(store.load())
-        remaining_tasks = [t for t in tasks if t not in partials]
+            restored = store.load()
+        partials = dict(restored)
+        # A task runs unless every pass it settles was restored; a paired
+        # task with one restored pass recomputes it but records only the
+        # other.
+        remaining_tasks = [
+            t
+            for t in tasks
+            if any(p not in restored for p in _task_passes(t, descent))
+        ]
         chunk_size = max(1, k // 4)
         chunks = [
             remaining_tasks[c : c + chunk_size]
             for c in range(0, len(remaining_tasks), chunk_size)
         ]
-        telemetry.gauge("batch_gcd.queue_depth", len(remaining_tasks))
+        remaining = sum(
+            p not in restored
+            for t in remaining_tasks
+            for p in _task_passes(t, descent)
+        )
+        telemetry.gauge("batch_gcd.queue_depth", remaining)
 
         cpu_seconds = prologue_seconds
-        remaining = len(remaining_tasks)
         broadcast_bytes = 0
         task_bytes = 0
         checkpoint_written = 0
@@ -545,10 +627,11 @@ class ClusteredBatchGcd:
             results, report = outcome
             completed_passes: dict[tuple[int, int], list[tuple[int, int]]] = {}
             for i, j, found, seconds in results:
-                partials[(i, j)] = found
-                completed_passes[(i, j)] = found
                 cpu_seconds += seconds
-            remaining -= len(results)
+                if (i, j) not in restored:
+                    partials[(i, j)] = found
+                    completed_passes[(i, j)] = found
+            remaining -= len(completed_passes)
             # Drain progress is reported whether or not the chunk carried
             # a worker report (uninstrumented runs still gauge).
             telemetry.gauge("batch_gcd.queue_depth", remaining)
@@ -559,13 +642,16 @@ class ClusteredBatchGcd:
                 store.record(completed_passes)
                 checkpoint_written += len(completed_passes)
 
-        def local_chunk(chunk_id: int, attempt: int, pairs):
+        def local_chunk(chunk_id: int, attempt: int, chunk):
             return _faulted_chunk(
-                state, plan, chunk_id, attempt, pairs, pooled=False
+                state, plan, chunk_id, attempt, chunk, pooled=False
             )
 
-        def fallback_chunk(chunk_id: int, pairs):
-            return _execute_chunk(state, pairs)
+        def fallback_chunk(chunk_id: int, chunk):
+            return _execute_chunk(state, chunk)
+
+        def verify_chunk(chunk_id: int, chunk, result) -> None:
+            _verify_chunk(chunk_id, chunk, result, paired=descent)
 
         pool_factory = None
         on_submit = None
@@ -589,9 +675,9 @@ class ClusteredBatchGcd:
 
             if instrument:
 
-                def on_submit(chunk_id: int, pairs) -> None:
+                def on_submit(chunk_id: int, chunk) -> None:
                     nonlocal task_bytes
-                    payload = len(pickle.dumps(pairs))
+                    payload = len(pickle.dumps(chunk))
                     task_bytes += payload
                     telemetry.counter("batch_gcd.ipc_task_bytes", payload)
 
@@ -602,7 +688,7 @@ class ClusteredBatchGcd:
             pool_factory=pool_factory,
             pool_task=_run_chunk,
             local_task=local_chunk,
-            verify=_verify_chunk,
+            verify=verify_chunk,
             window=(
                 (self.max_inflight or 2 * self.processes)
                 if self.processes is not None
@@ -625,7 +711,7 @@ class ClusteredBatchGcd:
             ipc_broadcast_bytes=broadcast_bytes,
             ipc_task_bytes=task_bytes,
             ipc_crossshard_bytes=crossshard_bytes,
-            checkpoint_loaded=len(tasks) - len(remaining_tasks),
+            checkpoint_loaded=len(restored),
             checkpoint_written=checkpoint_written,
         )
         self.last_stats.apply_recovery(recovery_stats)

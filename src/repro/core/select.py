@@ -3,19 +3,23 @@
 The engines are interchangeable behind ``run(moduli) -> BatchGcdResult``
 but have very different cost shapes: the classic tree wins small corpora
 outright, the pooled clustered engine wins large corpora on multi-core
-hosts but pays pool startup (BENCH_batchgcd.json: 0.039 s pooled vs
-0.0165 s in-process at n=616), and the incremental engine wins the
+hosts but pays pool startup, and the incremental engine wins the
 serving path where runs extend a persistent corpus.  This module owns
 the decision so the pipeline, the CLIs and the service all pick the same
 way:
 
 - ``engine="classic"`` / ``"clustered"`` / ``"incremental"`` /
-  ``"alltoall"`` select explicitly; ``"alltoall"`` is the clustered
-  engine with its ``descent`` foreign pass, one logical node per subset
-  (so its shard count is ``k``);
+  ``"alltoall"`` select explicitly; ``"clustered"`` is the paper's
+  Figure 2 algorithm (the ``remainder`` foreign pass, ``k**2`` tasks),
+  and ``"alltoall"`` the same driver with its ``descent`` foreign pass,
+  one logical node per subset (so its shard count is ``k``), which
+  settles each subset pair with one root gcd;
 - ``engine="auto"`` (the default study setting) picks the incremental
   engine when a persistent ``store_dir`` is configured, and otherwise
-  clustered — in-process for small corpora or single-core hosts, pooled
+  the ``descent`` pass, reported as ``"alltoall"`` — it beats
+  ``remainder`` on every corpus size this repo runs (BENCH_batchgcd.json
+  ``crossover`` and ``scaling``; docs/PERFORMANCE.md states where the gap
+  closes) — in-process for small corpora or single-core hosts, pooled
   with a derived worker count once the corpus is large enough
   (:data:`AUTO_POOL_MIN_MODULI`) for the pool to amortise its startup.
 
@@ -68,9 +72,12 @@ __all__ = [
 ENGINE_NAMES = ("auto", "classic", "clustered", "incremental", "alltoall")
 
 #: Smallest corpus for which ``auto`` reaches for a process pool: below
-#: this, pool startup dominates (measured crossover in BENCH_batchgcd.json
-#: — pooled streaming only breaks even in the low thousands of moduli).
-AUTO_POOL_MIN_MODULI = 2000
+#: this, pool startup dominates.  BENCH_batchgcd.json ``auto_pool`` (paired
+#: descent at k=16, 256-bit moduli, 2 workers on a 2-core host): pooled
+#: 0.052 s vs 0.032 s in-process at n=600, a tie at n=1000 (0.071 vs
+#: 0.070 s), and pooling wins from n=1500 (0.123 vs 0.147 s) at every
+#: larger size measured up to n=3000.
+AUTO_POOL_MIN_MODULI = 1500
 
 #: Worker-count ceiling for ``auto`` pooled runs; beyond this the k-way
 #: task graph stops scaling for corpora near the pool threshold.
@@ -84,8 +91,8 @@ class EngineConfig:
     Attributes:
         engine: one of :data:`ENGINE_NAMES`.  ``"auto"`` prefers the
             incremental engine when ``store_dir`` is set and otherwise
-            derives in-process vs pooled clustered execution from corpus
-            size and core count.
+            runs ``"alltoall"``, deriving in-process vs pooled execution
+            from corpus size and core count.
         k: subset count for the clustered engine (the logical node count
             under ``"alltoall"``); the engine caps it at the corpus size.
         processes: worker processes (None = in-process, or derived by
@@ -122,9 +129,10 @@ ENGINE_FLAGS: dict[str, dict[str, Any]] = {
     "engine": {
         "choices": ENGINE_NAMES,
         "metavar": "NAME",
-        "help": "batch-GCD engine: classic, clustered, incremental, "
-        "alltoall (clustered with the all-to-all descent foreign pass), or "
-        "auto (incremental when a store dir is set, else clustered, pooled "
+        "help": "batch-GCD engine: classic, clustered (the paper's k**2 "
+        "remainder-tree passes), incremental, alltoall (clustered with the "
+        "all-to-all descent foreign pass: one root gcd per subset pair), or "
+        "auto (incremental when a store dir is set, else alltoall, pooled "
         "once the corpus is large enough for the pool to pay off)",
     },
     "k": {"type": int, "metavar": "K", "help": "clustered-engine subset count"},
@@ -317,9 +325,13 @@ def select_engine(
             f"alltoall engine requested: descent foreign pass over "
             f"k={config.k} subsets",
         )
-    pool, reason = (
-        auto_processes(corpus_size, requested=processes, cores=cores)
-        if engine == "auto"
-        else (processes, "clustered engine requested")
+    if engine == "auto":
+        pool, reason = auto_processes(corpus_size, requested=processes, cores=cores)
+        return EngineChoice(
+            "alltoall", clustered(pool, "descent"), pool,
+            f"auto: descent foreign pass; {reason}",
+        )
+    return EngineChoice(
+        "clustered", clustered(processes, "remainder"), processes,
+        "clustered engine requested",
     )
-    return EngineChoice("clustered", clustered(pool, "remainder"), pool, reason)

@@ -18,7 +18,8 @@ helper here, plus the fsync moves they share:
   the new directory entry after a SIGKILL, but only a directory fsync
   pins it across power loss.
 - :func:`append_jsonl` / :func:`read_jsonl` — the append-only log: one
-  JSON record per line, fsynced before the append returns.  One torn-tail
+  JSON record per line, fsynced before the append returns (the append
+  that creates the log fsyncs its directory too).  One torn-tail
   policy covers every log: a kill mid-append leaves a partial final
   line, which :func:`read_jsonl` skips and the next :func:`append_jsonl`
   newline-terminates first, so the records on both sides of a tear
@@ -95,10 +96,13 @@ def append_jsonl(path: str | Path, records: Iterable[Any]) -> None:
     first, so the torn fragment stays one unparsable line that
     :func:`read_jsonl` skips instead of swallowing the first new record.
     The lines are fsynced before the call returns.  Parent directories
-    are created on demand.
+    are created on demand, and the append that creates the file also
+    fsyncs its directory, so a power loss cannot drop the new log's
+    directory entry; appends to an existing log fsync only the file.
     """
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
+    created = not target.exists()
     text = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
     with open(target, "ab+") as handle:
         if handle.tell():
@@ -107,6 +111,8 @@ def append_jsonl(path: str | Path, records: Iterable[Any]) -> None:
                 text = "\n" + text
         handle.write(text.encode("utf-8"))
         fsync_file(handle)
+    if created:
+        fsync_dir(target.parent)
 
 
 def read_jsonl(path: str | Path) -> list[Any]:

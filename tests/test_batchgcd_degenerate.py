@@ -24,7 +24,11 @@ import random
 
 import pytest
 
-from tests.harness_differential import assert_alltoall_parity, engine_matrix
+from tests.harness_differential import (
+    assert_alltoall_parity,
+    assert_engine_parity,
+    engine_matrix,
+)
 from repro.core.batchgcd import batch_gcd
 from repro.core.clustered import FOREIGN_PASSES, ClusteredBatchGcd
 from repro.crypto.primes import generate_prime
@@ -283,6 +287,16 @@ class TestAllToAllShardCounts:
     def test_byte_identical_to_clustered(self, name, moduli, k):
         result = assert_alltoall_parity(moduli, k=k)
         assert _flags(result) == _flags(batch_gcd(moduli))
+
+    @pytest.mark.parametrize(
+        "name,moduli", CORPORA, ids=[n for n, _ in CORPORA]
+    )
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_engine_matrix_parity_across_pair_schedules(self, name, moduli, k):
+        # The descent pass settles each subset pair in one task: k=2 has
+        # one pair, k=3 three, and k=5 ten over uneven subsets, which
+        # split the prime powers, duplicates and cliques differently.
+        assert_engine_parity(moduli, k=k, processes=2)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 7])
     def test_pooled_byte_identical_to_clustered(self, k):

@@ -26,6 +26,7 @@ from repro.core.batchgcd import batch_gcd
 from repro.core.clustered import ClusteredBatchGcd
 from repro.core.results import merge_sparse_hits
 from repro.crypto.primes import generate_prime
+from repro.numt.backend import BigIntBackend
 from repro.numt.trees import product_tree
 from repro.telemetry import Telemetry, use_telemetry
 
@@ -116,7 +117,8 @@ class TestAllToAllEngine:
         stats = engine.last_stats
         assert stats.engine == "alltoall"
         assert stats.k == 4
-        assert stats.tasks == 16
+        # k own passes plus one task per unordered subset pair.
+        assert stats.tasks == 4 + 4 * 3 // 2
         assert stats.tree_builds == 4
         assert stats.ipc_crossshard_bytes > 0
         assert stats.wall_seconds > 0
@@ -151,21 +153,27 @@ class TestAllToAllEngine:
             for c in report.find_span("batch_gcd").children
             if c.name == "batch_gcd.task"
         ]
-        assert len(tasks) == 16
-        # Foreign passes descend; only the k own passes run a remainder tree.
+        assert len(tasks) == 10
+        # The k own passes walk a remainder tree; each of the six pair
+        # tasks wraps its root gcd and both descents in one foreign span.
         passes = [
             c
             for task in tasks
             for c in task.children
             if c.name == "batch_gcd.task.remainder_tree"
         ]
-        assert len(passes) == 4 and all(c.attrs["own"] for c in passes)
+        own = [c for c in passes if c.attrs["own"]]
+        foreign = [c for c in passes if not c.attrs["own"]]
+        assert len(own) == 4
+        assert all(c.attrs["walk"] == "remainder" for c in own)
+        assert len(foreign) == 6
+        assert all(c.attrs["walk"] == "descent" for c in foreign)
         assert (
             report.counters["batch_gcd.ipc_crossshard_bytes"]
             == engine.last_stats.ipc_crossshard_bytes
         )
         assert report.gauges["batch_gcd.queue_depth"] == 0
-        assert report.counters["batch_gcd.tasks"] == 16
+        assert report.counters["batch_gcd.tasks"] == 10
 
     def test_pruned_pairs_counted_on_disjoint_shards(self):
         # Two subsets sharing nothing: every foreign pass is settled by
@@ -180,6 +188,27 @@ class TestAllToAllEngine:
             _alltoall(2).run(clean)
         report = telemetry.report()
         assert report.counters["batch_gcd.alltoall.pruned_pairs"] == 2
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 7])
+    def test_one_root_gcd_per_subset_pair(self, corpus, k):
+        # Each unordered pair {s, j} computes gcd(P_s, P_j) once and
+        # settles both passes (s, j) and (j, s) with it.
+        products = {product_tree(corpus[s::k])[-1][0] for s in range(k)}
+        root_gcds = []
+
+        def counting_gcd(a, b):
+            if a in products and b in products:
+                root_gcds.append((a, b))
+            return math.gcd(a, b)
+
+        backend = BigIntBackend(
+            name="python", wrap=int, unwrap=int, gcd=counting_gcd,
+            use_barrett=True,
+        )
+        result = _alltoall(k, backend=backend).run(corpus)
+        assert len(root_gcds) == k * (k - 1) // 2
+        assert len({frozenset(pair) for pair in root_gcds}) == len(root_gcds)
+        assert result.divisors == ClusteredBatchGcd(k=k).run(corpus).divisors
 
     def test_checkpoint_resume_is_byte_identical(self, corpus, tmp_path):
         first = _alltoall(3, checkpoint_dir=tmp_path)

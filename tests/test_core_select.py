@@ -35,8 +35,8 @@ class TestAutoProcesses:
         assert auto_processes(10**6, cores=1)[0] is None
 
     def test_small_corpus_stays_in_process(self):
-        # BENCH_batchgcd.json: pool startup dominates small corpora
-        # (0.039 s pooled vs 0.0165 s in-process at n=616).
+        # BENCH_batchgcd.json auto_pool: pool startup dominates small
+        # corpora (0.052 s pooled vs 0.032 s in-process at n=600).
         assert auto_processes(616, cores=8)[0] is None
         assert auto_processes(AUTO_POOL_MIN_MODULI - 1, cores=8)[0] is None
 
@@ -67,14 +67,18 @@ class TestSelectEngine:
             select_engine(100, max_retries=2)
 
     def test_auto_small_corpus_is_in_process_clustered(self):
+        # auto runs the clustered driver with its descent foreign pass,
+        # reported as alltoall.
         choice = select_engine(100, engine="auto", cores=8)
-        assert choice.name == "clustered"
+        assert choice.name == "alltoall"
+        assert choice.engine.foreign_pass == "descent"
         assert choice.processes is None
         assert choice.engine.processes is None
 
     def test_auto_large_corpus_pools(self):
         choice = select_engine(10_000, engine="auto", cores=4)
-        assert choice.name == "clustered"
+        assert choice.name == "alltoall"
+        assert choice.engine.foreign_pass == "descent"
         assert choice.processes == 3
         assert choice.engine.processes == 3
 
@@ -88,6 +92,15 @@ class TestSelectEngine:
     def test_explicit_clustered_keeps_requested_processes(self):
         choice = select_engine(10_000, engine="clustered", cores=8)
         assert choice.processes is None  # no auto-derivation when explicit
+
+    def test_explicit_clustered_keeps_the_remainder_pass(self):
+        # --engine clustered is the paper's Figure 2 algorithm: k**2
+        # remainder-tree tasks, whatever auto picks.
+        choice = select_engine(10_000, engine="clustered", k=3)
+        assert choice.name == "clustered"
+        assert choice.engine.foreign_pass == "remainder"
+        choice.engine.run(_corpus(6))
+        assert choice.engine.last_stats.tasks == 9
 
     def test_explicit_alltoall_defaults_shards(self):
         # The all-to-all engine is the clustered driver's descent pass,
@@ -153,7 +166,7 @@ class TestNoSilentFallback:
     def test_auto_without_conflicts_still_resolves(self, tmp_path):
         # The guard must not over-trigger: a store routes auto to the
         # incremental engine, and so does an explicit incremental request.
-        assert select_engine(100, engine="auto").name == "clustered"
+        assert select_engine(100, engine="auto").name == "alltoall"
         assert (
             select_engine(
                 100, engine="auto", store_dir=tmp_path / "s"

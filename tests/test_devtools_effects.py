@@ -406,14 +406,15 @@ class TestRealRepoSummaries:
     def test_journal_append_fsyncs_and_read_is_guarded(self):
         # The one JSONL append and the one line-by-line read.  The append
         # opens for append and writes itself, and fsyncs through
-        # fsync_file; every log (the journal included) routes through it.
+        # fsync_file (and, when it creates the log, fsync_dir); every log
+        # (the journal included) routes through it.
         graph = build(
             REPO_ROOT, "src/repro/faults/fsio.py", "src/repro/faults/journal.py"
         )
         index = graph.effect_index()
         append = index.effects("repro.faults.fsio.append_jsonl")
         assert {"open_append", "write"} <= append.own
-        assert {"flush", "fsync"} <= append.transitive
+        assert {"flush", "fsync", "dir_fsync"} <= append.transitive
         assert "repro.faults.fsio.fsync_file" in (
             graph.functions["repro.faults.fsio.append_jsonl"].calls
         )

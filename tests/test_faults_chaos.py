@@ -12,8 +12,10 @@ rebuilds), and finishes with the end-to-end drill: SIGKILL the CLI
 mid-computation, resume from its checkpoint, and compare output
 byte-for-byte against an undisturbed run.
 
-Both strategies drive the same pass graph, so at ``k=3`` both run nine
-single-pass chunks with ids 0..8 and share the plan arithmetic.
+At ``k=3`` every chunk holds one task.  The remainder pass runs nine
+single-pass tasks (chunk ids 0..8); the descent pass runs the three own
+passes plus one task per subset pair, six chunks (ids 0..5) that settle
+the same nine passes.
 """
 
 import os
@@ -55,14 +57,20 @@ def _corpus(seed=21, size=18, bits=40):
 MODULI = _corpus()
 BASELINE = batch_gcd(MODULI)
 
-#: k=3 gives chunk size 1, so every run has 9 chunks with ids 0..8 —
-#: the plan arithmetic below relies on it.
+#: k=3 gives chunk size 1, so every run has one chunk per task, with ids
+#: counting up from 0 — the plan arithmetic below relies on it.
 K = 3
-N_CHUNKS = K * K
 
 #: The engines the chaos matrix sweeps, by the foreign pass they select.
 ENGINES = ("clustered", "alltoall")
 FOREIGN_PASS = {"clustered": "remainder", "alltoall": "descent"}
+
+#: Chunks per run, from each strategy's task graph: k**2 passes for the
+#: remainder pass; k own passes plus k(k-1)/2 subset pairs for descent.
+N_CHUNKS = {"clustered": K * K, "alltoall": K + K * (K - 1) // 2}
+
+#: (subset, product) passes per run, the same under both strategies.
+N_PASSES = K * K
 
 
 def _make_engine(engine, plan, processes=None, recovery=FAST, **kwargs):
@@ -90,16 +98,16 @@ class TestInProcessFaultMatrix:
     def test_crash_every_chunk_once(self, engine):
         plan = FaultPlan(seed=1, rules=(FaultRule(kind="crash", times=1),))
         stats = _run(engine, plan)
-        assert stats.retries == N_CHUNKS
-        assert stats.crashed_chunks == N_CHUNKS
+        assert stats.retries == N_CHUNKS[engine]
+        assert stats.crashed_chunks == N_CHUNKS[engine]
         assert stats.inprocess_fallbacks == 0
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_corrupt_every_chunk_once(self, engine):
         plan = FaultPlan(seed=1, rules=(FaultRule(kind="corrupt", times=1),))
         stats = _run(engine, plan)
-        assert stats.retries == N_CHUNKS
-        assert stats.corrupt_chunks == N_CHUNKS
+        assert stats.retries == N_CHUNKS[engine]
+        assert stats.corrupt_chunks == N_CHUNKS[engine]
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_slow_chunks_complete_without_retry(self, engine):
@@ -118,7 +126,7 @@ class TestInProcessFaultMatrix:
                 FaultRule(kind="corrupt", rate=0.3, times=1),
             ),
         )
-        schedule = plan.schedule(range(N_CHUNKS))
+        schedule = plan.schedule(range(N_CHUNKS[engine]))
         assert schedule, "seed must select at least one chunk"
         expected_retries = sum(len(kinds) for kinds in schedule.values())
         expected_crashes = sum(
@@ -209,10 +217,10 @@ class TestCheckpointResume:
             engine, plan, checkpoint_dir=tmp_path,
         )
         r1 = first.run(MODULI)
-        assert first.last_stats.checkpoint_written == N_CHUNKS
+        assert first.last_stats.checkpoint_written == N_PASSES
         second = _make_engine(engine, None, checkpoint_dir=tmp_path)
         r2 = second.run(MODULI)
-        assert second.last_stats.checkpoint_loaded == N_CHUNKS
+        assert second.last_stats.checkpoint_loaded == N_PASSES
         assert second.last_stats.checkpoint_written == 0
         assert r1.divisors == r2.divisors == BASELINE.divisors
 
@@ -232,7 +240,7 @@ class TestCheckpointResume:
         resumed = ClusteredBatchGcd(k=K, checkpoint_dir=tmp_path)
         result = resumed.run(MODULI)
         assert resumed.last_stats.checkpoint_loaded == 3
-        assert resumed.last_stats.checkpoint_written == N_CHUNKS - 3
+        assert resumed.last_stats.checkpoint_written == N_PASSES - 3
         assert result.divisors == reference.divisors
 
 

@@ -1,9 +1,12 @@
 """Unit tests for the durable filesystem primitives (`repro.faults.fsio`)."""
 
 import os
+import stat
+from pathlib import Path
 
 import pytest
 
+from repro.faults import fsio
 from repro.faults.fsio import (
     append_jsonl,
     atomic_write_text,
@@ -11,6 +14,19 @@ from repro.faults.fsio import (
     fsync_file,
     read_jsonl,
 )
+from repro.faults.journal import MutationJournal
+
+
+def _record_dir_fsyncs(monkeypatch):
+    """Every directory :func:`fsync_dir` is called on, in call order."""
+    synced = []
+    real_fsync_dir = fsio.fsync_dir
+    monkeypatch.setattr(
+        fsio,
+        "fsync_dir",
+        lambda path: (synced.append(Path(path)), real_fsync_dir(path)),
+    )
+    return synced
 
 
 class TestFsyncFile:
@@ -122,9 +138,39 @@ class TestJsonl:
         monkeypatch.setattr(
             os,
             "fsync",
-            lambda fd: (synced.append(path.read_text()), real_fsync(fd)),
+            lambda fd: (
+                synced.append(
+                    "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else path.read_text()
+                ),
+                real_fsync(fd),
+            ),
         )
         append_jsonl(path, [{"n": 1}])
         append_jsonl(path, [{"n": 2}])
-        # One fsync per append, each after that append's bytes are written.
-        assert synced == ['{"n": 1}\n', '{"n": 1}\n{"n": 2}\n']
+        # One file fsync per append, each after that append's bytes are
+        # written; the append that created the log also fsyncs its
+        # directory.
+        assert synced == ['{"n": 1}\n', "dir", '{"n": 1}\n{"n": 2}\n']
+
+    def test_only_the_creating_append_fsyncs_the_directory(
+        self, tmp_path, monkeypatch
+    ):
+        synced_dirs = _record_dir_fsyncs(monkeypatch)
+        path = tmp_path / "logs" / "log.jsonl"
+        append_jsonl(path, [{"n": 1}])
+        assert synced_dirs == [path.parent]
+        append_jsonl(path, [{"n": 2}])
+        append_jsonl(path, [])
+        assert synced_dirs == [path.parent]
+
+    def test_append_to_a_committed_journal_adds_no_directory_fsync(
+        self, tmp_path, monkeypatch
+    ):
+        # MutationJournal.commit leaves an empty journal behind; the next
+        # append finds it and fsyncs only the file.
+        journal = MutationJournal(tmp_path / "journal.jsonl")
+        journal.commit(journal.append({"insert": 1}))
+        assert journal.path.read_text() == ""
+        synced_dirs = _record_dir_fsyncs(monkeypatch)
+        journal.append({"insert": 2})
+        assert synced_dirs == []

@@ -17,7 +17,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.core.clustered import ClusteredBatchGcd
+from repro.core.clustered import FOREIGN_PASSES, ClusteredBatchGcd
 from repro.crypto.primes import generate_prime
 from repro.faults import (
     CheckpointStore,
@@ -421,6 +421,43 @@ class TestCheckpointStore:
         assert resumed.last_stats.checkpoint_written == 6
         assert result.divisors == reference.divisors
         assert result.resolve() == reference.resolve()
+
+    @pytest.mark.parametrize("resume_pass", FOREIGN_PASSES)
+    def test_descent_checkpoint_missing_half_a_pair_resumes(
+        self, tmp_path, resume_pass
+    ):
+        # A descent task settles both passes of a subset pair, but the
+        # checkpoint keeps passes one by one, and can hold (0, 1) without
+        # (1, 0): a remainder run's chunks end anywhere, and a torn shard
+        # is recomputed.  Both strategies finish such a checkpoint,
+        # writing only the missing pass.
+        rng = random.Random(9)
+        pool = [generate_prime(32, rng) for _ in range(5)]
+        moduli = [
+            pool[i % 5] * generate_prime(32, rng) if i % 3 == 0
+            else generate_prime(32, rng) * generate_prime(32, rng)
+            for i in range(15)
+        ]
+        reference = ClusteredBatchGcd(k=3).run(moduli)
+        ClusteredBatchGcd(
+            k=3, foreign_pass="descent", checkpoint_dir=tmp_path
+        ).run(moduli)
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert [0, 1] in manifest["passes"]
+        manifest["passes"].remove([1, 0])
+        manifest_path.write_text(json.dumps(manifest))
+        (tmp_path / "pass-1-0.json").unlink()
+        resumed = ClusteredBatchGcd(
+            k=3, foreign_pass=resume_pass, checkpoint_dir=tmp_path
+        )
+        result = resumed.run(moduli)
+        assert resumed.last_stats.checkpoint_loaded == 8
+        assert resumed.last_stats.checkpoint_written == 1
+        assert result.divisors == reference.divisors
+        assert result.resolve() == reference.resolve()
+        manifest = json.loads(manifest_path.read_text())
+        assert len(manifest["passes"]) == 9
 
     def test_corpus_digest_is_order_sensitive(self):
         assert corpus_digest([15, 21]) != corpus_digest([21, 15])

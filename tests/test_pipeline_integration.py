@@ -24,7 +24,10 @@ class TestStudyStructure:
         stats = tiny_study.cluster_stats
         assert stats is not None
         assert stats.k == tiny_study.config.batchgcd.k
-        assert stats.tasks == stats.k**2
+        # engine="auto" runs the descent pass: k own passes plus one task
+        # per unordered subset pair.
+        assert stats.engine == "alltoall"
+        assert stats.tasks == stats.k + stats.k * (stats.k - 1) // 2
 
 
 class TestHeadlineResults:

@@ -46,7 +46,12 @@ class TestQueueJournalFsync:
         queue = JobQueue(tmp_path)
         synced = _record_fsyncs(monkeypatch)
         queue.submit(_moduli())
-        assert synced == [(tmp_path / "journal.jsonl").stat().st_ino]
+        # The submit that created the journal also fsyncs its directory.
+        journal = (tmp_path / "journal.jsonl").stat().st_ino
+        assert synced == [journal, tmp_path.stat().st_ino]
+        synced.clear()
+        queue.submit(_moduli(seed=8))
+        assert synced == [journal]
 
     def test_submitted_job_survives_an_unflushed_drop(self, tmp_path):
         """The journal on disk is the authority the moment submit returns."""
