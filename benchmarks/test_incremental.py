@@ -4,9 +4,11 @@ The serving-path question: a new modulus arrives — how long until the
 service can say whether it is weak against the existing corpus?  Before
 this store existed the only answer was a full batch-GCD recompute over
 ``corpus + [m]`` (seconds at study scale); the store answers with one
-remainder descent (``gcd(m, P mod m)``) plus an O(log n) spine rebuild
-on insert.  This benchmark measures both paths across corpus sizes and
-emits ``BENCH_incremental.json`` — the committed artifact behind the
+reduction of the corpus product's bits (``gcd(m, P mod m)``, one
+reduction per complete-block root) plus, on insert, the amortised O(1)
+block products of the append and one durable commit.  This benchmark
+measures both paths across corpus sizes and emits
+``BENCH_incremental.json`` — the committed artifact behind the
 "≥10x per-job speedup at n=8000" acceptance criterion — while asserting
 the two paths produce byte-identical divisors and factors.
 

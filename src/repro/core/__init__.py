@@ -17,8 +17,9 @@ greatest common divisor with the product of all the *other* moduli:
   remainder-tree pass.
 - :mod:`repro.core.incremental` — the serving-path engine: a persistent
   product-tree store (:mod:`repro.numt.incremental`) answering "is this
-  new modulus weak against everything seen so far?" in one descent, with
-  O(log n) inserts instead of per-run full recomputes.
+  new modulus weak against everything seen so far?" with one reduction
+  per stored block, with amortised O(1)-product inserts instead of
+  per-run full recomputes.
 - :mod:`repro.core.select` — the engine seam: declares the engine knobs
   once (:class:`~repro.core.select.EngineConfig`) and resolves an engine
   name (including ``"auto"``) to a constructed engine, deriving

@@ -7,9 +7,9 @@ one keeps the corpus tree alive between runs (on disk when ``store_dir``
 is set) and pays only for what changed:
 
 - a run whose corpus **extends** the stored corpus by a few moduli
-  inserts just the extension — one O(n)-big-int root reduction plus an
-  O(log n) spine rebuild per new modulus — instead of an O(n log n)
-  recompute;
+  inserts just the extension as one durable commit — per new modulus,
+  one reduction of the corpus product's bits plus the amortised O(1)
+  block products of its append — instead of an O(n log n) recompute;
 - a **cold** store (or an extension too large for per-modulus inserts to
   win) delegates to a bulk engine — the classic in-process tree
   (:class:`~repro.core.batchgcd.ClassicBatchGcd`) by default, or any
@@ -124,8 +124,7 @@ class IncrementalBatchGcd:
                 store.bootstrap(corpus, result.divisors)
             else:
                 self.last_mode = "incremental"
-                for m in new:
-                    store.insert(m)
+                store.extend(new)
                 inserts = len(new)
                 result = BatchGcdResult(corpus, store.divisors())
         wall = clock.wall() - started

@@ -15,8 +15,9 @@ everything the higher layers need:
   bit-error artifacts whose spurious gcd divisors are products of many small
   primes (Section 3.3.5).
 - :mod:`repro.numt.incremental` — the appendable product tree and its
-  persistent on-disk store: O(log n) insert, single-descent membership
-  checks against the whole corpus (the serving-path engine's substrate).
+  persistent on-disk store: complete-block appends (amortised O(1)
+  products), one durable commit per batch, and membership checks
+  against the whole corpus (the serving-path engine's substrate).
 
 With one deliberate exception, everything operates on plain ``int``
 values, has no I/O and records no telemetry of its own — callers that
@@ -25,7 +26,7 @@ need per-phase timings wrap these primitives in spans (see how
 :func:`product_tree` / :func:`remainder_tree` with
 ``batch_gcd.task.*`` spans).  The exception is
 :class:`~repro.numt.incremental.ProductTreeStore`, which is a durable
-store by design: it persists node shards to disk and records
+store by design: it persists its leaf log to disk and records
 ``batch_gcd.incremental.*`` spans (its pure in-memory half,
 :class:`~repro.numt.incremental.IncrementalProductTree`, keeps the
 package rule).  The tree functions are the hot path of the

@@ -8,18 +8,24 @@ This module is the serving-path answer to the corpus being *dynamic*
 seen so far):
 
 - :class:`IncrementalProductTree` keeps the corpus product tree live in
-  memory, appends a leaf by recomputing only the **rightmost spine**
-  (amortised O(log n) nodes per insert), and answers "does this new
-  modulus share a prime with the corpus?" with a **single descent**: one
-  reduction of the stored root (``gcd(m, P mod m)`` — exactly the
-  classic ``gcd(m, (P·m mod m²)/m)`` test, since ``P·m mod m² =
-  m·(P mod m)``) followed by a divisor-guided walk down the tree to
-  locate the partner leaves.
+  memory as **complete blocks** (Bentley and Saxe's logarithmic method):
+  level ``L`` holds the ``n >> L`` products of the aligned, full runs of
+  ``2**L`` leaves, and nothing else.  The corpus is the disjoint union of
+  the blocks named by the set bits of ``n``.  Appending a leaf multiplies
+  only the blocks it completes — one product per trailing one bit of
+  ``n``, amortised O(1) products per insert — and never touches a node
+  that is already built.  It answers "does this new modulus share a
+  prime with the corpus?" with one reduction per block root: the
+  residues multiply to ``P mod m``, so the divisor is ``gcd(m, P mod m)``
+  — exactly the classic ``gcd(m, (P·m mod m²)/m)`` test, since ``P·m mod
+  m² = m·(P mod m)`` — over the same bits as one reduction of ``P``.  A
+  divisor-guided descent from each block root then locates the partner
+  leaves.
 - :class:`ProductTreeStore` persists the corpus on disk — an append-only
   leaf log, an atomically-renamed manifest as the commit point, and a
   write-ahead :class:`~repro.faults.journal.MutationJournal` so a SIGKILL
-  mid-insert replays cleanly on the next open — and rebuilds the product
-  tree in memory from the leaves when it opens.  Identity extends
+  mid-job replays cleanly on the next open — and rebuilds the blocks in
+  memory from the leaves when it opens.  Identity extends
   :func:`repro.faults.checkpoint.corpus_digest`'s SHA-256 corpus digest
   to a *chained* form (:func:`extend_digest`) updatable in O(1) per
   insert: both hash the records ``f"{n:x}\\n"``, the chained form just
@@ -33,16 +39,21 @@ Layout under ``directory``::
     nodes/level-0.jsonl  # leaf log, one [index, hex] record per insert
 
 The store persists only what it cannot derive: the internal tree levels
-are products of the leaves, so they live in memory only.  Each insert
-appends its journal record, appends one leaf record, rewrites the sparse
-hits file when the vulnerable set changed, renames a fresh manifest and
-commits the journal: a kill at any point either replays the journalled
-insert on the next open or never sees it.  The journal and the leaf log
-are append-only logs of :func:`repro.faults.fsio.append_jsonl` /
+are products of the leaves, so they live in memory only.  A batch of
+moduli (:meth:`ProductTreeStore.extend`; a service job, or one modulus
+for :meth:`~ProductTreeStore.insert`) commits once: one journal record
+``{"index", "moduli": [<hex>, ...], "job"}``, then every modulus is
+probed and appended in memory, each against everything before it, then
+one leaf append, at most one rewrite of the sparse hits file, one
+manifest rename and one journal commit.  A kill at any point either
+replays the journalled batch on the next open or never sees it.  Replay
+also accepts the one-modulus record ``{"index", "m": <hex>, "job"}`` of
+stores that committed per modulus.  The journal and the leaf log are
+append-only logs of :func:`repro.faults.fsio.append_jsonl` /
 :func:`~repro.faults.fsio.read_jsonl`, so a torn final line is skipped on
 read and newline-terminated before the next append.  Leaf records at or
-past the committed count (an insert killed before its manifest rename)
-are ignored; the journal replays them.
+past the committed count (a batch killed before its manifest rename) are
+ignored; the journal replays them.
 
 Divisor semantics match the clustered engine's: the accumulated divisor
 for a corpus member is the gcd-capped lcm of its pairwise shares, so the
@@ -54,9 +65,10 @@ be a proper divisor of the classic one, exactly as for
 
 Telemetry (active registry, see :mod:`repro.telemetry`): each probe
 records a ``batch_gcd.incremental.descend`` span (annotated with the
-partner count), each insert a ``batch_gcd.incremental.insert`` span plus
-the ``batch_gcd.incremental.rebuild_bytes`` counter (bytes of spine
-nodes recomputed) and the ``batch_gcd.incremental.store_nodes`` gauge;
+partner count), each inserted modulus a ``batch_gcd.incremental.insert``
+span (annotated with ``built_nodes``, the nodes its append computed) plus
+the ``batch_gcd.incremental.rebuild_bytes`` counter (bytes of those
+nodes) and the ``batch_gcd.incremental.store_nodes`` gauge;
 bootstrapping records one ``batch_gcd.incremental.bootstrap`` span.
 """
 
@@ -71,7 +83,7 @@ from typing import Any, Iterable, NamedTuple, Sequence
 from repro.faults.fsio import append_jsonl, atomic_write_text, fsync_dir, read_jsonl
 from repro.faults.journal import MutationJournal
 from repro.numt.backend import BigIntBackend, resolve_backend
-from repro.numt.trees import gcd_descent_hits, product_tree
+from repro.numt.trees import gcd_descent_hits
 from repro.telemetry import get_telemetry
 
 __all__ = [
@@ -130,11 +142,16 @@ class StoreCorruptError(RuntimeError):
 
 
 class IncrementalProductTree:
-    """An appendable product tree with divisor-guided descent.
+    """An appendable product tree of complete blocks, with descent.
 
-    The level structure is identical to :func:`repro.numt.trees.product_tree`
-    (leaves first, odd nodes promoted), so a freshly appended tree is
-    level-for-level equal to a batch-built one over the same corpus.
+    Node ``(L, i)`` is the product of leaves ``[i·2**L, (i+1)·2**L)``, and
+    level ``L`` holds exactly the ``n >> L`` such nodes that are
+    complete.  So every stored node equals the node of
+    :func:`repro.numt.trees.product_tree` at the same ``(level, index)``;
+    what is left out are the partial right-edge nodes, which
+    ``product_tree`` promotes or multiplies and an append would have to
+    recompute.  The last node of each odd-length level is a *block root*:
+    the roots cover the corpus, largest block first.
 
     Args:
         moduli: initial corpus (appended in order).
@@ -147,10 +164,11 @@ class IncrementalProductTree:
         backend: str | BigIntBackend | None = None,
     ) -> None:
         self._backend = resolve_backend(backend)
-        if moduli:
-            self._levels = product_tree(moduli, backend=self._backend)
-        else:
-            self._levels = [[]]
+        level = self._backend.wrap_all(moduli) if moduli else []
+        self._levels = [level]
+        while len(level) > 1:
+            level = [level[i] * level[i + 1] for i in range(0, len(level) - 1, 2)]
+            self._levels.append(level)
 
     @property
     def backend(self) -> BigIntBackend:
@@ -164,8 +182,6 @@ class IncrementalProductTree:
     @property
     def node_count(self) -> int:
         """Total nodes across all levels."""
-        if not self.count:
-            return 0
         return sum(len(level) for level in self._levels)
 
     @property
@@ -173,85 +189,87 @@ class IncrementalProductTree:
         """The live level structure (leaves first).  Not a copy."""
         return self._levels
 
-    def root(self) -> int:
-        """Product of the whole corpus (1 when empty), backend operand."""
-        if not self.count:
-            return self._backend.wrap(1)
-        return self._levels[-1][0]
+    def _block_roots(self) -> list[tuple[int, int]]:
+        """``(level, index)`` of each block root, leftmost block first."""
+        return [
+            (level, len(nodes) - 1)
+            for level, nodes in reversed(list(enumerate(self._levels)))
+            if len(nodes) & 1
+        ]
 
     # -- mutation --------------------------------------------------------
 
     def append(self, modulus: int) -> list[tuple[int, int]]:
-        """Append a leaf, recomputing only the rightmost spine.
+        """Append a leaf, multiplying only the blocks it completes.
 
-        Returns the dirty ``(level, index)`` coordinates — the appended
-        leaf plus one recomputed (or newly created) ancestor per level.
+        Returns the computed ``(level, index)`` nodes: the new leaf, then
+        one product per level whose last pair it completes.  That is
+        ``1 + t`` nodes, with ``t`` the trailing one bits of the old
+        count, so the amortised cost is O(1) products.
         """
         if modulus < 2:
             raise ValueError("all moduli must be >= 2")
         levels = self._levels
-        j = len(levels[0])
         levels[0].append(self._backend.wrap(modulus))
-        dirty = [(0, j)]
+        built = [(0, len(levels[0]) - 1)]
         level = 0
-        while len(levels[level]) > 1:
-            parent = j >> 1
+        while not len(levels[level]) & 1:
             nodes = levels[level]
-            left = nodes[2 * parent]
-            if 2 * parent + 1 < len(nodes):
-                value = left * nodes[2 * parent + 1]
-            else:
-                value = left
             if level + 1 == len(levels):
-                levels.append([value])
-            elif parent == len(levels[level + 1]):
-                levels[level + 1].append(value)
-            else:
-                levels[level + 1][parent] = value
-            dirty.append((level + 1, parent))
+                levels.append([])
+            levels[level + 1].append(nodes[-2] * nodes[-1])
             level += 1
-            j = parent
-        return dirty
+            built.append((level, len(levels[level]) - 1))
+        return built
 
     # -- queries ---------------------------------------------------------
 
     def divisor_against(self, modulus: int) -> int:
-        """``gcd(modulus, P mod modulus)`` — the one-reduction weak check.
+        """``gcd(modulus, P mod modulus)`` — the weak check.
 
         Equal to the classic batch-GCD divisor the modulus would receive
         in the corpus-plus-modulus union: with ``P`` the product of the
-        existing corpus, ``(P·m mod m²)/m = P mod m``.
+        existing corpus, ``(P·m mod m²)/m = P mod m``.  ``P mod m`` is the
+        product of the block roots' residues mod ``m``, so the reductions
+        read the same bits as one ``P % m``.
         """
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
-        if not self.count:
-            return 1
-        m = self._backend.wrap(modulus)
-        return self._backend.unwrap(self._backend.gcd(m, self.root() % m))
+        backend = self._backend
+        m = backend.wrap(modulus)
+        residue = backend.wrap(1)
+        for level, index in self._block_roots():
+            residue = residue * (self._levels[level][index] % m) % m
+        return backend.unwrap(backend.gcd(m, residue))
 
     def leaves_sharing(self, divisor: int) -> list[PartnerHit]:
         """Corpus members sharing a factor with ``divisor``, via descent.
 
-        :func:`~repro.numt.trees.gcd_descent_hits` from the root, pruning
-        every subtree whose product is coprime to ``divisor``; visits
-        O(log n) nodes per surviving path.
+        :func:`~repro.numt.trees.gcd_descent_hits` from each block root,
+        pruning every subtree whose product is coprime to ``divisor``;
+        visits O(log n) nodes per surviving path.
         """
-        if divisor <= 1 or not self.count:
+        if divisor <= 1:
             return []
         backend = self._backend
-        hits = gcd_descent_hits(
-            self._levels, backend.wrap(divisor), gcd=backend.gcd
-        )
-        return [PartnerHit(j, backend.unwrap(g)) for j, g in hits]
+        x = backend.wrap(divisor)
+        return [
+            PartnerHit(j, backend.unwrap(g))
+            for start in self._block_roots()
+            for j, g in gcd_descent_hits(
+                self._levels, x, gcd=backend.gcd, start=start
+            )
+        ]
 
 
 class ProductTreeStore:
     """The persistent incremental batch-GCD corpus store.
 
-    One store holds one evolving corpus: the product tree (for O(1
-    descent) checks), the accumulated sparse divisors (the vulnerable
-    set so far), a chained corpus digest, and per-job insert progress so
-    a crashed service job resumes idempotently.
+    One store holds one evolving corpus: the complete-block product tree
+    (for the per-block checks and descents), the accumulated sparse
+    divisors (the vulnerable set so far), a chained corpus digest, and
+    per-job insert progress so a crashed service job resumes
+    idempotently.
 
     Args:
         directory: store root on disk, or ``None`` for a memory-only
@@ -325,8 +343,8 @@ class ProductTreeStore:
     def probe(self, modulus: int) -> ProbeOutcome:
         """Check a modulus against the corpus without inserting it.
 
-        One root reduction plus, when the divisor is nontrivial, one
-        divisor-guided descent to the partner leaves.
+        One reduction per block root plus, when the divisor is
+        nontrivial, one divisor-guided descent to the partner leaves.
         """
         telemetry = get_telemetry()
         with telemetry.span(
@@ -342,30 +360,40 @@ class ProductTreeStore:
     # -- mutation --------------------------------------------------------
 
     def insert(self, modulus: int, job_id: str | None = None) -> ProbeOutcome:
-        """Probe then append one modulus; durable once the call returns.
-
-        The probe result is folded into the accumulated divisors: the
-        new member records its divisor against the prior corpus, and
-        every partner leaf lcm-merges its share with the newcomer
-        (gcd-capped), so the store's vulnerable set tracks what a full
-        batch-GCD over the grown corpus would report.
-        """
-        outcome = self.probe(modulus)
-        index = self.count
-        if self._journal is not None:
-            seq = self._journal.append(
-                {"index": index, "m": f"{modulus:x}", "job": job_id}
-            )
-        self._apply_insert(modulus, outcome, job_id)
-        if self._journal is not None:
-            self._journal.commit(seq)
-        return outcome
+        """Probe then append one modulus: a one-modulus :meth:`extend`."""
+        return self.extend([modulus], job_id=job_id)[0]
 
     def extend(
         self, moduli: Iterable[int], job_id: str | None = None
     ) -> list[ProbeOutcome]:
-        """Insert a batch in order (each checked against all before it)."""
-        return [self.insert(m, job_id=job_id) for m in moduli]
+        """Insert a batch in order; durable, as one commit, once it returns.
+
+        Each modulus is probed against everything before it, the earlier
+        moduli of the batch included, and its outcome is folded into the
+        accumulated divisors: the new member records its divisor against
+        the prior corpus, and every partner leaf lcm-merges its share
+        with the newcomer (gcd-capped), so the store's vulnerable set
+        tracks what a full batch-GCD over the grown corpus would report.
+        On disk the batch costs one journal append, one leaf append, at
+        most one hits rewrite, one manifest rename and one journal
+        commit, whatever its size.
+
+        Raises:
+            ValueError: if any modulus is < 2 (checked before any write).
+        """
+        batch = list(moduli)
+        if any(m < 2 for m in batch):
+            raise ValueError("all moduli must be >= 2")
+        if not batch:
+            return []
+        if self._journal is None:
+            return self._apply_batch(batch, job_id)
+        seq = self._journal.append(
+            {"index": self.count, "moduli": [f"{m:x}" for m in batch], "job": job_id}
+        )
+        outcomes = self._apply_batch(batch, job_id)
+        self._journal.commit(seq)
+        return outcomes
 
     def apply_job(self, job_id: str, moduli: Sequence[int]) -> tuple[int, int]:
         """Idempotently insert a job's corpus; returns ``(base, count)``.
@@ -381,8 +409,7 @@ class ProductTreeStore:
             self._jobs[job_id] = (base, 0)
         else:
             base, done = progress
-        for m in moduli[done:]:
-            self.insert(m, job_id=job_id)
+        self.extend(moduli[done:], job_id=job_id)
         return base, len(moduli)
 
     def bootstrap(
@@ -394,8 +421,8 @@ class ProductTreeStore:
         """Replace the store contents with a batch-built corpus.
 
         The bulk-ingest path: a full engine run already computed the
-        corpus divisors, so the store adopts them and builds the product
-        tree once (no per-insert spine work).  The leaf log and the hits
+        corpus divisors, so the store adopts them and builds the complete
+        blocks once (no per-insert appends).  The leaf log and the hits
         file are rewritten through temp-file renames with the manifest
         last, so a kill mid-bootstrap leaves the previous committed state
         loadable (the new leaf log only extends the old one).
@@ -449,6 +476,27 @@ class ProductTreeStore:
 
     # -- insert internals ------------------------------------------------
 
+    def _apply_batch(
+        self, batch: list[int], job_id: str | None
+    ) -> list[ProbeOutcome]:
+        """Probe and append each modulus in memory, then commit them once."""
+        base = self.count
+        outcomes = []
+        for modulus in batch:
+            outcome = self.probe(modulus)
+            self._apply_insert(modulus, outcome, job_id)
+            outcomes.append(outcome)
+        if self.directory is not None:
+            # Durable before the manifest commits the count on their strength.
+            append_jsonl(
+                self._leaves_path,
+                [[base + i, f"{m:x}"] for i, m in enumerate(batch)],
+            )
+            if any(o.divisor > 1 for o in outcomes):
+                self._write_hits()
+            self._write_manifest()
+        return outcomes
+
     def _apply_insert(
         self, modulus: int, outcome: ProbeOutcome, job_id: str | None
     ) -> None:
@@ -457,7 +505,7 @@ class ProductTreeStore:
             "batch_gcd.incremental.insert", corpus=self.count
         ):
             index = self.count
-            dirty = self._tree.append(modulus)
+            built = self._tree.append(modulus)
             self._moduli.append(modulus)
             self._digest = extend_digest(self._digest, modulus)
             if outcome.divisor > 1:
@@ -472,16 +520,10 @@ class ProductTreeStore:
                 (self._tree.backend.unwrap(
                     self._tree.levels[level][i]
                 ).bit_length() + 7) // 8
-                for level, i in dirty
+                for level, i in built
             )
             telemetry.counter("batch_gcd.incremental.rebuild_bytes", rebuilt)
-            telemetry.annotate(spine_nodes=len(dirty))
-            if self.directory is not None:
-                # Durable before the manifest commits count=N on its strength.
-                append_jsonl(self._leaves_path, [[index, f"{modulus:x}"]])
-                if outcome.divisor > 1 or outcome.partners:
-                    self._write_hits()
-                self._write_manifest()
+            telemetry.annotate(built_nodes=len(built))
             telemetry.gauge(
                 "batch_gcd.incremental.store_nodes", self._tree.node_count
             )
@@ -606,16 +648,20 @@ class ProductTreeStore:
         self._hits = hits
 
     def _replay(self, pending: list[dict[str, Any]]) -> int:
-        """Redo journalled inserts the manifest never committed."""
+        """Redo journalled batches the manifest never committed.
+
+        Returns the number of moduli replayed.  A record is a batch
+        ``{"index", "moduli": [<hex>, ...], "job"}`` or, as stores that
+        committed per modulus wrote it, ``{"index", "m": <hex>, "job"}``.
+        """
         replayed = 0
         for record in pending:
-            index = int(record["index"])
-            if index != self.count:
+            if int(record["index"]) != self.count:
                 continue  # duplicate/stale record; the manifest won
-            modulus = int(record["m"], 16)
-            outcome = self.probe(modulus)
-            self._apply_insert(modulus, outcome, record.get("job"))
-            replayed += 1
+            hexes = record["moduli"] if "moduli" in record else [record["m"]]
+            batch = [int(h, 16) for h in hexes]
+            self._apply_batch(batch, record.get("job"))
+            replayed += len(batch)
         return replayed
 
 

@@ -32,7 +32,8 @@ reducing one value at every node, it carries ``gcd(node, x)`` down from
 the root and prunes every subtree coprime with it.  One root gcd settles
 the common case — ``x`` shares nothing with the tree — without touching
 a leaf.  The clustered engine's ``descent`` foreign pass and the
-incremental store's partner lookup are both this descent.
+incremental store's partner lookup are both this descent; the store
+starts it at each of its complete-block roots instead of at one root.
 
 All functions accept an optional big-int ``backend``
 (:mod:`repro.numt.backend`): the tree algorithms are identical, only the
@@ -250,6 +251,7 @@ def gcd_descent_hits(
     levels: list[list[int]],
     x: int,
     gcd: Callable[[int, int], int] = math.gcd,
+    start: tuple[int, int] | None = None,
 ) -> list[tuple[int, int]]:
     """``gcd(leaf, x)`` for every leaf sharing a factor with ``x``.
 
@@ -268,16 +270,19 @@ def gcd_descent_hits(
         x: the value to test the leaves against (a foreign product, or
             one modulus's divisor).
         gcd: the gcd of the tree's operand type (a backend's ``gcd``).
+        start: the ``(level, index)`` node to descend from, so only the
+            leaves under it are tested; ``None`` is the root.
 
     Returns:
         ``(position, divisor)`` pairs sorted by position, for leaves with
-        divisor > 1.
+        divisor > 1.  Positions index ``levels[0]``.
     """
-    shared = gcd(levels[-1][0], x)
+    top, index = (len(levels) - 1, 0) if start is None else start
+    shared = gcd(levels[top][index], x)
     if shared <= 1:
         return []
-    frontier = {0: shared}
-    for level in reversed(levels[:-1]):
+    frontier = {index: shared}
+    for level in reversed(levels[:top]):
         descended: dict[int, int] = {}
         for parent, content in frontier.items():
             for child in (2 * parent, 2 * parent + 1):

@@ -28,6 +28,13 @@ parseable HTTP/1.1 — a malformed request line, a ``Content-Length`` that
 is not a non-negative integer, or a head over 32 KiB — is answered 400
 ``bad_request`` and the connection is closed, since its body was never
 read.
+
+Every close the server starts is a lingering close: after the last
+answer it half-closes (``write_eof``), then reads and discards whatever
+the peer still sends until the peer closes or :data:`LINGER_SECONDS`
+run out.  Closing with unread input would make the kernel reset the
+connection, and a reset can destroy the answer before the peer reads it:
+the 400 of an over-long head, or the 413 of a body still being sent.
 """
 
 from __future__ import annotations
@@ -53,6 +60,10 @@ _MAX_HEADER_BYTES = 32 * 1024
 _HEAD_TOO_LONG = f"request head exceeds {_MAX_HEADER_BYTES} bytes"
 _DIGITS = re.compile(r"[0-9]+")
 _PLACEHOLDER = re.compile(r"<([a-z_]+)>")
+
+#: Longest a closing connection keeps discarding the peer's input after
+#: its last answer, waiting for the peer to close first.
+LINGER_SECONDS = 2.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,6 +159,20 @@ class _BadRequest(Exception):
     """The request head is not parseable HTTP/1.1 (answered 400, then closed)."""
 
 
+async def _linger(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+    """Half-close, then discard input until the peer closes or the linger ends."""
+    writer.write_eof()
+
+    async def discard() -> None:
+        while await reader.read(64 * 1024):
+            pass
+
+    try:
+        await asyncio.wait_for(discard(), LINGER_SECONDS)
+    except asyncio.TimeoutError:
+        pass  # the peer kept sending; close anyway, work stays bounded
+
+
 class ServiceServer:
     """The serving layer: queue + auth + telemetry behind asyncio sockets.
 
@@ -230,6 +255,7 @@ class ServiceServer:
                     response = _error(400, "bad_request", str(exc))
                     writer.write(response.encode(keep_alive=False))
                     await writer.drain()
+                    await _linger(reader, writer)
                     break
                 if request is None:
                     break  # clean EOF between requests
@@ -244,6 +270,7 @@ class ServiceServer:
                 writer.write(response.encode(keep_alive))
                 await writer.drain()
                 if not keep_alive:
+                    await _linger(reader, writer)
                     break
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # peer vanished mid-exchange; nothing to salvage

@@ -13,9 +13,10 @@ One :class:`ServiceWorker` thread drains the :class:`~repro.service.queue.JobQue
    ``<state_dir>/checkpoints/<job_id>/``, so a SIGKILL mid-run resumes
    the *same engine computation* on restart instead of recomputing;
    under ``engine.engine="incremental"`` small jobs are instead served by
-   per-modulus inserts into the persistent
-   :class:`~repro.numt.incremental.ProductTreeStore` (checked against
-   every previously ingested modulus), with bulk jobs falling back to a
+   one :meth:`~repro.numt.incremental.ProductTreeStore.apply_job` on the
+   persistent :class:`~repro.numt.incremental.ProductTreeStore` (each
+   modulus checked against every previously ingested one, the job
+   committed once), with bulk jobs falling back to a
    clustered run that re-bootstraps the store;
 3. **record** the outcome — the run executes under a private
    :class:`~repro.telemetry.Telemetry` registry whose
@@ -66,12 +67,13 @@ class KeyCheckRunner:
     ``<state_dir>/incremental-store``, so each modulus is also checked
     against everything previously ingested: jobs of at most
     :data:`~repro.core.incremental.INCREMENTAL_MAX_BATCH` (64) moduli are
-    served by per-modulus store inserts (one O(log n) spine rebuild each
+    served by one store ``apply_job`` (per modulus, a probe and an
+    amortised O(1)-product append, then one durable commit for the job,
     instead of a full engine run), while bulk jobs run the clustered
     engine over the union corpus and re-bootstrap the store from its
     result.  Either way a job's
     result indexes only its *own* moduli — the store supplies the
-    history they are checked against.  A SIGKILL mid-insert replays from
+    history they are checked against.  A SIGKILL mid-job replays from
     the store's journal, and a re-delivered job resumes idempotently
     from its recorded per-job progress.
 

@@ -7,7 +7,7 @@ identical vulnerable sets everywhere and identical factors on squarefree
 corpora (well-formed RSA; on prime-power pathologies the divisor
 multiplicity caveat is the clustered engine's, shared and documented).
 Plus the resume drill: a real ``SIGKILL`` at every durable write step of
-an insert, recovered on the next open.
+an insert and of a 4-modulus job, recovered on the next open.
 """
 
 import math
@@ -208,7 +208,7 @@ _KILL_CHILD = textwrap.dedent(
     import repro.numt.incremental
     from repro.numt.incremental import ProductTreeStore
 
-    store_dir, kill_index, step = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+    store_dir, kill_index, step, shape = sys.argv[1], int(sys.argv[2]), *sys.argv[3:]
     moduli = [int(line, 16) for line in sys.stdin.read().split()]
     # step -> (durable write it names, file it lands on, kill before it?)
     write, target, before = {
@@ -236,16 +236,26 @@ _KILL_CHILD = textwrap.dedent(
         setattr(module, write, killing(getattr(module, write)))
 
     store = ProductTreeStore(store_dir)
-    for index in range(store.count, len(moduli)):
-        armed = index == kill_index
-        store.insert(moduli[index], job_id=f"job-{index // 8}")
-    print(store.replayed_inserts, store.count)
+    replayed = store.replayed_inserts
+    if shape == "insert":
+        for index in range(store.count, len(moduli)):
+            armed = index == kill_index
+            store.insert(moduli[index], job_id=f"job-{index // 8}")
+    else:
+        # Re-delivering every job is safe: apply_job skips applied ones.
+        for base in range(0, len(moduli), JOB):
+            armed = base <= kill_index < base + JOB
+            store.apply_job(f"job-{base // JOB}", moduli[base : base + JOB])
+    print(replayed, store.count)
     """
 )
 
-#: Every durable write step of one insert, in the order insert runs them,
-#: and whether the next open must replay the killed insert (its manifest
-#: rename had not happened yet).
+#: Moduli per job in the job-shaped drill.
+JOB = 4
+
+#: Every durable write step of one commit (an insert, or a whole job), in
+#: the order they run, and whether the next open must replay the killed
+#: commit (its manifest rename had not happened yet).
 INSERT_STEPS = {
     "after-journal-append": 1,
     "after-leaf-append": 1,
@@ -255,41 +265,53 @@ INSERT_STEPS = {
 }
 
 
-def _kill_and_resume(tmp_path, step):
-    """SIGKILL an insert at ``step``, reopen, finish, compare to memory."""
+def _kill_and_resume(tmp_path, step, shape="insert"):
+    """SIGKILL a commit at ``step``, reopen, finish, compare to memory.
+
+    ``shape`` is ``"insert"`` (one commit per modulus) or ``"job"``
+    (``apply_job`` of 4-modulus jobs, one commit each).
+    """
     rng = random.Random(51)
     pool = [generate_prime(32, rng) for _ in range(8)]
     moduli = []
     for _ in range(24):
         a, b = rng.sample(range(8), 2)
         moduli.append(pool[a] * pool[b])
-    # The killed insert lands on a duplicate, so it rewrites hits.json.
+    # The killed commit holds a duplicate, so it rewrites hits.json.
     moduli[15] = moduli[4]
 
     store_dir = tmp_path / "store"
     env = dict(os.environ, PYTHONPATH=REPO_SRC)
     feed = "\n".join(f"{m:x}" for m in moduli)
+    child = [sys.executable, "-c", f"JOB = {JOB}\n" + _KILL_CHILD, str(store_dir)]
 
     first = subprocess.run(
-        [sys.executable, "-c", _KILL_CHILD, str(store_dir), "15", step],
+        child + ["15", step, shape],
         input=feed, capture_output=True, text=True, env=env,
     )
     assert first.returncode == -signal.SIGKILL, first.stderr
 
-    # The next open recovers the killed insert (replaying it from the
+    # The next open recovers the killed commit (replaying it from the
     # journal unless its manifest already committed it), then the
     # child finishes the remaining moduli on top of the recovered state.
     second = subprocess.run(
-        [sys.executable, "-c", _KILL_CHILD, str(store_dir), "-1", step],
+        child + ["-1", step, shape],
         input=feed, capture_output=True, text=True, env=env,
     )
     assert second.returncode == 0, second.stderr
-    assert second.stdout.split() == [str(INSERT_STEPS[step]), str(len(moduli))]
+    killed = 1 if shape == "insert" else JOB
+    assert second.stdout.split() == [
+        str(INSERT_STEPS[step] * killed), str(len(moduli)),
+    ]
 
     recovered = ProductTreeStore(store_dir)
     clean = ProductTreeStore()
-    for index, m in enumerate(moduli):
-        clean.insert(m, job_id=f"job-{index // 8}")
+    if shape == "insert":
+        for index, m in enumerate(moduli):
+            clean.insert(m, job_id=f"job-{index // 8}")
+    else:
+        for base in range(0, len(moduli), JOB):
+            clean.apply_job(f"job-{base // JOB}", moduli[base : base + JOB])
     assert recovered.moduli == clean.moduli == moduli
     assert recovered.divisors() == clean.divisors()
     assert recovered.digest == clean.digest
@@ -305,6 +327,7 @@ class TestSigkillResumeDrill:
         # on disk, its manifest is not.
         _kill_and_resume(tmp_path, "after-hits-write")
 
+    @pytest.mark.parametrize("shape", ["insert", "job"])
     @pytest.mark.parametrize("step", INSERT_STEPS)
-    def test_sigkill_at_every_write_step_resumes_cleanly(self, tmp_path, step):
-        _kill_and_resume(tmp_path, step)
+    def test_sigkill_at_every_write_step_resumes_cleanly(self, tmp_path, step, shape):
+        _kill_and_resume(tmp_path, step, shape)

@@ -1,23 +1,31 @@
 """Unit tests for the incremental product tree, its store, and the journal.
 
-The tree must be level-for-level identical to a batch-built
-:func:`repro.numt.trees.product_tree` after any append sequence, the
-single-descent check must equal the classic batch-GCD divisor on the
-union corpus, and the persistent store must keep only its leaves, keep
-every record on both sides of a torn append, and open a store written in
-the per-level layout.  (A real SIGKILL at every write step of an insert
-is drilled in ``tests/test_incremental_differential.py``.)
+After any append sequence the tree must hold exactly the complete blocks
+of a batch-built :func:`repro.numt.trees.product_tree` (every stored node
+equal to the batch-built node at the same level and index, level ``L``
+holding ``n >> L`` nodes), an append must compute only the blocks it
+completes, and the per-block check must equal the classic batch-GCD
+divisor on the union corpus.  The persistent store must keep only its
+leaves, commit a job once, keep every record on both sides of a torn
+append, replay the one-modulus journal records of stores that committed
+per modulus, and open a store written in the per-level layout.  (A real
+SIGKILL at every write step of an insert and of a job is drilled in
+``tests/test_incremental_differential.py``.)
 """
 
 import json
+import math
 import random
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.batchgcd import batch_gcd_divisors
 from repro.crypto.primes import generate_prime
+from repro.faults import fsio
 from repro.faults.checkpoint import corpus_digest
 from repro.faults.journal import MutationJournal
 from repro.numt.incremental import (
@@ -81,32 +89,71 @@ class TestMutationJournal:
         assert not (tmp_path / "j.jsonl").exists()
 
 
+#: Small primes for the append-sequence property: few enough that
+#: duplicates and shared factors are common.
+_SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
+
+
 class TestIncrementalProductTree:
     @pytest.mark.parametrize("n", range(18))
     def test_append_matches_batch_built_tree(self, n):
+        # Only complete blocks are stored: level L holds n >> L nodes,
+        # and each equals the batch-built node at the same (level,
+        # index).  Appending and building in one go agree.
         rng = random.Random(100 + n)
         pool = [generate_prime(32, rng) for _ in range(8)]
         moduli = [_semiprime(rng, pool) for _ in range(n)]
         tree = IncrementalProductTree()
         for m in moduli:
             tree.append(m)
-        if n:
-            assert tree.levels == product_tree(moduli)
         assert tree.count == n
-        sizes = [n]
-        while sizes[-1] > 1:
-            sizes.append((sizes[-1] + 1) // 2)
-        assert [len(level) for level in tree.levels] == sizes
+        assert [len(level) for level in tree.levels] == [
+            n >> level for level in range(max(n.bit_length(), 1))
+        ]
+        batch = product_tree(moduli)
+        for level, nodes in enumerate(tree.levels):
+            assert nodes == batch[level][: len(nodes)]
+        assert IncrementalProductTree(moduli).levels == tree.levels
+        assert tree.node_count == sum(n >> level for level in range(n.bit_length()))
 
     @pytest.mark.parametrize("n", range(18))
-    def test_append_dirties_the_leaf_and_one_ancestor_per_level(self, n):
-        # The dirty list drives the persisted node records and the
-        # rebuild_bytes counter: the new leaf, then its ancestor
-        # (index >> level) on every level above it, bottom-up.
+    def test_append_multiplies_only_completed_blocks(self, n):
+        # The new leaf, then one product per trailing one bit of n: the
+        # blocks the leaf completes, bottom-up.  No other node changes.
         rng = random.Random(200 + n)
         tree = IncrementalProductTree([_semiprime(rng) for _ in range(n)])
-        dirty = tree.append(_semiprime(rng))
-        assert dirty == [(level, n >> level) for level in range(len(tree.levels))]
+        before = [list(level) for level in tree.levels]
+        built = tree.append(_semiprime(rng))
+        trailing_ones = (n ^ (n + 1)).bit_length() - 1
+        assert len(built) == 1 + trailing_ones
+        assert built == [(level, n >> level) for level in range(len(built))]
+        for level, nodes in enumerate(before):
+            assert tree.levels[level][: len(nodes)] == nodes
+
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(_SMALL_PRIMES), min_size=1, max_size=3),
+            max_size=20,
+        ),
+        st.lists(st.sampled_from(_SMALL_PRIMES), min_size=1, max_size=3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_checks_match_batch_gcd_and_brute_force(self, factorings, probe):
+        # Products of 1-3 primes drawn from a small pool: duplicates,
+        # prime powers and shared factors all appear.
+        corpus = [math.prod(factors) for factors in factorings]
+        m = math.prod(probe)
+        tree = IncrementalProductTree()
+        for modulus in corpus:
+            tree.append(modulus)
+        divisor = tree.divisor_against(m)
+        assert divisor == batch_gcd_divisors(corpus + [m])[-1]
+        shared = [(i, math.gcd(n, divisor)) for i, n in enumerate(corpus)]
+        assert tree.leaves_sharing(divisor) == [(i, g) for i, g in shared if g > 1]
+        # The divisor keeps every prime m shares with the corpus.
+        assert {i for i, _ in tree.leaves_sharing(divisor)} == {
+            i for i, n in enumerate(corpus) if math.gcd(n, m) > 1
+        }
 
     def test_divisor_against_equals_classic_union_divisor(self):
         rng = random.Random(2)
@@ -123,8 +170,6 @@ class TestIncrementalProductTree:
             corpus.append(m)
 
     def test_leaves_sharing_finds_exactly_the_partners(self):
-        import math
-
         rng = random.Random(3)
         pool = [generate_prime(32, rng) for _ in range(6)]
         corpus = [_semiprime(rng, pool) for _ in range(30)]
@@ -286,6 +331,69 @@ class TestProductTreeStore:
         assert reopened.moduli == corpus
         assert reopened.jobs == {"j1": (0, 8), "j2": (8, 12)}
 
+
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_apply_job_commits_once_for_any_size(self, tmp_path, monkeypatch, k):
+        # One journal append, one leaf append, one manifest write and one
+        # journal commit per job, plus one hits rewrite when the job
+        # finds a shared prime, however many moduli the job holds.
+        corpus = self._corpus(22, n=20 + k)
+        store = ProductTreeStore(tmp_path / "store")
+        store.bootstrap(corpus[:20], batch_gcd_divisors(corpus[:20]))
+        synced = Counter()
+        real = fsio.fsync_file
+
+        def counting(handle):
+            synced[Path(handle.name).name] += 1
+            real(handle)
+
+        monkeypatch.setattr(fsio, "fsync_file", counting)
+        store.apply_job("job", corpus[20:])
+        expected = {
+            "journal.jsonl": 1,
+            "level-0.jsonl": 1,
+            "manifest.json.tmp": 1,
+            "journal.jsonl.tmp": 1,
+        }
+        if any(d > 1 for d in store.divisors()[20:]):
+            expected["hits.json.tmp"] = 1
+        assert synced == expected
+        assert store.jobs["job"] == (20, k)
+        assert ProductTreeStore(tmp_path / "store").moduli == corpus
+
+    def test_pending_one_modulus_record_replays_on_open(self, tmp_path):
+        # A store that committed per modulus journals {"index", "m",
+        # "job"}; a kill after its leaf append leaves that record pending.
+        corpus = self._corpus(23, n=9)
+        store = ProductTreeStore(tmp_path / "store")
+        store.apply_job("job-a", corpus[:8])
+        journal = MutationJournal(tmp_path / "store" / "journal.jsonl")
+        journal.append({"index": 8, "m": f"{corpus[8]:x}", "job": "job-b"})
+        fsio.append_jsonl(
+            tmp_path / "store" / "nodes" / "level-0.jsonl", [[8, f"{corpus[8]:x}"]]
+        )
+        recovered = ProductTreeStore(tmp_path / "store")
+        assert recovered.replayed_inserts == 1
+        assert MutationJournal(tmp_path / "store" / "journal.jsonl").pending() == []
+        clean = ProductTreeStore()
+        clean.apply_job("job-a", corpus[:8])
+        clean.apply_job("job-b", corpus[8:])
+        for state in (recovered, ProductTreeStore(tmp_path / "store")):
+            assert state.moduli == clean.moduli == corpus
+            assert state.divisors() == clean.divisors()
+            assert state.digest == clean.digest
+            assert state.jobs == clean.jobs == {"job-a": (0, 8), "job-b": (8, 1)}
+
+    def test_extend_rejects_a_bad_modulus_before_writing(self, tmp_path):
+        corpus = self._corpus(24, n=4)
+        store = ProductTreeStore(tmp_path / "store")
+        store.extend(corpus[:2])
+        with pytest.raises(ValueError):
+            store.extend([corpus[2], 1, corpus[3]])
+        assert store.moduli == corpus[:2]
+        reopened = ProductTreeStore(tmp_path / "store")
+        assert reopened.moduli == corpus[:2]
+        assert reopened.replayed_inserts == 0
 
     def test_torn_journal_tail_is_ignored(self, tmp_path):
         rng = random.Random(21)

@@ -224,6 +224,39 @@ class TestErrorModel:
             "payload_too_large"
         )
 
+    @pytest.mark.parametrize(
+        "request_bytes, status_line",
+        [
+            (
+                b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 200_000 + b"\r\n\r\n",
+                b"HTTP/1.1 400 Bad Request",
+            ),
+            (
+                b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 9000000\r\n\r\n"
+                + b"x" * 9_000_000,
+                b"HTTP/1.1 413 Payload Too Large",
+            ),
+        ],
+        ids=["head-200KB", "body-9MB"],
+    )
+    def test_error_answer_is_read_in_full_then_eof(self, app, request_bytes, status_line):
+        # The server answers before it has read the whole request.  Its
+        # close must not reset the connection: the peer finishes sending,
+        # reads the whole answer, and then reads EOF.  A reset raises
+        # ConnectionResetError or BrokenPipeError here.
+        _, api = app
+        with socket.create_connection(("127.0.0.1", api.port), timeout=30) as sock:
+            sock.sendall(request_bytes)
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        assert lines[0] == status_line, raw[:200]
+        assert f"Content-Length: {len(body)}".encode() in lines
+        assert b"Connection: close" in lines
+        assert json.loads(body)["error"] in ("bad_request", "payload_too_large")
+
     def test_result_before_completion_is_409(self, app):
         service, api = app
         service.queue.pause_all()
