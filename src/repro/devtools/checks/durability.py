@@ -2,7 +2,7 @@
 
 The paper's pipeline earns its reproducibility claims by surviving
 SIGKILL and power loss mid-mutation: the incremental product-tree store,
-the service job queue, the checkpoint shards, and the mutation journal
+the service job queue, the checkpoint log, and the mutation journal
 all follow the same three disciplines — **fsync before rename**,
 **temp-file + atomic rename at commit points**, and **journal-first
 write-ahead ordering** — with torn-tail-tolerant JSONL readers on the

@@ -24,7 +24,7 @@ import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from repro.crypto.primes import generate_prime, is_openssl_style_prime, openssl_style_prime
+from repro.crypto.primes import generate_prime, openssl_style_prime
 from repro.crypto.rsa import DEFAULT_PUBLIC_EXPONENT, RsaKeyPair, keypair_from_primes
 
 __all__ = [
@@ -133,12 +133,6 @@ class WeakKeyFactory:
     def unique_state(self) -> int:
         """Return a never-repeating state index (for divergent second primes)."""
         return next(self._unique_counter)
-
-    def is_openssl_prime(self, p: int) -> bool:
-        """Apply the OpenSSL fingerprint predicate with this factory's table."""
-        if self._openssl_table is not None:
-            return is_openssl_style_prime(p, self._openssl_table)
-        return is_openssl_style_prime(p)
 
 
 @dataclass(frozen=True)

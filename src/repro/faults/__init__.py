@@ -12,9 +12,9 @@ reproduction's answer.  Three layers, each usable alone:
 - :mod:`repro.faults.recovery` — :class:`ResilientExecutor`, the retry /
   pool-rebuild / degrade-to-in-process driver the clustered batch GCD
   runs its task chunks through, bounded by a :class:`RecoveryPolicy`.
-- :mod:`repro.faults.checkpoint` — :class:`CheckpointStore`, subset-pass
-  granular JSON checkpoints so a killed run resumes with a byte-identical
-  final result.
+- :mod:`repro.faults.checkpoint` — :class:`CheckpointStore`, one
+  append-only log per run with a record per completed subset pass, so a
+  killed run resumes with a byte-identical final result.
 - :mod:`repro.faults.journal` — :class:`MutationJournal`, the write-ahead
   append/commit journal the incremental product-tree store builds its
   SIGKILL-mid-insert recovery on.

@@ -2,27 +2,30 @@
 
 A clustered run's unit of durable progress is the **subset pass**: the
 ``(subset i, product j)`` remainder-tree task whose sparse divisor hits
-are merged into the final result.  :class:`CheckpointStore` persists each
-completed pass as one JSON shard plus a manifest, so a killed run —
-SIGKILL, OOM, power loss — restarts from the last completed pass and
-still produces a byte-identical :class:`~repro.core.results.BatchGcdResult`
-(pass aggregation is an lcm-merge, commutative and associative, so the
-replay order does not matter).
+are merged into the final result.  :class:`CheckpointStore` keeps a
+checkpoint as one append-only log, so a killed run — SIGKILL, OOM, power
+loss — restarts from the last completed pass and still produces a
+byte-identical :class:`~repro.core.results.BatchGcdResult` (pass
+aggregation is an lcm-merge, commutative and associative, so the replay
+order does not matter).
 
 Layout under ``checkpoint_dir``::
 
-    manifest.json            # run identity + completed pass list
-    pass-<i>-<j>.json        # sparse divisors of one completed pass
+    passes.jsonl    # line 1: run identity; then one record per pass
+                    # {"pass": [i, j], "divisors": [[pos, "hex"], ...]}
 
-The manifest binds the checkpoint to a specific computation: a SHA-256
+The identity record binds the log to a specific computation: a SHA-256
 digest of the corpus plus the ``k`` and backend parameters.  The
 foreign-pass strategy is deliberately *not* part of the identity: both
 strategies write identical per-pass hits, so a run checkpointed under one
-resumes under the other.  A mismatched manifest (different corpus or
-engine shape) is *ignored*, not an error — the run simply starts fresh
-and overwrites.  Writes go through a temp-file rename so a kill
-mid-write never leaves a torn shard; a shard listed in the manifest but
-unreadable on load is treated as incomplete and recomputed.
+resumes under the other.  A log that identifies another computation —
+or no log at all — is *ignored*, not an error: the run's first write
+replaces it with a fresh identity record through
+:func:`~repro.faults.fsio.atomic_write_text`.  Completed passes are then
+appended with :func:`~repro.faults.fsio.append_jsonl`, one append per
+chunk, and :func:`~repro.faults.fsio.read_jsonl` skips a record torn by
+a kill mid-append, so only that record's passes recompute.  Files of
+any other layout in the directory are left alone and never read.
 
 Telemetry: loading records a ``batch_gcd.checkpoint_load`` span (with the
 number of passes restored), each incremental write a
@@ -36,13 +39,13 @@ import json
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from repro.faults.fsio import atomic_write_text as _atomic_write
+from repro.faults.fsio import append_jsonl, atomic_write_text, read_jsonl
 from repro.telemetry import get_telemetry
 
 __all__ = ["CheckpointStore", "corpus_digest"]
 
-_MANIFEST = "manifest.json"
-_VERSION = 1
+_LOG = "passes.jsonl"
+_VERSION = 2
 
 
 def corpus_digest(moduli: Sequence[int]) -> str:
@@ -67,76 +70,63 @@ class CheckpointStore:
         self, directory: "str | Path", *, digest: str, k: int, backend: str,
     ) -> None:
         self.directory = Path(directory)
+        self._path = self.directory / _LOG
         self._identity = {
             "version": _VERSION,
             "digest": digest,
             "k": k,
             "backend": backend,
         }
-        self._passes: set[tuple[int, int]] = set()
-
-    @property
-    def completed_passes(self) -> set[tuple[int, int]]:
-        """Passes currently recorded in the manifest."""
-        return set(self._passes)
-
-    def _shard_path(self, i: int, j: int) -> Path:
-        return self.directory / f"pass-{i}-{j}.json"
+        # Until load() finds this computation's log, the first record()
+        # starts a fresh one.
+        self._matched = False
 
     def load(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
         """Restore completed passes: ``(i, j) -> [(position, divisor), ...]``.
 
-        Returns an empty mapping when there is no checkpoint or the
-        manifest identifies a different computation.  Unreadable shards
-        are skipped (their passes recompute).
+        Returns an empty mapping when there is no checkpoint or the log
+        identifies a different computation.  Unreadable records are
+        skipped (their passes recompute).
         """
         telemetry = get_telemetry()
         with telemetry.span("batch_gcd.checkpoint_load"):
-            manifest_path = self.directory / _MANIFEST
+            records = read_jsonl(self._path)
             restored: dict[tuple[int, int], list[tuple[int, int]]] = {}
-            self._passes = set()
-            try:
-                manifest = json.loads(manifest_path.read_text())
-            except (OSError, ValueError):
-                telemetry.annotate(passes=0, matched=False)
-                return restored
-            if any(manifest.get(key) != value for key, value in self._identity.items()):
-                telemetry.annotate(passes=0, matched=False)
-                return restored
-            for entry in manifest.get("passes", []):
-                i, j = int(entry[0]), int(entry[1])
-                try:
-                    shard = json.loads(self._shard_path(i, j).read_text())
-                    divisors = [
-                        (int(pos), int(value, 16))
-                        for pos, value in shard["divisors"]
-                    ]
-                except (OSError, ValueError, KeyError, TypeError):
-                    continue  # torn/missing shard: recompute this pass
-                restored[(i, j)] = divisors
-                self._passes.add((i, j))
-            telemetry.annotate(passes=len(restored), matched=True)
+            self._matched = bool(records) and records[0] == self._identity
+            if self._matched:
+                for record in records[1:]:
+                    try:
+                        i, j = record["pass"]
+                        restored[(int(i), int(j))] = [
+                            (int(pos), int(value, 16))
+                            for pos, value in record["divisors"]
+                        ]
+                    except (ValueError, KeyError, TypeError):
+                        continue  # malformed record: recompute this pass
+            telemetry.annotate(passes=len(restored), matched=self._matched)
             return restored
 
     def record(
         self,
         passes: Mapping[tuple[int, int], Iterable[tuple[int, int]]],
     ) -> None:
-        """Durably add completed passes (shards first, then the manifest)."""
+        """Durably append completed passes (one fsynced append per call)."""
         if not passes:
             return
         telemetry = get_telemetry()
         with telemetry.span("batch_gcd.checkpoint_write", passes=len(passes)):
-            self.directory.mkdir(parents=True, exist_ok=True)
-            for (i, j), divisors in passes.items():
-                shard = {
-                    "pass": [i, j],
-                    "divisors": [[pos, f"{value:x}"] for pos, value in divisors],
-                }
-                _atomic_write(self._shard_path(i, j), json.dumps(shard))
-                self._passes.add((i, j))
-            manifest = dict(self._identity)
-            manifest["passes"] = sorted([i, j] for i, j in self._passes)
-            _atomic_write(
-                self.directory / _MANIFEST, json.dumps(manifest, indent=1)
+            if not self._matched:
+                atomic_write_text(
+                    self._path, json.dumps(self._identity, sort_keys=True) + "\n"
+                )
+                self._matched = True
+            append_jsonl(
+                self._path,
+                [
+                    {
+                        "pass": [i, j],
+                        "divisors": [[pos, f"{value:x}"] for pos, value in divisors],
+                    }
+                    for (i, j), divisors in passes.items()
+                ],
             )

@@ -1,6 +1,6 @@
 """Durable filesystem primitives shared by every persistence protocol.
 
-Every on-disk format in the repo (checkpoint shards, the mutation
+Every on-disk format in the repo (the checkpoint log, the mutation
 journal, the product-tree store, the service job-queue journal,
 ``endpoint.json`` publish) is built from two shapes, each with one
 helper here, plus the fsync moves they share:

@@ -76,10 +76,6 @@ class FingerprintReport:
         """Factored moduli that reflect flawed keygen (artifacts removed)."""
         return set(self.factored_clean)
 
-    def vendor_for_modulus(self, n: int) -> str | None:
-        """Best-known vendor for a modulus."""
-        return self.vendor_by_modulus.get(n)
-
 
 def fingerprint_study(
     store: CertificateStore,

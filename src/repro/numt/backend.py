@@ -67,12 +67,6 @@ class BigIntBackend:
             return list(values)
         return [self.wrap(v) for v in values]
 
-    def unwrap_all(self, values: Sequence[Any]) -> list[int]:
-        """Unwrap a sequence back to plain ints."""
-        if self is PYTHON_BACKEND:
-            return list(values)
-        return [self.unwrap(v) for v in values]
-
 
 def _python_backend() -> BigIntBackend:
     import math

@@ -11,7 +11,8 @@ One :class:`ServiceWorker` thread drains the :class:`~repro.service.queue.JobQue
    degradation) with a per-job
    :class:`~repro.faults.checkpoint.CheckpointStore` under
    ``<state_dir>/checkpoints/<job_id>/``, so a SIGKILL mid-run resumes
-   the *same engine computation* on restart instead of recomputing;
+   the *same engine computation* on restart instead of recomputing (the
+   directory is removed once the run returns a result);
    under ``engine.engine="incremental"`` small jobs are instead served by
    one :meth:`~repro.numt.incremental.ProductTreeStore.apply_job` on the
    persistent :class:`~repro.numt.incremental.ProductTreeStore` (each
@@ -36,6 +37,7 @@ permanent failures, not just successes.
 from __future__ import annotations
 
 import json
+import shutil
 import threading
 import urllib.error
 import urllib.request
@@ -80,8 +82,9 @@ class KeyCheckRunner:
     Args:
         config: the service knobs; its ``engine`` record builds every
             clustered run through :func:`~repro.core.select.select_engine`.
-        checkpoint_root: per-job checkpoint directories live under here;
-            None disables engine checkpointing (clustered runs only).
+        checkpoint_root: per-job checkpoint directories live under here,
+            each removed once its job's run returns a result; None
+            disables engine checkpointing (clustered runs only).
         telemetry: service-level metrics sink (the worker's registry);
             incremental-path jobs count into ``service.jobs_incremental``.
     """
@@ -127,6 +130,11 @@ class KeyCheckRunner:
                         checkpoint_dir=checkpoint_dir,
                     ).engine.run(job.moduli)
                     job_result = self._result_for(job, outcome, range(len(job.moduli)))
+        # The run returned: its passes are in the result, so the checkpoint
+        # has served its purpose.  A run that raised never gets here, and
+        # its re-run resumes from the checkpoint.
+        if checkpoint_dir is not None:
+            shutil.rmtree(checkpoint_dir, ignore_errors=True)
         return job_result, job_telemetry.report().to_dict()
 
     def _run_incremental(

@@ -163,10 +163,6 @@ class RunReport:
                 return found
         return None
 
-    def total_wall_seconds(self) -> float:
-        """Summed wall time of the root spans."""
-        return sum(s.wall_seconds for s in self.spans)
-
     # -- merging ---------------------------------------------------------
 
     def merge(self, other: "RunReport", under: SpanNode | None = None) -> None:

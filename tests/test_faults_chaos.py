@@ -31,6 +31,7 @@ from repro.core.batchgcd import batch_gcd
 from repro.core.clustered import ClusteredBatchGcd
 from repro.crypto.primes import generate_prime
 from repro.faults import FaultPlan, FaultRule, RecoveryPolicy
+from repro.faults.fsio import read_jsonl
 
 #: Near-zero backoff so retry storms do not slow the suite.
 FAST = RecoveryPolicy(
@@ -227,21 +228,19 @@ class TestCheckpointResume:
     def test_partial_checkpoint_finishes_remaining_passes(self, tmp_path):
         full = ClusteredBatchGcd(k=K, checkpoint_dir=tmp_path)
         reference = full.run(MODULI)
-        # drop shards to simulate a run killed after three passes
-        import json
-
-        manifest_path = tmp_path / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        survivors = manifest["passes"][:3]
-        for i, j in manifest["passes"][3:]:
-            (tmp_path / f"pass-{i}-{j}.json").unlink()
-        manifest["passes"] = survivors
-        manifest_path.write_text(json.dumps(manifest))
+        # cut the log back to simulate a run killed after three passes
+        log = tmp_path / "passes.jsonl"
+        log.write_text("".join(log.read_text().splitlines(True)[: 1 + 3]))
         resumed = ClusteredBatchGcd(k=K, checkpoint_dir=tmp_path)
         result = resumed.run(MODULI)
         assert resumed.last_stats.checkpoint_loaded == 3
         assert resumed.last_stats.checkpoint_written == N_PASSES - 3
         assert result.divisors == reference.divisors
+
+
+def _logged_passes(checkpoint_dir):
+    """Pass records in a checkpoint log (its first record is the identity)."""
+    return max(0, len(read_jsonl(checkpoint_dir / "passes.jsonl")) - 1)
 
 
 class TestKillAndResumeCli:
@@ -281,17 +280,17 @@ class TestKillAndResumeCli:
         try:
             deadline = time.monotonic() + 30
             while time.monotonic() < deadline:
-                if len(list(ckpt.glob("pass-*.json"))) >= 3:
+                if _logged_passes(ckpt) >= 3:
                     break
                 if victim.poll() is not None:
                     break
                 time.sleep(0.05)
-            shards_at_kill = len(list(ckpt.glob("pass-*.json")))
+            passes_at_kill = _logged_passes(ckpt)
             if victim.poll() is None:
                 victim.send_signal(signal.SIGKILL)
         finally:
             victim.wait(timeout=30)
-        assert shards_at_kill >= 3, "run finished before the kill landed"
+        assert passes_at_kill >= 3, "run finished before the kill landed"
         assert not killed_out.exists(), "kill landed after completion"
 
         resumed_out = tmp_path / "resumed.txt"

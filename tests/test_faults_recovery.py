@@ -4,16 +4,19 @@ The chaos matrix in ``test_faults_chaos.py`` drives the whole clustered
 engine; this file pins down the pieces in isolation — plan determinism
 and parsing, every ``ResilientExecutor`` recovery path against a fake
 pool (real :class:`~concurrent.futures.Future` objects, no processes),
-and the checkpoint store's identity/torn-shard handling.  It also holds
+and the checkpoint log's identity/torn-record handling.  It also holds
 the regression test for the clustered driver's old future leak: an
 exception escaping the drive loop must cancel and drain every in-flight
 future rather than orphan them.
 """
 
 import json
+import os
 import random
+from collections import Counter
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +32,7 @@ from repro.faults import (
     ResilientExecutor,
     corpus_digest,
     corrupt_chunk_results,
+    fsio,
     load_fault_plan,
     resolve_fault_plan,
     trigger_fault,
@@ -362,6 +366,37 @@ class TestResilientExecutorPooled:
         assert pool.shutdown_calls[-1] == (True, True)
 
 
+def _weak_moduli(seed):
+    """Fifteen 64-bit moduli, every third sharing a prime from a pool of 5."""
+    rng = random.Random(seed)
+    pool = [generate_prime(32, rng) for _ in range(5)]
+    return [
+        pool[i % 5] * generate_prime(32, rng) if i % 3 == 0
+        else generate_prime(32, rng) * generate_prime(32, rng)
+        for i in range(15)
+    ]
+
+
+def _log_records(directory):
+    """The checkpoint log's parseable records, the identity first."""
+    return fsio.read_jsonl(directory / "passes.jsonl")
+
+
+def _write_log(directory, records):
+    """Rewrite the checkpoint log to hold exactly ``records``."""
+    (directory / "passes.jsonl").write_text(
+        "".join(json.dumps(record) + "\n" for record in records)
+    )
+
+
+def _tear_last_record(directory):
+    """Cut the log halfway through its final line, as a kill mid-append does."""
+    path = directory / "passes.jsonl"
+    data = path.read_bytes()
+    start = data.rstrip(b"\n").rfind(b"\n") + 1
+    path.write_bytes(data[: start + (len(data) - start) // 2])
+
+
 class TestCheckpointStore:
     def _store(self, tmp_path, digest="d1", **kwargs):
         defaults = dict(digest=digest, k=4, backend="python")
@@ -390,7 +425,7 @@ class TestCheckpointStore:
     def test_torn_shard_is_recomputed(self, tmp_path):
         store = self._store(tmp_path)
         store.record({(0, 0): [(0, 3)], (1, 0): [(1, 7)]})
-        (tmp_path / "pass-1-0.json").write_text("{ torn")
+        _tear_last_record(tmp_path)
         assert set(self._store(tmp_path).load()) == {(0, 0)}
 
     def test_missing_directory_loads_empty(self, tmp_path):
@@ -400,19 +435,11 @@ class TestCheckpointStore:
         # The foreign-pass strategy is not part of the identity: both
         # write identical per-pass hits, so either may finish the other's
         # run.  Keep the first three passes of a remainder run, resume.
-        rng = random.Random(8)
-        pool = [generate_prime(32, rng) for _ in range(5)]
-        moduli = [
-            pool[i % 5] * generate_prime(32, rng) if i % 3 == 0
-            else generate_prime(32, rng) * generate_prime(32, rng)
-            for i in range(15)
-        ]
+        moduli = _weak_moduli(8)
         reference = ClusteredBatchGcd(k=3).run(moduli)
         ClusteredBatchGcd(k=3, checkpoint_dir=tmp_path).run(moduli)
-        manifest_path = tmp_path / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["passes"] = manifest["passes"][:3]
-        manifest_path.write_text(json.dumps(manifest))
+        identity, *passes = _log_records(tmp_path)
+        _write_log(tmp_path, [identity, *passes[:3]])
         resumed = ClusteredBatchGcd(
             k=3, foreign_pass="descent", checkpoint_dir=tmp_path
         )
@@ -428,26 +455,19 @@ class TestCheckpointStore:
     ):
         # A descent task settles both passes of a subset pair, but the
         # checkpoint keeps passes one by one, and can hold (0, 1) without
-        # (1, 0): a remainder run's chunks end anywhere, and a torn shard
+        # (1, 0): a remainder run's chunks end anywhere, and a torn record
         # is recomputed.  Both strategies finish such a checkpoint,
         # writing only the missing pass.
-        rng = random.Random(9)
-        pool = [generate_prime(32, rng) for _ in range(5)]
-        moduli = [
-            pool[i % 5] * generate_prime(32, rng) if i % 3 == 0
-            else generate_prime(32, rng) * generate_prime(32, rng)
-            for i in range(15)
-        ]
+        moduli = _weak_moduli(9)
         reference = ClusteredBatchGcd(k=3).run(moduli)
         ClusteredBatchGcd(
             k=3, foreign_pass="descent", checkpoint_dir=tmp_path
         ).run(moduli)
-        manifest_path = tmp_path / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        assert [0, 1] in manifest["passes"]
-        manifest["passes"].remove([1, 0])
-        manifest_path.write_text(json.dumps(manifest))
-        (tmp_path / "pass-1-0.json").unlink()
+        records = _log_records(tmp_path)
+        assert [0, 1] in [record.get("pass") for record in records]
+        _write_log(
+            tmp_path, [r for r in records if r.get("pass") != [1, 0]]
+        )
         resumed = ClusteredBatchGcd(
             k=3, foreign_pass=resume_pass, checkpoint_dir=tmp_path
         )
@@ -456,8 +476,89 @@ class TestCheckpointStore:
         assert resumed.last_stats.checkpoint_written == 1
         assert result.divisors == reference.divisors
         assert result.resolve() == reference.resolve()
-        manifest = json.loads(manifest_path.read_text())
-        assert len(manifest["passes"]) == 9
+        assert len(_log_records(tmp_path)) == 1 + 9
+
+    def test_torn_final_record_recomputes_only_its_pass(self, tmp_path):
+        # k=3 remainder: nine one-pass chunks, one record each.  A kill
+        # mid-append tears the last; the resume skips it, recomputes that
+        # pass alone and appends it after the fragment.
+        moduli = _weak_moduli(10)
+        reference = ClusteredBatchGcd(k=3).run(moduli)
+        ClusteredBatchGcd(k=3, checkpoint_dir=tmp_path).run(moduli)
+        identity, *passes = _log_records(tmp_path)
+        _tear_last_record(tmp_path)
+        resumed = ClusteredBatchGcd(k=3, checkpoint_dir=tmp_path)
+        result = resumed.run(moduli)
+        assert resumed.last_stats.checkpoint_loaded == 8
+        assert resumed.last_stats.checkpoint_written == 1
+        assert result.divisors == reference.divisors
+        assert _log_records(tmp_path) == [identity, *passes]
+
+    def test_old_shard_layout_starts_fresh(self, tmp_path):
+        # The earlier layout (a manifest plus one JSON file per pass) is
+        # never read, even when its manifest names this computation: the
+        # run starts fresh and leaves those files as they were.  The
+        # shard's bogus divisor would change the result if it were read.
+        moduli = _weak_moduli(11)
+        reference = ClusteredBatchGcd(k=3).run(moduli)
+        manifest = {
+            "version": 1, "digest": corpus_digest(moduli), "k": 3,
+            "backend": "python", "passes": [[0, 0]],
+        }
+        old = {
+            "manifest.json": json.dumps(manifest),
+            "pass-0-0.json": json.dumps({"pass": [0, 0], "divisors": [[0, "5"]]}),
+        }
+        for name, text in old.items():
+            (tmp_path / name).write_text(text)
+        engine = ClusteredBatchGcd(k=3, checkpoint_dir=tmp_path)
+        result = engine.run(moduli)
+        assert engine.last_stats.checkpoint_loaded == 0
+        assert engine.last_stats.checkpoint_written == 9
+        assert result.divisors == reference.divisors
+        assert {p.name: p.read_text() for p in tmp_path.glob("*.json")} == old
+        assert len(_log_records(tmp_path)) == 1 + 9
+
+    def test_fresh_run_writes_one_file_with_one_append_per_chunk(
+        self, tmp_path, monkeypatch
+    ):
+        # k=4 remainder: sixteen one-pass chunks.  A fresh run writes the
+        # identity once (temp-file fsync, rename, directory fsync), then
+        # appends once per chunk; a resumed run only appends.
+        moduli = _weak_moduli(12)
+        synced = Counter()
+        renamed = []
+        real_file, real_dir, real_replace = fsio.fsync_file, fsio.fsync_dir, os.replace
+
+        def count_file(handle):
+            synced[Path(handle.name).name] += 1
+            real_file(handle)
+
+        def count_dir(path):
+            synced["<dir>"] += 1
+            real_dir(path)
+
+        def count_replace(source, target):
+            renamed.append(Path(target).name)
+            real_replace(source, target)
+
+        monkeypatch.setattr(fsio, "fsync_file", count_file)
+        monkeypatch.setattr(fsio, "fsync_dir", count_dir)
+        monkeypatch.setattr(os, "replace", count_replace)
+        ClusteredBatchGcd(k=4, checkpoint_dir=tmp_path).run(moduli)
+        assert [p.name for p in tmp_path.iterdir()] == ["passes.jsonl"]
+        assert synced == {"passes.jsonl.tmp": 1, "<dir>": 1, "passes.jsonl": 16}
+        assert renamed == ["passes.jsonl"]
+
+        identity, *passes = _log_records(tmp_path)
+        _write_log(tmp_path, [identity, *passes[:5]])
+        synced.clear()
+        renamed.clear()
+        resumed = ClusteredBatchGcd(k=4, checkpoint_dir=tmp_path)
+        resumed.run(moduli)
+        assert resumed.last_stats.checkpoint_loaded == 5
+        assert synced == {"passes.jsonl": 11}
+        assert renamed == []
 
     def test_corpus_digest_is_order_sensitive(self):
         assert corpus_digest([15, 21]) != corpus_digest([21, 15])
