@@ -18,7 +18,8 @@ Subpackages:
 
 - :mod:`repro.numt` — number theory (trees, primality, gcd machinery).
 - :mod:`repro.crypto` — primes, RSA, certificates.
-- :mod:`repro.entropy` — the boot-time entropy-hole simulator.
+- :mod:`repro.entropy` — vendor keygen profiles: shared primes, the IBM
+  nine-prime bug, healthy generation.
 - :mod:`repro.core` — batch-GCD engines (naive, classic, clustered).
 - :mod:`repro.devices` — vendors, device models, population dynamics.
 - :mod:`repro.scans` — internet-wide scan simulation and artifacts.

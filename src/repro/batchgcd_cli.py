@@ -109,6 +109,10 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag, path in (("-o", args.output), ("--telemetry-json", args.telemetry_json)):
+        if path and not Path(path).parent.is_dir():
+            # Fail before the computation, not after it.
+            parser.error(f"{flag}: no such directory: {Path(path).parent}")
 
     if args.input == "-":
         moduli = read_moduli(sys.stdin)

@@ -99,7 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run the study at the requested preset and print the report bundle."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.telemetry_json and not pathlib.Path(args.telemetry_json).parent.is_dir():
+        # Fail before the run, not after it.
+        parser.error(
+            f"--telemetry-json: no such directory: {pathlib.Path(args.telemetry_json).parent}"
+        )
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(asctime)s %(name)s %(message)s",

@@ -14,14 +14,6 @@ and serve TLS certificates:
 """
 
 from repro.crypto.certs import Certificate, DistinguishedName, self_signed_certificate
-from repro.crypto.dsa import (
-    DsaKeyPair,
-    DsaParameters,
-    DsaSignature,
-    generate_dsa_keypair,
-    generate_parameters,
-    recover_private_key_from_nonce_reuse,
-)
 from repro.crypto.primes import (
     OPENSSL_FINGERPRINT_PRIMES,
     generate_prime,
@@ -42,12 +34,6 @@ from repro.crypto.rsa import (
 __all__ = [
     "Certificate",
     "DistinguishedName",
-    "DsaKeyPair",
-    "DsaParameters",
-    "DsaSignature",
-    "generate_dsa_keypair",
-    "generate_parameters",
-    "recover_private_key_from_nonce_reuse",
     "OPENSSL_FINGERPRINT_PRIMES",
     "RsaKeyPair",
     "RsaPrivateKey",

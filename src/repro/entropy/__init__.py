@@ -1,4 +1,4 @@
-"""Entropy-failure simulation: how weak keys actually come to exist.
+"""Entropy failure as the study sees it: how weak keys come to exist.
 
 The paper (Section 2.4) traces the weak-key epidemic to a common pattern on
 headless, embedded and low-resource devices: the OS random number generator
@@ -7,20 +7,13 @@ long-term key.  Devices with identical boot states then generate identical
 first primes, diverge slightly (a clock tick, a packet arrival) during
 generation of the second prime, and emit distinct moduli sharing one factor.
 
-This package models that mechanism end to end:
-
-- :mod:`repro.entropy.pool` — a /dev/urandom-style extract-expand pool with
-  entropy accounting and a ``getrandom``-style blocking read (the 2014 Linux
-  fix).
-- :mod:`repro.entropy.sources` — boot-time entropy sources of varying
-  quality (wall clock, MAC address, network interrupts, hardware RNG).
-- :mod:`repro.entropy.boot` — the boot-sequence simulator that replays the
-  "boot-time entropy hole" and its patched counterpart.
-- :mod:`repro.entropy.keygen` — vendor keygen profiles built on top: shared-
-  prime populations, the IBM nine-prime bug, and healthy generation.
+:mod:`repro.entropy.keygen` models that outcome directly, as vendor keygen
+profiles on :class:`WeakKeyFactory`: every prime is derived from
+``(factory seed, profile id, state)``, where the state is the boot state a
+device drew from its fleet's small finite set.  The profiles are shared-prime
+populations, the IBM nine-prime bug, and healthy generation.
 """
 
-from repro.entropy.boot import BootOutcome, DeviceBootSimulator
 from repro.entropy.keygen import (
     HealthyProfile,
     IbmNinePrimeProfile,
@@ -28,28 +21,11 @@ from repro.entropy.keygen import (
     SharedPrimeProfile,
     WeakKeyFactory,
 )
-from repro.entropy.pool import EntropyPool, InsufficientEntropyError
-from repro.entropy.sources import (
-    BootClockSource,
-    EntropySource,
-    HardwareRngSource,
-    MacAddressSource,
-    NetworkInterruptSource,
-)
 
 __all__ = [
-    "BootClockSource",
-    "BootOutcome",
-    "DeviceBootSimulator",
-    "EntropyPool",
-    "EntropySource",
-    "HardwareRngSource",
     "HealthyProfile",
     "IbmNinePrimeProfile",
-    "InsufficientEntropyError",
     "KeygenProfile",
-    "MacAddressSource",
-    "NetworkInterruptSource",
     "SharedPrimeProfile",
     "WeakKeyFactory",
 ]

@@ -17,6 +17,10 @@ helper here, plus the fsync moves they share:
 - :func:`fsync_dir` — make a completed rename durable.  The kernel keeps
   the new directory entry after a SIGKILL, but only a directory fsync
   pins it across power loss.
+- :func:`make_dirs` — the same pin for directories: create the missing
+  ones one level at a time and fsync the parent of each, so a power loss
+  cannot drop a directory whose files were all fsynced.  Both writers
+  below create their parents through it.
 - :func:`append_jsonl` / :func:`read_jsonl` — the append-only log: one
   JSON record per line, fsynced before the append returns (the append
   that creates the log fsyncs its directory too).  One torn-tail
@@ -44,6 +48,7 @@ __all__ = [
     "atomic_write_text",
     "fsync_dir",
     "fsync_file",
+    "make_dirs",
     "read_jsonl",
 ]
 
@@ -69,6 +74,22 @@ def fsync_dir(path: str | Path) -> None:
         os.close(fd)
 
 
+def make_dirs(path: str | Path) -> None:
+    """Create ``path`` and its missing parents, pinning each in its parent.
+
+    Outermost first, each created directory's parent is fsynced; an
+    existing directory costs no fsync.
+    """
+    missing = []
+    directory = Path(path)
+    while not directory.exists():
+        missing.append(directory)
+        directory = directory.parent
+    for created in reversed(missing):
+        created.mkdir(exist_ok=True)
+        fsync_dir(created.parent)
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Durably replace ``path`` with ``text`` via temp-file + atomic rename.
 
@@ -77,10 +98,10 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     rename — otherwise the rename can land while the content is still in
     the page cache and a power loss commits an empty or torn file.  The
     directory entry is fsynced after, so the commit itself is durable.
-    Parent directories are created on demand.
+    Parent directories are created on demand (:func:`make_dirs`).
     """
     target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
+    make_dirs(target.parent)
     tmp = target.with_suffix(target.suffix + ".tmp")
     with open(tmp, "w", encoding="utf-8") as handle:
         handle.write(text)
@@ -96,12 +117,13 @@ def append_jsonl(path: str | Path, records: Iterable[Any]) -> None:
     first, so the torn fragment stays one unparsable line that
     :func:`read_jsonl` skips instead of swallowing the first new record.
     The lines are fsynced before the call returns.  Parent directories
-    are created on demand, and the append that creates the file also
-    fsyncs its directory, so a power loss cannot drop the new log's
-    directory entry; appends to an existing log fsync only the file.
+    are created on demand (:func:`make_dirs`), and the append that
+    creates the file also fsyncs its directory, so a power loss cannot
+    drop the new log's directory entry; appends to an existing log fsync
+    only the file.
     """
     target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
+    make_dirs(target.parent)
     created = not target.exists()
     text = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
     with open(target, "ab+") as handle:

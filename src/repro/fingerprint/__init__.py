@@ -18,11 +18,7 @@ from repro.fingerprint.anomalies import (
     is_well_formed_modulus,
 )
 from repro.fingerprint.engine import FingerprintReport, fingerprint_study
-from repro.fingerprint.openssl import (
-    VendorOpensslVerdict,
-    classify_vendors,
-    openssl_prime_fraction,
-)
+from repro.fingerprint.openssl import VendorOpensslVerdict, classify_vendors
 from repro.fingerprint.rules import RuleMatch, identify_by_subject
 from repro.fingerprint.sharedprimes import (
     PrimeClique,
@@ -48,6 +44,5 @@ __all__ = [
     "identify_by_subject",
     "is_well_formed_modulus",
     "label_degenerate_cliques",
-    "openssl_prime_fraction",
     "shared_prime_overlaps",
 ]

@@ -22,7 +22,7 @@ from repro.crypto.primes import (
     is_safe_prime,
 )
 
-__all__ = ["VendorOpensslVerdict", "classify_vendors", "openssl_prime_fraction"]
+__all__ = ["VendorOpensslVerdict", "classify_vendors"]
 
 #: Classification thresholds on the satisfying fraction.  An OpenSSL
 #: implementation satisfies the property for *every* prime; a non-OpenSSL
@@ -55,15 +55,6 @@ class VendorOpensslVerdict:
     def satisfying_fraction(self) -> float:
         """Fraction of examined primes satisfying the property."""
         return self.satisfying / self.primes_examined if self.primes_examined else 0.0
-
-
-def openssl_prime_fraction(
-    primes: list[int], table: tuple[int, ...] = OPENSSL_FINGERPRINT_PRIMES
-) -> float:
-    """Fraction of the given primes satisfying the OpenSSL property."""
-    if not primes:
-        return 0.0
-    return sum(1 for p in primes if is_openssl_style_prime(p, table)) / len(primes)
 
 
 def classify_vendors(

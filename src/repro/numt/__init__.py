@@ -7,13 +7,13 @@ everything the higher layers need:
   by the OpenSSL prime fingerprint (Section 3.3.4 of the paper).
 - :mod:`repro.numt.primality` — Miller–Rabin primality testing, exact below
   ~3.3e24 by proven witness sets, and next-prime search.
-- :mod:`repro.numt.arith` — extended gcd, modular inverse, integer roots,
-  perfect-power detection and CRT.
+- :mod:`repro.numt.arith` — extended gcd, modular inverse and integer
+  roots.
 - :mod:`repro.numt.trees` — product trees and remainder trees, the building
   blocks of Bernstein's batch-GCD algorithm (Section 3.2).
-- :mod:`repro.numt.smooth` — smooth-part extraction, used to recognise
-  bit-error artifacts whose spurious gcd divisors are products of many small
-  primes (Section 3.3.5).
+- :mod:`repro.numt.smooth` — trial factoring, used to recognise bit-error
+  artifacts whose spurious gcd divisors are products of many small primes
+  (Section 3.3.5).
 - :mod:`repro.numt.incremental` — the appendable product tree and its
   persistent on-disk store: complete-block appends (amortised O(1)
   products), one durable commit per batch, and membership checks
@@ -40,13 +40,7 @@ is no global state, so every function here is safe to call from process
 pool workers.
 """
 
-from repro.numt.arith import (
-    crt_pair,
-    egcd,
-    introot,
-    is_perfect_power,
-    modinv,
-)
+from repro.numt.arith import egcd, introot, modinv
 from repro.numt.backend import (
     BigIntBackend,
     available_backends,
@@ -62,12 +56,8 @@ from repro.numt.incremental import (
     extend_digest,
 )
 from repro.numt.primality import is_probable_prime, next_prime
-from repro.numt.sieve import (
-    first_n_primes,
-    primes_below,
-    smallest_factor_below,
-)
-from repro.numt.smooth import smooth_part, trial_factor
+from repro.numt.sieve import first_n_primes, primes_below
+from repro.numt.smooth import trial_factor
 from repro.numt.trees import (
     barrett_reduce,
     gcd_descent_hits,
@@ -89,14 +79,12 @@ __all__ = [
     "StoreCorruptError",
     "available_backends",
     "barrett_reduce",
-    "crt_pair",
     "egcd",
     "empty_digest",
     "extend_digest",
     "first_n_primes",
     "gcd_descent_hits",
     "introot",
-    "is_perfect_power",
     "is_probable_prime",
     "modinv",
     "newton_reciprocal",
@@ -108,8 +96,6 @@ __all__ = [
     "remainder_tree_prepared",
     "remainder_tree_squared",
     "resolve_backend",
-    "smallest_factor_below",
-    "smooth_part",
     "tree_product",
     "trial_factor",
 ]

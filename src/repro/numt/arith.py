@@ -1,10 +1,10 @@
-"""Integer arithmetic helpers: egcd, modular inverse, roots, CRT."""
+"""Integer arithmetic helpers: egcd, modular inverse, integer roots."""
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["egcd", "modinv", "introot", "is_perfect_power", "crt_pair"]
+__all__ = ["egcd", "modinv", "introot"]
 
 
 def egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -54,38 +54,3 @@ def introot(n: int, k: int) -> int:
         if y >= x:
             return x
         x = y
-
-
-def is_perfect_power(n: int) -> tuple[int, int] | None:
-    """Return ``(base, exponent)`` with ``exponent >= 2`` if ``n`` is a perfect
-    power, else None.
-
-    Used to reject degenerate "RSA" moduli of the form p**2 when validating
-    well-formedness of scanned keys.
-    """
-    if n < 4:
-        return None
-    for k in range(2, n.bit_length() + 1):
-        root = introot(n, k)
-        if root < 2:
-            break
-        if root**k == n:
-            return root, k
-    return None
-
-
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    """Combine ``x = r1 (mod m1)`` and ``x = r2 (mod m2)`` for coprime moduli.
-
-    Returns:
-        ``(x, m1*m2)`` with ``0 <= x < m1*m2``.
-
-    Raises:
-        ValueError: if the moduli are not coprime.
-    """
-    g, p, _ = egcd(m1, m2)
-    if g != 1:
-        raise ValueError(f"moduli not coprime (gcd={g})")
-    lcm = m1 * m2
-    x = (r1 + (r2 - r1) * p % m2 * m1) % lcm
-    return x, lcm

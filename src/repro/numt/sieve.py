@@ -9,12 +9,10 @@ tables for trial division before Miller–Rabin.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
 
 __all__ = [
     "primes_below",
     "first_n_primes",
-    "smallest_factor_below",
     "OPENSSL_TRIAL_PRIME_COUNT",
 ]
 
@@ -50,34 +48,3 @@ def first_n_primes(n: int) -> tuple[int, ...]:
         if len(primes) >= n:
             return tuple(primes[:n])
         limit *= 2
-
-
-def smallest_factor_below(n: int, limit: int) -> int | None:
-    """Return the smallest prime factor of ``n`` below ``limit``, or None.
-
-    Only primes below ``limit`` are tried; a ``None`` result does not imply
-    primality.
-    """
-    if n < 2:
-        return None
-    for p in primes_below(limit):
-        if p * p > n:
-            break
-        if n % p == 0:
-            return p
-    # n itself may be a small prime below the limit.
-    if n < limit:
-        return n
-    return None
-
-
-def prime_stream() -> Iterator[int]:
-    """Yield primes indefinitely (simple incremental wheel over the sieve)."""
-    chunk = 1 << 12
-    low = 0
-    while True:
-        for p in primes_below(low + chunk):
-            if p >= low:
-                yield p
-        low += chunk
-        chunk *= 2

@@ -1,17 +1,19 @@
-"""Smooth-part extraction and trial factoring.
+"""Trial factoring by small primes.
 
 Bit-flip artifacts (paper Section 3.3.5) show up in batch-GCD output as
 divisors that are products of many small primes: a corrupted modulus behaves
 like a random integer, divisible by each small prime ``q`` with probability
-``1/q``.  The fingerprinting layer uses :func:`smooth_part` to recognise such
-divisors and set the records aside rather than flag a flawed implementation.
+``1/q``.  The fingerprinting layer's bit-error triage
+(:func:`repro.fingerprint.anomalies.detect_bit_errors`) calls
+:func:`trial_factor` to recognise such divisors and set the records aside
+rather than flag a flawed implementation.
 """
 
 from __future__ import annotations
 
 from repro.numt.sieve import primes_below
 
-__all__ = ["smooth_part", "trial_factor"]
+__all__ = ["trial_factor"]
 
 
 def trial_factor(n: int, limit: int = 10_000) -> tuple[dict[int, int], int]:
@@ -35,12 +37,3 @@ def trial_factor(n: int, limit: int = 10_000) -> tuple[dict[int, int], int]:
         factors[remaining] = factors.get(remaining, 0) + 1
         remaining = 1
     return factors, remaining
-
-
-def smooth_part(n: int, limit: int = 10_000) -> int:
-    """Return the ``limit``-smooth part of ``n`` (product of small-prime powers)."""
-    factors, _ = trial_factor(n, limit)
-    result = 1
-    for p, e in factors.items():
-        result *= p**e
-    return result

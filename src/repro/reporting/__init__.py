@@ -1,6 +1,6 @@
-"""Presentation layer: every way a finished study leaves the pipeline.
+"""Presentation layer: how a finished study leaves the pipeline as text.
 
-Three modules, three audiences:
+Two modules:
 
 - :mod:`repro.reporting.text` — low-level formatting primitives: aligned
   text tables (:func:`render_table`), ASCII time-series charts
@@ -13,21 +13,11 @@ Three modules, three audiences:
   :func:`render_figure7`), each taking a
   :class:`~repro.pipeline.StudyResult` and returning the text the
   benchmark harness writes to ``benchmarks/output/``.
-- :mod:`repro.reporting.export` — machine-readable exits: per-vendor CSV
-  (:func:`series_to_csv`, :func:`global_series_to_csv`) and the JSON
-  bundle (:func:`study_to_json`), which embeds the run's telemetry
-  RunReport when one was recorded.
 
-Rule of thumb: if a human reads it, it lives in ``study``/``text``; if a
-plotting script reads it, it lives in ``export``; per-run performance
-accounting lives in :mod:`repro.telemetry` and rides along in the export.
+Per-run performance accounting lives in :mod:`repro.telemetry`; its
+RunReport leaves through ``repro-study --telemetry-json``.
 """
 
-from repro.reporting.export import (
-    global_series_to_csv,
-    series_to_csv,
-    study_to_json,
-)
 from repro.reporting.study import (
     render_figure1,
     render_figure7,
@@ -43,7 +33,6 @@ from repro.reporting.text import format_count, render_series_chart, render_table
 
 __all__ = [
     "format_count",
-    "global_series_to_csv",
     "render_figure1",
     "render_figure7",
     "render_series_chart",
@@ -55,6 +44,4 @@ __all__ = [
     "render_table4",
     "render_table5",
     "render_vendor_figure",
-    "series_to_csv",
-    "study_to_json",
 ]

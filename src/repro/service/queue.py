@@ -43,7 +43,7 @@ import threading
 from pathlib import Path
 from typing import Any
 
-from repro.faults.fsio import append_jsonl, read_jsonl
+from repro.faults.fsio import append_jsonl, make_dirs, read_jsonl
 from repro.service.models import (
     WEBHOOK_DELIVERED,
     WEBHOOK_GAVE_UP,
@@ -103,7 +103,7 @@ class JobQueue:
         self._by_digest: dict[str, str] = {}
         self._next_seq = 0
         self._queue_paused = False
-        self.state_dir.mkdir(parents=True, exist_ok=True)
+        make_dirs(self.state_dir)
         self._journal_path = self.state_dir / _JOURNAL
         self._replay()
 

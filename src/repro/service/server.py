@@ -35,6 +35,9 @@ the peer still sends until the peer closes or :data:`LINGER_SECONDS`
 run out.  Closing with unread input would make the kernel reset the
 connection, and a reset can destroy the answer before the peer reads it:
 the 400 of an over-long head, or the 413 of a body still being sent.
+A server stop cancels the handlers still lingering or closing; each drops
+its connection and ends normally, since a handler task that ends
+cancelled makes CPython <= 3.11's stream callback log an error.
 """
 
 from __future__ import annotations
@@ -224,10 +227,8 @@ class ServiceServer:
 
     def _write_endpoint_file(self) -> None:
         """Atomically publish the bound address for drills and clients."""
-        state_dir = Path(self._config.state_dir)
-        state_dir.mkdir(parents=True, exist_ok=True)
         atomic_write_text(
-            state_dir / "endpoint.json",
+            Path(self._config.state_dir) / "endpoint.json",
             json.dumps(
                 {
                     "host": self._config.host,
@@ -274,12 +275,16 @@ class ServiceServer:
                     break
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # peer vanished mid-exchange; nothing to salvage
+        except asyncio.CancelledError:
+            writer.transport.abort()  # a server stop: drop the connection
         finally:
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+            except asyncio.CancelledError:
+                writer.transport.abort()  # stopped while closing
 
     async def _read_request(
         self, reader: asyncio.StreamReader

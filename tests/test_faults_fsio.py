@@ -15,6 +15,7 @@ from repro.faults.fsio import (
     read_jsonl,
 )
 from repro.faults.journal import MutationJournal
+from repro.service.queue import JobQueue
 
 
 def _record_dir_fsyncs(monkeypatch):
@@ -158,10 +159,10 @@ class TestJsonl:
         synced_dirs = _record_dir_fsyncs(monkeypatch)
         path = tmp_path / "logs" / "log.jsonl"
         append_jsonl(path, [{"n": 1}])
-        assert synced_dirs == [path.parent]
+        assert synced_dirs == [tmp_path, path.parent]
         append_jsonl(path, [{"n": 2}])
         append_jsonl(path, [])
-        assert synced_dirs == [path.parent]
+        assert synced_dirs == [tmp_path, path.parent]
 
     def test_append_to_a_committed_journal_adds_no_directory_fsync(
         self, tmp_path, monkeypatch
@@ -174,3 +175,34 @@ class TestJsonl:
         synced_dirs = _record_dir_fsyncs(monkeypatch)
         journal.append({"insert": 2})
         assert synced_dirs == []
+
+
+class TestDirectoryPinning:
+    """A directory the helpers create is pinned in its parent, outermost
+    first, so a power loss cannot drop it with its fsynced files."""
+
+    @pytest.mark.parametrize(
+        "write, rewrite_pins_target_dir",
+        [
+            (lambda path: append_jsonl(path, [{"n": 1}]), False),
+            (lambda path: atomic_write_text(path, "payload"), True),
+        ],
+        ids=["append_jsonl", "atomic_write_text"],
+    )
+    def test_created_parents_are_pinned_once(
+        self, tmp_path, monkeypatch, write, rewrite_pins_target_dir
+    ):
+        synced_dirs = _record_dir_fsyncs(monkeypatch)
+        path = tmp_path / "a" / "b" / "log.jsonl"
+        write(path)
+        assert synced_dirs == [tmp_path, tmp_path / "a", tmp_path / "a" / "b"]
+        synced_dirs.clear()
+        write(path)
+        # Existing parents cost nothing; an atomic rewrite still pins
+        # its own rename.
+        assert synced_dirs == ([path.parent] if rewrite_pins_target_dir else [])
+
+    def test_job_queue_pins_the_state_dir_it_creates(self, tmp_path, monkeypatch):
+        synced_dirs = _record_dir_fsyncs(monkeypatch)
+        JobQueue(tmp_path / "service" / "state").close()
+        assert synced_dirs == [tmp_path, tmp_path / "service"]

@@ -4,7 +4,7 @@ import random
 
 from repro.core.results import FactoredModulus
 from repro.crypto.primes import generate_prime, openssl_style_prime
-from repro.fingerprint.openssl import classify_vendors, openssl_prime_fraction
+from repro.fingerprint.openssl import classify_vendors
 
 
 def corpus(small_openssl_table, vendor_styles, seed=1, keys_per_vendor=6):
@@ -24,15 +24,6 @@ def corpus(small_openssl_table, vendor_styles, seed=1, keys_per_vendor=6):
             factored[n] = FactoredModulus(n, min(p, q), max(p, q))
             labels[n] = vendor
     return factored, labels
-
-
-class TestOpensslPrimeFraction:
-    def test_empty(self):
-        assert openssl_prime_fraction([]) == 0.0
-
-    def test_all_satisfying(self, rng, small_openssl_table):
-        primes = [openssl_style_prime(48, rng, small_openssl_table) for _ in range(5)]
-        assert openssl_prime_fraction(primes, small_openssl_table) == 1.0
 
 
 class TestClassifyVendors:

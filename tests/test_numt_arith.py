@@ -1,11 +1,11 @@
-"""Tests for repro.numt.arith (egcd, modinv, roots, CRT)."""
+"""Tests for repro.numt.arith (egcd, modinv, integer roots)."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.numt.arith import crt_pair, egcd, introot, is_perfect_power, modinv
+from repro.numt.arith import egcd, introot, modinv
 
 
 class TestEgcd:
@@ -88,45 +88,3 @@ class TestIntroot:
         assert r**k <= n
         assert (r + 1) ** k > n
 
-
-class TestIsPerfectPower:
-    def test_square(self):
-        assert is_perfect_power(49) == (7, 2)
-
-    def test_cube(self):
-        base, exp = is_perfect_power(3**5)
-        assert base**exp == 3**5
-
-    def test_not_power(self):
-        assert is_perfect_power(10) is None
-        assert is_perfect_power(2**61 - 1) is None
-
-    def test_small(self):
-        assert is_perfect_power(3) is None
-        assert is_perfect_power(4) == (2, 2)
-
-    def test_rsa_square_modulus_detected(self):
-        p = 0xFFFF_FFFB  # a prime
-        assert is_perfect_power(p * p) == (p, 2)
-
-
-class TestCrtPair:
-    def test_basic(self):
-        x, m = crt_pair(2, 3, 3, 5)
-        assert m == 15
-        assert x % 3 == 2
-        assert x % 5 == 3
-
-    def test_not_coprime(self):
-        with pytest.raises(ValueError):
-            crt_pair(1, 6, 2, 9)
-
-    @given(st.integers(min_value=2, max_value=10**4),
-           st.integers(min_value=2, max_value=10**4),
-           st.integers(min_value=0, max_value=10**8))
-    def test_reconstruction(self, m1, m2, value):
-        if math.gcd(m1, m2) != 1:
-            return
-        x, m = crt_pair(value % m1, m1, value % m2, m2)
-        assert m == m1 * m2
-        assert x == value % m

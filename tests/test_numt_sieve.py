@@ -1,12 +1,7 @@
 """Tests for repro.numt.sieve."""
 
 
-from repro.numt.sieve import (
-    OPENSSL_TRIAL_PRIME_COUNT,
-    first_n_primes,
-    primes_below,
-    smallest_factor_below,
-)
+from repro.numt.sieve import OPENSSL_TRIAL_PRIME_COUNT, first_n_primes, primes_below
 
 
 class TestPrimesBelow:
@@ -55,37 +50,3 @@ class TestFirstNPrimes:
         primes = first_n_primes(200)
         assert all(a < b for a, b in zip(primes, primes[1:]))
 
-
-class TestPrimeStream:
-    def test_matches_first_n_primes(self):
-        import itertools
-
-        from repro.numt.sieve import prime_stream
-
-        streamed = list(itertools.islice(prime_stream(), 500))
-        assert tuple(streamed) == first_n_primes(500)
-
-    def test_crosses_chunk_boundaries_without_duplicates(self):
-        import itertools
-
-        from repro.numt.sieve import prime_stream
-
-        streamed = list(itertools.islice(prime_stream(), 2000))
-        assert len(set(streamed)) == 2000
-        assert streamed == sorted(streamed)
-
-
-class TestSmallestFactorBelow:
-    def test_finds_small_factor(self):
-        assert smallest_factor_below(15, 100) == 3
-        assert smallest_factor_below(49, 100) == 7
-
-    def test_prime_input_below_limit(self):
-        assert smallest_factor_below(97, 1000) == 97
-
-    def test_large_prime_returns_none(self):
-        assert smallest_factor_below(2**61 - 1, 1000) is None
-
-    def test_below_two(self):
-        assert smallest_factor_below(1, 100) is None
-        assert smallest_factor_below(0, 100) is None

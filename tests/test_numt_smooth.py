@@ -1,11 +1,11 @@
-"""Tests for smooth-part extraction (bit-error artifact recognition)."""
+"""Tests for trial factoring (bit-error artifact recognition)."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.numt.smooth import smooth_part, trial_factor
+from repro.numt.smooth import trial_factor
 
 
 class TestTrialFactor:
@@ -38,17 +38,3 @@ class TestTrialFactor:
         product = cofactor * math.prod(p**e for p, e in factors.items())
         assert product == n
 
-
-class TestSmoothPart:
-    def test_smooth_number(self):
-        assert smooth_part(720) == 720
-
-    def test_prime_payload_stripped(self):
-        p = 2**61 - 1
-        assert smooth_part(6 * p) == 6
-
-    def test_bit_error_signature(self):
-        # A random-ish integer has a nontrivial smooth part spread over
-        # several small primes - unlike a shared RSA prime.
-        n = 2 * 3 * 7 * 11 * (2**89 - 1)
-        assert smooth_part(n) == 2 * 3 * 7 * 11

@@ -8,7 +8,6 @@ runs.
 import pytest
 
 from repro.pipeline import STAGE_SPANS
-from repro.reporting.export import study_to_json
 from repro.telemetry import validate_report
 
 
@@ -111,14 +110,6 @@ class TestScanAndFingerprintInstruments:
 class TestReportEdges:
     def test_report_validates_against_schema(self, report):
         assert validate_report(report.to_dict()) == []
-
-    def test_study_json_embeds_telemetry(self, tiny_study):
-        import json
-
-        payload = json.loads(study_to_json(tiny_study))
-        assert payload["telemetry"]["enabled"] is True
-        names = [s["name"] for s in payload["telemetry"]["spans"]]
-        assert names == list(STAGE_SPANS)
 
     def test_uninstrumented_run_attaches_no_report(self):
         # The default active registry is disabled; run_study must not

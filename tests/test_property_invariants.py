@@ -8,7 +8,6 @@ from repro.core.batchgcd import batch_gcd
 from repro.core.clustered import clustered_batch_gcd
 from repro.core.naive import naive_pairwise_gcd
 from repro.crypto.certs import DistinguishedName
-from repro.entropy.pool import EntropyPool
 from repro.numt.trees import product_tree, remainder_tree
 from repro.timeline import Month
 
@@ -75,30 +74,6 @@ class TestTreeInvariants:
     @given(st.lists(st.integers(min_value=1, max_value=2**32), min_size=1, max_size=64))
     def test_product_tree_root(self, values):
         assert product_tree(values)[-1][0] == math.prod(values)
-
-
-class TestEntropyPoolInvariants:
-    @given(st.lists(st.binary(min_size=0, max_size=16), max_size=8))
-    @settings(max_examples=50)
-    def test_identical_mix_sequences_identical_streams(self, inputs):
-        a, b = EntropyPool(), EntropyPool()
-        for data in inputs:
-            a.mix(data)
-            b.mix(data)
-        assert a.read(48) == b.read(48)
-
-    @given(
-        st.lists(st.binary(min_size=1, max_size=8), min_size=1, max_size=6),
-        st.integers(min_value=0, max_value=5),
-    )
-    @settings(max_examples=50)
-    def test_any_extra_mix_diverges(self, inputs, position):
-        a, b = EntropyPool(), EntropyPool()
-        for data in inputs:
-            a.mix(data)
-            b.mix(data)
-        b.mix(b"\x00" + bytes([position]))
-        assert a.read(32) != b.read(32)
 
 
 class TestDnAndMonthRoundtrips:

@@ -9,6 +9,7 @@ what the clustered engine returns for the same corpus.
 
 import http.client
 import json
+import logging
 import random
 import socket
 import threading
@@ -511,3 +512,27 @@ class TestEventLoopDiscipline:
             service.queue.resume_all = originals["resume_all"]
         assert len(seen_threads) == 2
         assert all(name != "repro-service-loop" for name in seen_threads)
+
+
+class TestShutdown:
+    def test_stop_while_a_connection_lingers_logs_no_error(self, tmp_path, caplog):
+        # The client reads its answer up to EOF and keeps its end open, so
+        # the server's handler is still lingering when the stop cancels
+        # it.  A handler that ends cancelled makes CPython <= 3.11's
+        # stream callback log "Exception in callback ... CancelledError".
+        service = ServiceApp(ServiceConfig(state_dir=str(tmp_path)))
+        port = service.start_background()
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+            raw = b""
+            while chunk := sock.recv(65536):
+                raw += chunk
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                service.shutdown()
+        assert raw.startswith(b"HTTP/1.1 200 OK\r\n"), raw
+        errors = [
+            record.getMessage()
+            for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR
+        ]
+        assert errors == []
