@@ -40,7 +40,7 @@ is no global state, so every function here is safe to call from process
 pool workers.
 """
 
-from repro.numt.arith import egcd, introot, modinv
+from repro.numt.arith import egcd, modinv
 from repro.numt.backend import (
     BigIntBackend,
     available_backends,
@@ -84,7 +84,6 @@ __all__ = [
     "extend_digest",
     "first_n_primes",
     "gcd_descent_hits",
-    "introot",
     "is_probable_prime",
     "modinv",
     "newton_reciprocal",

@@ -1,10 +1,8 @@
-"""Integer arithmetic helpers: egcd, modular inverse, integer roots."""
+"""Integer arithmetic helpers: egcd and modular inverse."""
 
 from __future__ import annotations
 
-import math
-
-__all__ = ["egcd", "modinv", "introot"]
+__all__ = ["egcd", "modinv"]
 
 
 def egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -36,21 +34,3 @@ def modinv(a: int, m: int) -> int:
         raise ValueError(f"{a} is not invertible modulo {m} (gcd={g})")
     return x % m
 
-
-def introot(n: int, k: int) -> int:
-    """Return ``floor(n ** (1/k))`` for non-negative ``n`` and ``k >= 1``."""
-    if n < 0:
-        raise ValueError("introot requires n >= 0")
-    if k < 1:
-        raise ValueError("introot requires k >= 1")
-    if k == 1 or n < 2:
-        return n
-    if k == 2:
-        return math.isqrt(n)
-    # Newton iteration seeded from the bit length.
-    x = 1 << (-(-n.bit_length() // k))
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y

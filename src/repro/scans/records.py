@@ -132,10 +132,6 @@ class ScanSnapshot:
         """The certificate-id column (shared, do not mutate)."""
         return self._cert_ids
 
-    def ips(self) -> array.array:
-        """The IP column (shared, do not mutate)."""
-        return self._ips
-
     def remove_indices(self, indices: set[int]) -> int:
         """Drop records by positional index; returns how many were removed.
 

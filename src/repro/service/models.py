@@ -27,6 +27,7 @@ import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Mapping, Sequence
+from urllib.parse import urlsplit
 
 from repro.core.select import EngineConfig
 
@@ -134,7 +135,8 @@ class JobRecord:
         webhook_url: completion callback target (None = poll only).
         status: current lifecycle state.
         attempts: run attempts consumed (claims, including crashed ones).
-        error: terminal failure description (``status == failed`` only).
+        error: the last failed attempt's message (a retried or failed
+            job), cleared when the job succeeds.
         result: outcome (``status == succeeded`` only).
         report: per-job telemetry RunReport dict (succeeded jobs).
         webhook_state: one of the ``WEBHOOK_*`` constants.
@@ -273,13 +275,28 @@ def parse_submission(payload: Any) -> tuple[list[int], str | None]:
         )
     webhook_url = payload.get("webhook_url")
     if webhook_url is not None:
-        if not isinstance(webhook_url, str) or not webhook_url.startswith(
-            ("http://", "https://")
-        ):
-            raise SubmissionError(
-                "bad_webhook", "'webhook_url' must be an http(s) URL"
-            )
+        _check_webhook_url(webhook_url)
     return moduli, webhook_url
+
+
+def _check_webhook_url(raw: Any) -> None:
+    """Reject a callback target the worker could not even try to reach."""
+    usable = (
+        isinstance(raw, str)
+        and raw.startswith(("http://", "https://"))
+        and all(c.isprintable() and not c.isspace() for c in raw)
+    )
+    if usable:
+        try:
+            parts = urlsplit(raw)
+            # ``.port`` raises on a port that is not a number in range.
+            usable = bool(parts.hostname) and parts.port != 0
+        except ValueError:  # that port, or an unbalanced "["
+            usable = False
+    if not usable:
+        raise SubmissionError(
+            "bad_webhook", "'webhook_url' must be an http(s) URL with a host"
+        )
 
 
 #: ``EngineConfig.engine`` values the service runs jobs under

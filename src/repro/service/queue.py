@@ -2,20 +2,21 @@
 
 Durability model.  Every state transition of every job is one JSON line
 appended to ``<state_dir>/journal.jsonl`` *before* the in-memory state
-changes.  Restart replays the journal in order and reconstructs the
-exact queue — so a SIGKILL at any instant loses at most the work of the
-in-flight engine run (which the engine's own
-:class:`~repro.faults.checkpoint.CheckpointStore` checkpoints
+changes, and one function, :meth:`JobQueue._apply`, turns that line into
+the state change, live and on replay alike.  Restart replays the journal
+in order and so reconstructs the exact queue — a SIGKILL at any instant
+loses at most the work of the in-flight engine run (which the engine's
+own :class:`~repro.faults.checkpoint.CheckpointStore` checkpoints
 separately).  The journal is an append-only log of
 :func:`repro.faults.fsio.append_jsonl` / :func:`~repro.faults.fsio.read_jsonl`:
 a torn final line (kill mid-append) is skipped on replay and
 newline-terminated before the next append.
 
-Crash-mid-claim recovery.  A ``claimed`` event with no later terminal
-event means the process died while running the job.  Replay counts that
-claim as a consumed attempt and re-queues the job; a job whose claims
-already reached ``max_attempts`` is declared failed instead of
-crash-looping forever.
+Crash-mid-claim recovery.  A job still running when replay ends was
+claimed by a process that died before recording how the run ended.
+Replay counts that claim as a consumed attempt and re-queues the job; a
+job whose claims already reached ``max_attempts`` is declared failed
+instead of crash-looping forever.
 
 Idempotent submission.  Jobs are content-addressed by
 :func:`~repro.service.models.submission_digest`; re-submitting an
@@ -30,7 +31,7 @@ sequence, ahead of anything submitted after it.  ``pause_all`` /
 ``resume_all`` gate the whole queue without touching per-job state.
 
 Telemetry: replay records a ``service.journal.replay`` span annotated
-with events and jobs restored; mutations keep the
+with events and jobs restored; every recorded event keeps the
 ``service.queue.depth`` gauge current.  All public methods are
 thread-safe (the HTTP loop and the worker thread share one instance);
 :meth:`wait_for_work` lets the worker block on the internal condition
@@ -109,25 +110,25 @@ class JobQueue:
 
     # -- journal ---------------------------------------------------------
 
-    def _append(self, event: str, **payload: Any) -> None:
-        """Durably write one event line; callers hold the lock."""
-        append_jsonl(
-            self._journal_path, [{"v": _SCHEMA_VERSION, "event": event, **payload}]
-        )
+    def _record(self, event: str, **payload: Any) -> None:
+        """Durably append one event, then apply it; callers hold the lock."""
+        record = {"v": _SCHEMA_VERSION, "event": event, **payload}
+        append_jsonl(self._journal_path, [record])
+        self._apply(record)
+        self._update_depth_gauge()
+        self._lock.notify_all()
 
     def _replay(self) -> None:
         events = 0
-        claimed_open: dict[str, int] = {}  # job_id -> open claim count
         with self._telemetry.span("service.journal.replay"):
             for record in read_jsonl(self._journal_path):
                 if not isinstance(record, dict) or "event" not in record:
                     continue
                 events += 1
-                self._apply(record, claimed_open)
+                self._apply(record)
             # Jobs claimed but never terminated died with the process.
-            for job_id in claimed_open:
-                job = self._jobs.get(job_id)
-                if job is None or job.status is not JobStatus.RUNNING:
+            for job in self._jobs.values():
+                if job.status is not JobStatus.RUNNING:
                     continue
                 if job.attempts >= self.max_attempts:
                     job.status = JobStatus.FAILED
@@ -140,7 +141,8 @@ class JobQueue:
             self._telemetry.annotate(events=events, jobs=len(self._jobs))
         self._update_depth_gauge()
 
-    def _apply(self, record: dict[str, Any], claimed_open: dict[str, int]) -> None:
+    def _apply(self, record: dict[str, Any]) -> None:
+        """Apply one journal event: the only code that changes queue state."""
         event = record["event"]
         job_id = record.get("job")
         if event == "submitted":
@@ -171,31 +173,29 @@ class JobQueue:
         if event == "claimed":
             job.status = JobStatus.RUNNING
             job.attempts = int(record["attempt"])
-            claimed_open[job.job_id] = claimed_open.get(job.job_id, 0) + 1
         elif event == "completed":
             job.status = JobStatus.SUCCEEDED
             job.result = JobResult.from_dict(record["result"])
             job.report = record.get("report")
-            claimed_open.pop(job.job_id, None)
+            job.error = None
         elif event == "failed_attempt":
             job.status = JobStatus.QUEUED
             job.error = record.get("error")
-            claimed_open.pop(job.job_id, None)
         elif event == "failed":
             job.status = JobStatus.FAILED
             job.error = record.get("error")
-            claimed_open.pop(job.job_id, None)
         elif event == "cancelled":
             job.status = JobStatus.CANCELLED
-            claimed_open.pop(job.job_id, None)
         elif event == "paused":
             job.status = JobStatus.PAUSED
         elif event == "resumed":
             job.status = JobStatus.QUEUED
         elif event == "webhook_attempt":
+            # Journals of earlier versions follow a successful attempt with
+            # a ``webhook_delivered`` event, which falls through as unknown.
             job.webhook_attempts = int(record["attempt"])
-        elif event == "webhook_delivered":
-            job.webhook_state = WEBHOOK_DELIVERED
+            if record.get("ok"):
+                job.webhook_state = WEBHOOK_DELIVERED
         elif event == "webhook_gave_up":
             job.webhook_state = WEBHOOK_GAVE_UP
 
@@ -219,31 +219,17 @@ class JobQueue:
                 existing = self._jobs[existing_id]
                 if existing.status not in (JobStatus.FAILED, JobStatus.CANCELLED):
                     return existing, False
-            seq = self._next_seq
-            self._next_seq += 1
-            job_id = job_id_for(seq, digest)
-            self._append(
+            job_id = job_id_for(self._next_seq, digest)
+            self._record(
                 "submitted",
                 job=job_id,
-                seq=seq,
+                seq=self._next_seq,
                 digest=digest,
                 moduli=[f"{n:x}" for n in moduli],
                 webhook_url=webhook_url,
             )
-            job = JobRecord(
-                job_id=job_id,
-                seq=seq,
-                digest=digest,
-                moduli=list(moduli),
-                webhook_url=webhook_url,
-                webhook_state=WEBHOOK_NONE if webhook_url is None else WEBHOOK_PENDING,
-            )
-            self._jobs[job_id] = job
-            self._by_digest[digest] = job_id
             self._telemetry.counter("service.jobs.submitted")
-            self._update_depth_gauge()
-            self._lock.notify_all()
-            return job, True
+            return self._jobs[job_id], True
 
     # -- worker side -----------------------------------------------------
 
@@ -251,12 +237,8 @@ class JobQueue:
         """Hand out the oldest runnable job, consuming one attempt."""
         with self._lock:
             job = self._next_runnable()
-            if job is None:
-                return None
-            self._append("claimed", job=job.job_id, attempt=job.attempts + 1)
-            job.status = JobStatus.RUNNING
-            job.attempts += 1
-            self._update_depth_gauge()
+            if job is not None:
+                self._record("claimed", job=job.job_id, attempt=job.attempts + 1)
             return job
 
     def _next_runnable(self) -> JobRecord | None:
@@ -284,18 +266,11 @@ class JobQueue:
     ) -> JobRecord:
         """Record a successful run (worker only; job must be running)."""
         with self._lock:
-            job = self._require(job_id)
-            if job.status is not JobStatus.RUNNING:
-                raise InvalidTransition(job_id, "complete", job.status)
-            self._append(
+            job = self._require(job_id, "complete", JobStatus.RUNNING)
+            self._record(
                 "completed", job=job_id, result=result.to_dict(), report=report
             )
-            job.status = JobStatus.SUCCEEDED
-            job.result = result
-            job.report = report
-            job.error = None
             self._telemetry.counter("service.jobs.completed")
-            self._update_depth_gauge()
             return job
 
     def fail(self, job_id: str, error: str) -> tuple[JobRecord, bool]:
@@ -305,22 +280,13 @@ class JobQueue:
         terminally (and its webhook, if any, reports the failure).
         """
         with self._lock:
-            job = self._require(job_id)
-            if job.status is not JobStatus.RUNNING:
-                raise InvalidTransition(job_id, "fail", job.status)
+            job = self._require(job_id, "fail", JobStatus.RUNNING)
             if job.attempts < self.max_attempts:
-                self._append("failed_attempt", job=job_id, error=error)
-                job.status = JobStatus.QUEUED
-                job.error = error
+                self._record("failed_attempt", job=job_id, error=error)
                 self._telemetry.counter("service.jobs.retried")
-                self._update_depth_gauge()
-                self._lock.notify_all()
                 return job, True
-            self._append("failed", job=job_id, error=error)
-            job.status = JobStatus.FAILED
-            job.error = error
+            self._record("failed", job=job_id, error=error)
             self._telemetry.counter("service.jobs.failed")
-            self._update_depth_gauge()
             return job, False
 
     # -- lifecycle controls ---------------------------------------------
@@ -328,74 +294,54 @@ class JobQueue:
     def pause(self, job_id: str) -> JobRecord:
         """Remove a queued job from the runnable set (keeps its seq)."""
         with self._lock:
-            job = self._require(job_id)
-            if job.status is not JobStatus.QUEUED:
-                raise InvalidTransition(job_id, "pause", job.status)
-            self._append("paused", job=job_id)
-            job.status = JobStatus.PAUSED
-            self._update_depth_gauge()
+            job = self._require(job_id, "pause", JobStatus.QUEUED)
+            self._record("paused", job=job_id)
             return job
 
     def resume(self, job_id: str) -> JobRecord:
         """Return a paused job to the runnable set at its original seq."""
         with self._lock:
-            job = self._require(job_id)
-            if job.status is not JobStatus.PAUSED:
-                raise InvalidTransition(job_id, "resume", job.status)
-            self._append("resumed", job=job_id)
-            job.status = JobStatus.QUEUED
-            self._update_depth_gauge()
-            self._lock.notify_all()
+            job = self._require(job_id, "resume", JobStatus.PAUSED)
+            self._record("resumed", job=job_id)
             return job
 
     def cancel(self, job_id: str) -> JobRecord:
         """Terminally cancel a job that has not started (or is paused)."""
         with self._lock:
-            job = self._require(job_id)
-            if job.status not in (JobStatus.QUEUED, JobStatus.PAUSED):
-                raise InvalidTransition(job_id, "cancel", job.status)
-            self._append("cancelled", job=job_id)
-            job.status = JobStatus.CANCELLED
+            job = self._require(job_id, "cancel", JobStatus.QUEUED, JobStatus.PAUSED)
+            self._record("cancelled", job=job_id)
             self._telemetry.counter("service.jobs.cancelled")
-            self._update_depth_gauge()
             return job
 
     def pause_all(self) -> None:
         """Stop handing out jobs; running jobs finish, nothing new starts."""
         with self._lock:
             if not self._queue_paused:
-                self._append("queue_paused")
-                self._queue_paused = True
+                self._record("queue_paused")
 
     def resume_all(self) -> None:
         with self._lock:
             if self._queue_paused:
-                self._append("queue_resumed")
-                self._queue_paused = False
-                self._lock.notify_all()
+                self._record("queue_resumed")
 
     # -- webhook bookkeeping --------------------------------------------
 
     def record_webhook_attempt(self, job_id: str, ok: bool) -> JobRecord:
-        """Count one delivery attempt; marks delivered/gave-up terminally."""
+        """Count one delivery attempt; a successful one marks it delivered."""
         with self._lock:
-            job = self._require(job_id)
-            attempt = job.webhook_attempts + 1
-            self._append("webhook_attempt", job=job_id, attempt=attempt, ok=ok)
-            job.webhook_attempts = attempt
+            job = self._require(job_id, "notify")
+            self._record(
+                "webhook_attempt", job=job_id, attempt=job.webhook_attempts + 1, ok=ok
+            )
             self._telemetry.counter("service.webhook.attempts")
-            if ok:
-                self._append("webhook_delivered", job=job_id)
-                job.webhook_state = WEBHOOK_DELIVERED
-            else:
+            if not ok:
                 self._telemetry.counter("service.webhook.failures")
             return job
 
     def record_webhook_gave_up(self, job_id: str) -> JobRecord:
         with self._lock:
-            job = self._require(job_id)
-            self._append("webhook_gave_up", job=job_id)
-            job.webhook_state = WEBHOOK_GAVE_UP
+            job = self._require(job_id, "notify")
+            self._record("webhook_gave_up", job=job_id)
             return job
 
     def pending_webhooks(self) -> list[JobRecord]:
@@ -429,20 +375,15 @@ class JobQueue:
                 "paused": self._queue_paused,
             }
 
-    @property
-    def paused(self) -> bool:
-        with self._lock:
-            return self._queue_paused
-
-    def close(self) -> None:
-        """Nothing to release: each append opens and closes the journal."""
-
     # -- internals -------------------------------------------------------
 
-    def _require(self, job_id: str) -> JobRecord:
+    def _require(self, job_id: str, operation: str, *allowed: JobStatus) -> JobRecord:
+        """The job, if it exists and (when ``allowed`` is given) is in one of them."""
         job = self._jobs.get(job_id)
         if job is None:
             raise KeyError(job_id)
+        if allowed and job.status not in allowed:
+            raise InvalidTransition(job_id, operation, job.status)
         return job
 
     def _update_depth_gauge(self) -> None:

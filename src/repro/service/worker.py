@@ -36,10 +36,10 @@ permanent failures, not just successes.
 
 from __future__ import annotations
 
+import http.client
 import json
 import shutil
 import threading
-import urllib.error
 import urllib.request
 from pathlib import Path
 from typing import Any, Callable
@@ -193,8 +193,9 @@ class WebhookNotifier:
 
     The payload is the job's public dict (status, result, error) POSTed
     as JSON.  Any 2xx response counts as delivered; anything else —
-    connection refusal, 5xx, timeout — consumes one attempt and backs
-    off exponentially.  Exhausted attempts mark the job's webhook state
+    connection refusal, 5xx, timeout, a response that is not HTTP, a URL
+    the transport cannot use — consumes one attempt and backs off
+    exponentially.  Exhausted attempts mark the job's webhook state
     ``gave_up`` (visible in the job record; the result itself is still
     pollable).
 
@@ -247,7 +248,9 @@ class WebhookNotifier:
             try:
                 status = self._transport(job.webhook_url, body)
                 ok = 200 <= status < 300
-            except (urllib.error.URLError, OSError, TimeoutError):
+            except (OSError, http.client.HTTPException, ValueError):
+                # The receiver is the client's: a failed attempt, whatever
+                # it answered, never an exception that ends the worker.
                 ok = False
             attempt += 1
             queue.record_webhook_attempt(job.job_id, ok)

@@ -211,10 +211,6 @@ class RunReport:
             spans=[SpanNode.from_dict(s) for s in payload.get("spans", [])],
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        return cls.from_dict(json.loads(text))
-
     # -- rendering -------------------------------------------------------
 
     def render(self, max_depth: int = 2) -> str:

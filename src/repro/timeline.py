@@ -48,11 +48,6 @@ class Month:
         year_text, _, month_text = text.partition("-")
         return cls(int(year_text), int(month_text))
 
-    @classmethod
-    def from_date(cls, d: date) -> "Month":
-        """The month containing a calendar date."""
-        return cls(d.year, d.month)
-
     def first_day(self) -> date:
         """The first calendar day of the month."""
         return date(self.year, self.month, 1)

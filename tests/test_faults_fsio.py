@@ -204,5 +204,5 @@ class TestDirectoryPinning:
 
     def test_job_queue_pins_the_state_dir_it_creates(self, tmp_path, monkeypatch):
         synced_dirs = _record_dir_fsyncs(monkeypatch)
-        JobQueue(tmp_path / "service" / "state").close()
+        JobQueue(tmp_path / "service" / "state")
         assert synced_dirs == [tmp_path, tmp_path / "service"]

@@ -1,11 +1,11 @@
-"""Tests for repro.numt.arith (egcd, modinv, integer roots)."""
+"""Tests for repro.numt.arith (egcd, modinv)."""
 
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.numt.arith import egcd, introot, modinv
+from repro.numt.arith import egcd, modinv
 
 
 class TestEgcd:
@@ -57,34 +57,4 @@ class TestModinv:
                 modinv(a, m)
         else:
             assert (a * modinv(a, m)) % m == 1
-
-
-class TestIntroot:
-    def test_square_root(self):
-        assert introot(144, 2) == 12
-        assert introot(145, 2) == 12
-
-    def test_cube_root(self):
-        assert introot(27, 3) == 3
-        assert introot(26, 3) == 2
-
-    def test_first_root(self):
-        assert introot(99, 1) == 99
-
-    def test_edges(self):
-        assert introot(0, 5) == 0
-        assert introot(1, 5) == 1
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            introot(-1, 2)
-        with pytest.raises(ValueError):
-            introot(8, 0)
-
-    @given(st.integers(min_value=0, max_value=10**30),
-           st.integers(min_value=1, max_value=10))
-    def test_floor_property(self, n, k):
-        r = introot(n, k)
-        assert r**k <= n
-        assert (r + 1) ** k > n
 

@@ -180,6 +180,19 @@ class TestErrorModel:
         assert status == 400 and body["error"] == "bad_request"
 
     @pytest.mark.parametrize(
+        "webhook_url",
+        ["http://127.0.0.1:abc/hook", "http:// spaced/hook", "http://[::1/hook"],
+        ids=["port-not-a-number", "space-in-host", "unbalanced-bracket"],
+    )
+    def test_webhook_url_the_worker_cannot_use_is_400(self, app, webhook_url):
+        # Each starts with http:// but makes the delivery itself raise.
+        _, api = app
+        status, body = api.request(
+            "POST", "/v1/jobs", {"moduli": ["ff1"], "webhook_url": webhook_url}
+        )
+        assert status == 400 and body["error"] == "bad_webhook", body
+
+    @pytest.mark.parametrize(
         "head",
         [
             b"GARBAGE\r\n\r\n",
@@ -391,7 +404,6 @@ class TestWebhookDelivery:
                 break
             time.sleep(0.01)
         worker.stop()
-        queue.close()
         return queue.get(job.job_id)
 
     def test_flaky_receiver_retries_until_delivered(self, tmp_path):
@@ -440,7 +452,7 @@ class TestWebhookDelivery:
             job.job_id,
             JobResult(divisors=(), factored=(), moduli_checked=len(moduli)),
         )
-        queue.close()  # dies before the notifier ran
+        # the process dies before the notifier ran
 
         delivered = threading.Event()
         reopened = JobQueue(tmp_path)
@@ -455,7 +467,69 @@ class TestWebhookDelivery:
         assert delivered.wait(10)
         worker.stop()
         assert reopened.get(job.job_id).webhook_state == "delivered"
-        reopened.close()
+
+
+def _answer_garbage(listener, connections):
+    """Read each request in full, then answer a line that is not HTTP."""
+    for _ in range(connections):
+        connection, _ = listener.accept()
+        with connection:
+            raw = b""
+            while b"\r\n\r\n" not in raw and (chunk := connection.recv(65536)):
+                raw += chunk
+            head, _, body = raw.partition(b"\r\n\r\n")
+            length = next(
+                int(line.split(b":")[1])
+                for line in head.split(b"\r\n")
+                if line.lower().startswith(b"content-length:")
+            )
+            while len(body) < length and (chunk := connection.recv(65536)):
+                body += chunk
+            connection.sendall(b"HELLO\r\n\r\n")
+
+
+class TestWebhookReceiverCannotStopTheWorker:
+    def test_worker_survives_a_receiver_that_answers_garbage(self, tmp_path):
+        """The real transport raises ``BadStatusLine``: a failed attempt."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        notifier = WebhookNotifier(timeout=5.0, sleep=lambda seconds: None)
+        receiver = threading.Thread(
+            target=_answer_garbage, args=(listener, notifier.max_attempts), daemon=True
+        )
+        receiver.start()
+        queue = JobQueue(tmp_path)
+        worker = ServiceWorker(
+            queue,
+            runner=lambda job: (
+                JobResult(divisors=(), factored=(), moduli_checked=len(job.moduli)),
+                {"enabled": True},
+            ),
+            notifier=notifier,
+            idle_wait=0.01,
+        )
+        port = listener.getsockname()[1]
+        hooked, _ = queue.submit(
+            _weak_corpus(seed=35, size=3), f"http://127.0.0.1:{port}/hook"
+        )
+        worker.start()
+        try:
+            deadline = time.monotonic() + 20
+            while queue.get(hooked.job_id).webhook_state == "pending":
+                assert time.monotonic() < deadline, queue.get(hooked.job_id)
+                time.sleep(0.01)
+            later, _ = queue.submit(_weak_corpus(seed=36, size=3))
+            while not queue.get(later.job_id).status.is_terminal:
+                assert time.monotonic() < deadline, queue.get(later.job_id)
+                time.sleep(0.01)
+            assert worker.is_alive()
+        finally:
+            worker.stop()
+            listener.close()
+        receiver.join(timeout=10)
+        assert not receiver.is_alive()  # it answered every attempt
+        assert queue.get(hooked.job_id).webhook_state == "gave_up"
+        assert queue.get(hooked.job_id).webhook_attempts == 3
+        assert queue.get(later.job_id).status.value == "succeeded"
 
 
 class TestEventLoopDiscipline:

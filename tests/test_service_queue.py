@@ -8,13 +8,18 @@ journal tail), reopens the state dir, and asserts the replayed state.
 
 import json
 import random
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto.primes import generate_prime
 from repro.service.models import (
     WEBHOOK_DELIVERED,
     WEBHOOK_GAVE_UP,
+    WEBHOOK_NONE,
     WEBHOOK_PENDING,
     JobResult,
     JobStatus,
@@ -36,6 +41,14 @@ def _moduli(seed=7, count=4, bits=32):
 
 def _result(moduli):
     return JobResult(divisors=(), factored=(), moduli_checked=len(moduli))
+
+
+#: A journal the queue wrote before a delivered webhook became one event:
+#: each delivery ends with ``webhook_attempt`` (``ok: true``) and then a
+#: ``webhook_delivered`` line.
+OLD_FORMAT_JOURNAL = (
+    Path(__file__).resolve().parent / "fixtures" / "journal_with_webhook_delivered.jsonl"
+)
 
 
 class TestSubmission:
@@ -113,7 +126,7 @@ class TestLifecycle:
         queue = JobQueue(tmp_path)
         job, _ = queue.submit(_moduli())
         queue.pause_all()
-        assert queue.paused and queue.claim() is None
+        assert queue.stats()["paused"] and queue.claim() is None
         queue.resume_all()
         assert queue.claim().job_id == job.job_id
 
@@ -181,7 +194,6 @@ class TestRestartRecovery:
         waiting, _ = queue.submit(_moduli(seed=8))
         parked, _ = queue.submit(_moduli(seed=9))
         queue.pause(parked.job_id)
-        queue.close()
 
         reopened = JobQueue(tmp_path)
         assert reopened.get(done.job_id).status is JobStatus.SUCCEEDED
@@ -197,7 +209,7 @@ class TestRestartRecovery:
         queue = JobQueue(tmp_path)
         job, _ = queue.submit(_moduli())
         queue.claim()
-        queue.close()  # process dies mid-run: claimed, never terminated
+        # the process dies mid-run: claimed, never terminated
 
         reopened = JobQueue(tmp_path)
         recovered = reopened.get(job.job_id)
@@ -212,7 +224,6 @@ class TestRestartRecovery:
             queue.submit(_moduli())
             claimed = queue.claim()
             assert claimed is not None
-            queue.close()
         reopened = JobQueue(tmp_path, max_attempts=2)
         job = reopened.list_jobs()[0]
         assert job.status is JobStatus.FAILED
@@ -222,7 +233,6 @@ class TestRestartRecovery:
     def test_torn_journal_tail_is_ignored(self, tmp_path):
         queue = JobQueue(tmp_path)
         kept, _ = queue.submit(_moduli(seed=1))
-        queue.close()
         journal = tmp_path / "journal.jsonl"
         with journal.open("a", encoding="utf-8") as fh:
             fh.write('{"v": 1, "event": "submitted", "job": "job-tr')  # kill mid-append
@@ -232,16 +242,14 @@ class TestRestartRecovery:
         # and the reopened journal still appends valid lines after the tear
         fresh, created = reopened.submit(_moduli(seed=2))
         assert created
-        reopened.close()
         assert JobQueue(tmp_path).get(fresh.job_id) is not None
 
     def test_queue_pause_flag_survives_restart(self, tmp_path):
         queue = JobQueue(tmp_path)
         queue.submit(_moduli())
         queue.pause_all()
-        queue.close()
         reopened = JobQueue(tmp_path)
-        assert reopened.paused and reopened.claim() is None
+        assert reopened.stats()["paused"] and reopened.claim() is None
         reopened.resume_all()
         assert reopened.claim() is not None
 
@@ -266,7 +274,6 @@ class TestWebhookBookkeeping:
         queue.record_webhook_attempt(job.job_id, ok=False)
         queue.record_webhook_attempt(job.job_id, ok=True)
         assert queue.get(job.job_id).webhook_state == WEBHOOK_DELIVERED
-        queue.close()
         replayed = JobQueue(tmp_path).get(job.job_id)
         assert replayed.webhook_state == WEBHOOK_DELIVERED
         assert replayed.webhook_attempts == 2
@@ -278,7 +285,7 @@ class TestWebhookBookkeeping:
         queue.claim()
         queue.complete(job.job_id, _result(moduli))
         queue.record_webhook_attempt(job.job_id, ok=False)
-        queue.close()  # crash before delivery succeeded or gave up
+        # crash before delivery succeeded or gave up
         reopened = JobQueue(tmp_path)
         assert reopened.get(job.job_id).webhook_state == WEBHOOK_PENDING
         assert [j.job_id for j in reopened.pending_webhooks()] == [job.job_id]
@@ -312,6 +319,8 @@ class TestSubmissionParsing:
             ({}, "empty_submission"),
             ({"moduli": ["ff"] * 10_001}, "too_many_moduli"),
             ({"moduli": ["ff"], "webhook_url": "ftp://x"}, "bad_webhook"),
+            ({"moduli": ["ff"], "webhook_url": "http:///hook"}, "bad_webhook"),
+            ({"moduli": ["ff"], "webhook_url": "http://cb.test/\x07"}, "bad_webhook"),
         ],
     )
     def test_rejections_carry_stable_codes(self, payload, code):
@@ -323,6 +332,113 @@ class TestSubmissionParsing:
         """Deterministic serialisation keeps journals diffable."""
         queue = JobQueue(tmp_path)
         queue.submit(_moduli())
-        queue.close()
         line = (tmp_path / "journal.jsonl").read_text().splitlines()[0]
         assert line == json.dumps(json.loads(line), sort_keys=True)
+
+
+#: Every state-changing call of the queue, picked by a property test.
+_OPERATIONS = (
+    "submit", "claim", "complete", "fail", "pause", "resume", "cancel",
+    "pause_all", "resume_all", "webhook_ok", "webhook_failed", "webhook_gave_up",
+)
+#: The calls every job goes through.  Drawn about half the time, so that
+#: most sequences reach retries, not only submissions and controls.
+_CORE_OPERATIONS = ("submit", "claim", "complete", "fail")
+_STEPS = st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(_CORE_OPERATIONS), st.sampled_from(_OPERATIONS)),
+        st.integers(0, 3),
+    ),
+    min_size=10,
+    max_size=30,
+)
+
+
+def _run_operation(queue, operation, pick):
+    """One call; job calls go to job ``pick`` and may be refused."""
+    if operation == "submit":
+        webhook_url = "http://callback.test/done" if pick % 2 else None
+        queue.submit(_moduli(seed=pick), webhook_url)
+        return
+    if operation in ("claim", "pause_all", "resume_all"):
+        getattr(queue, operation)()
+        return
+    jobs = queue.list_jobs()
+    if operation in ("complete", "fail"):  # the worker ends the runs it claimed
+        jobs = [job for job in jobs if job.status is JobStatus.RUNNING]
+    if not jobs:
+        return
+    job_id = jobs[pick % len(jobs)].job_id
+    calls = {
+        "complete": lambda: queue.complete(job_id, _result([]), {"pick": pick}),
+        "fail": lambda: queue.fail(job_id, f"boom {pick}"),
+        "pause": lambda: queue.pause(job_id),
+        "resume": lambda: queue.resume(job_id),
+        "cancel": lambda: queue.cancel(job_id),
+        "webhook_ok": lambda: queue.record_webhook_attempt(job_id, ok=True),
+        "webhook_failed": lambda: queue.record_webhook_attempt(job_id, ok=False),
+        "webhook_gave_up": lambda: queue.record_webhook_gave_up(job_id),
+    }
+    try:
+        calls[operation]()
+    except InvalidTransition:
+        pass
+
+
+def _state(queue):
+    jobs = [job.to_public_dict(include_report=True) for job in queue.list_jobs()]
+    return jobs, queue.stats()
+
+
+class TestOneTransitionPath:
+    """Live calls and replay change state through the same function."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_STEPS)
+    def test_reopened_queue_equals_the_live_one(self, operations):
+        with tempfile.TemporaryDirectory() as state_dir:
+            queue = JobQueue(state_dir, max_attempts=2)
+            for operation, pick in operations:
+                _run_operation(queue, operation, pick)
+            # A job still running at reopen counts as crashed; finish them.
+            for job in queue.list_jobs():
+                if job.status is JobStatus.RUNNING:
+                    queue.complete(job.job_id, _result([]), {"pick": "last"})
+            assert _state(JobQueue(state_dir, max_attempts=2)) == _state(queue)
+
+    def test_success_on_retry_clears_the_failed_attempts_error(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        job, _ = queue.submit(_moduli())
+        queue.claim()
+        queue.fail(job.job_id, "boom")
+        assert queue.get(job.job_id).error == "boom"
+        queue.claim()
+        queue.complete(job.job_id, _result(_moduli()))
+        assert queue.get(job.job_id).error is None
+        assert JobQueue(tmp_path).get(job.job_id).error is None
+
+    def test_a_delivered_webhook_is_one_journal_line(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        job, _ = queue.submit(_moduli(), "http://callback.test/done")
+        queue.claim()
+        queue.complete(job.job_id, _result(_moduli()))
+        journal = tmp_path / "journal.jsonl"
+        before = len(journal.read_text().splitlines())
+        queue.record_webhook_attempt(job.job_id, ok=True)
+        lines = journal.read_text().splitlines()
+        assert len(lines) == before + 1
+        assert json.loads(lines[-1])["event"] == "webhook_attempt"
+
+    def test_old_format_journal_replays_to_the_same_state(self, tmp_path):
+        assert OLD_FORMAT_JOURNAL.read_text().count('"webhook_delivered"') == 2
+        shutil.copy(OLD_FORMAT_JOURNAL, tmp_path / "journal.jsonl")
+        queue = JobQueue(tmp_path, max_attempts=2)
+        assert [
+            (job.status, job.attempts, job.error, job.webhook_state, job.webhook_attempts)
+            for job in queue.list_jobs()
+        ] == [
+            (JobStatus.SUCCEEDED, 2, None, WEBHOOK_DELIVERED, 2),
+            (JobStatus.FAILED, 2, "RuntimeError: boom again", WEBHOOK_DELIVERED, 1),
+            (JobStatus.SUCCEEDED, 1, None, WEBHOOK_NONE, 0),
+        ]
+        assert queue.pending_webhooks() == []

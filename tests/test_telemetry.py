@@ -254,7 +254,7 @@ class TestSerialisation:
 
     def test_json_round_trip_is_lossless(self):
         report = self._populated()
-        restored = RunReport.from_json(report.to_json())
+        restored = RunReport.from_dict(json.loads(report.to_json()))
         assert restored.to_dict() == report.to_dict()
 
     def test_schema_version_stamped(self):

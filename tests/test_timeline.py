@@ -32,11 +32,6 @@ class TestMonthBasics:
     def test_first_day(self):
         assert Month(2014, 4).first_day().isoformat() == "2014-04-01"
 
-    def test_from_date(self):
-        import datetime
-
-        assert Month.from_date(datetime.date(2012, 6, 15)) == Month(2012, 6)
-
 
 class TestMonthArithmetic:
     def test_add_within_year(self):
