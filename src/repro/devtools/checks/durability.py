@@ -1,12 +1,12 @@
 """Crash-consistency (durability) rules DUR001-DUR005.
 
 The paper's pipeline earns its reproducibility claims by surviving
-SIGKILL and power loss mid-mutation: the incremental product-tree store,
-the service job queue, the checkpoint log, and the mutation journal
-all follow the same three disciplines — **fsync before rename**,
-**temp-file + atomic rename at commit points**, and **journal-first
-write-ahead ordering** — with torn-tail-tolerant JSONL readers on the
-recovery path.  These rules machine-check the disciplines using the
+SIGKILL and power loss mid-mutation: the incremental product-tree
+store's log (a mutation journal), the service job queue and the
+checkpoint log all follow the same three disciplines — **fsync before
+rename**, **temp-file + atomic rename at commit points**, and
+**journal-first write-ahead ordering** — with torn-tail-tolerant JSONL
+readers on the recovery path.  These rules machine-check the disciplines using the
 filesystem-effect summaries of :mod:`repro.devtools.effects` layered
 over the call graph and the statement-level CFG:
 

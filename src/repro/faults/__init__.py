@@ -15,9 +15,9 @@ reproduction's answer.  Three layers, each usable alone:
 - :mod:`repro.faults.checkpoint` — :class:`CheckpointStore`, one
   append-only log per run with a record per completed subset pass, so a
   killed run resumes with a byte-identical final result.
-- :mod:`repro.faults.journal` — :class:`MutationJournal`, the write-ahead
-  append/commit journal the incremental product-tree store builds its
-  SIGKILL-mid-insert recovery on.
+- :mod:`repro.faults.journal` — :class:`MutationJournal`, the
+  append-only log the incremental product-tree store commits each batch
+  to, with one fsynced append, and replays on open.
 - :mod:`repro.faults.fsio` — the shared durable-write primitives
   (:func:`fsync_file`, :func:`fsync_dir`, :func:`atomic_write_text`, and
   the append-only log pair :func:`append_jsonl` / :func:`read_jsonl`)

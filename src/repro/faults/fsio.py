@@ -1,9 +1,9 @@
 """Durable filesystem primitives shared by every persistence protocol.
 
-Every on-disk format in the repo (the checkpoint log, the mutation
-journal, the product-tree store, the service job-queue journal,
-``endpoint.json`` publish) is built from two shapes, each with one
-helper here, plus the fsync moves they share:
+Every on-disk format in the repo (the checkpoint log, the product-tree
+store's log, the service job-queue journal, ``endpoint.json`` publish)
+is built from two shapes, each with one helper here, plus the fsync
+moves they share:
 
 - :func:`fsync_file` — flush the user-space buffer *and* fsync the file
   descriptor.  A SIGKILL loses whatever sits in the Python-level buffer;

@@ -26,7 +26,7 @@ need per-phase timings wrap these primitives in spans (see how
 :func:`product_tree` / :func:`remainder_tree` with
 ``batch_gcd.task.*`` spans).  The exception is
 :class:`~repro.numt.incremental.ProductTreeStore`, which is a durable
-store by design: it persists its leaf log to disk and records
+store by design: it persists its one append-only log and records
 ``batch_gcd.incremental.*`` spans (its pure in-memory half,
 :class:`~repro.numt.incremental.IncrementalProductTree`, keeps the
 package rule).  The tree functions are the hot path of the
@@ -52,8 +52,6 @@ from repro.numt.incremental import (
     ProbeOutcome,
     ProductTreeStore,
     StoreCorruptError,
-    empty_digest,
-    extend_digest,
 )
 from repro.numt.primality import is_probable_prime, next_prime
 from repro.numt.sieve import first_n_primes, primes_below
@@ -80,8 +78,6 @@ __all__ = [
     "available_backends",
     "barrett_reduce",
     "egcd",
-    "empty_digest",
-    "extend_digest",
     "first_n_primes",
     "gcd_descent_hits",
     "is_probable_prime",

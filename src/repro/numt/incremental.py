@@ -21,39 +21,33 @@ seen so far):
   m² = m·(P mod m)`` — over the same bits as one reduction of ``P``.  A
   divisor-guided descent from each block root then locates the partner
   leaves.
-- :class:`ProductTreeStore` persists the corpus on disk — an append-only
-  leaf log, an atomically-renamed manifest as the commit point, and a
-  write-ahead :class:`~repro.faults.journal.MutationJournal` so a SIGKILL
-  mid-job replays cleanly on the next open — and rebuilds the blocks in
-  memory from the leaves when it opens.  Identity extends
-  :func:`repro.faults.checkpoint.corpus_digest`'s SHA-256 corpus digest
-  to a *chained* form (:func:`extend_digest`) updatable in O(1) per
-  insert: both hash the records ``f"{n:x}\\n"``, the chained form just
-  folds them in one at a time.
+- :class:`ProductTreeStore` persists the corpus as one append-only log,
+  a :class:`~repro.faults.journal.MutationJournal`, and rebuilds the
+  blocks in memory from the leaves when it opens.
 
 Layout under ``directory``::
 
-    manifest.json        # version/backend/count/digest/jobs — commit point
-    journal.jsonl        # write-ahead insert records (empty when idle)
-    hits.json            # sparse accumulated divisors [[index, hex], ...]
-    nodes/level-0.jsonl  # leaf log, one [index, hex] record per insert
+    store.jsonl    # line 1: {"version": 2, "backend": <name>}; then one
+                   # record per committed batch: {"index": <first leaf>,
+                   # "moduli": [<hex>, ...], "hits": [[index, <hex>], ...],
+                   # "jobs": {<job>: [base, done]}}
 
-The store persists only what it cannot derive: the internal tree levels
-are products of the leaves, so they live in memory only.  A batch of
-moduli (:meth:`ProductTreeStore.extend`; a service job, or one modulus
-for :meth:`~ProductTreeStore.insert`) commits once: one journal record
-``{"index", "moduli": [<hex>, ...], "job"}``, then every modulus is
-probed and appended in memory, each against everything before it, then
-one leaf append, at most one rewrite of the sparse hits file, one
-manifest rename and one journal commit.  A kill at any point either
-replays the journalled batch on the next open or never sees it.  Replay
-also accepts the one-modulus record ``{"index", "m": <hex>, "job"}`` of
-stores that committed per modulus.  The journal and the leaf log are
-append-only logs of :func:`repro.faults.fsio.append_jsonl` /
-:func:`~repro.faults.fsio.read_jsonl`, so a torn final line is skipped on
-read and newline-terminated before the next append.  Leaf records at or
-past the committed count (a batch killed before its manifest rename) are
-ignored; the journal replays them.
+Only what cannot be derived is persisted: the tree levels above the
+leaves live in memory.  A batch (:meth:`ProductTreeStore.extend`, a
+service job's :meth:`~ProductTreeStore.apply_job`, one modulus's
+:meth:`~ProductTreeStore.insert` or a bulk
+:meth:`~ProductTreeStore.bootstrap`) is applied in memory, then committed
+by one fsynced append of its moduli, the new value of every divisor it
+changed and the new progress of the job it advanced.  The first commit
+writes the identity line with :func:`~repro.faults.fsio.atomic_write_text`,
+so no log lacks it.  Opening replays the records in order without
+probing, then builds the complete blocks once.  A torn final line (a
+kill mid-append) is skipped by :func:`~repro.faults.fsio.read_jsonl`, so
+only a batch whose call never returned is lost; a record that is not a
+batch, or that does not start at the leaf count so far, raises
+:class:`StoreCorruptError`.  A directory in the earlier manifest layout
+(``manifest.json``, ``hits.json``, ``journal.jsonl`` and ``nodes/``) is
+upgraded to the log once, on open (see ``docs/FAULTS.md``).
 
 Divisor semantics match the clustered engine's: the accumulated divisor
 for a corpus member is the gcd-capped lcm of its pairwise shares, so the
@@ -74,13 +68,13 @@ bootstrapping records one ``batch_gcd.incremental.bootstrap`` span.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
+import shutil
 from pathlib import Path
 from typing import Any, Iterable, NamedTuple, Sequence
 
-from repro.faults.fsio import append_jsonl, atomic_write_text, fsync_dir, read_jsonl
+from repro.faults.fsio import atomic_write_text, fsync_dir, read_jsonl
 from repro.faults.journal import MutationJournal
 from repro.numt.backend import BigIntBackend, resolve_backend
 from repro.numt.trees import gcd_descent_hits
@@ -92,35 +86,37 @@ __all__ = [
     "ProbeOutcome",
     "ProductTreeStore",
     "StoreCorruptError",
-    "empty_digest",
-    "extend_digest",
 ]
 
+_LOG = "store.jsonl"
+_VERSION = 2
+#: The manifest layout's files, which only the one-time upgrade reads.
 _MANIFEST = "manifest.json"
-_JOURNAL = "journal.jsonl"
 _HITS = "hits.json"
+_WRITE_AHEAD = "journal.jsonl"
 _NODES_DIR = "nodes"
 _LEAVES = "level-0.jsonl"
-_VERSION = 1
 
 
-def empty_digest() -> str:
-    """The chained corpus digest of an empty corpus."""
-    return hashlib.sha256(b"").hexdigest()
+def _batch_record(
+    index: int,
+    moduli: Sequence[int],
+    hits: dict[int, int],
+    jobs: dict[str, tuple[int, int]],
+) -> dict[str, Any]:
+    """One committed batch as a log record (see the module docstring)."""
+    return {
+        "index": index,
+        "moduli": [f"{m:x}" for m in moduli],
+        "hits": [[i, f"{d:x}"] for i, d in sorted(hits.items())],
+        "jobs": {job: [base, done] for job, (base, done) in jobs.items()},
+    }
 
 
-def extend_digest(digest: str, modulus: int) -> str:
-    """Fold one appended modulus into a chained corpus digest.
-
-    Chained analogue of :func:`repro.faults.checkpoint.corpus_digest`:
-    the same per-modulus record (``f"{n:x}\\n"``) is absorbed one insert
-    at a time, so the store's identity updates in O(1) instead of
-    rehashing the corpus.
-    """
-    h = hashlib.sha256()
-    h.update(bytes.fromhex(digest))
-    h.update(f"{modulus:x}\n".encode("ascii"))
-    return h.hexdigest()
+def _log_text(backend: str, *records: dict[str, Any]) -> str:
+    """The identity line, then ``records``: a new log's whole text."""
+    lines = [{"version": _VERSION, "backend": backend}, *records]
+    return "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
 
 
 class PartnerHit(NamedTuple):
@@ -138,7 +134,7 @@ class ProbeOutcome(NamedTuple):
 
 
 class StoreCorruptError(RuntimeError):
-    """The on-disk store cannot be reconciled (leaf records missing)."""
+    """The on-disk store cannot be replayed (a record missing or malformed)."""
 
 
 class IncrementalProductTree:
@@ -267,22 +263,23 @@ class ProductTreeStore:
 
     One store holds one evolving corpus: the complete-block product tree
     (for the per-block checks and descents), the accumulated sparse
-    divisors (the vulnerable set so far), a chained corpus digest, and
-    per-job insert progress so a crashed service job resumes
-    idempotently.
+    divisors (the vulnerable set so far), and per-job insert progress so
+    a crashed service job resumes idempotently.
 
     Args:
         directory: store root on disk, or ``None`` for a memory-only
-            store (no persistence, no journal — same API and semantics).
+            store (no persistence, no log — same API and semantics).
         backend: big-int backend name or instance.  A persisted store
             remembers its backend; reopening with a conflicting explicit
             backend raises.
 
     Raises:
-        StoreCorruptError: on open, if leaf records are missing below
-            the committed count (the leaves are the ground truth; every
-            tree level above them is rebuilt from them).
-        ValueError: on a backend mismatch with the persisted manifest.
+        StoreCorruptError: on open, if the log does not replay: its
+            first line is not the identity, a record is not a batch, or
+            a record is missing (the next one does not start at the leaf
+            count so far).  Also if a manifest-layout store to upgrade
+            is missing leaf records below its committed count.
+        ValueError: on a backend mismatch with the persisted identity.
     """
 
     def __init__(
@@ -295,12 +292,12 @@ class ProductTreeStore:
         self._jobs: dict[str, tuple[int, int]] = {}
         self._hits: dict[int, int] = {}
         self._moduli: list[int] = []
-        self._digest = empty_digest()
-        self.replayed_inserts = 0
         if self.directory is None:
             self._tree = IncrementalProductTree(backend=backend)
             return
-        self._journal = MutationJournal(self.directory / _JOURNAL)
+        self._journal = MutationJournal(self.directory / _LOG)
+        if (self.directory / _MANIFEST).exists():
+            self._upgrade()
         self._load(backend)
 
     # -- identity and queries -------------------------------------------
@@ -308,11 +305,6 @@ class ProductTreeStore:
     @property
     def count(self) -> int:
         return len(self._moduli)
-
-    @property
-    def digest(self) -> str:
-        """Chained SHA-256 corpus digest (see :func:`extend_digest`)."""
-        return self._digest
 
     @property
     def backend(self) -> BigIntBackend:
@@ -374,9 +366,8 @@ class ProductTreeStore:
         the prior corpus, and every partner leaf lcm-merges its share
         with the newcomer (gcd-capped), so the store's vulnerable set
         tracks what a full batch-GCD over the grown corpus would report.
-        On disk the batch costs one journal append, one leaf append, at
-        most one hits rewrite, one manifest rename and one journal
-        commit, whatever its size.
+        On disk the batch costs one fsynced append to the log, whatever
+        its size.
 
         Raises:
             ValueError: if any modulus is < 2 (checked before any write).
@@ -386,13 +377,15 @@ class ProductTreeStore:
             raise ValueError("all moduli must be >= 2")
         if not batch:
             return []
-        if self._journal is None:
-            return self._apply_batch(batch, job_id)
-        seq = self._journal.append(
-            {"index": self.count, "moduli": [f"{m:x}" for m in batch], "job": job_id}
-        )
-        outcomes = self._apply_batch(batch, job_id)
-        self._journal.commit(seq)
+        base = self.count
+        changed: set[int] = set()
+        outcomes = []
+        for modulus in batch:
+            outcome = self.probe(modulus)
+            self._apply_insert(modulus, outcome, job_id, changed)
+            outcomes.append(outcome)
+        jobs = {job_id: self._jobs[job_id]} if job_id is not None else {}
+        self._commit(base, batch, {i: self._hits[i] for i in changed}, jobs)
         return outcomes
 
     def apply_job(self, job_id: str, moduli: Sequence[int]) -> tuple[int, int]:
@@ -403,12 +396,7 @@ class ProductTreeStore:
         recorded progress instead of re-inserting — re-running a job is
         safe and returns the same index range.
         """
-        progress = self._jobs.get(job_id)
-        if progress is None:
-            base, done = self.count, 0
-            self._jobs[job_id] = (base, 0)
-        else:
-            base, done = progress
+        base, done = self._jobs.get(job_id, (self.count, 0))
         self.extend(moduli[done:], job_id=job_id)
         return base, len(moduli)
 
@@ -418,20 +406,20 @@ class ProductTreeStore:
         divisors: Sequence[int] | None = None,
         jobs: dict[str, tuple[int, int]] | None = None,
     ) -> None:
-        """Replace the store contents with a batch-built corpus.
+        """Extend the store with a batch-built corpus, as one commit.
 
         The bulk-ingest path: a full engine run already computed the
         corpus divisors, so the store adopts them and builds the complete
-        blocks once (no per-insert appends).  The leaf log and the hits
-        file are rewritten through temp-file renames with the manifest
-        last, so a kill mid-bootstrap leaves the previous committed state
-        loadable (the new leaf log only extends the old one).
+        blocks once (no per-insert appends).  On disk it is one more
+        fsynced append: the new moduli, the divisors that changed and
+        the job entries given.
 
         Args:
             moduli: the full corpus, in order.  Must extend the current
                 corpus (the store is append-only; prefix-checked).
-            divisors: aligned accumulated divisors (``None`` = all clean).
-            jobs: per-job progress to persist (``None`` keeps current).
+            divisors: aligned accumulated divisors (``None`` keeps the
+                current ones).
+            jobs: per-job progress entries to merge into the store's.
         """
         if list(moduli[: self.count]) != self._moduli:
             raise ValueError(
@@ -444,61 +432,29 @@ class ProductTreeStore:
         with telemetry.span(
             "batch_gcd.incremental.bootstrap", moduli=len(moduli)
         ):
-            digest = self._digest
-            for m in moduli[self.count :]:
-                digest = extend_digest(digest, m)
-            tree = IncrementalProductTree(moduli, backend=self._tree.backend)
-            hits = {}
+            base = self.count
+            hits = self._hits
             if divisors is not None:
                 hits = {i: d for i, d in enumerate(divisors) if d > 1}
-            else:
-                hits = dict(self._hits)
-            self._tree = tree
+            changed = {
+                i: hits.get(i, 1)
+                for i in hits.keys() | self._hits.keys()
+                if hits.get(i, 1) != self._hits.get(i, 1)
+            }
+            given = {job: tuple(progress) for job, progress in (jobs or {}).items()}
+            self._tree = IncrementalProductTree(moduli, backend=self._tree.backend)
             self._moduli = list(moduli)
-            self._digest = digest
             self._hits = hits
-            if jobs is not None:
-                self._jobs = dict(jobs)
-            if self.directory is not None:
-                atomic_write_text(
-                    self._leaves_path,
-                    "".join(
-                        json.dumps([i, f"{m:x}"]) + "\n"
-                        for i, m in enumerate(self._moduli)
-                    ),
-                )
-                self._write_hits()
-                self._write_manifest()
-                self._journal.clear()
+            self._jobs.update(given)
+            self._commit(base, self._moduli[base:], changed, given)
             telemetry.gauge(
                 "batch_gcd.incremental.store_nodes", self._tree.node_count
             )
 
     # -- insert internals ------------------------------------------------
 
-    def _apply_batch(
-        self, batch: list[int], job_id: str | None
-    ) -> list[ProbeOutcome]:
-        """Probe and append each modulus in memory, then commit them once."""
-        base = self.count
-        outcomes = []
-        for modulus in batch:
-            outcome = self.probe(modulus)
-            self._apply_insert(modulus, outcome, job_id)
-            outcomes.append(outcome)
-        if self.directory is not None:
-            # Durable before the manifest commits the count on their strength.
-            append_jsonl(
-                self._leaves_path,
-                [[base + i, f"{m:x}"] for i, m in enumerate(batch)],
-            )
-            if any(o.divisor > 1 for o in outcomes):
-                self._write_hits()
-            self._write_manifest()
-        return outcomes
-
     def _apply_insert(
-        self, modulus: int, outcome: ProbeOutcome, job_id: str | None
+        self, modulus: int, outcome: ProbeOutcome, job_id: str | None, changed: set[int]
     ) -> None:
         telemetry = get_telemetry()
         with telemetry.span(
@@ -507,12 +463,11 @@ class ProductTreeStore:
             index = self.count
             built = self._tree.append(modulus)
             self._moduli.append(modulus)
-            self._digest = extend_digest(self._digest, modulus)
             if outcome.divisor > 1:
-                self._merge_hit(index, outcome.divisor)
+                self._merge_hit(index, outcome.divisor, changed)
             for partner in outcome.partners:
                 share = math.gcd(self._moduli[partner.index], modulus)
-                self._merge_hit(partner.index, share)
+                self._merge_hit(partner.index, share, changed)
             if job_id is not None:
                 base, done = self._jobs.get(job_id, (index, 0))
                 self._jobs[job_id] = (base, done + 1)
@@ -528,140 +483,110 @@ class ProductTreeStore:
                 "batch_gcd.incremental.store_nodes", self._tree.node_count
             )
 
-    def _merge_hit(self, index: int, share: int) -> None:
+    def _merge_hit(self, index: int, share: int, changed: set[int]) -> None:
         """gcd-capped lcm-merge, the clustered engine's aggregation rule."""
         current = self._hits.get(index, 1)
-        merged = current * share // math.gcd(current, share)
-        self._hits[index] = math.gcd(merged, self._moduli[index])
+        merged = math.gcd(current * share // math.gcd(current, share), self._moduli[index])
+        if merged != current:
+            self._hits[index] = merged
+            changed.add(index)
 
     # -- persistence -----------------------------------------------------
 
-    @property
-    def _leaves_path(self) -> Path:
-        return self.directory / _NODES_DIR / _LEAVES
-
-    def _write_hits(self) -> None:
-        payload = {
-            "divisors": [
-                [i, f"{d:x}"] for i, d in sorted(self._hits.items())
-            ]
-        }
-        atomic_write_text(self.directory / _HITS, json.dumps(payload))
-
-    def _write_manifest(self) -> None:
-        manifest = {
-            "version": _VERSION,
-            "backend": self._tree.backend.name,
-            "count": self.count,
-            "digest": self._digest,
-            "jobs": {
-                job: [base, done]
-                for job, (base, done) in sorted(self._jobs.items())
-            },
-        }
-        atomic_write_text(
-            self.directory / _MANIFEST, json.dumps(manifest, sort_keys=True)
-        )
-
-    # -- loading ---------------------------------------------------------
+    def _commit(
+        self, index: int, moduli: Sequence[int], hits: dict[int, int], jobs: dict
+    ) -> None:
+        """Persist one batch: one fsynced append (the first creates the log)."""
+        if self._journal is None:
+            return
+        if not self._logged:
+            atomic_write_text(self._journal.path, _log_text(self.backend.name))
+            self._logged = True
+        self._journal.append(_batch_record(index, moduli, hits, jobs))
 
     def _load(self, backend: str | BigIntBackend | None) -> None:
-        try:
-            manifest = json.loads((self.directory / _MANIFEST).read_text())
-        except (OSError, ValueError):
-            manifest = None
-        if manifest is None or manifest.get("version") != _VERSION:
-            self._tree = IncrementalProductTree(backend=backend)
-            return
-        stored_backend = manifest.get("backend", "python")
-        requested = resolve_backend(backend) if backend is not None else None
-        if requested is not None and requested.name != stored_backend:
-            raise ValueError(
-                f"store was persisted with backend {stored_backend!r} but "
-                f"{requested.name!r} was requested"
-            )
-        resolved = resolve_backend(backend if backend is not None else stored_backend)
-        count = int(manifest.get("count", 0))
-        self._digest = manifest.get("digest", empty_digest())
-        self._jobs = {
-            job: (int(base), int(done))
-            for job, (base, done) in manifest.get("jobs", {}).items()
-        }
-        pending = [
-            record
-            for record in self._journal.pending()
-            if int(record["index"]) >= count
-        ]
-        self._moduli = self._load_leaves(count)
-        self._drop_internal_levels()
-        self._tree = IncrementalProductTree(self._moduli, backend=resolved)
-        self._load_hits(count)
-        self.replayed_inserts = self._replay(pending)
-        if pending:
-            self._journal.clear()
-
-    def _load_leaves(self, count: int) -> list[int]:
-        leaves: dict[int, int] = {}
-        for record in read_jsonl(self._leaves_path):
+        """Replay the log: extend the leaves, merge hits and jobs, build once."""
+        identity, *batches = self._journal.records() or [None]
+        self._logged = identity is not None
+        if self._logged:
+            if not isinstance(identity, dict) or identity.get("version") != _VERSION:
+                raise StoreCorruptError(
+                    f"{self._journal.path} does not start with a version "
+                    f"{_VERSION} store identity"
+                )
+            stored = identity.get("backend")
+            backend = resolve_backend(backend if backend is not None else stored)
+            if backend.name != stored:
+                raise ValueError(
+                    f"store was persisted with backend {stored!r} but "
+                    f"{backend.name!r} was requested"
+                )
+        for record in batches:
             try:
-                index, hexval = record
-                index, value = int(index), int(hexval, 16)
-            except (ValueError, TypeError):
-                continue
-            if 0 <= index < count:
-                leaves[index] = value
-        if len(leaves) != count:
-            raise StoreCorruptError(
-                f"store at {self.directory} is missing "
-                f"{count - len(leaves)} of {count} leaf records"
-            )
-        return [leaves[i] for i in range(count)]
+                index = int(record["index"])
+                moduli = [int(value, 16) for value in record["moduli"]]
+                hits = {int(i): int(value, 16) for i, value in record["hits"]}
+                jobs = {
+                    job: (int(base), int(done))
+                    for job, (base, done) in record["jobs"].items()
+                }
+            except (AttributeError, KeyError, TypeError, ValueError):
+                raise StoreCorruptError(
+                    f"{self._journal.path} holds a record that is not a batch: "
+                    f"{json.dumps(record)[:80]}"
+                ) from None
+            if index != self.count:
+                raise StoreCorruptError(
+                    f"{self._journal.path}: the batch at leaf {index} follows "
+                    f"{self.count} leaves, so a record is missing"
+                )
+            self._moduli.extend(moduli)
+            self._hits.update(hits)
+            self._jobs.update(jobs)
+        self._tree = IncrementalProductTree(self._moduli, backend=backend)
 
-    def _drop_internal_levels(self) -> None:
-        """Delete the internal-level files the per-level layout persisted.
+    def _upgrade(self) -> None:
+        """Rewrite a store of the manifest layout as the one log, once.
 
-        This layout rebuilds them from the leaves on every open; once it
-        appends a leaf, a stale copy would mislead a per-level reader,
-        which trusts any level file that is complete.
+        The manifest's count, backend and job progress, the leaves below
+        that count and the divisors of ``hits.json`` become the identity
+        and one batch record, written with one atomic rewrite.  Then the
+        old files go, ``manifest.json`` last: an open that finds the
+        manifest next to a written log only finishes the removal.
         """
-        nodes_dir = self.directory / _NODES_DIR
-        stale = [p for p in nodes_dir.glob("level-*.jsonl") if p.name != _LEAVES]
-        for path in stale:
-            path.unlink()
-        if stale:
-            fsync_dir(nodes_dir)
-
-    def _load_hits(self, count: int) -> None:
-        try:
-            payload = json.loads((self.directory / _HITS).read_text())
-        except (OSError, ValueError):
-            self._hits = {}
-            return
-        hits: dict[int, int] = {}
-        for entry in payload.get("divisors", []):
+        directory = self.directory
+        if not self._journal.records():
+            hits_path = directory / _HITS
             try:
-                index, hexval = int(entry[0]), int(entry[1], 16)
-            except (ValueError, TypeError, IndexError):
-                continue
-            if 0 <= index < count and hexval > 1:
-                hits[index] = math.gcd(hexval, self._moduli[index])
-        self._hits = hits
-
-    def _replay(self, pending: list[dict[str, Any]]) -> int:
-        """Redo journalled batches the manifest never committed.
-
-        Returns the number of moduli replayed.  A record is a batch
-        ``{"index", "moduli": [<hex>, ...], "job"}`` or, as stores that
-        committed per modulus wrote it, ``{"index", "m": <hex>, "job"}``.
-        """
-        replayed = 0
-        for record in pending:
-            if int(record["index"]) != self.count:
-                continue  # duplicate/stale record; the manifest won
-            hexes = record["moduli"] if "moduli" in record else [record["m"]]
-            batch = [int(h, 16) for h in hexes]
-            self._apply_batch(batch, record.get("job"))
-            replayed += len(batch)
-        return replayed
-
-
+                manifest = json.loads((directory / _MANIFEST).read_text())
+                count = int(manifest["count"])
+                leaves = dict(read_jsonl(directory / _NODES_DIR / _LEAVES))
+                moduli = [int(leaves[i], 16) for i in range(count)]
+                entries = (
+                    json.loads(hits_path.read_text())["divisors"]
+                    if hits_path.exists() else []
+                )
+                hits = {
+                    int(i): math.gcd(int(value, 16), moduli[int(i)])
+                    for i, value in entries
+                    if int(i) < count
+                }
+                jobs = {
+                    job: (int(base), int(done))
+                    for job, (base, done) in manifest.get("jobs", {}).items()
+                }
+            except (AttributeError, KeyError, OSError, TypeError, ValueError) as exc:
+                raise StoreCorruptError(
+                    f"the manifest-layout store at {directory} cannot be "
+                    f"upgraded: {exc!r} (a leaf below its count is missing, "
+                    "or a file is malformed)"
+                ) from None
+            record = _batch_record(0, moduli, hits, jobs)
+            text = _log_text(manifest.get("backend", "python"), record)
+            atomic_write_text(self._journal.path, text)
+        for name in (_HITS, _WRITE_AHEAD):
+            (directory / name).unlink(missing_ok=True)
+        shutil.rmtree(directory / _NODES_DIR, ignore_errors=True)
+        fsync_dir(directory)
+        (directory / _MANIFEST).unlink()
+        fsync_dir(directory)

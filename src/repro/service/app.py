@@ -61,7 +61,9 @@ class ServiceApp:
             ),
             telemetry=self.telemetry,
         )
-        self.server = ServiceServer(self.queue, config, telemetry=self.telemetry)
+        self.server = ServiceServer(
+            self.queue, config, telemetry=self.telemetry, worker=self.worker
+        )
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._started = threading.Event()

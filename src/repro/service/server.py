@@ -22,7 +22,8 @@ Error model: every non-2xx body is ``{"error": <stable code>,
 "message": <human text>}`` — codes are part of the API (documented in
 docs/SERVICE.md): ``unauthorized`` 401, ``not_found`` 404,
 ``method_not_allowed`` 405, ``conflict``/``result_not_ready`` 409,
-``payload_too_large`` 413, and the submission validation codes from
+``payload_too_large`` 413, ``worker_stopped`` 503 (``/healthz`` once the
+worker thread has died), and the submission validation codes from
 :mod:`repro.service.models` at 400.  A request head that is not
 parseable HTTP/1.1 — a malformed request line, a ``Content-Length`` that
 is not a non-negative integer, or a head over 32 KiB — is answered 400
@@ -46,6 +47,7 @@ import asyncio
 import json
 import os
 import re
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Awaitable, Callable
@@ -138,7 +140,7 @@ class Response:
         200: "OK", 201: "Created", 202: "Accepted", 400: "Bad Request",
         401: "Unauthorized", 404: "Not Found", 405: "Method Not Allowed",
         409: "Conflict", 413: "Payload Too Large",
-        500: "Internal Server Error",
+        500: "Internal Server Error", 503: "Service Unavailable",
     }
 
     def encode(self, keep_alive: bool) -> bytes:
@@ -184,6 +186,8 @@ class ServiceServer:
         config: bind address, body bounds, API keys.
         telemetry: service-level metrics sink (requests, errors,
             latency); per-job engine telemetry is separate (worker).
+        worker: the thread that runs the queue's jobs.  Once it has
+            started and is no longer alive, ``/healthz`` answers 503.
     """
 
     def __init__(
@@ -191,8 +195,10 @@ class ServiceServer:
         queue: JobQueue,
         config: ServiceConfig,
         telemetry: Telemetry | None = None,
+        worker: threading.Thread | None = None,
     ) -> None:
         self._queue = queue
+        self._worker = worker
         self._config = config
         self._auth = ApiKeyAuth(config.api_keys)
         self._telemetry = telemetry or Telemetry(enabled=False)
@@ -392,6 +398,16 @@ class ServiceServer:
     @route("GET", "/healthz")
     async def health(self, request: Request) -> Response:
         stats = self._queue.stats()
+        worker = self._worker
+        # ident is set when the thread starts: one that started and is no
+        # longer alive has died, and nothing runs the queued jobs.
+        if worker is not None and worker.ident is not None and not worker.is_alive():
+            return Response(503, {
+                "ok": False,
+                "queue": stats,
+                "error": "worker_stopped",
+                "message": "the job worker has stopped; queued jobs will not run",
+            })
         return Response(200, {"ok": True, "queue": stats})
 
     @route("GET", "/v1/metrics")

@@ -154,9 +154,9 @@ class KeyCheckRunner:
                 engine="clustered",
                 checkpoint_dir=checkpoint_dir,
             ).engine.run(corpus)
-            jobs = store.jobs
-            jobs[job.job_id] = (base, len(job.moduli))
-            store.bootstrap(corpus, outcome.divisors, jobs=jobs)
+            store.bootstrap(
+                corpus, outcome.divisors, jobs={job.job_id: (base, len(job.moduli))}
+            )
         else:
             base, _count = store.apply_job(job.job_id, job.moduli)
         self._telemetry.counter("service.jobs_incremental")

@@ -136,7 +136,7 @@ class TestDur003Drill:
             """,
         )
         journal = MutationJournal(tmp_path / "journal.jsonl")
-        assert journal.pending() == []  # nothing to replay
+        assert journal.records() == []  # nothing to replay
         with pytest.raises(ValueError):
             json.loads((tmp_path / "state.json").read_text())
 
@@ -155,7 +155,7 @@ class TestDur003Drill:
             """,
         )
         journal = MutationJournal(tmp_path / "journal.jsonl")
-        (record,) = journal.pending()
+        (record,) = journal.records()
         assert record["insert"] == "item-1"
         # Recovery replays the record into the store.
         atomic_write_text(tmp_path / "state.json", json.dumps([record["insert"]]))
@@ -223,7 +223,7 @@ class TestDur005Drill:
                 journal.append({"insert": index})
             # A kill mid-append leaves a torn final line.
             with open(journal.path, "a", encoding="utf-8") as handle:
-                handle.write('{"insert": 3, "_se')
+                handle.write('{"insert": 3, "ite')
                 handle.flush()
             os.kill(os.getpid(), signal.SIGKILL)
             """,
@@ -238,4 +238,4 @@ class TestDur005Drill:
     def test_guarded_reader_keeps_everything_before_the_tear(self, tmp_path):
         path = self.drill_torn_journal(tmp_path)
         journal = MutationJournal(path)
-        assert [record["insert"] for record in journal.pending()] == [0, 1, 2]
+        assert [record["insert"] for record in journal.records()] == [0, 1, 2]

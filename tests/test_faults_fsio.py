@@ -14,7 +14,7 @@ from repro.faults.fsio import (
     fsync_file,
     read_jsonl,
 )
-from repro.faults.journal import MutationJournal
+from repro.numt.incremental import ProductTreeStore
 from repro.service.queue import JobQueue
 
 
@@ -167,14 +167,15 @@ class TestJsonl:
     def test_append_to_a_committed_journal_adds_no_directory_fsync(
         self, tmp_path, monkeypatch
     ):
-        # MutationJournal.commit leaves an empty journal behind; the next
-        # append finds it and fsyncs only the file.
-        journal = MutationJournal(tmp_path / "journal.jsonl")
-        journal.commit(journal.append({"insert": 1}))
-        assert journal.path.read_text() == ""
+        # A store's first commit writes its log's identity line with
+        # atomic_write_text, which pins the new entry; every append after
+        # it finds the log and fsyncs only the file.
         synced_dirs = _record_dir_fsyncs(monkeypatch)
-        journal.append({"insert": 2})
-        assert synced_dirs == []
+        store = ProductTreeStore(tmp_path / "store")
+        store.insert(15)
+        assert synced_dirs == [tmp_path, tmp_path / "store"]
+        store.insert(21)
+        assert synced_dirs == [tmp_path, tmp_path / "store"]
 
 
 class TestDirectoryPinning:

@@ -6,13 +6,17 @@ and through ``naive``/``classic``/``clustered``, asserting
 identical vulnerable sets everywhere and identical factors on squarefree
 corpora (well-formed RSA; on prime-power pathologies the divisor
 multiplicity caveat is the clustered engine's, shared and documented).
-Plus the resume drill: a real ``SIGKILL`` at every durable write step of
-an insert and of a 4-modulus job, recovered on the next open.
+Plus the resume drill: a real ``SIGKILL`` before, midway through and
+after the one log append that commits an insert or a 4-modulus job, and
+midway through the upgrade of a manifest-layout store, each recovered on
+the next open.
 """
 
+import json
 import math
 import os
 import random
+import shutil
 import signal
 import subprocess
 import sys
@@ -202,41 +206,32 @@ class TestEngineExtension:
 
 _KILL_CHILD = textwrap.dedent(
     """
-    import os, signal, sys
+    import json, os, signal, sys
     from pathlib import Path
     import repro.faults.journal
-    import repro.numt.incremental
     from repro.numt.incremental import ProductTreeStore
 
     store_dir, kill_index, step, shape = sys.argv[1], int(sys.argv[2]), *sys.argv[3:]
     moduli = [int(line, 16) for line in sys.stdin.read().split()]
-    # step -> (durable write it names, file it lands on, kill before it?)
-    write, target, before = {
-        "after-journal-append": ("append_jsonl", "journal.jsonl", False),
-        "after-leaf-append": ("append_jsonl", "level-0.jsonl", False),
-        "after-hits-write": ("atomic_write_text", "hits.json", False),
-        "after-manifest-rename": ("atomic_write_text", "manifest.json", False),
-        "before-journal-commit": ("atomic_write_text", "journal.jsonl", True),
-    }[step]
     armed = False
+    append_jsonl = repro.faults.journal.append_jsonl
 
-    def killing(original):
-        def wrapper(path, *args):
-            hit = armed and Path(path).name == target
-            if hit and before:
-                os.kill(os.getpid(), signal.SIGKILL)
-            result = original(path, *args)
-            if hit:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return result
-        return wrapper
+    def killing_append(path, records):
+        # The store's one durable write per commit: its log append.
+        if armed and step == "before-append":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if armed and step == "mid-append":
+            text = "".join(json.dumps(r, sort_keys=True) + "\\n" for r in records)
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(text[: len(text) // 2])
+            os.kill(os.getpid(), signal.SIGKILL)
+        append_jsonl(path, records)
+        if armed:
+            os.kill(os.getpid(), signal.SIGKILL)
 
-    # The store and its journal each bind the fsio writers at import.
-    for module in (repro.faults.journal, repro.numt.incremental):
-        setattr(module, write, killing(getattr(module, write)))
-
+    repro.faults.journal.append_jsonl = killing_append
     store = ProductTreeStore(store_dir)
-    replayed = store.replayed_inserts
+    opened = store.count
     if shape == "insert":
         for index in range(store.count, len(moduli)):
             armed = index == kill_index
@@ -246,23 +241,50 @@ _KILL_CHILD = textwrap.dedent(
         for base in range(0, len(moduli), JOB):
             armed = base <= kill_index < base + JOB
             store.apply_job(f"job-{base // JOB}", moduli[base : base + JOB])
-    print(replayed, store.count)
+    print(opened, store.count)
     """
 )
 
 #: Moduli per job in the job-shaped drill.
 JOB = 4
 
-#: Every durable write step of one commit (an insert, or a whole job), in
-#: the order they run, and whether the next open must replay the killed
-#: commit (its manifest rename had not happened yet).
+#: Every point of one commit's append (an insert's, or a whole job's),
+#: and whether the next open finds the killed commit.  Midway leaves a
+#: torn line, which the open skips.
 INSERT_STEPS = {
-    "after-journal-append": 1,
-    "after-leaf-append": 1,
-    "after-hits-write": 1,
-    "after-manifest-rename": 0,
-    "before-journal-commit": 0,
+    "before-append": 0,
+    "mid-append": 0,
+    "after-append": 1,
 }
+
+
+def _drill_moduli():
+    rng = random.Random(51)
+    pool = [generate_prime(32, rng) for _ in range(8)]
+    moduli = []
+    for _ in range(24):
+        a, b = rng.sample(range(8), 2)
+        moduli.append(pool[a] * pool[b])
+    # The killed commit holds a duplicate, so it changes divisors.
+    moduli[15] = moduli[4]
+    return moduli
+
+
+def _assert_matches_memory_only(store_dir, moduli, shape):
+    recovered = ProductTreeStore(store_dir)
+    clean = ProductTreeStore()
+    if shape == "insert":
+        for index, m in enumerate(moduli):
+            clean.insert(m, job_id=f"job-{index // 8}")
+    else:
+        for base in range(0, len(moduli), JOB):
+            clean.apply_job(f"job-{base // JOB}", moduli[base : base + JOB])
+    assert recovered.moduli == clean.moduli == moduli
+    assert recovered.divisors() == clean.divisors()
+    assert recovered.jobs == clean.jobs
+    assert [d > 1 for d in recovered.divisors()] == _flags(
+        batch_gcd(moduli)
+    )
 
 
 def _kill_and_resume(tmp_path, step, shape="insert"):
@@ -271,15 +293,7 @@ def _kill_and_resume(tmp_path, step, shape="insert"):
     ``shape`` is ``"insert"`` (one commit per modulus) or ``"job"``
     (``apply_job`` of 4-modulus jobs, one commit each).
     """
-    rng = random.Random(51)
-    pool = [generate_prime(32, rng) for _ in range(8)]
-    moduli = []
-    for _ in range(24):
-        a, b = rng.sample(range(8), 2)
-        moduli.append(pool[a] * pool[b])
-    # The killed commit holds a duplicate, so it rewrites hits.json.
-    moduli[15] = moduli[4]
-
+    moduli = _drill_moduli()
     store_dir = tmp_path / "store"
     env = dict(os.environ, PYTHONPATH=REPO_SRC)
     feed = "\n".join(f"{m:x}" for m in moduli)
@@ -291,43 +305,76 @@ def _kill_and_resume(tmp_path, step, shape="insert"):
     )
     assert first.returncode == -signal.SIGKILL, first.stderr
 
-    # The next open recovers the killed commit (replaying it from the
-    # journal unless its manifest already committed it), then the
-    # child finishes the remaining moduli on top of the recovered state.
+    # The next open holds every commit before the killed one, and the
+    # killed one only if its append completed; the child then finishes
+    # the remaining moduli on top of the recovered state.
     second = subprocess.run(
         child + ["-1", step, shape],
         input=feed, capture_output=True, text=True, env=env,
     )
     assert second.returncode == 0, second.stderr
-    killed = 1 if shape == "insert" else JOB
+    killed_base, killed = (15, 1) if shape == "insert" else (12, JOB)
     assert second.stdout.split() == [
-        str(INSERT_STEPS[step] * killed), str(len(moduli)),
+        str(killed_base + INSERT_STEPS[step] * killed), str(len(moduli)),
     ]
+    _assert_matches_memory_only(store_dir, moduli, shape)
 
-    recovered = ProductTreeStore(store_dir)
-    clean = ProductTreeStore()
-    if shape == "insert":
-        for index, m in enumerate(moduli):
-            clean.insert(m, job_id=f"job-{index // 8}")
-    else:
-        for base in range(0, len(moduli), JOB):
-            clean.apply_job(f"job-{base // JOB}", moduli[base : base + JOB])
-    assert recovered.moduli == clean.moduli == moduli
-    assert recovered.divisors() == clean.divisors()
-    assert recovered.digest == clean.digest
-    assert recovered.jobs == clean.jobs
-    assert [d > 1 for d in recovered.divisors()] == _flags(
-        batch_gcd(moduli)
-    )
+
+_UPGRADE_KILL_CHILD = textwrap.dedent(
+    """
+    import os, shutil, signal, sys
+    from repro.numt.incremental import ProductTreeStore
+
+    def killing_rmtree(path, *args, **kwargs):
+        # The log is written and every old file but the manifest is gone.
+        real_rmtree(path, *args, **kwargs)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    real_rmtree, shutil.rmtree = shutil.rmtree, killing_rmtree
+    ProductTreeStore(sys.argv[1])
+    """
+)
+
+#: A leaf-only manifest-layout store; see tests/test_numt_incremental.py.
+MANIFEST_STORE = Path(__file__).resolve().parent / "fixtures" / "manifest_store"
 
 
 class TestSigkillResumeDrill:
     def test_sigkill_mid_insert_resumes_cleanly(self, tmp_path):
-        # The canonical mid-insert death: every append of the insert is
-        # on disk, its manifest is not.
-        _kill_and_resume(tmp_path, "after-hits-write")
+        # The canonical mid-insert death: the commit's append is torn.
+        _kill_and_resume(tmp_path, "mid-append")
 
     @pytest.mark.parametrize("shape", ["insert", "job"])
     @pytest.mark.parametrize("step", INSERT_STEPS)
     def test_sigkill_at_every_write_step_resumes_cleanly(self, tmp_path, step, shape):
         _kill_and_resume(tmp_path, step, shape)
+
+    def test_sigkill_mid_upgrade_resumes_cleanly(self, tmp_path):
+        shutil.copytree(MANIFEST_STORE / "store", tmp_path / "store")
+        env = dict(os.environ, PYTHONPATH=REPO_SRC)
+        killed = subprocess.run(
+            [sys.executable, "-c", _UPGRADE_KILL_CHILD, str(tmp_path / "store")],
+            capture_output=True, text=True, env=env,
+        )
+        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        assert sorted(p.name for p in (tmp_path / "store").iterdir()) == [
+            "manifest.json", "store.jsonl",
+        ]
+        # The next open finishes the upgrade; the re-delivered pending
+        # job then lands as in a store that never crashed.
+        expected = json.loads((MANIFEST_STORE / "expected.json").read_text())
+        store = ProductTreeStore(tmp_path / "store")
+        assert [f"{m:x}" for m in store.moduli] == expected["moduli"]
+        assert [f"{d:x}" for d in store.divisors()] == expected["divisors"]
+        pending = expected["pending"]
+        store.apply_job(pending["job"], [int(m, 16) for m in pending["moduli"]])
+        moduli = [int(m, 16) for m in expected["moduli"] + pending["moduli"]]
+        clean = ProductTreeStore()
+        clean.extend(moduli[:5])
+        for job, base in (("job-a", 5), ("job-b", 7), ("job-c", 9)):
+            clean.apply_job(job, moduli[base : base + 2])
+        for state in (store, ProductTreeStore(tmp_path / "store")):
+            assert state.moduli == clean.moduli
+            assert state.divisors() == clean.divisors()
+            assert state.jobs == clean.jobs
+        assert [p.name for p in (tmp_path / "store").iterdir()] == ["store.jsonl"]

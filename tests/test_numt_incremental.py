@@ -1,22 +1,26 @@
-"""Unit tests for the incremental product tree, its store, and the journal.
+"""Unit tests for the incremental product tree, its store, and its log.
 
 After any append sequence the tree must hold exactly the complete blocks
 of a batch-built :func:`repro.numt.trees.product_tree` (every stored node
 equal to the batch-built node at the same level and index, level ``L``
 holding ``n >> L`` nodes), an append must compute only the blocks it
 completes, and the per-block check must equal the classic batch-GCD
-divisor on the union corpus.  The persistent store must keep only its
-leaves, commit a job once, keep every record on both sides of a torn
-append, replay the one-modulus journal records of stores that committed
-per modulus, and open a store written in the per-level layout.  (A real
-SIGKILL at every write step of an insert and of a job is drilled in
+divisor on the union corpus.  The persistent store must keep one
+append-only log, commit a batch with one fsynced append, reopen equal to
+the live store after any operation sequence, keep every record on both
+sides of a torn append, refuse a log with a record missing, and upgrade
+stores written in the manifest layout (leaf-only and per-level) once.
+(A real SIGKILL at every point of the one append, for an insert and for
+a job, and mid-upgrade, is drilled in
 ``tests/test_incremental_differential.py``.)
 """
 
 import json
 import math
+import os
 import random
 import shutil
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -26,14 +30,11 @@ from hypothesis import given, settings, strategies as st
 from repro.core.batchgcd import batch_gcd_divisors
 from repro.crypto.primes import generate_prime
 from repro.faults import fsio
-from repro.faults.checkpoint import corpus_digest
 from repro.faults.journal import MutationJournal
 from repro.numt.incremental import (
     IncrementalProductTree,
     ProductTreeStore,
     StoreCorruptError,
-    empty_digest,
-    extend_digest,
 )
 from repro.numt.trees import product_tree
 
@@ -46,46 +47,25 @@ def _semiprime(rng, pool=None, bits=40):
 
 
 class TestMutationJournal:
-    def test_append_pending_commit_roundtrip(self, tmp_path):
-        journal = MutationJournal(tmp_path / "j.jsonl")
-        s0 = journal.append({"op": "a"})
-        s1 = journal.append({"op": "b"})
-        assert [r["op"] for r in journal.pending()] == ["a", "b"]
-        journal.commit(s0)
-        assert [r["_seq"] for r in journal.pending()] == [s1]
-        journal.clear()
-        assert journal.pending() == []
-
-    def test_seq_survives_reopen(self, tmp_path):
-        journal = MutationJournal(tmp_path / "j.jsonl")
-        journal.append({"op": "a"})
-        reopened = MutationJournal(tmp_path / "j.jsonl")
-        assert reopened.append({"op": "b"}) == 1
-
     def test_torn_tail_is_discarded(self, tmp_path):
         path = tmp_path / "j.jsonl"
         journal = MutationJournal(path)
         journal.append({"op": "a"})
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"op": "torn", "_se')
-        assert [r["op"] for r in MutationJournal(path).pending()] == ["a"]
+            fh.write('{"op": "torn", "ind')
+        assert MutationJournal(path).records() == [{"op": "a"}]
 
     def test_append_after_a_torn_tail_keeps_both_records(self, tmp_path):
         path = tmp_path / "j.jsonl"
         MutationJournal(path).append({"op": "a"})
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"op": "torn", "_se')
+            fh.write('{"op": "torn", "ind')
         MutationJournal(path).append({"op": "b"})
-        assert [r["op"] for r in MutationJournal(path).pending()] == ["a", "b"]
-
-    def test_reserved_seq_key_rejected(self, tmp_path):
-        journal = MutationJournal(tmp_path / "j.jsonl")
-        with pytest.raises(ValueError):
-            journal.append({"_seq": 7})
+        assert [r["op"] for r in MutationJournal(path).records()] == ["a", "b"]
 
     def test_no_file_until_first_append(self, tmp_path):
         journal = MutationJournal(tmp_path / "j.jsonl")
-        assert journal.pending() == []
+        assert journal.records() == []
         assert not (tmp_path / "j.jsonl").exists()
 
 
@@ -198,22 +178,21 @@ class TestIncrementalProductTree:
             tree.divisor_against(0)
 
 
-class TestChainedDigest:
-    def test_matches_checkpoint_corpus_digest(self):
-        rng = random.Random(4)
-        corpus = [_semiprime(rng) for _ in range(9)]
-        chained = empty_digest()
-        for m in corpus:
-            chained = extend_digest(chained, m)
-        # Chained identity is order-sensitive like the flat digest, and
-        # distinct from it (it folds the running hash back in), but both
-        # derive from the same per-modulus record encoding.
-        other = empty_digest()
-        for m in reversed(corpus):
-            other = extend_digest(other, m)
-        assert chained != other
-        assert chained != corpus_digest(corpus)
-        assert len(chained) == len(corpus_digest(corpus)) == 64
+def _log(directory):
+    """The store's log records: the identity line, then one per batch."""
+    return MutationJournal(Path(directory) / "store.jsonl").records()
+
+
+def _files(directory):
+    return sorted(
+        str(path.relative_to(directory))
+        for path in Path(directory).rglob("*")
+        if path.is_file()
+    )
+
+
+def _readings(store):
+    return store.moduli, store.divisors(), store.jobs, store.node_count
 
 
 class TestProductTreeStore:
@@ -230,7 +209,6 @@ class TestProductTreeStore:
         reopened = ProductTreeStore(tmp_path / "store")
         assert reopened.moduli == corpus
         assert reopened.divisors() == store.divisors()
-        assert reopened.digest == store.digest
         assert reopened.node_count == store.node_count
 
     def test_divisors_match_classic_flags(self, tmp_path):
@@ -249,58 +227,75 @@ class TestProductTreeStore:
         assert list(tmp_path.iterdir()) == []
 
     def test_store_persists_only_its_leaves(self, tmp_path):
+        # One file: the identity, then one record per commit holding its
+        # moduli, the divisors it changed and the job progress it made.
         corpus = self._corpus(13, n=64)
         store = ProductTreeStore(tmp_path / "store")
         store.bootstrap(corpus[:40], batch_gcd_divisors(corpus[:40]))
         store.apply_job("j1", corpus[40:])
-        files = sorted(
-            str(path.relative_to(tmp_path / "store"))
-            for path in (tmp_path / "store").rglob("*")
-            if path.is_file()
-        )
-        assert files == [
-            "hits.json", "journal.jsonl", "manifest.json", "nodes/level-0.jsonl",
-        ]
-        leaves = (tmp_path / "store" / "nodes" / "level-0.jsonl").read_text()
-        assert [json.loads(line) for line in leaves.splitlines()] == [
-            [i, f"{m:x}"] for i, m in enumerate(corpus)
-        ]
+        assert _files(tmp_path / "store") == ["store.jsonl"]
+        identity, boot, job = _log(tmp_path / "store")
+        assert identity == {"version": 2, "backend": store.backend.name}
+        assert boot["index"] == 0 and boot["jobs"] == {}
+        assert job["index"] == 40 and job["jobs"] == {"j1": [40, 24]}
+        assert [int(h, 16) for h in boot["moduli"] + job["moduli"]] == corpus
+        assert {i for i, _ in boot["hits"]} == {
+            i for i, d in enumerate(store.divisors()[:40]) if d > 1
+        }
 
     def test_append_after_a_torn_leaf_keeps_every_insert(self, tmp_path):
         corpus = self._corpus(19, n=9)
         store = ProductTreeStore(tmp_path / "store")
         for m in corpus[:8]:
             store.insert(m)
-        with open(tmp_path / "store" / "nodes" / "level-0.jsonl", "a") as fh:
-            fh.write('[8, "abc')
+        with open(tmp_path / "store" / "store.jsonl", "a") as fh:
+            fh.write('{"hits": [], "index": 8, "moduli": ["abc')
         ProductTreeStore(tmp_path / "store").insert(corpus[8])
         assert ProductTreeStore(tmp_path / "store").moduli == corpus
 
     def test_missing_leaf_records_raise(self, tmp_path):
-        store = ProductTreeStore(tmp_path / "store")
-        for m in self._corpus(14, n=8):
-            store.insert(m)
+        # The manifest layout's count is checked against its leaf log
+        # when the store is upgraded.
+        shutil.copytree(MANIFEST_STORE / "store", tmp_path / "store")
         leaves = tmp_path / "store" / "nodes" / "level-0.jsonl"
         kept = leaves.read_text().splitlines()[:4]
         leaves.write_text("\n".join(kept) + "\n")
         with pytest.raises(StoreCorruptError):
             ProductTreeStore(tmp_path / "store")
 
-    def test_internal_levels_rebuild_from_leaves(self, tmp_path):
-        corpus = self._corpus(15, n=12)
+    def test_missing_middle_record_raises(self, tmp_path):
+        corpus = self._corpus(25, n=6)
         store = ProductTreeStore(tmp_path / "store")
-        for m in corpus:
-            store.insert(m)
+        for base in range(0, 6, 2):
+            store.extend(corpus[base : base + 2])
+        log = tmp_path / "store" / "store.jsonl"
+        lines = log.read_text().splitlines()
+        assert len(lines) == 4
+        log.write_text("\n".join(lines[:2] + lines[3:]) + "\n")
+        with pytest.raises(StoreCorruptError):
+            ProductTreeStore(tmp_path / "store")
+
+    def test_a_record_that_is_not_a_batch_raises(self, tmp_path):
+        store = ProductTreeStore(tmp_path / "store")
+        store.insert(self._corpus(26, n=1)[0])
+        MutationJournal(tmp_path / "store" / "store.jsonl").append({"index": 1})
+        with pytest.raises(StoreCorruptError):
+            ProductTreeStore(tmp_path / "store")
+
+    def test_internal_levels_rebuild_from_leaves(self, tmp_path):
         # A complete but stale internal level, as the per-level layout
-        # could leave behind, is neither trusted nor kept.
+        # could leave behind, is neither trusted nor kept by the upgrade.
+        shutil.copytree(MANIFEST_STORE / "store", tmp_path / "store")
         stale = tmp_path / "store" / "nodes" / "level-1.jsonl"
-        stale.write_text("".join(f'[{i}, "7"]\n' for i in range(6)))
+        stale.write_text("".join(f'[{i}, "7"]\n' for i in range(4)))
+        expected = json.loads((MANIFEST_STORE / "expected.json").read_text())
         reopened = ProductTreeStore(tmp_path / "store")
+        corpus = [int(m, 16) for m in expected["moduli"]]
         assert reopened.moduli == corpus
-        assert reopened.divisors() == store.divisors()
+        assert [f"{d:x}" for d in reopened.divisors()] == expected["divisors"]
         clean = IncrementalProductTree(corpus)
         assert reopened.node_count == clean.node_count
-        assert reopened.probe(corpus[0]) == store.probe(corpus[0])
+        assert reopened.probe(corpus[0]).divisor == clean.divisor_against(corpus[0])
         assert not stale.exists()
 
     def test_backend_mismatch_raises(self, tmp_path):
@@ -319,6 +314,14 @@ class TestProductTreeStore:
         store.bootstrap(longer, batch_gcd_divisors(longer))
         assert ProductTreeStore(tmp_path / "store").count == len(longer)
 
+    def test_bootstrap_merges_the_job_entries_it_is_given(self, tmp_path):
+        corpus = self._corpus(27, n=12)
+        store = ProductTreeStore(tmp_path / "store")
+        store.apply_job("j1", corpus[:4])
+        store.bootstrap(corpus, batch_gcd_divisors(corpus), jobs={"bulk": (4, 8)})
+        for state in (store, ProductTreeStore(tmp_path / "store")):
+            assert state.jobs == {"j1": (0, 4), "bulk": (4, 8)}
+
     def test_apply_job_is_idempotent_and_resumable(self, tmp_path):
         corpus = self._corpus(18, n=20)
         store = ProductTreeStore(tmp_path / "store")
@@ -331,12 +334,10 @@ class TestProductTreeStore:
         assert reopened.moduli == corpus
         assert reopened.jobs == {"j1": (0, 8), "j2": (8, 12)}
 
-
     @pytest.mark.parametrize("k", [1, 4, 16])
     def test_apply_job_commits_once_for_any_size(self, tmp_path, monkeypatch, k):
-        # One journal append, one leaf append, one manifest write and one
-        # journal commit per job, plus one hits rewrite when the job
-        # finds a shared prime, however many moduli the job holds.
+        # One fsynced append to the log per job, however many moduli the
+        # job holds and whether or not it finds a shared prime.
         corpus = self._corpus(22, n=20 + k)
         store = ProductTreeStore(tmp_path / "store")
         store.bootstrap(corpus[:20], batch_gcd_divisors(corpus[:20]))
@@ -349,40 +350,31 @@ class TestProductTreeStore:
 
         monkeypatch.setattr(fsio, "fsync_file", counting)
         store.apply_job("job", corpus[20:])
-        expected = {
-            "journal.jsonl": 1,
-            "level-0.jsonl": 1,
-            "manifest.json.tmp": 1,
-            "journal.jsonl.tmp": 1,
-        }
-        if any(d > 1 for d in store.divisors()[20:]):
-            expected["hits.json.tmp"] = 1
-        assert synced == expected
+        assert synced == {"store.jsonl": 1}
         assert store.jobs["job"] == (20, k)
         assert ProductTreeStore(tmp_path / "store").moduli == corpus
 
-    def test_pending_one_modulus_record_replays_on_open(self, tmp_path):
-        # A store that committed per modulus journals {"index", "m",
-        # "job"}; a kill after its leaf append leaves that record pending.
-        corpus = self._corpus(23, n=9)
+    @pytest.mark.parametrize("shared", [False, True], ids=["clean", "shared-prime"])
+    def test_a_job_makes_one_fsync_and_no_rename(self, tmp_path, monkeypatch, shared):
+        rng = random.Random(28)
+        corpus = [_semiprime(rng) for _ in range(24)]
+        if shared:
+            corpus[21] = corpus[3]
         store = ProductTreeStore(tmp_path / "store")
-        store.apply_job("job-a", corpus[:8])
-        journal = MutationJournal(tmp_path / "store" / "journal.jsonl")
-        journal.append({"index": 8, "m": f"{corpus[8]:x}", "job": "job-b"})
-        fsio.append_jsonl(
-            tmp_path / "store" / "nodes" / "level-0.jsonl", [[8, f"{corpus[8]:x}"]]
+        store.bootstrap(corpus[:20], batch_gcd_divisors(corpus[:20]))
+        calls = Counter()
+        real_fsync, real_replace = os.fsync, os.replace
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: (calls.update(["fsync"]), real_fsync(fd))
         )
-        recovered = ProductTreeStore(tmp_path / "store")
-        assert recovered.replayed_inserts == 1
-        assert MutationJournal(tmp_path / "store" / "journal.jsonl").pending() == []
-        clean = ProductTreeStore()
-        clean.apply_job("job-a", corpus[:8])
-        clean.apply_job("job-b", corpus[8:])
-        for state in (recovered, ProductTreeStore(tmp_path / "store")):
-            assert state.moduli == clean.moduli == corpus
-            assert state.divisors() == clean.divisors()
-            assert state.digest == clean.digest
-            assert state.jobs == clean.jobs == {"job-a": (0, 8), "job-b": (8, 1)}
+        monkeypatch.setattr(
+            os,
+            "replace",
+            lambda src, dst: (calls.update(["replace"]), real_replace(src, dst)),
+        )
+        store.apply_job("job", corpus[20:])
+        assert calls == {"fsync": 1}
+        assert (store.divisors()[3] > 1) is shared
 
     def test_extend_rejects_a_bad_modulus_before_writing(self, tmp_path):
         corpus = self._corpus(24, n=4)
@@ -393,7 +385,7 @@ class TestProductTreeStore:
         assert store.moduli == corpus[:2]
         reopened = ProductTreeStore(tmp_path / "store")
         assert reopened.moduli == corpus[:2]
-        assert reopened.replayed_inserts == 0
+        assert len(_log(tmp_path / "store")) == 2
 
     def test_torn_journal_tail_is_ignored(self, tmp_path):
         rng = random.Random(21)
@@ -401,11 +393,70 @@ class TestProductTreeStore:
         store = ProductTreeStore(tmp_path / "store")
         for m in base:
             store.insert(m)
-        with open(tmp_path / "store" / "journal.jsonl", "a") as fh:
-            fh.write(json.dumps({"index": 6, "m": "dead"})[:-4])
+        with open(tmp_path / "store" / "store.jsonl", "a") as fh:
+            fh.write(json.dumps({"index": 6, "moduli": ["dead"]})[:-4])
         recovered = ProductTreeStore(tmp_path / "store")
         assert recovered.moduli == base
-        assert recovered.replayed_inserts == 0
+        assert recovered.divisors() == store.divisors()
+
+
+#: Moduli for the live-equals-replay property: products of 1-3 small
+#: primes, so duplicates, prime powers and shared primes are common.
+_MODULI = st.lists(st.sampled_from(_SMALL_PRIMES), min_size=1, max_size=3).map(
+    math.prod
+)
+_JOB_MODULI = {"job-a": [3 * 5, 7 * 11, 5 * 13], "job-b": [11 * 17, 3, 19 * 23]}
+_STORE_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _MODULI, st.sampled_from([None, "x"])),
+        st.tuples(
+            st.just("extend"),
+            st.lists(_MODULI, max_size=4),
+            st.sampled_from([None, "y"]),
+        ),
+        st.tuples(
+            st.just("apply_job"),
+            st.sampled_from(sorted(_JOB_MODULI)),
+            st.integers(1, 3),  # moduli applied before the job is re-delivered
+        ),
+        st.tuples(
+            st.just("bootstrap"), st.lists(_MODULI, max_size=4), st.booleans()
+        ),
+    ),
+    max_size=8,
+)
+
+
+def _run_store_step(store, step):
+    operation, arg, extra = step
+    if operation == "insert":
+        store.insert(arg, job_id=extra)
+    elif operation == "extend":
+        store.extend(arg, job_id=extra)
+    elif operation == "apply_job":
+        store.apply_job(arg, _JOB_MODULI[arg][:extra])
+        store.apply_job(arg, _JOB_MODULI[arg])
+    else:
+        corpus = store.moduli + arg
+        divisors = batch_gcd_divisors(corpus) if extra and len(corpus) > 1 else None
+        jobs = {f"bulk-{store.count}": (store.count, len(arg))} if arg else None
+        store.bootstrap(corpus, divisors, jobs=jobs)
+
+
+class TestOneLogReplay:
+    """The store replays its log to the state its live calls left."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_STORE_STEPS)
+    def test_reopened_store_equals_the_live_one(self, steps):
+        with tempfile.TemporaryDirectory() as directory:
+            live = ProductTreeStore(Path(directory) / "store")
+            memory = ProductTreeStore()
+            for step in steps:
+                _run_store_step(live, step)
+                _run_store_step(memory, step)
+            reopened = ProductTreeStore(Path(directory) / "store")
+            assert _readings(reopened) == _readings(live) == _readings(memory)
 
 
 #: A store written by the per-level layout (every tree level persisted
@@ -414,6 +465,15 @@ class TestProductTreeStore:
 #: with primes shared across the bootstrap and both jobs.  expected.json
 #: also holds "extra", a modulus sharing primes with both, to insert next.
 LEVEL_SHARDED = Path(__file__).resolve().parent / "fixtures" / "level_sharded_store"
+
+#: A store written by the leaf-only manifest layout (manifest.json,
+#: hits.json, journal.jsonl and nodes/level-0.jsonl): a 5-modulus
+#: bootstrap, then jobs "job-a" and "job-b" of 2 moduli each, then job
+#: "job-c" of 2 moduli SIGKILLed after its leaf append, so its
+#: write-ahead record is pending in journal.jsonl and its leaves lie past
+#: the committed count.  expected.json holds the committed readings and
+#: the pending job.
+MANIFEST_STORE = Path(__file__).resolve().parent / "fixtures" / "manifest_store"
 
 
 class TestLevelShardedStore:
@@ -426,7 +486,6 @@ class TestLevelShardedStore:
         store, expected = self._open(tmp_path)
         assert [f"{m:x}" for m in store.moduli] == expected["moduli"]
         assert [f"{d:x}" for d in store.divisors()] == expected["divisors"]
-        assert store.digest == expected["digest"]
         assert store.jobs == {
             job: tuple(progress) for job, progress in expected["jobs"].items()
         }
@@ -445,8 +504,40 @@ class TestLevelShardedStore:
         for reopened in (store, ProductTreeStore(tmp_path / "store")):
             assert reopened.moduli == clean.moduli == moduli + [extra]
             assert reopened.divisors() == clean.divisors()
-            assert reopened.digest == clean.digest
             assert reopened.jobs == clean.jobs
         assert clean.divisors()[-1] > 1
-        nodes = sorted(p.name for p in (tmp_path / "store" / "nodes").iterdir())
-        assert nodes == ["level-0.jsonl"]
+        assert _files(tmp_path / "store") == ["store.jsonl"]
+
+
+class TestManifestStore:
+    def _open(self, tmp_path):
+        shutil.copytree(MANIFEST_STORE / "store", tmp_path / "store")
+        expected = json.loads((MANIFEST_STORE / "expected.json").read_text())
+        return ProductTreeStore(tmp_path / "store"), expected
+
+    def test_upgrades_to_the_committed_readings(self, tmp_path):
+        store, expected = self._open(tmp_path)
+        for state in (store, ProductTreeStore(tmp_path / "store")):
+            assert [f"{m:x}" for m in state.moduli] == expected["moduli"]
+            assert [f"{d:x}" for d in state.divisors()] == expected["divisors"]
+            assert state.jobs == {
+                job: tuple(progress) for job, progress in expected["jobs"].items()
+            }
+            assert state.node_count == IncrementalProductTree(state.moduli).node_count
+        assert _files(tmp_path / "store") == ["store.jsonl"]
+        assert len(_log(tmp_path / "store")) == 2
+
+    def test_reapplied_pending_job_matches_a_memory_only_store(self, tmp_path):
+        store, expected = self._open(tmp_path)
+        moduli = [int(m, 16) for m in expected["moduli"]]
+        pending = expected["pending"]
+        job_c = [int(m, 16) for m in pending["moduli"]]
+        assert store.apply_job(pending["job"], job_c) == (9, 2)
+        clean = ProductTreeStore()
+        clean.extend(moduli[:5])
+        clean.apply_job("job-a", moduli[5:7])
+        clean.apply_job("job-b", moduli[7:9])
+        clean.apply_job("job-c", job_c)
+        for state in (store, ProductTreeStore(tmp_path / "store")):
+            assert _readings(state) == _readings(clean)
+        assert clean.divisors()[7] > 1  # job-c shares a prime with job-b

@@ -2,9 +2,8 @@
 
 These pin the fixes the DUR rules demanded of real code: the job-queue
 journal fsyncs every append (DUR001), ``endpoint.json`` publishes via
-temp + atomic rename (DUR002), the mutation journal's commit fsyncs its
-rewrite before renaming it, and the product-tree leaf log is fsynced
-before the manifest commits to its record count.
+temp + atomic rename (DUR002), and a product-tree store commit is one
+append to its log, fsynced before the commit returns.
 """
 
 import json
@@ -12,7 +11,6 @@ import os
 import random
 
 from repro.crypto.primes import generate_prime
-from repro.faults.journal import MutationJournal
 from repro.numt.incremental import ProductTreeStore
 from repro.service.models import ServiceConfig
 from repro.service.queue import JobQueue
@@ -78,37 +76,15 @@ class TestEndpointPublish:
         assert [p.name for p in state_dir.iterdir()] == ["endpoint.json"]
 
 
-class TestJournalCommitFsync:
-    def test_commit_fsyncs_the_rewrite_before_renaming_it(
-        self, tmp_path, monkeypatch
-    ):
-        journal = MutationJournal(tmp_path / "journal.jsonl")
-        first = journal.append({"insert": 1})
-        journal.append({"insert": 2})
-        events = []
-        real_fsync, real_replace = os.fsync, os.replace
-        monkeypatch.setattr(
-            os, "fsync", lambda fd: (events.append("fsync"), real_fsync(fd))
-        )
-        monkeypatch.setattr(
-            os,
-            "replace",
-            lambda src, dst: (events.append("replace"), real_replace(src, dst)),
-        )
-        journal.commit(first)
-        assert "replace" in events
-        assert events.index("fsync") < events.index("replace")
-        assert [r["insert"] for r in journal.pending()] == [2]
-
-
-class TestStoreLevelFsync:
-    def test_insert_fsyncs_level_records_before_the_manifest_commits(
+class TestStoreLogFsync:
+    def test_insert_fsyncs_its_log_append_before_returning(
         self, tmp_path, monkeypatch
     ):
         store = ProductTreeStore(tmp_path / "store")
+        first, second = _moduli(count=2)
+        store.insert(first)
         synced = _record_fsyncs(monkeypatch)
-        store.insert(_moduli(count=1)[0])
-        # One fsync came from the leaf append (the journal and the atomic
-        # manifest writes account for the rest).
-        leaves = tmp_path / "store" / "nodes" / "level-0.jsonl"
-        assert leaves.stat().st_ino in synced
+        store.insert(second)
+        # The commit is the log append alone: one fsync, of the log.
+        assert synced == [(tmp_path / "store" / "store.jsonl").stat().st_ino]
+        assert ProductTreeStore(tmp_path / "store").moduli == [first, second]

@@ -532,6 +532,38 @@ class TestWebhookReceiverCannotStopTheWorker:
         assert queue.get(later.job_id).status.value == "succeeded"
 
 
+class TestHealthReportsADeadWorker:
+    def test_healthz_is_503_once_the_worker_thread_dies(self, tmp_path, monkeypatch):
+        # The runner turns the queue journal into a directory, so the
+        # worker's JobQueue.complete raises outside the runner call and
+        # ends the only worker thread; the job stays running.
+        died = []
+        monkeypatch.setattr(threading, "excepthook", died.append)
+        journal = tmp_path / "journal.jsonl"
+
+        def runner(job):
+            journal.unlink()
+            journal.mkdir()
+            return JobResult(divisors=(), factored=(), moduli_checked=len(job.moduli)), {}
+
+        service = ServiceApp(ServiceConfig(state_dir=str(tmp_path)), runner=runner)
+        api = _Api(service.start_background())
+        try:
+            status, body = api.request("GET", "/healthz")
+            assert status == 200 and body["ok"] is True
+            status, _ = api.request("POST", "/v1/jobs", {"moduli": [f"{CORPUS[0]:x}"]})
+            assert status == 202
+            service.worker.join(timeout=30)
+            assert not service.worker.is_alive()
+            status, body = api.request("GET", "/healthz")
+            assert status == 503
+            assert body["ok"] is False and body["error"] == "worker_stopped"
+            assert body["queue"]["by_status"]["running"] == 1
+        finally:
+            service.shutdown()
+        assert [type(args.exc_value) for args in died] == [IsADirectoryError]
+
+
 class TestEventLoopDiscipline:
     """Regression cover for the ASY001 fixes: journal-backed queue
     mutations must run via ``asyncio.to_thread``, never on the loop."""

@@ -131,7 +131,9 @@ class TestIncrementalRouting:
         fresh(_job("job-b", 1, more))
         store = fresh.open_store()
         assert store.moduli == moduli + more
-        assert (tmp_path / INCREMENTAL_STORE_DIR / "manifest.json").exists()
+        assert [p.name for p in (tmp_path / INCREMENTAL_STORE_DIR).iterdir()] == [
+            "store.jsonl"
+        ]
 
     def test_clustered_mode_untouched_by_default(self, tmp_path):
         config = ServiceConfig(state_dir=str(tmp_path))
