@@ -1,10 +1,11 @@
 """Golden pin of the bench study's batch-GCD output and certificates.
 
 The tier-1 pin (``tests/test_pipeline_integration.py``) covers the tiny
-preset, whose 64- and 48-bit primes stay below the deterministic
-Miller–Rabin bound.  The bench preset's 96-bit device primes reach the
-random-witness path of ``is_probable_prime``, so this pin is the one that
-notices a change to key generation or primality testing there.
+preset, whose 64- and 48-bit primes all take the Baillie–PSW path below
+2**64, as do this preset's 56-bit background primes.  The bench preset's
+96-bit device primes reach the random-witness path of
+``is_probable_prime``, so this pin is the one that notices a change to
+key generation or primality testing there.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass
 
 from repro.crypto.primes import generate_prime
-from repro.numt.arith import modinv
 
 __all__ = [
     "RsaPublicKey",
@@ -121,7 +120,7 @@ def keypair_from_primes(p: int, q: int, e: int = DEFAULT_PUBLIC_EXPONENT) -> Rsa
         raise ValueError("p and q must be distinct primes")
     n = p * q
     lam = (p - 1) * (q - 1) // math.gcd(p - 1, q - 1)
-    d = modinv(e, lam)
+    d = pow(e, -1, lam)
     private = RsaPrivateKey(n=n, e=e, d=d, p=p, q=q)
     return RsaKeyPair(public=private.public_key, private=private)
 
@@ -159,12 +158,13 @@ def recover_private_key(n: int, e: int, known_factor: int) -> RsaPrivateKey:
     compute ``q = n / p`` and the private exponent.
 
     Raises:
-        ValueError: if ``known_factor`` does not non-trivially divide ``n``.
+        ValueError: if ``known_factor`` does not non-trivially divide ``n``,
+            or ``e`` is not invertible modulo ``lcm(p-1, q-1)``.
     """
     if known_factor <= 1 or known_factor >= n or n % known_factor:
         raise ValueError("known_factor does not nontrivially divide n")
     p = known_factor
     q = n // p
     lam = (p - 1) * (q - 1) // math.gcd(p - 1, q - 1)
-    d = modinv(e, lam)
+    d = pow(e, -1, lam)
     return RsaPrivateKey(n=n, e=e, d=d, p=min(p, q), q=max(p, q))

@@ -63,14 +63,12 @@ EFFECT_KINDS = frozenset(
         "temp_create",  # an open-for-write whose path sketch is temp-like
         "rename",  # os.replace/os.rename or src.replace(dst)/src.rename(dst)
         "journal_append",  # MutationJournal.append (or a journal-ish receiver)
-        "journal_commit",  # MutationJournal.commit
-        "journal_clear",  # MutationJournal.clear
         "jsonl_read",  # per-line json.loads inside a try (torn-tail tolerant)
         "jsonl_read_unguarded",  # per-line json.loads with no try around it
     }
 )
 
-_JOURNAL_METHODS = frozenset({"append", "commit", "clear"})
+_JOURNAL_METHODS = frozenset({"append"})
 _WRITE_FILE_METHODS = frozenset({"write_text", "write_bytes"})
 _RENAME_OS = frozenset({"os.replace", "os.rename"})
 _RENAME_METHODS = frozenset({"replace", "rename"})

@@ -5,10 +5,9 @@ everything the higher layers need:
 
 - :mod:`repro.numt.sieve` — small-prime sieves used by prime generation and
   by the OpenSSL prime fingerprint (Section 3.3.4 of the paper).
-- :mod:`repro.numt.primality` — Miller–Rabin primality testing, exact below
-  ~3.3e24 by proven witness sets, and next-prime search.
-- :mod:`repro.numt.arith` — extended gcd, modular inverse and integer
-  roots.
+- :mod:`repro.numt.primality` — primality testing, exact below ~3.3e24
+  (Baillie–PSW below 2**64, proven Miller–Rabin witnesses above), and
+  next-prime search.
 - :mod:`repro.numt.trees` — product trees and remainder trees, the building
   blocks of Bernstein's batch-GCD algorithm (Section 3.2).
 - :mod:`repro.numt.smooth` — trial factoring, used to recognise bit-error
@@ -34,13 +33,12 @@ whole system: at the paper's scale the root product alone is ~2.6 GB of
 integer, which is exactly why the clustered engine splits it k ways.
 
 Performance note: complexities are quasilinear for the trees
-(``M(n) log n`` with ``M`` the multiplication cost), ``O(k log³ n)`` per
-Miller–Rabin witness, and linear in the table size for the sieves; there
-is no global state, so every function here is safe to call from process
-pool workers.
+(``M(n) log n`` with ``M`` the multiplication cost), ``O(log³ n)`` per
+Miller–Rabin witness or strong Lucas test, and linear in the table size
+for the sieves; there is no global state, so every function here is safe
+to call from process pool workers.
 """
 
-from repro.numt.arith import egcd, modinv
 from repro.numt.backend import (
     BigIntBackend,
     available_backends,
@@ -77,11 +75,9 @@ __all__ = [
     "StoreCorruptError",
     "available_backends",
     "barrett_reduce",
-    "egcd",
     "first_n_primes",
     "gcd_descent_hits",
     "is_probable_prime",
-    "modinv",
     "newton_reciprocal",
     "next_prime",
     "prepare_reciprocals",

@@ -3,7 +3,7 @@
 The OpenSSL prime fingerprint (paper Section 3.3.4) requires the first 2048
 odd primes: OpenSSL rejects candidate primes ``p`` when ``p - 1`` is divisible
 by any of them.  Prime generation in :mod:`repro.crypto.primes` uses the same
-tables for trial division before Miller–Rabin.
+tables for trial division before the primality test.
 """
 
 from __future__ import annotations

@@ -11,9 +11,17 @@ rather than flag a flawed implementation.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.numt.sieve import primes_below
 
 __all__ = ["trial_factor"]
+
+
+@lru_cache(maxsize=8)
+def _primes_below(limit: int) -> tuple[int, ...]:
+    """The primes below ``limit``, sieved once per limit."""
+    return tuple(primes_below(limit))
 
 
 def trial_factor(n: int, limit: int = 10_000) -> tuple[dict[int, int], int]:
@@ -27,7 +35,7 @@ def trial_factor(n: int, limit: int = 10_000) -> tuple[dict[int, int], int]:
         raise ValueError("trial_factor requires n >= 1")
     factors: dict[int, int] = {}
     remaining = n
-    for p in primes_below(limit):
+    for p in _primes_below(limit):
         if p * p > remaining:
             break
         while remaining % p == 0:

@@ -41,6 +41,12 @@ class TestKeypairFromPrimes:
         lam = (p - 1) * (q - 1) // math.gcd(p - 1, q - 1)
         assert (pair.private.d * pair.private.e) % lam == 1
 
+    def test_rejects_non_invertible_exponent(self):
+        # 3 divides 13 - 1, so e = 3 has no inverse modulo lcm(12, 16).
+        with pytest.raises(ValueError):
+            keypair_from_primes(13, 17, e=3)
+        assert keypair_from_primes(11, 17, e=3).private.d == 27
+
 
 class TestEncryptDecrypt:
     def test_roundtrip(self, keypair):

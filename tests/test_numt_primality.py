@@ -1,4 +1,4 @@
-"""Tests for repro.numt.primality (Miller-Rabin and prime search)."""
+"""Tests for repro.numt.primality (Baillie-PSW, Miller-Rabin, prime search)."""
 
 import math
 import random
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.primes import generate_prime
+from repro.numt import primality
 from repro.numt.primality import is_probable_prime, next_prime
 from repro.numt.sieve import first_n_primes, primes_below
 
@@ -26,10 +27,10 @@ A014233_FACTORED = {
 }
 
 # 2**p - 1 for prime p is a strong pseudoprime to base 2 whenever it is
-# composite, so only the witnesses after base 2 can reject these.  The
-# exponents reach every tier: 11 through 47 lie below the Jaeschke bound,
-# 53 and 59 below 2**64, and 67 through 79 below the 13-prime bound
-# (those with a factor below 1620 stop at the gcd screen instead).
+# composite, so only the tests after base 2 can reject these.  The
+# exponents reach both exact tiers: 11 through 59 lie below 2**64 (the
+# strong Lucas test), and 67 through 79 below the 13-prime bound (those
+# with a factor below 1620 stop at the gcd screens instead).
 COMPOSITE_MERSENNE_EXPONENTS = (11, 23, 29, 37, 41, 43, 47, 53, 59, 67, 71, 73, 79)
 
 _SMALL_PRIMES = first_n_primes(256)
@@ -39,7 +40,8 @@ def _thirteen_witness_reference(n):
     """Trial division by the first 256 primes, then bases 2..41.
 
     Exact below ~3.3e24 (Sorenson and Webster); the reference for the
-    tiered witness sets, which must agree with it everywhere.
+    Baillie-PSW and fixed-witness tiers, which must agree with it
+    everywhere.
     """
     if n <= _SMALL_PRIMES[-1]:
         return n in _SMALL_PRIMES
@@ -90,8 +92,9 @@ class TestIsProbablePrime:
         assert not is_probable_prime(n)
 
     def test_primes_dividing_sinclair_witnesses(self):
-        # 9780504 = 2**3 * 3 * 407521 and 1795265022 = 2 * 3 * 299210837:
-        # a witness that is 0 mod n must never reject the prime n.
+        # 9780504 = 2**3 * 3 * 407521 and 1795265022 = 2 * 3 * 299210837,
+        # two of Sinclair's fixed bases for 2**64: a fixed witness that is
+        # 0 mod n must never reject the prime n.
         assert 9780504 % 407521 == 0 and 1795265022 % 299210837 == 0
         assert is_probable_prime(407521)
         assert is_probable_prime(299210837)
@@ -141,6 +144,115 @@ class TestIsProbablePrime:
         assert not is_probable_prime(a * (a + 2) * 2)
 
 
+def _base2_round(n):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    return primality._miller_rabin_round(n, d, r, 2)
+
+
+def _selfridge_ds(count):
+    """The first ``count`` values of Selfridge's D sequence 5, -7, 9, ..."""
+    return [(2 * i + 5) * (-1) ** i for i in range(count)]
+
+
+class TestResidueScreen:
+    def test_screen_is_one_word_of_the_odd_primes_to_29(self):
+        assert primality._SCREEN == 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29
+        assert primality._SCREEN < 2**32
+
+    def test_factors_above_29_reach_the_primorial(self):
+        # 31 * 1613 and 1619 * (2**61 - 1) pass the one-word screen; the
+        # primorial gcd still rejects them.
+        for n in (31 * 1613, 1619 * (2**61 - 1)):
+            assert math.gcd(n % primality._SCREEN, primality._SCREEN) == 1
+            assert not is_probable_prime(n), n
+
+    def test_screen_rejects_on_its_own(self, monkeypatch):
+        # 2047 = 23 * 89 passes the base-2 round.  With the primorial gcd
+        # and the Lucas step disabled, only the screen can reject it.
+        assert _base2_round(2047)
+        monkeypatch.setattr(primality, "_PRIMORIAL", 1)
+        monkeypatch.setattr(primality, "_strong_lucas", lambda n: True)
+        assert not is_probable_prime(2047)
+
+
+class TestStrongLucas:
+    """The strong Lucas half of Baillie-PSW, below 2**64."""
+
+    # OEIS A217255: strong Lucas pseudoprimes for Selfridge's parameters.
+    A217255_HEAD = (5459, 5777, 10877, 16109, 18971)
+
+    # Base-2 strong pseudoprimes with every prime factor above 1619, so
+    # they pass both gcd screens and the base-2 round.
+    BASE2_STRONG_PSEUDOPRIMES = {
+        341550071728321: (10670053, 32010157),
+        3825123056546413051: (149491, 747451, 34233211),
+        2**53 - 1: (6361, 69431, 20394401),
+        2**59 - 1: (179951, 3203431780337),
+    }
+
+    @pytest.mark.parametrize("n", A217255_HEAD)
+    def test_accepts_a217255_terms(self, n):
+        assert primality._strong_lucas(n)
+        assert not is_probable_prime(n)
+
+    @pytest.mark.parametrize("n", sorted(BASE2_STRONG_PSEUDOPRIMES))
+    def test_lucas_rejects_base2_strong_pseudoprimes(self, n, monkeypatch):
+        factors = self.BASE2_STRONG_PSEUDOPRIMES[n]
+        assert math.prod(factors) == n and min(factors) > 1619
+        assert n < 2**64
+        assert _base2_round(n)
+        assert not primality._strong_lucas(n)
+        assert not is_probable_prime(n)
+        # Nothing else stops it: with the Lucas step passing, n would pass.
+        monkeypatch.setattr(primality, "_strong_lucas", lambda n: True)
+        assert is_probable_prime(n)
+
+    def test_square_stops_at_the_guard(self, monkeypatch):
+        # 3511**2 is a base-2 strong pseudoprime (OEIS A001262) with no
+        # factor below 1620.  (D / p**2) is never -1, so without the
+        # square guard the D search would never end.
+        n = 3511**2
+        assert n == 12_327_121
+        assert math.gcd(n, primality._PRIMORIAL) == 1
+        assert _base2_round(n)
+        assert all(primality._jacobi(D, n) != -1 for D in _selfridge_ds(1000))
+
+        def no_search(a, n):
+            raise AssertionError("the D search ran on a square")
+
+        monkeypatch.setattr(primality, "_jacobi", no_search)
+        assert not primality._strong_lucas(n)
+        assert not is_probable_prime(n)
+
+    def test_jacobi_matches_euler_criterion(self):
+        for p in (1621, 65537, 2**61 - 1):
+            for a in (*_selfridge_ds(20), 2, p - 1, p + 3):
+                euler = pow(a, (p - 1) // 2, p)
+                assert primality._jacobi(a, p) == (-1 if euler == p - 1 else euler), (a, p)
+        # The symbol is multiplicative in n, and 0 when gcd(a, n) > 1.
+        assert primality._jacobi(5, 7 * 11) == primality._jacobi(5, 7) * primality._jacobi(5, 11)
+        assert primality._jacobi(21, 7 * 11) == 0
+
+    @given(st.integers(min_value=1621, max_value=2**64 - 1))
+    @settings(max_examples=500)
+    def test_matches_reference_below_2_64(self, n):
+        assert is_probable_prime(n) == _thirteen_witness_reference(n)
+
+    @given(
+        st.integers(min_value=1621, max_value=2**32 - 1),
+        st.integers(min_value=1621, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200)
+    def test_products_of_two_primes_match_reference(self, a, b):
+        p, q = next_prime(a), next_prime(b)
+        assert _thirteen_witness_reference(p) and _thirteen_witness_reference(q)
+        assert not is_probable_prime(p * q)
+        assert not _thirteen_witness_reference(p * q)
+
+
 class TestNextPrime:
     def test_small_values(self):
         assert next_prime(0) == 2
@@ -188,20 +300,26 @@ class TestWitnessDeterminism:
     LARGE_COMPOSITE = (2**89 - 1) * (2**107 - 1)
 
     def _witnesses_used(self, n, rounds=8):
-        from repro.numt import primality
-
+        """Miller-Rabin witnesses in order, with "lucas" for a Lucas test."""
         recorded = []
-        original = primality._miller_rabin_round
+        original_round = primality._miller_rabin_round
+        original_lucas = primality._strong_lucas
 
-        def recording(n_, d, r, a):
+        def recording_round(n_, d, r, a):
             recorded.append(a)
-            return original(n_, d, r, a)
+            return original_round(n_, d, r, a)
 
-        primality._miller_rabin_round = recording
+        def recording_lucas(n_):
+            recorded.append("lucas")
+            return original_lucas(n_)
+
+        primality._miller_rabin_round = recording_round
+        primality._strong_lucas = recording_lucas
         try:
             primality.is_probable_prime(n, rounds=rounds)
         finally:
-            primality._miller_rabin_round = original
+            primality._miller_rabin_round = original_round
+            primality._strong_lucas = original_lucas
         return recorded
 
     def test_witnesses_identical_across_calls(self):
@@ -233,14 +351,16 @@ class TestWitnessDeterminism:
         assert outputs == {"True False\n"}
 
     def test_rounds_per_tier(self):
-        # Base 2 plus the tier's witnesses, or plus `rounds` random ones.
-        assert len(self._witnesses_used(generate_prime(48, random.Random(1)))) == 7
-        assert len(self._witnesses_used(generate_prime(64, random.Random(1)))) == 7
-        assert len(self._witnesses_used(generate_prime(70, random.Random(1)))) == 13
+        # Below 2**64 base 2 plus one strong Lucas test; above it base 2
+        # plus the 12 fixed witnesses, or plus `rounds` random ones.
+        assert self._witnesses_used(generate_prime(48, random.Random(1))) == [2, "lucas"]
+        assert self._witnesses_used(generate_prime(64, random.Random(1))) == [2, "lucas"]
+        assert self._witnesses_used(2**64 - 59) == [2, "lucas"]
+        assert self._witnesses_used(generate_prime(70, random.Random(1))) == [
+            2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41,
+        ]
         assert len(self._witnesses_used(self.LARGE_PRIME, rounds=8)) == 9
 
     def test_explicit_rng_still_wins(self):
-        from repro.numt.primality import is_probable_prime
-
         assert is_probable_prime(self.LARGE_PRIME, rng=random.Random(7))
         assert not is_probable_prime(self.LARGE_COMPOSITE, rng=random.Random(7))
