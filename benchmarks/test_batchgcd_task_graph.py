@@ -9,16 +9,17 @@ classic engines, and emits ``BENCH_batchgcd.json`` (schema
   per-subset trees built once, one-shot worker broadcast, index-pair task
   payloads, bounded in-flight window, ``k**2`` tasks;
 - **alltoall** (the ``descent`` pass, what ``engine="auto"`` runs): the
-  ``k`` own passes plus one task per unordered subset pair, whose single
-  root ``gcd(P_s, P_j)`` settles both foreign passes of the pair;
+  ``k`` own passes, each one gcd per sibling pair of its subset's tree,
+  plus one task per unordered subset pair, whose single root
+  ``gcd(P_s, P_j)`` settles both foreign passes of the pair;
 - **crossover**: both passes at ``k=8`` on the 96-bit corpus (n=600 and
   the full corpus);
 - **scaling**: both passes at ``k=16`` in-process on corpora of half
   256-bit and half 128-bit moduli (the study's key-size mix), with the
-  foreign-pass time read from the ``batch_gcd.task.remainder_tree``
-  spans.  The paired root gcd is quadratic in subset-product bits, so
-  its total grows faster than the remainder pass's; the rows show the
-  gap closing with n;
+  own- and foreign-pass times read from the
+  ``batch_gcd.task.remainder_tree`` spans.  The paired root gcd is
+  quadratic in subset-product bits, so its total grows faster than the
+  remainder pass's; the rows show the gap closing with n;
 - **auto_pool**: in-process against 2-worker pooled paired descent at
   ``k=16`` on 256-bit moduli, n=600-3,000 — the evidence behind
   :data:`repro.core.select.AUTO_POOL_MIN_MODULI`.
@@ -292,14 +293,14 @@ def test_alltoall_crossover(corpus, bench_record):
         }
 
 
-def _foreign_pass_seconds(report) -> float:
-    """Summed ``own=false`` pass spans: the foreign-pass time of a run."""
+def _pass_seconds(report, own: bool) -> float:
+    """Summed pass spans with ``own=own``: the own- or foreign-pass time."""
     return sum(
         span.wall_seconds
         for task in report.find_span("bench").children
         if task.name == "batch_gcd.task"
         for span in task.children
-        if span.name == "batch_gcd.task.remainder_tree" and not span.attrs["own"]
+        if span.name == "batch_gcd.task.remainder_tree" and span.attrs["own"] == own
     )
 
 
@@ -308,9 +309,11 @@ def test_foreign_pass_scaling(bench_record):
 
     Half the moduli are 256-bit and half 128-bit.  Each row records, per
     pass, the engine wall, the parent's tree-build time (which includes
-    the remainder pass's Barrett reciprocals) and the foreign-pass time
-    from the pass spans (for descent: every pair's root gcd and both
-    descents).  One run per size and pass; divisors must match.
+    the remainder pass's Barrett reciprocals), and the own- and
+    foreign-pass times from the pass spans.  For descent, the own pass
+    is the sibling-gcd walk and the foreign pass every pair's root gcd
+    and both descents; the remainder column keeps the squared-tree own
+    pass.  One run per size and pass; divisors must match.
     """
     for size in PARAMS["scaling"]:
         moduli = _wide_corpus(size, (128, 64))
@@ -323,12 +326,12 @@ def test_foreign_pass_scaling(bench_record):
             telemetry = Telemetry()
             with use_telemetry(telemetry), telemetry.span("bench"):
                 results[name], wall = _run(engine, moduli)
+            report = telemetry.report()
             row[name] = {
                 "wall_seconds": round(wall, 4),
                 "tree_build_seconds": round(engine.last_stats.tree_build_seconds, 4),
-                "foreign_pass_seconds": round(
-                    _foreign_pass_seconds(telemetry.report()), 4
-                ),
+                "own_pass_seconds": round(_pass_seconds(report, own=True), 4),
+                "foreign_pass_seconds": round(_pass_seconds(report, own=False), 4),
                 "tasks": engine.last_stats.tasks,
             }
         assert results["alltoall"].divisors == results["clustered_streaming"].divisors

@@ -37,33 +37,37 @@ merge back immediately instead of queueing behind slow head-of-line
 tasks.  Workers return sparse ``(position, divisor)`` hits, one record
 per (subset, product) pass.
 
-Foreign passes.  The own pass (``j == s``) is always the squared
-remainder tree.  A foreign pass (``j != s``) computes ``gcd(N_i, P_j)``
-for every ``N_i`` of subset ``s`` by one of two strategies, chosen with
-``foreign_pass``:
+Passes.  A foreign pass (``j != s``) computes ``gcd(N_i, P_j)`` for
+every ``N_i`` of subset ``s``, and the own pass (``j == s``) computes
+``gcd(N_i, P_s / N_i)``.  ``foreign_pass`` chooses how:
 
-- ``"remainder"`` (default, the paper's Figure 2): push ``P_j`` down
-  subset ``s``'s tree, one task per pass, ``k**2`` tasks.  When the
-  big-int backend profits from them, the parent prepares Barrett
-  reciprocals for the tree's large nodes once, and all ``k - 1`` foreign
-  passes over that tree reuse them.
+- ``"remainder"`` (default, the paper's Figure 2): the own pass is the
+  squared remainder tree, and a foreign pass pushes ``P_j`` down subset
+  ``s``'s tree, one task per pass, ``k**2`` tasks.  When the big-int
+  backend profits from them, the parent prepares Barrett reciprocals for
+  the tree's large nodes once, and all ``k - 1`` foreign passes over
+  that tree reuse them.
 - ``"descent"`` (Pelofske's all-to-all GCD, arXiv 2405.03166): the ``k``
   own passes, then one task per unordered subset pair ``{s, j}`` —
-  ``k + k(k-1)/2`` tasks.  The task computes one root
+  ``k + k(k-1)/2`` tasks.  The pair task computes one root
   ``g = gcd(P_s, P_j)``; a coprime pair, the common case in a
   low-entropy hunt, settles both passes without touching a leaf, and
   otherwise coprime-pruned descents of tree ``s`` and tree ``j`` with
   ``g`` (:func:`repro.numt.trees.gcd_descent_hits`) yield the passes
   ``(s, j)`` and ``(j, s)``: every node ``c`` of tree ``s`` divides
-  ``P_s``, so ``gcd(c, g) == gcd(c, P_j)``.  Read as a simulated
-  ``k``-node deployment, each node holds one subset and only the ``k``
-  root products cross the interconnect; ``engine="alltoall"`` and
-  ``engine="auto"`` select it.
+  ``P_s``, so ``gcd(c, g) == gcd(c, P_j)``.  The own pass descends too:
+  :func:`repro.numt.trees.sibling_gcd_hits` takes one gcd per pair of
+  sibling nodes in the subset's tree and descends only the pairs that
+  share a factor, so no task of this strategy runs a remainder tree.
+  Read as a simulated ``k``-node deployment, each node holds one subset
+  and only the ``k`` root products cross the interconnect;
+  ``engine="alltoall"`` and ``engine="auto"`` select it.
 
-Both strategies yield exactly ``gcd(N_i, P_j)`` per modulus, so every
-pass writes the same sparse hits and the final result is byte-identical
-between them at every ``k`` (the differential harness,
-``tests/harness_differential.py``, asserts it corpus by corpus).
+Both strategies yield exactly ``gcd(N_i, P_j)`` per foreign pass and the
+squared tree's divisor per own pass, so every pass writes the same
+sparse hits and the final result is byte-identical between them at
+every ``k`` (the differential harness, ``tests/harness_differential.py``,
+asserts it corpus by corpus).
 
 Fault tolerance.  At cluster scale, worker loss and partial results are
 the normal case; the driver therefore runs its chunks through the
@@ -96,9 +100,10 @@ wall/CPU time and operand bit-sizes regardless of whether the task ran
 in-process or on the pool.  Every task carries one
 ``batch_gcd.task.remainder_tree`` child around its walk: ``own`` tells
 the own pass from foreign work, and ``walk`` is ``"remainder"`` or
-``"descent"`` (a pair's root gcd and both descents; the span keeps its
-name because the external benchmark reads the foreign-pass time from
-it).  Descent runs count the foreign passes settled by the root gcd
+``"descent"`` (an own pass's sibling gcds and their descents, or a
+pair's root gcd and both descents; the span keeps its name because the
+external benchmark reads the own- and foreign-pass times from it).
+Descent runs count the foreign passes settled by the root gcd
 alone in ``batch_gcd.alltoall.pruned_pairs`` and the bytes a real
 deployment would exchange in ``batch_gcd.ipc_crossshard_bytes``.  Pooled
 runs additionally record the ``batch_gcd.ipc_broadcast_bytes`` /
@@ -136,6 +141,7 @@ from repro.numt.trees import (
     product_tree,
     remainder_tree_prepared,
     remainder_tree_squared,
+    sibling_gcd_hits,
 )
 from repro.telemetry import RunReport, Telemetry, get_telemetry, use_telemetry
 
@@ -279,6 +285,13 @@ def _task_divisors(
     ``(position, divisor)`` pairs for the positions of the pass's subset
     whose modulus shares a factor with the pass's product — almost always
     short lists, which is what keeps result payloads small.
+
+    The walk follows ``foreign_pass``.  Under ``descent`` an own pass is
+    :func:`~repro.numt.trees.sibling_gcd_hits` (one gcd per sibling pair
+    of the subset's tree) and a pair task is one root gcd plus two
+    coprime-pruned descents; under ``remainder`` an own pass is the
+    squared remainder tree and a foreign pass the (Barrett-prepared)
+    remainder tree.  Both give the same hits for every pass.
     """
     backend: BigIntBackend = state["backend"]
     gcd = backend.gcd
@@ -287,6 +300,15 @@ def _task_divisors(
     tree = trees[i]
     leaves = tree[0]
     telemetry = get_telemetry()
+    descent = state["foreign_pass"] == "descent"
+    if i == j and descent:
+        # One gcd per sibling pair; equal to the squared tree's test on
+        # every input (see sibling_gcd_hits).
+        with telemetry.span(
+            "batch_gcd.task.remainder_tree", own=True, walk="descent"
+        ):
+            hits = sibling_gcd_hits(tree, gcd=gcd)
+        return [[(pos, unwrap(d)) for pos, d in hits]]
     if i == j:
         with telemetry.span(
             "batch_gcd.task.remainder_tree", own=True, walk="remainder"
@@ -297,7 +319,7 @@ def _task_divisors(
             for pos, (n, z) in enumerate(zip(leaves, remainders))
             if (d := gcd(n, z // n)) > 1
         ]]
-    if state["foreign_pass"] == "descent":
+    if descent:
         # Every node c of tree i divides P_i, so gcd(c, gcd(P_i, P_j)) ==
         # gcd(c, P_j): one root gcd serves both directions of the pair.
         with telemetry.span(

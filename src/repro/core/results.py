@@ -58,8 +58,16 @@ class BatchGcdResult:
 
     Attributes:
         moduli: the input corpus, in order.
-        divisors: ``divisors[i] == gcd(moduli[i], product of all others)``
-            (computed as ``gcd(N, z/N)`` with ``z = P mod N**2``).
+        divisors: a divisor of ``moduli[i]``, greater than 1 exactly when
+            the modulus shares a prime with another one.  The exact
+            engines (naive, classic) give ``gcd(moduli[i], product of all
+            others)``, computed as ``gcd(N, z/N)`` with ``z = P mod
+            N**2``.  The clustered engines (both foreign passes) combine
+            their per-subset divisors by lcm (:func:`merge_sparse_hits`),
+            so on a non-squarefree modulus whose repeated prime is
+            matched only across several subsets they may report a proper
+            divisor of that gcd.  On squarefree corpora, every
+            well-formed RSA corpus, both give the same value.
     """
 
     moduli: list[int]

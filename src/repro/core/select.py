@@ -15,7 +15,8 @@ way:
   one logical node per subset (so its shard count is ``k``), which
   settles each subset pair with one root gcd;
 - ``engine="auto"`` (the default study setting) picks the incremental
-  engine when a persistent ``store_dir`` is configured, and otherwise
+  engine when a persistent ``store_dir`` is configured (its bulk ingest
+  runs the ``descent`` pass too), and otherwise
   the ``descent`` pass, reported as ``"alltoall"`` — it beats
   ``remainder`` on every corpus size this repo runs (BENCH_batchgcd.json
   ``crossover`` and ``scaling``; docs/PERFORMANCE.md states where the gap
@@ -73,11 +74,12 @@ ENGINE_NAMES = ("auto", "classic", "clustered", "incremental", "alltoall")
 
 #: Smallest corpus for which ``auto`` reaches for a process pool: below
 #: this, pool startup dominates.  BENCH_batchgcd.json ``auto_pool`` (paired
-#: descent at k=16, 256-bit moduli, 2 workers on a 2-core host): pooled
-#: 0.052 s vs 0.032 s in-process at n=600, a tie at n=1000 (0.071 vs
-#: 0.070 s), and pooling wins from n=1500 (0.123 vs 0.147 s) at every
-#: larger size measured up to n=3000.
-AUTO_POOL_MIN_MODULI = 1500
+#: descent at k=16, its own passes the sibling-gcd walk, 256-bit moduli,
+#: 2 workers on a 2-core host): pooled 0.056 s vs 0.042 s in-process at
+#: n=600, about a tie at n=1000 (0.085 vs 0.087 s), and pooling wins at
+#: every larger size measured: 0.136 vs 0.180 s at n=1500, up to 0.362 vs
+#: 0.619 s at n=3000.
+AUTO_POOL_MIN_MODULI = 1000
 
 #: Worker-count ceiling for ``auto`` pooled runs; beyond this the k-way
 #: task graph stops scaling for corpora near the pool threshold.
@@ -314,7 +316,7 @@ def select_engine(
             IncrementalBatchGcd(
                 store_dir=store_dir,
                 backend=config.backend,
-                bulk=clustered(processes, "remainder"),
+                bulk=clustered(processes, "descent"),
             ),
             processes,
             reason,

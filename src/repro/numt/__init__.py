@@ -63,6 +63,7 @@ from repro.numt.trees import (
     remainder_tree,
     remainder_tree_prepared,
     remainder_tree_squared,
+    sibling_gcd_hits,
     tree_product,
 )
 
@@ -87,6 +88,7 @@ __all__ = [
     "remainder_tree_prepared",
     "remainder_tree_squared",
     "resolve_backend",
+    "sibling_gcd_hits",
     "tree_product",
     "trial_factor",
 ]

@@ -31,9 +31,16 @@ The third walk, :func:`gcd_descent_hits`, goes the other way: instead of
 reducing one value at every node, it carries ``gcd(node, x)`` down from
 the root and prunes every subtree coprime with it.  One root gcd settles
 the common case — ``x`` shares nothing with the tree — without touching
-a leaf.  The clustered engine's ``descent`` foreign pass and the
-incremental store's partner lookup are both this descent; the store
-starts it at each of its complete-block roots instead of at one root.
+a leaf.  Its users:
+
+- the clustered engine's ``descent`` foreign pass, from each subset
+  tree's root with ``gcd(P_s, P_j)``;
+- the incremental store's partner lookup, from each of its
+  complete-block roots;
+- :func:`sibling_gcd_hits`, the ``descent`` engine's own pass, from each
+  child of a node whose two children share a factor.  It yields the
+  squared remainder tree's ``gcd(N, (P mod N**2) / N)`` per leaf with
+  one gcd per sibling pair.
 
 All functions accept an optional big-int ``backend``
 (:mod:`repro.numt.backend`): the tree algorithms are identical, only the
@@ -58,6 +65,7 @@ __all__ = [
     "remainder_tree",
     "remainder_tree_prepared",
     "remainder_tree_squared",
+    "sibling_gcd_hits",
     "tree_product",
 ]
 
@@ -292,3 +300,54 @@ def gcd_descent_hits(
         if not frontier:
             return []
     return sorted(frontier.items())
+
+
+def sibling_gcd_hits(
+    levels: list[list[int]],
+    gcd: Callable[[int, int], int] = math.gcd,
+) -> list[tuple[int, int]]:
+    """``gcd(N, product of the other leaves)`` per leaf ``N``, where > 1.
+
+    The descent counterpart of the batch-GCD test over
+    :func:`remainder_tree_squared`: for every node with two children
+    ``A`` and ``B`` it takes ``g = gcd(P_A, P_B)``, and when ``g > 1``
+    descends both children with :func:`gcd_descent_hits` (from the child)
+    and folds each leaf's share into its divisor as
+    ``d = gcd(N, d * share)`` (``d`` starts at 1).  A promoted node
+    (one child) has no sibling pair.  A tree whose sibling pairs are all
+    coprime costs one gcd per pair and no descent.
+
+    Correctness: a leaf ``N`` under ``A`` gets ``share = gcd(N, g) =
+    gcd(N, P_B)``, since ``N`` divides ``P_A``.  The siblings ``B_1 ..
+    B_m`` along ``N``'s root path partition the other leaves, so their
+    product is ``Q = P / N``.  For every prime ``p``, with ``n = v_p(N)``
+    and ``b_t = v_p(P_{B_t})``, the fold gives ``min(n, sum_t min(n,
+    b_t)) = min(n, sum_t b_t) = v_p(gcd(N, Q))``: a ``b_t >= n`` makes
+    both sides ``n``.  And ``gcd(N, Q) == gcd(N, (P mod N**2) / N)``, the
+    squared tree's test, because ``P mod N**2 = N * (Q mod N)``.  The
+    result is therefore the same on every input, prime powers and
+    duplicate leaves included; folding shares by lcm would cap each
+    prime at its largest single share and under-report ``N = p**2``
+    whose two factors of ``p`` sit in different siblings.
+
+    Args:
+        levels: a product tree, leaves first.
+        gcd: the gcd of the tree's operand type (a backend's ``gcd``).
+
+    Returns:
+        ``(position, divisor)`` pairs sorted by position, for leaves with
+        divisor > 1.  Positions index ``levels[0]``.
+    """
+    leaves = levels[0]
+    divisors: dict[int, int] = {}
+    for depth, level in enumerate(levels):
+        for left in range(0, len(level) - 1, 2):
+            shared = gcd(level[left], level[left + 1])
+            if shared <= 1:
+                continue
+            for child in (left, left + 1):
+                for pos, share in gcd_descent_hits(
+                    levels, shared, gcd=gcd, start=(depth, child)
+                ):
+                    divisors[pos] = gcd(leaves[pos], divisors.get(pos, 1) * share)
+    return sorted(divisors.items())

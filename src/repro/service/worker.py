@@ -17,8 +17,8 @@ One :class:`ServiceWorker` thread drains the :class:`~repro.service.queue.JobQue
    one :meth:`~repro.numt.incremental.ProductTreeStore.apply_job` on the
    persistent :class:`~repro.numt.incremental.ProductTreeStore` (each
    modulus checked against every previously ingested one, the job
-   committed once), with bulk jobs falling back to a
-   clustered run that re-bootstraps the store;
+   committed once), with bulk jobs falling back to an
+   all-to-all engine run that re-bootstraps the store;
 3. **record** the outcome — the run executes under a private
    :class:`~repro.telemetry.Telemetry` registry whose
    :class:`~repro.telemetry.RunReport` is journalled with the job and
@@ -71,9 +71,9 @@ class KeyCheckRunner:
     :data:`~repro.core.incremental.INCREMENTAL_MAX_BATCH` (64) moduli are
     served by one store ``apply_job`` (per modulus, a probe and an
     amortised O(1)-product append, then one durable commit for the job,
-    instead of a full engine run), while bulk jobs run the clustered
-    engine over the union corpus and re-bootstrap the store from its
-    result.  Either way a job's
+    instead of a full engine run), while bulk jobs run the all-to-all
+    engine (the clustered driver's paired ``descent`` pass) over the
+    union corpus and re-bootstrap the store from its result.  Either way a job's
     result indexes only its *own* moduli — the store supplies the
     history they are checked against.  A SIGKILL mid-job replays from
     the store's journal, and a re-delivered job resumes idempotently
@@ -144,14 +144,15 @@ class KeyCheckRunner:
         base, applied = store.job_progress(job.job_id) or (store.count, 0)
         bulk = len(job.moduli) - applied > INCREMENTAL_MAX_BATCH
         if bulk:
-            # Bulk ingest: one clustered run over the union corpus, then
+            # Bulk ingest: one all-to-all run over the union corpus, then
             # adopt its divisors wholesale (the store is append-only and
             # the already-applied part of this job is a corpus prefix).
+            # Its divisors are the remainder pass's, byte for byte.
             corpus = store.moduli + list(job.moduli[applied:])
             outcome = select_engine(
                 len(corpus),
                 self._config.engine,
-                engine="clustered",
+                engine="alltoall",
                 checkpoint_dir=checkpoint_dir,
             ).engine.run(corpus)
             store.bootstrap(

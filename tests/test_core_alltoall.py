@@ -22,6 +22,7 @@ from tests.harness_differential import (
     assert_engine_parity,
     mixed_blend_corpus,
 )
+from repro.core import clustered
 from repro.core.batchgcd import batch_gcd
 from repro.core.clustered import ClusteredBatchGcd
 from repro.core.results import merge_sparse_hits
@@ -154,8 +155,9 @@ class TestAllToAllEngine:
             if c.name == "batch_gcd.task"
         ]
         assert len(tasks) == 10
-        # The k own passes walk a remainder tree; each of the six pair
-        # tasks wraps its root gcd and both descents in one foreign span.
+        # The k own passes descend their sibling pairs; each of the six
+        # pair tasks wraps its root gcd and both descents in one foreign
+        # span.
         passes = [
             c
             for task in tasks
@@ -165,7 +167,7 @@ class TestAllToAllEngine:
         own = [c for c in passes if c.attrs["own"]]
         foreign = [c for c in passes if not c.attrs["own"]]
         assert len(own) == 4
-        assert all(c.attrs["walk"] == "remainder" for c in own)
+        assert all(c.attrs["walk"] == "descent" for c in own)
         assert len(foreign) == 6
         assert all(c.attrs["walk"] == "descent" for c in foreign)
         assert (
@@ -209,6 +211,19 @@ class TestAllToAllEngine:
         assert len(root_gcds) == k * (k - 1) // 2
         assert len({frozenset(pair) for pair in root_gcds}) == len(root_gcds)
         assert result.divisors == ClusteredBatchGcd(k=k).run(corpus).divisors
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_runs_no_remainder_tree(self, corpus, k, monkeypatch):
+        # Own passes included: with both remainder trees unreachable, the
+        # descent engine still returns the remainder engine's divisors.
+        expected = ClusteredBatchGcd(k=k).run(corpus).divisors
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the descent engine ran a remainder tree")
+
+        for name in ("remainder_tree_squared", "remainder_tree_prepared"):
+            monkeypatch.setattr(clustered, name, unreachable)
+        assert _alltoall(k).run(corpus).divisors == expected
 
     def test_checkpoint_resume_is_byte_identical(self, corpus, tmp_path):
         first = _alltoall(3, checkpoint_dir=tmp_path)

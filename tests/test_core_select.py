@@ -88,6 +88,8 @@ class TestSelectEngine:
         )
         assert choice.name == "incremental"
         assert choice.engine.store_dir == tmp_path / "store"
+        # Its bulk ingest runs the paired descent pass.
+        assert choice.engine.bulk.foreign_pass == "descent"
 
     def test_explicit_clustered_keeps_requested_processes(self):
         choice = select_engine(10_000, engine="clustered", cores=8)

@@ -18,6 +18,7 @@ from repro.numt.trees import (
     remainder_tree,
     remainder_tree_prepared,
     remainder_tree_squared,
+    sibling_gcd_hits,
     tree_product,
 )
 
@@ -303,3 +304,55 @@ class TestGcdDescent:
             expected = _stack_walk(tree, divisor)
             assert gcd_descent_hits(tree, divisor) == expected
             assert store_tree.leaves_sharing(divisor) == expected
+
+
+def _squared_tree_hits(leaves):
+    """The batch-GCD test over the squared remainder tree, as sparse hits."""
+    remainders = remainder_tree_squared(product_tree(leaves))
+    return [
+        (pos, d)
+        for pos, (n, z) in enumerate(zip(leaves, remainders))
+        if (d := math.gcd(n, z // n)) > 1
+    ]
+
+
+#: Primes shared across leaves, and cofactors that are mostly unshared.
+_SHARED_PRIMES = (251, 257, 65537, 2**31 - 1)
+_COFACTORS = (1, 1_000_003, 1_000_033, 1_000_037, 1_000_039, 1_000_081)
+
+
+@st.composite
+def degenerate_corpora(draw):
+    """1-40 leaves: shared primes as squares and cubes, duplicate leaves."""
+    leaf = st.builds(
+        lambda factors, cofactor: math.prod(p**e for p, e in factors) * cofactor,
+        st.lists(
+            st.tuples(st.sampled_from(_SHARED_PRIMES), st.integers(1, 3)),
+            min_size=1,
+            max_size=3,
+        ),
+        st.sampled_from(_COFACTORS),
+    )
+    corpus = draw(st.lists(leaf, min_size=1, max_size=36))
+    duplicates = draw(st.lists(st.integers(0, len(corpus) - 1), max_size=4))
+    corpus += [corpus[i] for i in duplicates]
+    return draw(st.permutations(corpus))
+
+
+class TestSiblingGcd:
+    @given(degenerate_corpora())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_squared_remainder_tree(self, corpus):
+        # Byte for byte the squared tree's gcd(N, (P mod N**2) / N),
+        # prime powers and duplicates included; odd sizes promote nodes.
+        assert sibling_gcd_hits(product_tree(corpus)) == _squared_tree_hits(corpus)
+
+    def test_prime_power_split_across_siblings(self):
+        # N = p**2 meets one p in its sibling leaf and one in the far
+        # subtree: the shares p and p fold to p**2, where an lcm of the
+        # shares would report p.
+        p, q, r, x = 101, 103, 113, 107 * 109
+        corpus = [p * p, p * q, x, p * r]
+        hits = sibling_gcd_hits(product_tree(corpus))
+        assert hits == [(0, p * p), (1, p), (3, p)]
+        assert hits == _squared_tree_hits(corpus)

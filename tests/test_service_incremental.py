@@ -23,7 +23,7 @@ from repro.service.worker import (
     KeyCheckRunner,
     ServiceWorker,
 )
-from repro.telemetry import Telemetry
+from repro.telemetry import RunReport, Telemetry
 
 
 def _moduli(seed, count, pool_size=16):
@@ -121,6 +121,33 @@ class TestIncrementalRouting:
         again, _ = runner(_job("job-b", 1, bulk))
         assert runner.open_store().moduli == small + bulk
         assert again.divisors == first.divisors
+
+    def test_bulk_job_matches_remainder_pass(self, tmp_path):
+        # A bulk ingest runs the paired descent pass; its stored divisors
+        # equal the remainder pass's over the same union corpus, byte for
+        # byte, with a prime square and a cross-job duplicate in it.
+        runner = KeyCheckRunner(_config(tmp_path))
+        small = _moduli(10, 4)
+        bulk = _moduli(11, BULK)
+        rng = random.Random(12)
+        p = generate_prime(32, rng)
+        bulk[0] = p * p
+        bulk[9] = p * generate_prime(32, rng)
+        bulk[20] = small[1]
+        runner(_job("job-s", 0, small))
+        _result, report = runner(_job("job-b", 1, bulk))
+        union = small + bulk
+        remainder = ClusteredBatchGcd(k=4, foreign_pass="remainder").run(union)
+        store = runner.open_store()
+        assert store.moduli == union
+        assert store.divisors() == remainder.divisors
+        walks = {
+            span.attrs["walk"]
+            for root in RunReport.from_dict(report).spans
+            for span in root.walk()
+            if span.name == "batch_gcd.task.remainder_tree"
+        }
+        assert walks == {"descent"}
 
     def test_store_survives_runner_restart(self, tmp_path):
         config = _config(tmp_path)
