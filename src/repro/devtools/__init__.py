@@ -10,10 +10,9 @@ turns them into machine-checked rules.
 Layout:
 
 - :mod:`repro.devtools.findings` — :class:`Finding` and :class:`Severity`.
-- :mod:`repro.devtools.engine` — the single-pass AST engine: one
-  :class:`ast.NodeVisitor` walk per file, dispatching each node to the
-  rules registered for its type, with import-alias resolution shared by
-  all rules.
+- :mod:`repro.devtools.engine` — the AST engine: one parse and one walk
+  per file, dispatching each node to the rules registered for its type,
+  with one import-binding rule shared by all rules and the graph.
 - :mod:`repro.devtools.suppress` — inline ``# reprolint: disable=RULE``
   comments, the only way to waive a finding.
 - :mod:`repro.devtools.checks` — the rule families (DET/TEL/FLT per

@@ -89,13 +89,6 @@ _BLOCKING_PROJECT_PREFIXES = ("repro.core.clustered.ClusteredBatchGcd",)
 _TASK_SPAWNERS = frozenset({"create_task", "ensure_future"})
 
 
-def _repro_functions(graph: ProjectGraph) -> Iterator[FunctionNode]:
-    for qualname in sorted(graph.functions):
-        func = graph.functions[qualname]
-        if func.module == "repro" or func.module.startswith("repro."):
-            yield func
-
-
 def _classify_blocking(
     graph: ProjectGraph, func: FunctionNode, site: CallSite
 ) -> str | None:
@@ -133,7 +126,7 @@ class AsyncBlockingCallRule(ProjectRule):
 
     def check_project(self, graph) -> Iterator[tuple[str, int, int, str]]:
         origins = graph.async_origins()
-        for func in _repro_functions(graph):
+        for func in graph.sorted_functions():
             origin = origins.get(func.qualname)
             if origin is None:
                 continue
@@ -161,7 +154,7 @@ class UnawaitedCoroutineRule(ProjectRule):
     severity = Severity.ERROR
 
     def check_project(self, graph) -> Iterator[tuple[str, int, int, str]]:
-        for func in _repro_functions(graph):
+        for func in graph.sorted_functions():
             for site in func.call_sites:
                 if not site.bare or site.awaited or site.raw is None:
                     continue
@@ -188,7 +181,7 @@ class DiscardedTaskHandleRule(ProjectRule):
     severity = Severity.ERROR
 
     def check_project(self, graph) -> Iterator[tuple[str, int, int, str]]:
-        for func in _repro_functions(graph):
+        for func in graph.sorted_functions():
             for site in func.call_sites:
                 if not site.bare or site.awaited or site.raw is None:
                     continue
@@ -223,15 +216,12 @@ class AsyncRmwHazardRule(ProjectRule):
     severity = Severity.ERROR
 
     def check_project(self, graph) -> Iterator[tuple[str, int, int, str]]:
-        for func in _repro_functions(graph):
+        for func in graph.sorted_functions():
             if not func.is_async:
-                continue
-            fn_ast = dataflow.function_at(func.path, func.lineno)
-            if fn_ast is None:
                 continue
             module = graph.modules.get(func.module)
             shared_globals = module.mutable_globals if module else set()
-            for hazard in dataflow.rmw_hazards(fn_ast, shared_globals):
+            for hazard in dataflow.rmw_hazards(func.node, shared_globals):
                 yield (
                     func.path,
                     hazard.write_line,
@@ -257,17 +247,14 @@ class RequestTaintRule(ProjectRule):
     severity = Severity.ERROR
 
     def check_project(self, graph) -> Iterator[tuple[str, int, int, str]]:
-        for func in _repro_functions(graph):
+        for func in graph.sorted_functions():
             if not func.route_decorated:
-                continue
-            fn_ast = dataflow.function_at(func.path, func.lineno)
-            if fn_ast is None:
                 continue
 
             def resolve(raw: str, module: str = func.module) -> str:
                 return graph.resolve_name(module, raw)
 
-            for finding in dataflow.taint_findings(fn_ast, resolve):
+            for finding in dataflow.taint_findings(func.node, resolve):
                 yield (
                     func.path,
                     finding.lineno,

@@ -46,22 +46,26 @@ _ENDPOINT_END = "<!-- endpoint-catalog:end -->"
 _ENDPOINT_ROW = re.compile(r"^\|\s*`([A-Z]+)`\s*\|\s*`([^`]+)`")
 _SERVICE_METRIC_PREFIX = "service."
 
-def _parse_metric_catalog(text: str) -> list[tuple[str, int]] | None:
-    """``(pattern, lineno)`` rows of the documented catalog, or None."""
+
+def _parse_catalog(
+    text: str, begin_marker: str, end_marker: str, row: re.Pattern[str]
+) -> list[tuple[str, ...]] | None:
+    """The ``row`` groups plus the line number of each table row between
+    the markers, or None when the doc has no such catalog."""
     lines = text.splitlines()
     begin = end = None
     for index, line in enumerate(lines):
-        if _CATALOG_BEGIN in line:
+        if begin_marker in line:
             begin = index
-        elif _CATALOG_END in line:
+        elif end_marker in line:
             end = index
     if begin is None or end is None or end <= begin:
         return None
-    entries: list[tuple[str, int]] = []
+    entries: list[tuple[str, ...]] = []
     for index in range(begin + 1, end):
-        match = _CATALOG_ROW.match(lines[index].strip())
+        match = row.match(lines[index].strip())
         if match:
-            entries.append((match.group(1), index + 1))
+            entries.append((*match.groups(), index + 1))
     return entries
 
 
@@ -111,7 +115,7 @@ class TelemetryContractDrift(ProjectRule):
             doc_text = doc_path.read_text()
         except OSError:
             return  # no telemetry contract in this tree
-        catalog = _parse_metric_catalog(doc_text)
+        catalog = _parse_catalog(doc_text, _CATALOG_BEGIN, _CATALOG_END, _CATALOG_ROW)
         if catalog is None:
             return  # doc exists but carries no machine-readable catalog
         doc_rel = doc_path.as_posix()
@@ -144,25 +148,6 @@ class TelemetryContractDrift(ProjectRule):
                 )
 
 
-def _parse_endpoint_catalog(text: str) -> list[tuple[str, str, int]] | None:
-    """``(method, pattern, lineno)`` rows of the endpoint catalog, or None."""
-    lines = text.splitlines()
-    begin = end = None
-    for index, line in enumerate(lines):
-        if _ENDPOINT_BEGIN in line:
-            begin = index
-        elif _ENDPOINT_END in line:
-            end = index
-    if begin is None or end is None or end <= begin:
-        return None
-    entries: list[tuple[str, str, int]] = []
-    for index in range(begin + 1, end):
-        match = _ENDPOINT_ROW.match(lines[index].strip())
-        if match:
-            entries.append((match.group(1), match.group(2), index + 1))
-    return entries
-
-
 @registry.register_project
 class ServiceContractDrift(ProjectRule):
     code = "XSVC001"
@@ -189,7 +174,9 @@ class ServiceContractDrift(ProjectRule):
                 "(endpoint catalog table) before serving it",
             )
             return
-        catalog = _parse_endpoint_catalog(doc_text)
+        catalog = _parse_catalog(
+            doc_text, _ENDPOINT_BEGIN, _ENDPOINT_END, _ENDPOINT_ROW
+        )
         doc_rel = doc_path.as_posix()
         if catalog is None:
             if routes:

@@ -48,8 +48,8 @@ import ast
 from typing import Iterator
 
 from repro.devtools import dataflow
-from repro.devtools.effects import FsEffect, is_tempish, path_tokens
-from repro.devtools.engine import ProjectRule, registry
+from repro.devtools.effects import is_tempish, path_tokens
+from repro.devtools.engine import ProjectRule, dotted, registry
 from repro.devtools.findings import Severity
 from repro.devtools.graph import FunctionNode, ProjectGraph
 
@@ -68,33 +68,11 @@ _WRITE_KINDS = frozenset({"write", "write_file", "open_write"})
 _MUTATION_KINDS = frozenset({"write_file", "open_write", "rename"})
 
 
-def _repro_functions(graph: ProjectGraph) -> Iterator[FunctionNode]:
-    for qualname in sorted(graph.functions):
-        func = graph.functions[qualname]
-        if func.module == "repro" or func.module.startswith("repro."):
-            yield func
-
-
-def _dotted(expr: ast.AST) -> str | None:
-    parts: list[str] = []
-    node = expr
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
 def _cfg_with_lines(
     func: FunctionNode,
-) -> tuple[list[dataflow.CfgNode], dict[int, int]] | None:
+) -> tuple[list[dataflow.CfgNode], dict[int, int]]:
     """The function's CFG plus a line -> node-index map for its effects."""
-    fn_ast = dataflow.function_at(func.path, func.lineno)
-    if fn_ast is None:
-        return None
-    nodes = dataflow.build_cfg(fn_ast.body)
+    nodes = dataflow.build_cfg(func.node.body)
     line_to_node: dict[int, int] = {}
     for index, node in enumerate(nodes):
         for expr in dataflow.walk_statement_exprs(node.stmt):
@@ -111,7 +89,7 @@ def _node_calls(
     for expr in dataflow.walk_statement_exprs(node.stmt):
         if not isinstance(expr, ast.Call):
             continue
-        raw = _dotted(expr.func)
+        raw = dotted(expr.func)
         if raw is None:
             continue
         resolved = graph.resolve_call(func, raw)
@@ -165,7 +143,7 @@ class UnsyncedRenameSourceRule(ProjectRule):
 
     def check_project(self, graph) -> Iterator[tuple[str, int, int, str]]:
         index = graph.effect_index()
-        for func in _repro_functions(graph):
+        for func in graph.sorted_functions():
             summary = index.effects(func.qualname)
             if summary is None:
                 continue
@@ -193,7 +171,7 @@ class UnsyncedRenameSourceRule(ProjectRule):
                 )
 
     def _rename_sources(self, graph, index, func, summary, renames):
-        cfg = _cfg_with_lines(func)
+        nodes, line_to_node = _cfg_with_lines(func)
         for rename in renames:
             src = rename.target
             if not src:
@@ -213,9 +191,6 @@ class UnsyncedRenameSourceRule(ProjectRule):
                     )
             # (b) an open handle on the source: CFG check that every
             # write-to-handle path passes a fsync barrier first.
-            if cfg is None:
-                continue
-            nodes, line_to_node = cfg
             for opened in summary.by_kind("open_write", "open_append"):
                 if opened.path != src or not opened.target:
                     continue
@@ -284,7 +259,7 @@ class CommitPointInPlaceRule(ProjectRule):
 
     def check_project(self, graph) -> Iterator[tuple[str, int, int, str]]:
         index = graph.effect_index()
-        for func in _repro_functions(graph):
+        for func in graph.sorted_functions():
             summary = index.effects(func.qualname)
             if summary is None:
                 continue
@@ -305,11 +280,7 @@ class CommitPointInPlaceRule(ProjectRule):
             # Interprocedural: handing a commit-point path to a callee
             # that writes but never renames is the same in-place truncation
             # one hop away.
-            fn_ast = dataflow.function_at(func.path, func.lineno)
-            if fn_ast is None:
-                continue
-            nodes = dataflow.build_cfg(fn_ast.body)
-            for node in nodes:
+            for node in dataflow.build_cfg(func.node.body):
                 for callee, call in _node_calls(graph, func, node):
                     transitive = index.transitive(callee)
                     if "rename" in transitive or not (
@@ -356,14 +327,11 @@ class JournalOrderingRule(ProjectRule):
 
     def check_project(self, graph) -> Iterator[tuple[str, int, int, str]]:
         index = graph.effect_index()
-        for func in _repro_functions(graph):
+        for func in graph.sorted_functions():
             summary = index.effects(func.qualname)
             if summary is None or "journal_append" not in summary.own:
                 continue
-            cfg = _cfg_with_lines(func)
-            if cfg is None:
-                continue
-            nodes, line_to_node = cfg
+            nodes, line_to_node = _cfg_with_lines(func)
             barriers = {
                 line_to_node[e.lineno]
                 for e in summary.by_kind("journal_append")
@@ -436,7 +404,7 @@ class RenameWithoutDirFsyncRule(ProjectRule):
 
     def check_project(self, graph) -> Iterator[tuple[str, int, int, str]]:
         index = graph.effect_index()
-        for func in _repro_functions(graph):
+        for func in graph.sorted_functions():
             summary = index.effects(func.qualname)
             if summary is None or "dir_fsync" in summary.transitive:
                 continue
@@ -468,7 +436,7 @@ class TornTailReaderRule(ProjectRule):
 
     def check_project(self, graph) -> Iterator[tuple[str, int, int, str]]:
         index = graph.effect_index()
-        for func in _repro_functions(graph):
+        for func in graph.sorted_functions():
             summary = index.effects(func.qualname)
             if summary is None:
                 continue

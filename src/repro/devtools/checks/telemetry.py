@@ -15,19 +15,10 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.devtools.engine import ModuleContext, Rule, registry
+from repro.devtools.engine import ModuleContext, Rule, registry, terminal_name
 from repro.devtools.findings import Severity
 
 _CONTEXT_INSTRUMENTS = frozenset({"span", "timer"})
-
-
-def _instrument_name(func: ast.expr) -> str | None:
-    """The instrument being called, for Name and Attribute spellings."""
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
 
 
 @registry.register
@@ -41,7 +32,7 @@ class DiscardedSpanHandle(Rule):
         call = node.value
         if not isinstance(call, ast.Call):
             return
-        name = _instrument_name(call.func)
+        name = terminal_name(call.func)
         if name in _CONTEXT_INSTRUMENTS:
             yield (
                 node,

@@ -20,24 +20,26 @@ edges — and runs two analyses over it:
   construction (``Path``/``os.path.join``/``open``) and unbounded
   big-int parsing (``int(x, 16)``).
 
-Function ASTs are loaded lazily per file and cached on
-``(mtime, size)`` signatures, mirroring the graph cache, so the rules
-re-parse nothing on a second lint in the same process.
+Both take a function's ``def`` as the graph kept it
+(:attr:`repro.devtools.graph.FunctionNode.node`), so the analyses read
+the tree the lint run parsed once.  :func:`build_cfg`,
+:func:`node_reachability` and :func:`walk_statement_exprs` also serve the
+effect extractor and the DUR rules.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterable
+
+from repro.devtools.engine import dotted, terminal_name
 
 __all__ = [
     "CfgNode",
     "Hazard",
     "TaintFinding",
     "build_cfg",
-    "function_at",
     "node_reachability",
     "rmw_hazards",
     "taint_findings",
@@ -69,42 +71,14 @@ _PATH_SINKS = frozenset(
 
 
 # ---------------------------------------------------------------------------
-# function lookup (lazy, cached per file)
-# ---------------------------------------------------------------------------
-
-_AST_CACHE: dict[str, tuple[tuple[int, int], dict[int, FunctionAst]]] = {}
-
-
-def function_at(path: str, lineno: int) -> FunctionAst | None:
-    """The function/method whose ``def`` sits at ``lineno`` in ``path``."""
-    try:
-        stat = Path(path).stat()
-        signature = (stat.st_mtime_ns, stat.st_size)
-    except OSError:
-        return None
-    cached = _AST_CACHE.get(path)
-    if cached is None or cached[0] != signature:
-        try:
-            tree = ast.parse(Path(path).read_text(), filename=path)
-        except (OSError, SyntaxError):
-            return None
-        index: dict[int, FunctionAst] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                index.setdefault(node.lineno, node)
-        _AST_CACHE.clear()  # keep at most a handful of live files
-        _AST_CACHE[path] = (signature, index)
-        cached = _AST_CACHE[path]
-    return cached[1].get(lineno)
-
-
-# ---------------------------------------------------------------------------
 # CFG construction
 # ---------------------------------------------------------------------------
 
 
 @dataclass(slots=True)
-class _Node:
+class CfgNode:
+    """A CFG node: one statement plus its successor indices."""
+
     stmt: ast.stmt
     succs: set[int] = field(default_factory=set)
 
@@ -120,15 +94,15 @@ class _CfgBuilder:
     """
 
     def __init__(self) -> None:
-        self.nodes: list[_Node] = []
+        self.nodes: list[CfgNode] = []
         self._loops: list[tuple[int, set[int]]] = []  # (head index, break exits)
 
-    def build(self, body: list[ast.stmt]) -> list[_Node]:
+    def build(self, body: list[ast.stmt]) -> list[CfgNode]:
         self._block(body, set())
         return self.nodes
 
     def _add(self, stmt: ast.stmt, preds: set[int]) -> int:
-        self.nodes.append(_Node(stmt))
+        self.nodes.append(CfgNode(stmt))
         index = len(self.nodes) - 1
         for pred in preds:
             self.nodes[pred].succs.add(index)
@@ -181,8 +155,13 @@ class _CfgBuilder:
         return entry
 
 
-def _reachability(nodes: list[_Node]) -> list[set[int]]:
-    """Strict (successor-closure) reachability per node; small graphs."""
+def build_cfg(body: list[ast.stmt]) -> list[CfgNode]:
+    """Statement-level CFG over a function body (see :class:`_CfgBuilder`)."""
+    return _CfgBuilder().build(body)
+
+
+def node_reachability(nodes: list[CfgNode]) -> list[set[int]]:
+    """Strict (successor-closure) reachability per CFG node; small graphs."""
     reach = [set(node.succs) for node in nodes]
     changed = True
     while changed:
@@ -217,30 +196,10 @@ def _header_exprs(stmt: ast.stmt) -> list[ast.AST]:
     return [stmt]
 
 
-def _walk_exprs(stmt: ast.stmt) -> Iterable[ast.AST]:
-    for root in _header_exprs(stmt):
-        yield from ast.walk(root)
-
-
-# -- public seams for other analyses (effects, durability) ------------------
-
-#: A CFG node: one statement plus its successor indices.
-CfgNode = _Node
-
-
-def build_cfg(body: list[ast.stmt]) -> list[_Node]:
-    """Statement-level CFG over a function body (see :class:`_CfgBuilder`)."""
-    return _CfgBuilder().build(body)
-
-
-def node_reachability(nodes: list[_Node]) -> list[set[int]]:
-    """Strict successor-closure reachability per CFG node."""
-    return _reachability(nodes)
-
-
 def walk_statement_exprs(stmt: ast.stmt) -> Iterable[ast.AST]:
     """Walk the expressions a CFG node evaluates itself (not nested bodies)."""
-    return _walk_exprs(stmt)
+    for root in _header_exprs(stmt):
+        yield from ast.walk(root)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +242,7 @@ def _node_facts(
         for target in targets:
             for node in ast.walk(target):
                 write_roots.append(node)
-    for node in _walk_exprs(stmt):
+    for node in walk_statement_exprs(stmt):
         if isinstance(node, ast.Await):
             has_await = True
         name = _shared_name(node, globals_)
@@ -299,7 +258,7 @@ def _node_facts(
         if not is_store:
             reads.add(name)
         # Mutator method calls (self._pending.pop(...)) write the receiver.
-    for node in _walk_exprs(stmt):
+    for node in walk_statement_exprs(stmt):
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
@@ -342,9 +301,9 @@ def rmw_hazards(
     if _has_lock_guard(fn):
         return []
     globals_ = frozenset(shared_globals)
-    nodes = _CfgBuilder().build(fn.body)
+    nodes = build_cfg(fn.body)
     facts = [_node_facts(node.stmt, globals_) for node in nodes]
-    reach = _reachability(nodes)
+    reach = node_reachability(nodes)
     await_indices = [i for i, (_, _, has_await) in enumerate(facts) if has_await]
     hazards: dict[str, Hazard] = {}
     for read_index, (reads, _, _) in enumerate(facts):
@@ -395,27 +354,6 @@ def _is_sanitizer(terminal: str | None) -> bool:
     return terminal.lstrip("_").lower().startswith(_SANITIZER_PREFIXES)
 
 
-def _call_terminal(call: ast.Call) -> str | None:
-    func = call.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None
-
-
-def _dotted(expr: ast.AST) -> str | None:
-    parts: list[str] = []
-    node = expr
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
 class _TaintState(dict):
     """name -> source label; merge = union keeping the first label."""
 
@@ -433,7 +371,7 @@ def _tainted(expr: ast.AST, state: _TaintState) -> str | None:
     if isinstance(expr, ast.Starred):
         return _tainted(expr.value, state)
     if isinstance(expr, ast.Call):
-        if _is_sanitizer(_call_terminal(expr)):
+        if _is_sanitizer(terminal_name(expr.func)):
             return None
         if isinstance(expr.func, ast.Attribute):
             receiver = _tainted(expr.func.value, state)
@@ -513,9 +451,9 @@ def _sink_label(
     resolve: Callable[[str], str],
 ) -> tuple[str, str] | None:
     """(sink description, source label) when a tainted value hits a sink."""
-    raw = _dotted(call.func)
+    raw = dotted(call.func)
     resolved = resolve(raw) if raw is not None else None
-    terminal = _call_terminal(call)
+    terminal = terminal_name(call.func)
     positional = list(call.args)
     if resolved in _PATH_SINKS or terminal == "Path":
         for arg in positional:
@@ -557,7 +495,7 @@ def taint_findings(
             seeds[arg.arg] = arg.arg
     if not seeds:
         return []
-    nodes = _CfgBuilder().build(fn.body)
+    nodes = build_cfg(fn.body)
     preds: list[list[int]] = [[] for _ in nodes]
     for index, node in enumerate(nodes):
         for succ in node.succs:
@@ -585,7 +523,7 @@ def taint_findings(
                     worklist.append(succ)
     findings: dict[tuple[int, int], TaintFinding] = {}
     for index, node in enumerate(nodes):
-        for expr in _walk_exprs(node.stmt):
+        for expr in walk_statement_exprs(node.stmt):
             if not isinstance(expr, ast.Call):
                 continue
             hit = _sink_label(expr, in_states[index], resolver)

@@ -7,8 +7,9 @@ crash-consistency rules (DUR001-DUR005 in
 :mod:`repro.devtools.checks.durability`) need: what each function *does
 to the filesystem*.
 
-Per function, one AST pass over its own statements (nested ``def``/
-``class`` bodies belong to their own graph nodes) extracts a list of
+Per function, one AST pass over its own statements (the ``def`` its
+graph node keeps; nested ``def``/``class`` bodies belong to their own
+graph nodes) extracts a list of
 :class:`FsEffect` records — opens-for-write with a path sketch, writes,
 flushes, fsyncs (file- and directory-level), temp-file creation, atomic
 renames, :class:`~repro.faults.journal.MutationJournal` operations, and
@@ -37,7 +38,8 @@ import ast
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from repro.devtools.dataflow import FunctionAst, function_at, walk_statement_exprs
+from repro.devtools.dataflow import walk_statement_exprs
+from repro.devtools.engine import dotted, terminal_name
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (graph imports us lazily)
     from repro.devtools.graph import FunctionNode, ProjectGraph
@@ -100,18 +102,6 @@ def path_tokens(expr: ast.AST | None) -> str:
 def is_tempish(tokens: str) -> bool:
     """True when a path sketch points at a temp/scratch file."""
     return "tmp" in tokens or "temp" in tokens
-
-
-def _dotted(expr: ast.AST) -> str | None:
-    parts: list[str] = []
-    node = expr
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,7 +187,7 @@ class _Extractor(ast.NodeVisitor):
 
     def _open_effect(self, call: ast.Call) -> tuple[str, str] | None:
         """(kind, path sketch) when ``call`` opens a file for write/append."""
-        raw = _dotted(call.func)
+        raw = dotted(call.func)
         mode_expr: ast.expr | None = None
         path_expr: ast.expr | None = None
         if self._resolve_external(raw) == "open":
@@ -231,7 +221,7 @@ class _Extractor(ast.NodeVisitor):
         """Register ``target = open(...)`` / ``open(...) as target`` bindings."""
         if not isinstance(value, ast.Call):
             return
-        spelling = _dotted(target)
+        spelling = dotted(target)
         if spelling is None:
             return
         opened = self._open_effect(value)
@@ -240,7 +230,7 @@ class _Extractor(ast.NodeVisitor):
             self._open_targets[id(value)] = spelling
             return
         # os.open(...) directory descriptors (for fsync_dir-style code).
-        if self._resolve_external(_dotted(value.func)) == "os.open":
+        if self._resolve_external(dotted(value.func)) == "os.open":
             arg_sketch = "/".join(path_tokens(arg) for arg in value.args)
             if "o_directory" in arg_sketch or any(
                 flag in arg_sketch.split("/") for flag in self._dir_flags
@@ -312,7 +302,7 @@ class _Extractor(ast.NodeVisitor):
             for expr in walk_statement_exprs(stmt):
                 if (
                     isinstance(expr, ast.Call)
-                    and self._resolve_external(_dotted(expr.func)) == "json.loads"
+                    and self._resolve_external(dotted(expr.func)) == "json.loads"
                 ):
                     kind = "jsonl_read" if guarded else "jsonl_read_unguarded"
                     self._emit(kind, expr)
@@ -320,14 +310,8 @@ class _Extractor(ast.NodeVisitor):
     # -- calls ------------------------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
-        raw = _dotted(node.func)
-        terminal = (
-            node.func.attr
-            if isinstance(node.func, ast.Attribute)
-            else node.func.id
-            if isinstance(node.func, ast.Name)
-            else None
-        )
+        raw = dotted(node.func)
+        terminal = terminal_name(node.func)
         resolved = self._resolve_external(raw)
 
         opened = self._open_effect(node)
@@ -339,7 +323,7 @@ class _Extractor(ast.NodeVisitor):
                 self._emit("temp_create", node, target=target, path=sketch)
 
         elif terminal == "write" and isinstance(node.func, ast.Attribute):
-            receiver = _dotted(node.func.value) or path_tokens(node.func.value)
+            receiver = dotted(node.func.value) or path_tokens(node.func.value)
             self._emit(
                 "write", node, target=receiver, path=self._handles.get(receiver, "")
             )
@@ -348,7 +332,7 @@ class _Extractor(ast.NodeVisitor):
             self._emit("write_file", node, path=path_tokens(node.func.value))
 
         elif terminal == "flush" and isinstance(node.func, ast.Attribute):
-            receiver = _dotted(node.func.value) or path_tokens(node.func.value)
+            receiver = dotted(node.func.value) or path_tokens(node.func.value)
             self._emit("flush", node, target=receiver)
 
         elif resolved == "os.fsync" and node.args:
@@ -389,7 +373,7 @@ class _Extractor(ast.NodeVisitor):
             and raw is not None
         ):
             project = self._resolve_project(raw)
-            receiver = _dotted(node.func.value) or path_tokens(node.func.value)
+            receiver = dotted(node.func.value) or path_tokens(node.func.value)
             if (project is not None and f"MutationJournal.{terminal}" in project) or (
                 project is None and "journal" in receiver.lower()
             ):
@@ -398,12 +382,10 @@ class _Extractor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def extract_effects(
-    graph: "ProjectGraph", func: "FunctionNode", fn_ast: FunctionAst
-) -> tuple[FsEffect, ...]:
+def extract_effects(graph: "ProjectGraph", func: "FunctionNode") -> tuple[FsEffect, ...]:
     """All filesystem effects of one function body (source order)."""
     extractor = _Extractor(graph, func)
-    for stmt in fn_ast.body:
+    for stmt in func.node.body:
         extractor.visit(stmt)
     extractor.effects.sort(key=lambda e: (e.lineno, e.col, e.kind))
     return tuple(extractor.effects)
@@ -420,16 +402,8 @@ class EffectIndex:
     def __init__(self, graph: "ProjectGraph") -> None:
         self._graph = graph
         self._functions: dict[str, FunctionEffects] = {}
-        # Group by path so the dataflow AST cache (one live file) is hit,
-        # not thrashed; within a file, lineno order is deterministic.
-        ordered = sorted(
-            graph.functions.values(), key=lambda f: (f.path, f.lineno, f.qualname)
-        )
-        for func in ordered:
-            fn_ast = function_at(func.path, func.lineno)
-            effects = (
-                extract_effects(graph, func, fn_ast) if fn_ast is not None else ()
-            )
+        for func in graph.functions.values():
+            effects = extract_effects(graph, func)
             self._functions[func.qualname] = FunctionEffects(
                 qualname=func.qualname,
                 effects=effects,

@@ -1,18 +1,27 @@
-"""The single-pass AST lint engine.
+"""The AST lint engine: one parse per file feeds every rule.
 
-One :class:`_Walker` (an :class:`ast.NodeVisitor`) traverses each file
-exactly once.  At every node it consults the registry's dispatch table and
-runs only the rules that registered interest in that node type, so adding
-rules does not add walks.  The walker also maintains the one piece of
-analysis state every rule shares, an **import alias table**
-(``import random as r`` / ``from random import Random``), so rules match
-on *resolved* dotted names like ``random.Random`` instead of guessing
-from attribute spellings.
+:meth:`LintEngine.lint_paths` reads and parses each file once.  One
+pre-order walk over that tree runs the per-file rules: at every node the
+engine consults the registry's dispatch table and runs only the rules
+that registered interest in that node type, so adding rules does not add
+walks.  The same trees of the ``repro`` modules then build the
+whole-program graph (:func:`repro.devtools.graph.graph_from_trees`) the
+cross-module rules query, so no file is parsed twice.
 
-Rules are small classes registered on the module-level :data:`registry`;
-:meth:`Rule.check` yields ``(node, message)`` pairs and the engine turns
-them into :class:`~repro.devtools.findings.Finding` objects, applying
-inline suppressions (:mod:`repro.devtools.suppress`) before anything is
+The walk maintains the one piece of analysis state every per-file rule
+shares, an **import alias table** (``import random as r`` /
+``from random import Random``), so rules match on *resolved* dotted names
+like ``random.Random`` instead of guessing from attribute spellings.  A
+rule sees an import only from its statement on.  :func:`bind_imports` is
+the binding rule of both the walk and the graph, relative imports
+included.
+
+Rules are small classes registered on the module-level :data:`registry`.
+:meth:`Rule.check` yields ``(node, message)`` pairs and
+:meth:`ProjectRule.check_project` yields ``(path, line, col, message)``
+tuples; :meth:`ModuleContext.report` turns both into
+:class:`~repro.devtools.findings.Finding` objects, applying inline
+suppressions (:mod:`repro.devtools.suppress`) before anything is
 reported.
 """
 
@@ -20,7 +29,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.devtools.findings import Finding, Severity
 from repro.devtools.suppress import SuppressionIndex
@@ -32,49 +41,150 @@ __all__ = [
     "ProjectRule",
     "Rule",
     "RuleRegistry",
+    "bind_imports",
+    "dotted",
+    "is_repro_module",
+    "module_name_for",
+    "qualify",
     "registry",
+    "terminal_name",
 ]
 
 
-class ModuleContext:
-    """Shared per-file analysis state, updated by the walker as it descends."""
+def module_name_for(path: str | Path) -> str:
+    """Dotted module name for a file; ``src/`` layouts anchor the package."""
+    parts = list(Path(path).parts)
+    if "src" in parts:
+        parts = parts[parts.index("src") + 1 :]
+    if not parts:
+        return ""
+    parts[-1] = Path(parts[-1]).stem
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
 
-    def __init__(self, path: str, module: str, source_lines: Sequence[str]) -> None:
+
+def is_repro_module(name: str) -> bool:
+    """True for ``repro`` and its submodules, the product code the rules scope."""
+    return name == "repro" or name.startswith("repro.")
+
+
+def dotted(expr: ast.AST) -> str | None:
+    """``a.b.c`` spelling for Name/Attribute chains, else None."""
+    parts: list[str] = []
+    node = expr
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def terminal_name(expr: ast.AST) -> str | None:
+    """The last segment of a Name/Attribute (``flush`` of ``self._f.flush``)."""
+    if isinstance(expr, ast.Attribute):
+        return expr.attr
+    if isinstance(expr, ast.Name):
+        return expr.id
+    return None
+
+
+def bind_imports(
+    imports: dict[str, str], node: ast.Import | ast.ImportFrom, module: str, path: str
+) -> list[str]:
+    """Bind the names one import statement introduces to absolute targets.
+
+    ``import a.b`` binds ``a``; ``import a.b as c`` binds ``c`` to
+    ``a.b``; ``from .x import y`` resolves against ``module``'s package
+    (``module`` itself when ``path`` is an ``__init__.py``).  Returns the
+    absolute modules the statement imports.
+    """
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            head = alias.name.split(".")[0]
+            imports[alias.asname or head] = alias.name if alias.asname else head
+        return [alias.name for alias in node.names]
+    source = node.module or ""
+    if node.level:
+        base = module.split(".")
+        if not path.endswith("__init__.py"):
+            base = base[:-1]
+        hops = node.level - 1
+        base = base[: len(base) - hops] if hops else base
+        source = ".".join(base + ([node.module] if node.module else []))
+    for alias in node.names:
+        if alias.name != "*":
+            imports[alias.asname or alias.name] = (
+                f"{source}.{alias.name}" if source else alias.name
+            )
+    return [source]
+
+
+def qualify(imports: dict[str, str], raw: str) -> str | None:
+    """A dotted spelling made absolute through its head's import binding.
+
+    ``datetime.now`` after ``from datetime import datetime`` becomes
+    ``datetime.datetime.now``; a head that no import binds gives None.
+    """
+    head, _, rest = raw.partition(".")
+    target = imports.get(head)
+    if target is None:
+        return None
+    return f"{target}.{rest}" if rest else target
+
+
+class ModuleContext:
+    """One source file: its lines, suppressions and import alias table."""
+
+    def __init__(self, path: str, module: str, source: str) -> None:
         self.path = path
         self.module = module
-        self.source_lines = source_lines
+        self.source_lines = source.splitlines()
+        self.suppressions = SuppressionIndex(source)
         #: alias -> fully-qualified dotted name ("r" -> "random").
         self.imports: dict[str, str] = {}
 
     @property
     def is_repro_source(self) -> bool:
         """True for modules under ``src/repro`` (rules scoped by the spec)."""
-        return self.module == "repro" or self.module.startswith("repro.")
+        return is_repro_module(self.module)
 
     def resolve(self, node: ast.expr) -> str | None:
         """Resolve a Name/Attribute chain to a dotted name via the imports.
 
-        ``datetime.now(...)`` after ``from datetime import datetime``
-        resolves to ``datetime.datetime.now``; attribute chains rooted at
-        anything that is not an imported alias resolve to ``None``, which
-        keeps rules from firing on look-alike methods of local objects.
+        Attribute chains rooted at anything that is not an imported alias
+        resolve to ``None``, which keeps rules from firing on look-alike
+        methods of local objects.
         """
-        parts: list[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        base = self.imports.get(node.id)
-        if base is None:
-            return None
-        parts.append(base)
-        return ".".join(reversed(parts))
+        raw = dotted(node)
+        return qualify(self.imports, raw) if raw is not None else None
 
-    def line_text(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.source_lines):
-            return self.source_lines[lineno - 1].strip()
-        return ""
+    def report(
+        self,
+        findings: list[Finding],
+        code: str,
+        severity: Severity,
+        line: int,
+        col: int,
+        message: str,
+    ) -> None:
+        """Add rule ``code``'s finding at ``line`` unless it is suppressed."""
+        if self.suppressions.is_suppressed(code, line):
+            return
+        lines = self.source_lines
+        findings.append(
+            Finding(
+                rule=code,
+                path=self.path,
+                line=line,
+                col=col,
+                message=message,
+                severity=severity,
+                line_text=lines[line - 1].strip() if 1 <= line <= len(lines) else "",
+            )
+        )
 
 
 class Rule:
@@ -163,70 +273,6 @@ registry = RuleRegistry()
 _CLOCK = SystemClock()
 
 
-class _Walker(ast.NodeVisitor):
-    """One pre-order pass: update context, dispatch rules, descend."""
-
-    def __init__(
-        self,
-        reg: RuleRegistry,
-        ctx: ModuleContext,
-        timings: dict[str, float] | None = None,
-    ) -> None:
-        self._registry = reg
-        self.ctx = ctx
-        self.raw_findings: list[tuple[Rule, ast.AST, str]] = []
-        self._timings = timings
-
-    # -- context bookkeeping ---------------------------------------------
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            self.ctx.imports[alias.asname or alias.name.split(".")[0]] = (
-                alias.name if alias.asname else alias.name.split(".")[0]
-            )
-        self._dispatch(node)
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        prefix = "." * node.level + (node.module or "")
-        for alias in node.names:
-            if alias.name != "*":
-                self.ctx.imports[alias.asname or alias.name] = (
-                    f"{prefix}.{alias.name}" if prefix else alias.name
-                )
-        self._dispatch(node)
-        self.generic_visit(node)
-
-    # -- dispatch ---------------------------------------------------------
-
-    def generic_visit(self, node: ast.AST) -> None:
-        for child in ast.iter_child_nodes(node):
-            self.visit(child)
-
-    def visit(self, node: ast.AST) -> None:
-        visitor = getattr(
-            self, f"visit_{type(node).__name__}", None
-        )
-        if visitor is not None:
-            visitor(node)
-        else:
-            self._dispatch(node)
-            self.generic_visit(node)
-
-    def _dispatch(self, node: ast.AST) -> None:
-        if self._timings is None:
-            for rule in self._registry.rules_for(type(node)):
-                for found_node, message in rule.check(node, self.ctx):
-                    self.raw_findings.append((rule, found_node, message))
-            return
-        for rule in self._registry.rules_for(type(node)):
-            started = _CLOCK.wall()
-            for found_node, message in rule.check(node, self.ctx):
-                self.raw_findings.append((rule, found_node, message))
-            elapsed = _CLOCK.wall() - started
-            self._timings[rule.code] = self._timings.get(rule.code, 0.0) + elapsed
-
-
 class LintEngine:
     """Lints sources with a registry's rules and applies suppressions.
 
@@ -252,57 +298,12 @@ class LintEngine:
         self, source: str, path: str, module: str | None = None
     ) -> list[Finding]:
         """Lint one source text; ``path`` is used for reporting and scoping."""
-        # Imported here, not with the package, so that
-        # ``python -m repro.devtools.graph`` does not run a second copy.
-        from repro.devtools.graph import module_name_for
-
-        suppressions = SuppressionIndex(source)
-        if suppressions.skip_file:
-            return []
         ctx = ModuleContext(
-            path=path,
-            module=module if module is not None else module_name_for(path),
-            source_lines=source.splitlines(),
+            path, module if module is not None else module_name_for(path), source
         )
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            line = exc.lineno or 1
-            return [
-                Finding(
-                    rule="PARSE",
-                    path=path,
-                    line=line,
-                    col=(exc.offset or 1) - 1,
-                    message=f"file does not parse: {exc.msg}",
-                    severity=Severity.ERROR,
-                    line_text=ctx.line_text(line),
-                )
-            ]
-        walker = _Walker(
-            self._registry,
-            ctx,
-            timings=self.rule_timings if self._collect_timings else None,
-        )
-        walker.visit(tree)
-        findings = []
-        for rule, node, message in walker.raw_findings:
-            line = getattr(node, "lineno", 1)
-            if suppressions.is_suppressed(rule.code, line):
-                continue
-            findings.append(
-                Finding(
-                    rule=rule.code,
-                    path=path,
-                    line=line,
-                    col=getattr(node, "col_offset", 0),
-                    message=message,
-                    severity=rule.severity,
-                    line_text=ctx.line_text(line),
-                )
-            )
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-        return findings
+        findings: list[Finding] = []
+        self._lint_module(ctx, source, findings)
+        return sorted(findings, key=_finding_order)
 
     # -- trees ------------------------------------------------------------
 
@@ -311,76 +312,103 @@ class LintEngine:
     ) -> list[Finding]:
         """Lint every ``.py`` file under the given files/directories.
 
-        With ``project=True`` (the default) the cross-module rules also
-        run, over a whole-program graph built from the ``repro`` source
-        files in the set — one extra pass total, shared by all of them.
+        Each file is read and parsed once.  With ``project=True`` (the
+        default) the cross-module rules also run, over the whole-program
+        graph built from the parsed ``repro`` modules of the set.
         """
         findings: list[Finding] = []
-        files = collect_files(paths)
-        for file in files:
-            findings.extend(
-                self.lint_source(file.read_text(), file.as_posix())
-            )
-        if project:
-            findings.extend(self._lint_project(files))
-            findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+        contexts: dict[str, ModuleContext] = {}
+        trees: dict[str, ast.Module] = {}
+        for file in collect_files(paths):
+            path = file.as_posix()
+            source = file.read_text()
+            ctx = contexts[path] = ModuleContext(path, module_name_for(path), source)
+            tree = self._lint_module(ctx, source, findings)
+            if tree is not None and ctx.is_repro_source:
+                trees[path] = tree
+        if project and any(ctx.is_repro_source for ctx in contexts.values()):
+            self._lint_project(trees, contexts, findings)
+        findings.sort(key=_finding_order)
         return findings
 
-    def _lint_project(self, files: Sequence[Path]) -> list[Finding]:
-        """Run the registered cross-module rules over the file set."""
-        from repro.devtools import graph as graphmod
-
-        if not self._registry.project_rules():
-            return []
-        if not any(graphmod.is_repro_source_path(file) for file in files):
-            return []
-        started = _CLOCK.wall()
-        graph = graphmod.build_graph(files)
-        if self._collect_timings:
-            elapsed = _CLOCK.wall() - started
-            self.rule_timings["(graph build)"] = (
-                self.rule_timings.get("(graph build)", 0.0) + elapsed
+    def _lint_module(
+        self, ctx: ModuleContext, source: str, findings: list[Finding]
+    ) -> ast.Module | None:
+        """Parse one file, run the per-file rules and return its tree."""
+        try:
+            tree = ast.parse(source, filename=ctx.path)
+        except SyntaxError as exc:
+            ctx.report(
+                findings,
+                "PARSE",
+                Severity.ERROR,
+                exc.lineno or 1,
+                (exc.offset or 1) - 1,
+                f"file does not parse: {exc.msg}",
             )
-        suppressions: dict[str, SuppressionIndex] = {}
-        source_lines: dict[str, list[str]] = {}
+            return None
+        if not ctx.suppressions.skip_file:
+            self._walk(tree, ctx, findings)
+        return tree
 
-        def load(path: str) -> None:
-            if path in suppressions:
-                return
-            try:
-                text = Path(path).read_text()
-            except OSError:
-                text = ""
-            suppressions[path] = SuppressionIndex(text)
-            source_lines[path] = text.splitlines()
+    def _walk(self, node: ast.AST, ctx: ModuleContext, findings: list[Finding]) -> None:
+        """One pre-order pass: bind imports, dispatch rules, descend."""
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bind_imports(ctx.imports, node, ctx.module, ctx.path)
+        for rule in self._registry.rules_for(type(node)):
+            started = _CLOCK.wall() if self._collect_timings else 0.0
+            for found, message in rule.check(node, ctx):
+                ctx.report(
+                    findings,
+                    rule.code,
+                    rule.severity,
+                    getattr(found, "lineno", 1),
+                    getattr(found, "col_offset", 0),
+                    message,
+                )
+            self._charge(rule.code, started)
+        for child in ast.iter_child_nodes(node):
+            self._walk(child, ctx, findings)
 
-        findings: list[Finding] = []
-        for rule in self._registry.project_rules():
+    def _lint_project(
+        self,
+        trees: dict[str, ast.Module],
+        contexts: dict[str, ModuleContext],
+        findings: list[Finding],
+    ) -> None:
+        """Run the registered cross-module rules over the parsed modules."""
+        # Imported here, not with the package, so that
+        # ``python -m repro.devtools.graph`` does not run a second copy.
+        from repro.devtools.graph import graph_from_trees, project_root_for
+
+        rules = self._registry.project_rules()
+        if not rules:
+            return
+        started = _CLOCK.wall()
+        graph = graph_from_trees(trees, project_root_for(trees))
+        self._charge("(graph build)", started)
+        for rule in rules:
             started = _CLOCK.wall()
             results = list(rule.check_project(graph))
-            if self._collect_timings:
-                elapsed = _CLOCK.wall() - started
-                self.rule_timings[rule.code] = (
-                    self.rule_timings.get(rule.code, 0.0) + elapsed
-                )
+            self._charge(rule.code, started)
             for path, line, col, message in results:
-                load(path)
-                if suppressions[path].is_suppressed(rule.code, line):
-                    continue
-                lines = source_lines[path]
-                text = lines[line - 1].strip() if 1 <= line <= len(lines) else ""
-                findings.append(
-                    Finding(
-                        rule=rule.code,
-                        path=path,
-                        line=line,
-                        col=col,
-                        message=message,
-                        severity=rule.severity,
-                        line_text=text,
-                    )
-                )
-        return findings
+                ctx = contexts.get(path)
+                if ctx is None:  # a contract doc, not a linted file
+                    try:
+                        text = Path(path).read_text()
+                    except OSError:
+                        text = ""
+                    ctx = contexts[path] = ModuleContext(path, "", text)
+                ctx.report(findings, rule.code, rule.severity, line, col, message)
+
+    def _charge(self, code: str, started: float) -> None:
+        if self._collect_timings:
+            elapsed = _CLOCK.wall() - started
+            self.rule_timings[code] = self.rule_timings.get(code, 0.0) + elapsed
+
+
+def _finding_order(finding: Finding) -> tuple[str, int, int, str]:
+    return (finding.path, finding.line, finding.col, finding.rule)
 
 
 def collect_files(paths: Iterable[str | Path]) -> list[Path]:
@@ -398,4 +426,3 @@ def collect_files(paths: Iterable[str | Path]) -> list[Path]:
         elif path.suffix == ".py":
             out.add(path)
     return sorted(out)
-

@@ -33,10 +33,14 @@ lets ``self._queue.submit()`` resolve through the receiver's class to
 composition seams.  Module-level mutable containers are recorded too:
 ASY004 treats them as shared state.
 
-Builds are cached per run, keyed on every involved file's
-``(path, mtime, size)``, so the lint CLI, the cross-module rules, and
-``python -m repro.devtools.graph`` share one pass.  The JSON export is
-deterministic: sorted keys, relative paths, no timestamps.
+Each :class:`FunctionNode` keeps its parsed ``def``, so the CFG,
+dataflow and effect analyses read the tree the graph was built from.
+The lint engine builds the graph with :func:`graph_from_trees` from the
+trees it already parsed, so a lint run parses each file once;
+:func:`build_graph` parses the files itself and keeps its latest build,
+keyed on every file's ``(path, mtime, size)``.  The JSON export leaves
+the trees out and is deterministic: sorted keys, relative paths, no
+timestamps.
 """
 
 from __future__ import annotations
@@ -46,7 +50,17 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
+
+from repro.devtools.engine import (
+    bind_imports,
+    collect_files,
+    dotted,
+    is_repro_module,
+    module_name_for,
+    qualify,
+    terminal_name,
+)
 
 __all__ = [
     "CallSite",
@@ -56,8 +70,8 @@ __all__ = [
     "ProjectGraph",
     "RouteCall",
     "build_graph",
+    "graph_from_trees",
     "main",
-    "module_name_for",
 ]
 
 _METRIC_INSTRUMENTS = frozenset({"span", "timer", "counter", "gauge", "observe"})
@@ -78,29 +92,10 @@ _THREAD_CLASSES = frozenset({"Thread", "Process", "Timer"})
 _RESOLVE_DEPTH = 10
 
 
-def module_name_for(path: str | Path) -> str:
-    """Dotted module name for a file; ``src/`` layouts anchor the package."""
-    parts = list(Path(path).parts)
-    if "src" in parts:
-        parts = parts[parts.index("src") + 1 :]
-    if not parts:
-        return ""
-    parts[-1] = Path(parts[-1]).stem
-    if parts[-1] == "__init__":
-        parts.pop()
-    return ".".join(parts)
-
-
-def is_repro_source_path(path: str | Path) -> bool:
-    """True for files that belong to the ``repro`` package proper."""
-    module = module_name_for(path)
-    return module == "repro" or module.startswith("repro.")
-
-
-def project_root_for(files: Sequence[Path]) -> Path:
+def project_root_for(files: Iterable[str | Path]) -> Path:
     """The directory holding ``src/`` for the given file set (or ``.``)."""
     for file in files:
-        parts = file.parts
+        parts = Path(file).parts
         if "src" in parts:
             index = parts.index("src")
             return Path(*parts[:index]) if index else Path(".")
@@ -167,6 +162,8 @@ class FunctionNode:
     path: str
     lineno: int
     is_method: bool
+    #: the parsed ``def`` (left out of the JSON export).
+    node: ast.FunctionDef | ast.AsyncFunctionDef = field(repr=False)
     is_async: bool = False
     #: decorated with a ``route("METHOD", "/pattern")`` registration.
     route_decorated: bool = False
@@ -223,34 +220,13 @@ class _ModuleVisitor(ast.NodeVisitor):
 
     # -- imports ----------------------------------------------------------
 
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            self.mod.imports[alias.asname or alias.name.split(".")[0]] = (
-                alias.name if alias.asname else alias.name.split(".")[0]
-            )
-            if alias.name.split(".")[0] == "repro":
-                self.mod.imported_modules.add(alias.name)
+    def _visit_import(self, node: ast.Import | ast.ImportFrom) -> None:
+        for name in bind_imports(self.mod.imports, node, self.mod.name, self.mod.path):
+            if is_repro_module(name):
+                self.mod.imported_modules.add(name)
 
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        prefix = self._absolute_from(node)
-        for alias in node.names:
-            if alias.name == "*":
-                continue
-            target = f"{prefix}.{alias.name}" if prefix else alias.name
-            self.mod.imports[alias.asname or alias.name] = target
-        if prefix and prefix.split(".")[0] == "repro":
-            self.mod.imported_modules.add(prefix)
-
-    def _absolute_from(self, node: ast.ImportFrom) -> str:
-        if node.level == 0:
-            return node.module or ""
-        # Resolve "from .x import y" against this module's dotted name.
-        base = self.mod.name.split(".")
-        if not self.mod.path.endswith("__init__.py"):
-            base = base[:-1]
-        hops = node.level - 1
-        base = base[: len(base) - hops] if hops else base
-        return ".".join(base + ([node.module] if node.module else []))
+    visit_Import = _visit_import
+    visit_ImportFrom = _visit_import
 
     # -- definitions ------------------------------------------------------
 
@@ -269,6 +245,7 @@ class _ModuleVisitor(ast.NodeVisitor):
             path=self.mod.path,
             lineno=node.lineno,
             is_method=is_method,
+            node=node,
             is_async=isinstance(node, ast.AsyncFunctionDef),
         )
         self.functions.setdefault(func.qualname, func)
@@ -355,7 +332,7 @@ class _ModuleVisitor(ast.NodeVisitor):
     def _value_type(self, expr: ast.expr) -> str | None:
         """Class-like raw type of an assigned value, if statically evident."""
         if isinstance(expr, ast.Call):
-            raw = _dotted(expr.func)
+            raw = dotted(expr.func)
             return raw if _is_classlike(raw) else None
         if isinstance(expr, ast.Name) and self._func_stack:
             return self._func_stack[-1].local_types.get(expr.id)
@@ -372,14 +349,9 @@ class _ModuleVisitor(ast.NodeVisitor):
     # -- calls ------------------------------------------------------------
 
     def visit_Call(self, node: ast.Call) -> None:
-        raw = _dotted(node.func)
+        raw = dotted(node.func)
+        terminal = terminal_name(node.func)
         self._record_call_target(node.func)
-        if isinstance(node.func, ast.Attribute):
-            terminal = node.func.attr
-        elif isinstance(node.func, ast.Name):
-            terminal = node.func.id
-        else:
-            terminal = None
 
         if self._func_stack:
             func = self._func_stack[-1]
@@ -394,7 +366,7 @@ class _ModuleVisitor(ast.NodeVisitor):
                 )
             )
             for expr in self._offload_args(node, terminal):
-                target = _dotted(_unwrap_partial(expr))
+                target = dotted(_unwrap_partial(expr))
                 if target is not None:
                     func.raw_offload.append(target)
 
@@ -443,13 +415,7 @@ class _ModuleVisitor(ast.NodeVisitor):
 
     def _maybe_route(self, node: ast.Call) -> bool:
         """Record ``route("METHOD", "/pattern")``-shaped registrations."""
-        func = node.func
-        terminal = (
-            func.attr if isinstance(func, ast.Attribute)
-            else func.id if isinstance(func, ast.Name)
-            else None
-        )
-        if terminal not in _ROUTE_REGISTRARS or len(node.args) < 2:
+        if terminal_name(node.func) not in _ROUTE_REGISTRARS or len(node.args) < 2:
             return False
         first, second = node.args[0], node.args[1]
         if not (
@@ -473,31 +439,18 @@ class _ModuleVisitor(ast.NodeVisitor):
     def _record_call_target(self, expr: ast.expr, indirect: bool = False) -> None:
         if not self._func_stack:
             return
-        raw = _dotted(expr)
+        raw = dotted(expr)
         if raw is None:
             return
         func = self._func_stack[-1]
         (func.raw_indirect if indirect else func.raw_calls).append(raw)
 
 
-def _dotted(expr: ast.expr) -> str | None:
-    """``a.b.c`` spelling for Name/Attribute chains, else None."""
-    parts: list[str] = []
-    node = expr
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
 def _unwrap_partial(expr: ast.expr) -> ast.expr:
     """``functools.partial(f, ...)`` stands for ``f`` at an offload seam."""
     if (
         isinstance(expr, ast.Call)
-        and _dotted(expr.func) in {"partial", "functools.partial"}
+        and dotted(expr.func) in {"partial", "functools.partial"}
         and expr.args
     ):
         return expr.args[0]
@@ -525,7 +478,7 @@ def _annotation_name(expr: ast.expr | None) -> str | None:
         return _annotation_name(expr.left) or _annotation_name(expr.right)
     if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
         return expr.value if _is_classlike(expr.value) else None
-    raw = _dotted(expr)
+    raw = dotted(expr)
     return raw if _is_classlike(raw) else None
 
 
@@ -602,26 +555,23 @@ class ProjectGraph:
         mod = self.modules.get(module)
         if mod is None:
             return None
-        head, _, rest = raw.partition(".")
-        if head == "self":
+        if raw.partition(".")[0] == "self":
             return None  # handled by the caller, which knows the class
         if raw in self.functions:
             return raw
         local = f"{module}.{raw}"
         if local in self.functions:
             return local
-        if head in mod.imports:
-            target = mod.imports[head] + (f".{rest}" if rest else "")
-            return self._resolve_absolute(target, _depth + 1)
-        return None
+        target = qualify(mod.imports, raw)
+        return None if target is None else self._resolve_absolute(target, _depth + 1)
 
-    def _resolve_absolute(self, dotted: str, _depth: int) -> str | None:
+    def _resolve_absolute(self, name: str, _depth: int) -> str | None:
         if _depth > _RESOLVE_DEPTH:
             return None
-        if dotted in self.functions:
-            return dotted
+        if name in self.functions:
+            return name
         # Longest known-module prefix, then chase that module's aliases.
-        parts = dotted.split(".")
+        parts = name.split(".")
         for cut in range(len(parts) - 1, 0, -1):
             prefix = ".".join(parts[:cut])
             if prefix in self.modules:
@@ -633,7 +583,8 @@ class ProjectGraph:
                 return candidate if candidate in self.functions else None
         return None
 
-    def _resolve_in_function(self, func: FunctionNode, raw: str) -> str | None:
+    def resolve_call(self, func: FunctionNode, raw: str) -> str | None:
+        """Resolve one raw call-site spelling in ``func`` to a qualname."""
         if raw.startswith("self.") and func.is_method:
             # Conservative method binding: self.m() targets the enclosing
             # class's method when it exists; otherwise hop through the
@@ -665,12 +616,8 @@ class ProjectGraph:
         self, func: FunctionNode, raw_type: str, rest: str
     ) -> str | None:
         """Bind ``<typed receiver>.rest`` through the receiver's class."""
-        dotted = f"{raw_type}.{rest}" if rest else f"{raw_type}.__call__"
-        return self.resolve(func.module, dotted)
-
-    def resolve_call(self, func: FunctionNode, raw: str) -> str | None:
-        """Public seam for rules: resolve one raw call site in ``func``."""
-        return self._resolve_in_function(func, raw)
+        spelling = f"{raw_type}.{rest}" if rest else f"{raw_type}.__call__"
+        return self.resolve(func.module, spelling)
 
     def resolve_name(self, module: str, raw: str) -> str:
         """Alias-resolve a dotted spelling to its absolute form (best effort).
@@ -680,30 +627,29 @@ class ProjectGraph:
         Unknown heads come back unchanged.
         """
         mod = self.modules.get(module)
-        if mod is None:
-            return raw
-        head, _, rest = raw.partition(".")
-        target = mod.imports.get(head)
-        if target is None:
-            return raw
-        return f"{target}.{rest}" if rest else target
+        target = qualify(mod.imports, raw) if mod is not None else None
+        return raw if target is None else target
 
     def _finalize(self) -> None:
         for func in self.functions.values():
             resolved: list[str] = []
             for raw in func.raw_calls + func.raw_indirect + func.raw_offload:
-                target = self._resolve_in_function(func, raw)
+                target = self.resolve_call(func, raw)
                 if target is not None and target != func.qualname:
                     resolved.append(target)
             func.calls = tuple(sorted(set(resolved)))
             offloaded: list[str] = []
             for raw in func.raw_offload:
-                target = self._resolve_in_function(func, raw)
+                target = self.resolve_call(func, raw)
                 if target is not None:
                     offloaded.append(target)
             func.offloads = tuple(sorted(set(offloaded)))
 
     # -- queries ----------------------------------------------------------
+
+    def sorted_functions(self) -> list[FunctionNode]:
+        """Every function of the modelled ``repro`` modules, by qualname."""
+        return [self.functions[qualname] for qualname in sorted(self.functions)]
 
     def async_origins(self) -> dict[str, str]:
         """Map every event-loop-colored function to the async root reaching it.
@@ -829,14 +775,29 @@ def _signature(files: Iterable[Path]) -> tuple[tuple[str, int, int], ...]:
     return tuple(out)
 
 
-def build_graph(files: Sequence[str | Path], root: Path | None = None) -> ProjectGraph:
-    """Build (or fetch from the per-run cache) the project graph.
+def graph_from_trees(trees: Mapping[str, ast.Module], root: Path) -> ProjectGraph:
+    """The project graph of parsed ``repro`` modules, keyed by file path.
 
-    ``files`` are the repro source files to model; ``root`` (derived from
-    the file paths when not given) is where the contract docs live.
+    ``root`` is where the contract docs live.  Modules are visited in the
+    mapping's order.
+    """
+    modules: dict[str, ModuleNode] = {}
+    functions: dict[str, FunctionNode] = {}
+    for path, tree in trees.items():
+        node = ModuleNode(name=module_name_for(path), path=path)
+        _ModuleVisitor(node, functions).visit(tree)
+        modules[node.name] = node
+    return ProjectGraph(root=root, modules=modules, functions=functions)
+
+
+def build_graph(files: Sequence[str | Path], root: Path | None = None) -> ProjectGraph:
+    """Parse the ``repro`` files among ``files`` and build their graph.
+
+    ``root`` (derived from the file paths when not given) is where the
+    contract docs live.  The latest build is reused while no file changes.
     """
     source_files = sorted(
-        {Path(f) for f in files if is_repro_source_path(f)}
+        {Path(f) for f in files if is_repro_module(module_name_for(f))}
     )
     if root is None:
         root = project_root_for(source_files)
@@ -844,20 +805,14 @@ def build_graph(files: Sequence[str | Path], root: Path | None = None) -> Projec
     cached = _CACHE.get(key)
     if cached is not None:
         return cached
-
-    modules: dict[str, ModuleNode] = {}
-    functions: dict[str, FunctionNode] = {}
+    trees: dict[str, ast.Module] = {}
     for file in source_files:
         path = file.as_posix()
         try:
-            tree = ast.parse(file.read_text(), filename=path)
+            trees[path] = ast.parse(file.read_text(), filename=path)
         except (OSError, SyntaxError):
             continue  # the per-file engine reports parse failures
-        node = ModuleNode(name=module_name_for(path), path=path)
-        _ModuleVisitor(node, functions).visit(tree)
-        modules[node.name] = node
-
-    graph = ProjectGraph(root=root, modules=modules, functions=functions)
+    graph = graph_from_trees(trees, root)
     _CACHE.clear()  # keep at most the latest build
     _CACHE[key] = graph
     return graph
@@ -885,9 +840,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--out", default=None, metavar="PATH", help="write to PATH instead of stdout"
     )
     args = parser.parse_args(argv)
-
-    from repro.devtools.engine import collect_files
-
     graph = build_graph(collect_files(args.paths))
     text = graph.to_json() + "\n"
     if args.out:

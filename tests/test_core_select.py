@@ -1,6 +1,8 @@
 """The engine seam: adaptive selection, facades, and CLI/config exposure."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,8 @@ from repro.core.select import (
 )
 from repro.crypto.primes import generate_prime
 from repro.studyconfig import StudyConfig
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _corpus(seed, n=20):
@@ -36,7 +40,7 @@ class TestAutoProcesses:
 
     def test_small_corpus_stays_in_process(self):
         # BENCH_batchgcd.json auto_pool: pool startup dominates small
-        # corpora (0.052 s pooled vs 0.032 s in-process at n=600).
+        # corpora (0.058 s pooled vs 0.045 s in-process at n=600).
         assert auto_processes(616, cores=8)[0] is None
         assert auto_processes(AUTO_POOL_MIN_MODULI - 1, cores=8)[0] is None
 
@@ -48,6 +52,12 @@ class TestAutoProcesses:
     def test_worker_ceiling(self):
         workers, _ = auto_processes(10**6, cores=64)
         assert workers == AUTO_POOL_MAX_WORKERS
+
+    def test_threshold_is_the_committed_evidence(self):
+        # benchmarks/test_batchgcd_task_graph.py writes the auto_pool leg;
+        # the constant follows its smallest_pooled_win, never drifts from it.
+        bench = json.loads((REPO_ROOT / "BENCH_batchgcd.json").read_text())
+        assert AUTO_POOL_MIN_MODULI == bench["auto_pool"]["smallest_pooled_win"]
 
 
 class TestSelectEngine:

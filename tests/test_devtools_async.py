@@ -289,22 +289,6 @@ class TestTaintFindings:
         assert dataflow.taint_findings(fn, self._resolve)
 
 
-class TestFunctionAt:
-    def test_finds_method_by_def_line(self, tmp_path):
-        path = write(
-            tmp_path,
-            "mod.py",
-            """
-            class Box:
-                async def get(self):
-                    return self.value
-            """,
-        )
-        fn = dataflow.function_at(str(path), 3)
-        assert fn is not None and fn.name == "get"
-        assert dataflow.function_at(str(path), 999) is None
-
-
 # ---------------------------------------------------------------------------
 # The rules end to end, through the CLI
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Unit tests for the whole-program graph (`repro.devtools.graph`)."""
 
+import ast
+import collections
 import json
 import subprocess
 import sys
@@ -7,6 +9,7 @@ import textwrap
 from pathlib import Path
 
 from repro.devtools import graph as graphmod
+from repro.devtools.engine import LintEngine, Rule, RuleRegistry
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -151,6 +154,116 @@ class TestCallGraph:
         )
         graph = build(tmp_path, "src/repro/nest.py")
         assert "repro.nest.outer.inner" in graph.functions["repro.nest.outer"].calls
+
+
+class TestOneParseOneBinding:
+    """The lint run and the graph share one parse and one import rule."""
+
+    def test_lint_run_parses_each_file_once(self, tmp_path, monkeypatch):
+        write(tmp_path, "src/repro/__init__.py", "")
+        write(
+            tmp_path,
+            "src/repro/web.py",
+            """
+            def route(method, pattern):
+                def deco(fn):
+                    return fn
+                return deco
+
+
+            @route("GET", "/v1/jobs/<job_id>")
+            async def get_job(job_id):
+                return int(job_id, 16)
+            """,
+        )
+        write(tmp_path, "tests/test_web.py", "def test_ok():\n    assert True\n")
+        parses = collections.Counter()
+        real_parse = ast.parse
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parses[str(filename)] += 1
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        monkeypatch.chdir(tmp_path)
+        findings = LintEngine().lint_paths(["src", "tests"])
+        # XTNT001, ASY004 and the effect index all read the handler's def
+        assert "XTNT001" in {f.rule for f in findings}
+        assert parses == {
+            "src/repro/__init__.py": 1,
+            "src/repro/web.py": 1,
+            "tests/test_web.py": 1,
+        }
+
+    def test_relative_imports_bind_alike(self, tmp_path, monkeypatch):
+        write(tmp_path, "src/repro/__init__.py", "")
+        write(tmp_path, "src/repro/pkg/__init__.py", "")
+        write(
+            tmp_path,
+            "src/repro/pkg/util.py",
+            """
+            def helper():
+                return 1
+
+
+            def other():
+                return 2
+            """,
+        )
+        write(
+            tmp_path,
+            "src/repro/pkg/mod.py",
+            """
+            from .util import helper
+            from . import util as u
+
+
+            def run():
+                helper()
+                return u.other()
+            """,
+        )
+        seen = {}
+        reg = RuleRegistry()
+
+        @reg.register
+        class _RecordBindings(Rule):
+            code = "BIND001"
+            node_types = (ast.Call,)
+
+            def check(self, node, ctx):
+                seen[ast.unparse(node.func)] = (ctx.resolve(node.func), dict(ctx.imports))
+                yield from ()
+
+        monkeypatch.chdir(tmp_path)
+        assert LintEngine(reg).lint_paths(["src"], project=False) == []
+        bindings = {"helper": "repro.pkg.util.helper", "u": "repro.pkg.util"}
+        assert seen == {
+            "helper": ("repro.pkg.util.helper", bindings),
+            "u.other": ("repro.pkg.util.other", bindings),
+        }
+        graph = graphmod.build_graph(["src/repro/pkg/util.py", "src/repro/pkg/mod.py"])
+        assert graph.modules["repro.pkg.mod"].imports == bindings
+        assert graph.functions["repro.pkg.mod.run"].calls == (
+            "repro.pkg.util.helper",
+            "repro.pkg.util.other",
+        )
+
+    def test_function_node_keeps_its_def(self, tmp_path):
+        write(
+            tmp_path,
+            "src/repro/box.py",
+            """
+            class Box:
+                async def get(self):
+                    return self.value
+            """,
+        )
+        graph = build(tmp_path, "src/repro/box.py")
+        func = graph.functions["repro.box.Box.get"]
+        assert isinstance(func.node, ast.AsyncFunctionDef)
+        assert (func.node.name, func.node.lineno) == ("get", func.lineno)
+        assert "repro.box.Box.get" in json.loads(graph.to_json())["async_roots"]
 
 
 class TestFactCollection:
