@@ -17,9 +17,10 @@ classic engines, and emits ``BENCH_batchgcd.json`` (schema
 - **scaling**: both passes at ``k=16`` in-process on corpora of half
   256-bit and half 128-bit moduli (the study's key-size mix), with the
   own- and foreign-pass times read from the
-  ``batch_gcd.task.remainder_tree`` spans.  The paired root gcd is
-  quadratic in subset-product bits, so its total grows faster than the
-  remainder pass's; the rows show the gap closing with n;
+  ``batch_gcd.task.remainder_tree`` spans, medians of ``reps`` runs
+  with the wall ratio's spread.  The paired root gcd is quadratic in
+  subset-product bits, so its total grows faster than the remainder
+  pass's; the rows show whether the gap closes with n;
 - **auto_pool**: in-process against 2-worker pooled paired descent at
   ``k=16`` on 256-bit moduli, n=600-3,000 — the evidence behind
   :data:`repro.core.select.AUTO_POOL_MIN_MODULI`.  A size counts as a
@@ -36,7 +37,7 @@ Scale is selected by ``REPRO_BENCH_BATCHGCD_SCALE``:
 
 - ``bench`` (default): the committed-artifact scale — 8 000 moduli from a
   48-bit prime pool, k=128 for the IPC leg, 2 workers, 3 repetitions
-  (medians; the scaling rows run once each).
+  (medians).
 - ``smoke``: CI-sized (seconds); same legs and identical-results
   assertions, telemetry overhead budget still enforced.  Ratios are never
   asserted (a loaded shared runner cannot honestly assert one).
@@ -315,39 +316,68 @@ def _pass_seconds(report, own: bool) -> float:
 def test_foreign_pass_scaling(bench_record):
     """Both passes at ``k=16`` in-process as the corpus grows.
 
-    Half the moduli are 256-bit and half 128-bit.  Each row records, per
-    pass, the engine wall, the parent's tree-build time (which includes
-    the remainder pass's Barrett reciprocals), and the own- and
-    foreign-pass times from the pass spans.  For descent, the own pass
-    is the sibling-gcd walk and the foreign pass every pair's root gcd
-    and both descents; the remainder column keeps the squared-tree own
-    pass.  One run per size and pass; divisors must match.
+    Half the moduli are 256-bit and half 128-bit.  Each size runs both
+    passes ``reps`` times, alternating them.  Each row records, per
+    pass, the medians of the engine wall, of the parent's tree-build
+    time (which includes the remainder pass's Barrett reciprocals) and
+    of the own- and foreign-pass times from the pass spans; then the
+    ratio of the median walls, and the min and max of the ratio over
+    the reps' pairs of runs.  For descent, the own pass is the
+    sibling-gcd walk and the foreign pass every pair's root gcd and
+    both descents; the remainder column keeps the squared-tree own
+    pass.  Divisors must match in every rep.
     """
+    reps = PARAMS["reps"]
     for size in PARAMS["scaling"]:
         moduli = _wide_corpus(size, (128, 64))
-        row = {"moduli": size, "k": 16, "reps": 1}
+        runs = {"clustered_streaming": [], "alltoall": []}
+        tasks = {}
         results = {}
-        for name, engine in (
-            ("clustered_streaming", ClusteredBatchGcd(k=16)),
-            ("alltoall", _alltoall(k=16)),
-        ):
-            telemetry = Telemetry()
-            with use_telemetry(telemetry), telemetry.span("bench"):
-                results[name], wall = _run(engine, moduli)
-            report = telemetry.report()
-            row[name] = {
-                "wall_seconds": round(wall, 4),
-                "tree_build_seconds": round(engine.last_stats.tree_build_seconds, 4),
-                "own_pass_seconds": round(_pass_seconds(report, own=True), 4),
-                "foreign_pass_seconds": round(_pass_seconds(report, own=False), 4),
-                "tasks": engine.last_stats.tasks,
+        for _ in range(reps):
+            for name, engine in (
+                ("clustered_streaming", ClusteredBatchGcd(k=16)),
+                ("alltoall", _alltoall(k=16)),
+            ):
+                telemetry = Telemetry()
+                with use_telemetry(telemetry), telemetry.span("bench"):
+                    results[name], wall = _run(engine, moduli)
+                report = telemetry.report()
+                runs[name].append({
+                    "wall_seconds": wall,
+                    "tree_build_seconds": engine.last_stats.tree_build_seconds,
+                    "own_pass_seconds": _pass_seconds(report, own=True),
+                    "foreign_pass_seconds": _pass_seconds(report, own=False),
+                })
+                tasks[name] = engine.last_stats.tasks
+            assert (
+                results["alltoall"].divisors
+                == results["clustered_streaming"].divisors
+            )
+        medians = {
+            name: {
+                field: statistics.median(m[field] for m in measured)
+                for field in measured[0]
             }
-        assert results["alltoall"].divisors == results["clustered_streaming"].divisors
+            for name, measured in runs.items()
+        }
+        ratios = [
+            alltoall["wall_seconds"] / clustered["wall_seconds"]
+            for clustered, alltoall in zip(
+                runs["clustered_streaming"], runs["alltoall"]
+            )
+        ]
+        row = {"moduli": size, "k": 16, "reps": reps}
+        for name, median in medians.items():
+            row[name] = {field: round(value, 4) for field, value in median.items()}
+            row[name]["tasks"] = tasks[name]
         row["alltoall_over_clustered"] = round(
-            row["alltoall"]["wall_seconds"]
-            / row["clustered_streaming"]["wall_seconds"],
+            medians["alltoall"]["wall_seconds"]
+            / medians["clustered_streaming"]["wall_seconds"],
             4,
         )
+        row["alltoall_over_clustered_range"] = [
+            round(min(ratios), 4), round(max(ratios), 4),
+        ]
         bench_record["scaling"][f"n{size}"] = row
 
 

@@ -8,7 +8,6 @@ no vulnerable implementation emitted exclusively safe primes.
 import pytest
 
 from repro.analysis.tables import build_table5
-from repro.devices.vendors import VENDORS
 from repro.reporting.study import render_table5
 
 from conftest import write_artifact

@@ -356,24 +356,7 @@ def _execute_chunk(
     is on (one ``batch_gcd.task`` span and timer observation per task).
     """
     paired = state["foreign_pass"] == "descent"
-
-    def records(task, found, seconds):
-        return [
-            (i, j, hits, seconds if n == 0 else 0.0)
-            for n, ((i, j), hits) in enumerate(
-                zip(_task_passes(task, paired), found)
-            )
-        ]
-
-    if not state["instrument"]:
-        clock = get_telemetry().clock
-        results = []
-        for i, j in tasks:
-            started = clock.wall()
-            found = _task_divisors(state, i, j)
-            results.extend(records((i, j), found, clock.wall() - started))
-        return results, None
-    telemetry = Telemetry()
+    telemetry = Telemetry(enabled=state["instrument"])
     clock = telemetry.clock
     results = []
     with use_telemetry(telemetry):
@@ -390,13 +373,17 @@ def _execute_chunk(
                 found = _task_divisors(state, i, j)
             seconds = clock.wall() - started
             telemetry.observe("batch_gcd.task", seconds, seconds)
-            results.extend(records((i, j), found, seconds))
-    return results, telemetry.report().to_dict()
+            results.extend(
+                (pi, pj, hits, seconds if n == 0 else 0.0)
+                for n, ((pi, pj), hits) in enumerate(
+                    zip(_task_passes((i, j), paired), found)
+                )
+            )
+    return results, telemetry.report().to_dict() if telemetry.enabled else None
 
 
 def _faulted_chunk(
     state: dict[str, Any],
-    plan: FaultPlan | None,
     chunk_id: int,
     attempt: int,
     tasks: Sequence[tuple[int, int]],
@@ -404,7 +391,7 @@ def _faulted_chunk(
     pooled: bool,
 ) -> tuple[list[tuple[int, int, list[tuple[int, int]], float]], dict[str, Any] | None]:
     """Execute one chunk attempt through the fault seam."""
-    rule = trigger_fault(plan, chunk_id, attempt, pooled=pooled)
+    rule = trigger_fault(state["fault_plan"], chunk_id, attempt, pooled=pooled)
     results, report = _execute_chunk(state, tasks)
     if rule is not None and rule.kind == "corrupt":
         results = corrupt_chunk_results(results)
@@ -416,14 +403,7 @@ def _run_chunk(
 ) -> tuple[list[tuple[int, int, list[tuple[int, int]], float]], dict[str, Any] | None]:
     """Process-pool entry point (top level so it pickles): index pairs only."""
     assert _WORKER_STATE is not None, "worker used before _pool_init broadcast"
-    return _faulted_chunk(
-        _WORKER_STATE,
-        _WORKER_STATE["fault_plan"],
-        chunk_id,
-        attempt,
-        tasks,
-        pooled=True,
-    )
+    return _faulted_chunk(_WORKER_STATE, chunk_id, attempt, tasks, pooled=True)
 
 
 def _verify_chunk(
@@ -665,9 +645,7 @@ class ClusteredBatchGcd:
                 checkpoint_written += len(completed_passes)
 
         def local_chunk(chunk_id: int, attempt: int, chunk):
-            return _faulted_chunk(
-                state, plan, chunk_id, attempt, chunk, pooled=False
-            )
+            return _faulted_chunk(state, chunk_id, attempt, chunk, pooled=False)
 
         def fallback_chunk(chunk_id: int, chunk):
             return _execute_chunk(state, chunk)

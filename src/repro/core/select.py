@@ -76,10 +76,10 @@ ENGINE_NAMES = ("auto", "classic", "clustered", "incremental", "alltoall")
 #: this, pool startup dominates.  BENCH_batchgcd.json ``auto_pool`` (paired
 #: descent at k=16, its own passes the sibling-gcd walk, 256-bit moduli,
 #: 2 workers on a 2-core host), where pooling must beat in-process by its
-#: 5 % margin: pooled 0.058 s vs 0.045 s in-process at n=600, a tie at
-#: n=1000 (0.091 vs 0.091 s), and pooling wins at every larger size
-#: measured: 0.129 vs 0.162 s at n=1500, up to 0.361 vs 0.706 s at n=3000.
-AUTO_POOL_MIN_MODULI = 1500
+#: 5 % margin: pooled 0.068 s vs 0.037 s in-process at n=600, and pooling
+#: wins at every larger size measured: 0.095 vs 0.111 s at n=1000, 0.129
+#: vs 0.143 s at n=1500, up to 0.409 vs 0.716 s at n=3000.
+AUTO_POOL_MIN_MODULI = 1000
 
 #: Worker-count ceiling for ``auto`` pooled runs; beyond this the k-way
 #: task graph stops scaling for corpora near the pool threshold.

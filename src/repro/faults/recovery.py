@@ -1,4 +1,4 @@
-"""Retry / rebuild / degrade execution of task chunks over a process pool.
+"""Retry / rebuild / degrade execution of task chunks, pooled or in-process.
 
 :class:`ResilientExecutor` is the recovery seam between a task graph and
 ``concurrent.futures``: the clustered batch GCD hands it a list of
@@ -7,7 +7,10 @@
 - **pool_task**: a module-level (picklable) callable run on a
   :class:`~concurrent.futures.ProcessPoolExecutor` worker,
 - **local_task**: the in-process equivalent (used when no pool factory is
-  given, i.e. ``processes=None`` runs),
+  given, i.e. ``processes=None`` runs).  It runs on a private inline
+  executor whose ``submit`` calls it at once and returns a finished
+  future, so in-process runs go through the same recovery loop as pooled
+  ones, one chunk in flight at a time,
 - **fallback**: a fault-free in-parent execution used as the terminal
   resort once retries exhaust —
 
@@ -15,18 +18,23 @@ and a :class:`RecoveryPolicy`.  The executor then guarantees every chunk
 is consumed exactly once, surviving:
 
 - **worker exceptions** (including injected crashes): bounded retry with
-  exponential backoff, re-submitted to a fresh worker;
+  exponential backoff, re-submitted to a fresh worker.  A chunk waits out
+  its backoff in the queue while later chunks run;
 - **worker death** (``BrokenProcessPool``): the pool is torn down and
   rebuilt (re-running the initializer broadcast), every in-flight chunk
   re-queued; after ``max_pool_rebuilds`` rebuilds the pool is abandoned
   and the remaining chunks degrade to in-process execution;
 - **hung workers**: with ``chunk_timeout`` set, an in-flight chunk older
   than the timeout is abandoned (its eventual result, if any, is
-  discarded) and re-queued;
+  discarded) and re-queued.  An in-process chunk has finished before the
+  loop looks at its age, so the timeout cannot preempt it;
 - **corrupt results**: the caller's ``verify`` hook rejects incomplete
   chunk results (:class:`ChunkResultError`), which count and retry like
-  crashes.
+  crashes.  Any other exception from ``verify`` propagates.
 
+Every failed attempt counts once, as a crashed or a corrupt chunk, so a
+chunk that fails all ``max_retries + 1`` attempts counts that many
+failures and ``max_retries`` retries before it degrades to ``fallback``.
 Every recovery action is observable: the ``batch_gcd.retries`` /
 ``batch_gcd.pool_rebuilds`` / ``batch_gcd.chunk_timeout`` counters land
 in the active telemetry registry, and a :class:`RecoveryStats` totals the
@@ -137,6 +145,26 @@ class _Queued:
     attempt: int = field(compare=False)
 
 
+class _InlineExecutor:
+    """The in-process pool: ``submit`` runs the call before it returns.
+
+    The future it returns is already finished, holding the call's result
+    or the exception it raised, so in-process runs take the same recovery
+    loop as pooled ones.
+    """
+
+    def submit(self, fn: Callable[..., Any], /, *args: Any) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # read back by the loop, as from a worker
+            future.set_exception(exc)
+        return future
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        """Nothing to release: every submitted call has already run."""
+
+
 class ResilientExecutor:
     """Drive chunks to completion under the recovery policy (see module doc).
 
@@ -149,7 +177,8 @@ class ResilientExecutor:
             the pool is abandoned.
         pool_factory: zero-arg callable building a fresh
             ``ProcessPoolExecutor`` (carrying any initializer broadcast).
-            None selects in-process execution via ``local_task``.
+            None runs ``local_task`` in-process on an inline executor,
+            one chunk at a time.
         pool_task: module-level callable ``(chunk_id, attempt, payload) ->
             result`` submitted to the pool.
         local_task: in-process equivalent of ``pool_task`` (may raise, so
@@ -157,7 +186,7 @@ class ResilientExecutor:
         verify: optional ``(chunk_id, payload, result)`` hook raising
             :class:`ChunkResultError` on a corrupt result.
         window: bound on simultaneously in-flight chunks (pooled only).
-        on_submit: optional hook called before every pool submission
+        on_submit: optional hook called before every submission
             (payload-size accounting).
     """
 
@@ -181,12 +210,13 @@ class ResilientExecutor:
             raise ValueError("in-process execution needs a local_task")
         if window < 1:
             raise ValueError("window must be >= 1")
+        if pool_factory is None:
+            pool_factory, pool_task, window = _InlineExecutor, local_task, 1
         self._payloads = list(payloads)
         self._policy = policy
         self._fallback = fallback
         self._pool_factory = pool_factory
         self._pool_task = pool_task
-        self._local_task = local_task
         self._verify = verify
         self._window = window
         self._on_submit = on_submit
@@ -199,44 +229,6 @@ class ResilientExecutor:
         ``seconds`` is submit-to-consume latency for the winning attempt.
         Each chunk is consumed exactly once, in completion order.
         """
-        if self._pool_factory is None:
-            self._run_local(consume)
-        else:
-            self._run_pooled(consume)
-        return self.stats
-
-    # -- in-process ------------------------------------------------------
-
-    def _run_local(self, consume: Callable[[int, Any, float], None]) -> None:
-        telemetry = get_telemetry()
-        clock = telemetry.clock
-        for chunk_id, payload in self._payloads:
-            attempt = 0
-            while True:
-                started = clock.wall()
-                try:
-                    result = self._local_task(chunk_id, attempt, payload)
-                    if self._verify is not None:
-                        self._verify(chunk_id, payload, result)
-                except Exception as exc:
-                    if attempt >= self._policy.max_retries:
-                        started = clock.wall()
-                        result = self._fallback(chunk_id, payload)
-                        self.stats.inprocess_fallbacks += 1
-                        consume(chunk_id, result, clock.wall() - started)
-                        break
-                    self._count_failure(exc)
-                    self.stats.retries += 1
-                    telemetry.counter("batch_gcd.retries")
-                    self._sleep(self._policy.backoff(attempt))
-                    attempt += 1
-                    continue
-                consume(chunk_id, result, clock.wall() - started)
-                break
-
-    # -- pooled ----------------------------------------------------------
-
-    def _run_pooled(self, consume: Callable[[int, Any, float], None]) -> None:
         telemetry = get_telemetry()
         clock = telemetry.clock
         queue: list[_Queued] = []
@@ -248,15 +240,19 @@ class ResilientExecutor:
         completed: set[int] = set()
         pool = self._pool_factory()
 
+        def degrade(chunk_id: int, payload: Any) -> None:
+            """Run a chunk through the fault-free fallback and consume it."""
+            started = clock.wall()
+            result = self._fallback(chunk_id, payload)
+            self.stats.inprocess_fallbacks += 1
+            completed.add(chunk_id)
+            consume(chunk_id, result, clock.wall() - started)
+
         def requeue(rec: _Inflight, now: float) -> None:
             """Retry a failed attempt, or degrade it to in-process."""
             nonlocal seq
             if rec.attempt >= self._policy.max_retries:
-                started = clock.wall()
-                result = self._fallback(rec.chunk_id, rec.payload)
-                self.stats.inprocess_fallbacks += 1
-                completed.add(rec.chunk_id)
-                consume(rec.chunk_id, result, clock.wall() - started)
+                degrade(rec.chunk_id, rec.payload)
                 return
             self.stats.retries += 1
             telemetry.counter("batch_gcd.retries")
@@ -296,11 +292,7 @@ class ResilientExecutor:
                         self._sleep(item.eligible_at - now)
                         now = clock.wall()
                     if pool is None:
-                        started = clock.wall()
-                        result = self._fallback(item.chunk_id, item.payload)
-                        self.stats.inprocess_fallbacks += 1
-                        completed.add(item.chunk_id)
-                        consume(item.chunk_id, result, clock.wall() - started)
+                        degrade(item.chunk_id, item.payload)
                         continue
                     if self._on_submit is not None:
                         self._on_submit(item.chunk_id, item.payload)
@@ -367,6 +359,7 @@ class ResilientExecutor:
                 future.cancel()
             if pool is not None:
                 pool.shutdown(wait=True, cancel_futures=True)
+        return self.stats
 
     def _poll_timeout(
         self,

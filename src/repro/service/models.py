@@ -330,8 +330,9 @@ class ServiceConfig:
             and every modulus is also checked against all previously
             ingested moduli; jobs of at most
             :data:`~repro.core.incremental.INCREMENTAL_MAX_BATCH` moduli
-            are served by per-modulus store inserts, bigger ones by a
-            clustered run that re-bootstraps the store).  Defaults to
+            are served by per-modulus store inserts, bigger ones by an
+            all-to-all run over the union corpus that re-bootstraps the
+            store).  Defaults to
             :data:`DEFAULT_ENGINE`.  The service derives
             ``checkpoint_dir`` (per job) and ``store_dir`` from
             ``state_dir``, so a record naming either is rejected.

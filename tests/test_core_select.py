@@ -40,7 +40,7 @@ class TestAutoProcesses:
 
     def test_small_corpus_stays_in_process(self):
         # BENCH_batchgcd.json auto_pool: pool startup dominates small
-        # corpora (0.058 s pooled vs 0.045 s in-process at n=600).
+        # corpora (0.068 s pooled vs 0.037 s in-process at n=600).
         assert auto_processes(616, cores=8)[0] is None
         assert auto_processes(AUTO_POOL_MIN_MODULI - 1, cores=8)[0] is None
 

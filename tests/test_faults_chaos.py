@@ -208,6 +208,33 @@ class TestPooledFaultMatrix:
         assert stats.retries >= 1
 
 
+class TestInProcessMatchesPooled:
+    """In-process and pooled runs share one recovery loop and count alike."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_exhausted_corrupt_chunk_counts_alike(self, engine):
+        plan = FaultPlan(
+            seed=6, rules=(FaultRule(kind="corrupt", times=10, chunks=(0,)),)
+        )
+        inprocess = _make_engine(engine, plan)
+        pooled = _make_engine(engine, plan, processes=1, max_inflight=1)
+        results = [runner.run(MODULI) for runner in (inprocess, pooled)]
+        assert results[0].divisors == results[1].divisors == BASELINE.divisors
+        counts = [
+            (
+                runner.last_stats.retries,
+                runner.last_stats.corrupt_chunks,
+                runner.last_stats.crashed_chunks,
+                runner.last_stats.inprocess_fallbacks,
+            )
+            for runner in (inprocess, pooled)
+        ]
+        # every attempt of chunk 0 is rejected: max_retries + 1 of them
+        assert counts[0] == counts[1] == (
+            FAST.max_retries, FAST.max_retries + 1, 0, 1,
+        )
+
+
 class TestCheckpointResume:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_faulty_checkpointed_rerun_is_byte_identical(

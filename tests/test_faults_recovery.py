@@ -366,6 +366,38 @@ class TestResilientExecutorPooled:
         assert pool.shutdown_calls[-1] == (True, True)
 
 
+class TestInProcessMatchesPooled:
+    """In-process and pooled runs share one recovery loop, so they count
+    every failed attempt alike."""
+
+    def test_exhausted_chunks_count_alike(self):
+        def always_dies(chunk_id, attempt, payload):
+            raise RuntimeError("never works")
+
+        def run(**execution):
+            consumed = []
+            stats = ResilientExecutor(
+                payloads=[(0, "a"), (1, "b")],
+                policy=_fast_policy(),
+                fallback=lambda cid, p: ("rescued", cid, p),
+                **execution,
+            ).run(lambda cid, result, seconds: consumed.append((cid, result)))
+            return stats, consumed
+
+        attempts = _fast_policy().max_retries + 1
+        pool = _FakePool(
+            script={(c, a): "raise" for c in range(2) for a in range(attempts)}
+        )
+        inprocess = run(local_task=always_dies)
+        pooled = run(pool_factory=lambda: pool, pool_task=_task, window=1)
+        assert inprocess == pooled
+        stats, consumed = inprocess
+        assert consumed == [(0, ("rescued", 0, "a")), (1, ("rescued", 1, "b"))]
+        assert stats.crashed_chunks == 2 * attempts
+        assert stats.retries == 2 * (attempts - 1)
+        assert stats.inprocess_fallbacks == 2
+
+
 def _weak_moduli(seed):
     """Fifteen 64-bit moduli, every third sharing a prime from a pool of 5."""
     rng = random.Random(seed)
