@@ -23,10 +23,12 @@ classic engines, and emits ``BENCH_batchgcd.json`` (schema
   pass's; the rows show whether the gap closes with n;
 - **auto_pool**: in-process against 2-worker pooled paired descent at
   ``k=16`` on 256-bit moduli, n=600-3,000 — the evidence behind
-  :data:`repro.core.select.AUTO_POOL_MIN_MODULI`.  A size counts as a
-  pooled win only when pooling beats in-process by
-  :data:`AUTO_POOL_MARGIN`, so a tie at the boundary cannot move the
-  threshold.
+  :data:`repro.core.select.AUTO_POOL_MIN_MODULI`.  Each size runs
+  :data:`AUTO_POOL_PAIRS` interleaved pairs, alternating which side runs
+  first, and counts as a pooled win only when pooling takes at most
+  ``1 - AUTO_POOL_MARGIN`` of the in-process wall in at least
+  :data:`AUTO_POOL_MIN_WINS` of them, so neither a tie at the boundary
+  nor one slow run can move the threshold.
 
 Every engine leg is timed by the engine's own clock
 (``last_stats.wall_seconds``, the telemetry clock); only the naive leg,
@@ -84,10 +86,15 @@ PARAMS = {
     ),
 }[SCALE]
 
-#: A pooled run wins only at most ``1 - AUTO_POOL_MARGIN`` times the
-#: in-process wall: medians of three runs drift by a few percent between
-#: artifacts, and a 1.8 % flip once moved the threshold a whole row.
+#: A pooled run wins a pair only at most ``1 - AUTO_POOL_MARGIN`` times
+#: the in-process wall, and a size is a pooled win only when pooling wins
+#: ``AUTO_POOL_MIN_WINS`` of ``AUTO_POOL_PAIRS`` interleaved pairs.  A
+#: comparison of two medians of three moved the threshold a whole row on
+#: a 1.8 % flip, and again on a 10-15 % swing of one side's runs at
+#: n=1000 that interleaved pairs of the same code did not show.
 AUTO_POOL_MARGIN = 0.05
+AUTO_POOL_PAIRS = 5
+AUTO_POOL_MIN_WINS = 4
 
 
 def _make_corpus(n: int, bits: int, seed: int = 2016) -> list[int]:
@@ -386,12 +393,13 @@ def test_auto_pool_threshold(bench_record):
 
     ``auto`` runs the descent pass at ``k=16`` and reaches for a pool from
     :data:`~repro.core.select.AUTO_POOL_MIN_MODULI` moduli on.  Each row
-    records median walls of both on 256-bit moduli (the batchgcd
-    workload's shape); ``smallest_pooled_win`` is the smallest measured
-    size from which pooling wins by :data:`AUTO_POOL_MARGIN` at every
-    larger size too.
+    runs both on 256-bit moduli (the batchgcd workload's shape) in
+    :data:`AUTO_POOL_PAIRS` interleaved pairs, alternating which side
+    runs first, and records the median walls, each pair's pooled over
+    in-process ratio and the pairs pooling won by :data:`AUTO_POOL_MARGIN`;
+    ``smallest_pooled_win`` is the smallest measured size from which
+    pooling wins :data:`AUTO_POOL_MIN_WINS` pairs at every larger size too.
     """
-    reps = PARAMS["reps"]
     processes = PARAMS["processes"]
     rows = {}
     wins = []
@@ -399,11 +407,17 @@ def test_auto_pool_threshold(bench_record):
         moduli = _wide_corpus(size, (128,))
         walls = {"in_process": [], "pooled": []}
         results = {}
-        for _ in range(reps):
-            for name, pool in (("in_process", None), ("pooled", processes)):
+        sides = (("in_process", None), ("pooled", processes))
+        for pair in range(AUTO_POOL_PAIRS):
+            for name, pool in sides[:: 1 if pair % 2 == 0 else -1]:
                 results[name], wall = _run(_alltoall(k=16, processes=pool), moduli)
                 walls[name].append(wall)
-        assert results["pooled"].divisors == results["in_process"].divisors
+            assert results["pooled"].divisors == results["in_process"].divisors
+        ratios = [
+            pooled / in_process
+            for pooled, in_process in zip(walls["pooled"], walls["in_process"])
+        ]
+        pooled_wins = sum(ratio <= 1 - AUTO_POOL_MARGIN for ratio in ratios)
         in_process = statistics.median(walls["in_process"])
         pooled = statistics.median(walls["pooled"])
         rows[f"n{size}"] = {
@@ -411,8 +425,10 @@ def test_auto_pool_threshold(bench_record):
             "in_process_wall_seconds": round(in_process, 4),
             "pooled_wall_seconds": round(pooled, 4),
             "pooled_over_in_process": round(pooled / in_process, 4),
+            "pair_ratios": [round(ratio, 4) for ratio in ratios],
+            "pooled_wins": pooled_wins,
         }
-        wins.append((size, pooled <= (1 - AUTO_POOL_MARGIN) * in_process))
+        wins.append((size, pooled_wins >= AUTO_POOL_MIN_WINS))
     smallest = None
     for size, won in reversed(wins):
         if not won:
@@ -421,8 +437,9 @@ def test_auto_pool_threshold(bench_record):
     bench_record["auto_pool"] = {
         "k": 16,
         "margin": AUTO_POOL_MARGIN,
+        "pairs": AUTO_POOL_PAIRS,
+        "min_wins": AUTO_POOL_MIN_WINS,
         "processes": processes,
-        "reps": reps,
         "rows": rows,
         "smallest_pooled_win": smallest,
     }

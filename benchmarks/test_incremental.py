@@ -12,17 +12,27 @@ measures both paths across corpus sizes and emits
 "≥10x per-job speedup at n=8000" acceptance criterion — while asserting
 the two paths produce byte-identical divisors and factors.
 
+The ``store_size`` leg times what a service job pays on a grown store:
+4-modulus jobs through :class:`repro.service.worker.KeyCheckRunner` on
+stores of 1k, 8k and 32k 256-bit moduli.  The first job opens a store
+directory this process never opened, so it builds the whole tree (a
+restart); the later jobs' opens keep the tree the job before them built.
+Its times come from each job's own RunReport: the ``service.job`` span
+and its ``batch_gcd.incremental.open`` child.
+
 Scale is selected by ``REPRO_BENCH_INCREMENTAL_SCALE``:
 
 - ``bench`` (default): committed-artifact scale — corpus sizes 1 000 /
   8 000 / 32 000 from 48-bit primes, persistent on-disk stores, the
-  speedup assertion enforced at n=8 000.
+  speedup assertion enforced at n=8 000; stores of 1 000 / 8 000 /
+  32 000 256-bit moduli and ten warm jobs for the ``store_size`` leg.
 - ``smoke``: CI-sized (seconds) — small corpora, same legs and parity
   assertions, no speedup assertion (a loaded shared runner cannot
   honestly assert a ratio).
 
-Timing uses ``time.perf_counter`` directly: benchmarks are exempt from
-the determinism linter by design (they measure, they don't simulate).
+The latency legs use ``time.perf_counter`` directly: benchmarks are
+exempt from the determinism linter by design (they measure, they don't
+simulate).
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ import json
 import os
 import pathlib
 import random
+import shutil
 import statistics
 import time
 
@@ -38,9 +49,14 @@ import pytest
 
 from repro.core.batchgcd import batch_gcd, batch_gcd_divisors
 from repro.core.results import BatchGcdResult
+from repro.core.select import EngineConfig
 from repro.crypto.primes import generate_prime
 from repro.numt.backend import available_backends
 from repro.numt.incremental import ProductTreeStore
+from repro.numt.primality import is_probable_prime
+from repro.service.models import JobRecord, ServiceConfig
+from repro.service.worker import INCREMENTAL_STORE_DIR, KeyCheckRunner
+from repro.telemetry import RunReport
 
 from conftest import OUTPUT_DIR
 
@@ -49,8 +65,9 @@ REPO_ROOT = pathlib.Path(__file__).parent.parent
 SCALE = os.environ.get("REPRO_BENCH_INCREMENTAL_SCALE", "bench")
 
 #: Per-scale knobs: corpus sizes for the latency curve, prime bits, the
-#: number of probe moduli timed per size, and the size the headline
-#: speedup assertion runs at.
+#: number of probe moduli timed per size, the size the headline speedup
+#: assertion runs at, and the store sizes and warm jobs of the
+#: ``store_size`` leg (its moduli are 256-bit, its jobs 4 moduli).
 PARAMS = {
     "bench": dict(
         sizes=(1_000, 8_000, 32_000),
@@ -58,6 +75,8 @@ PARAMS = {
         probes=12,
         headline_size=8_000,
         parity_size=1_000,
+        store_sizes=(1_000, 8_000, 32_000),
+        warm_jobs=10,
     ),
     "smoke": dict(
         sizes=(200, 600),
@@ -65,8 +84,13 @@ PARAMS = {
         probes=6,
         headline_size=600,
         parity_size=200,
+        store_sizes=(200, 600),
+        warm_jobs=3,
     ),
 }[SCALE]
+
+#: Moduli per job in the ``store_size`` leg: the service workload's jobs.
+JOB_MODULI = 4
 
 
 def _make_corpus(
@@ -119,7 +143,7 @@ def corpus_and_pool():
 def bench_record():
     """Accumulates every leg's measurements; dumped to JSON at teardown."""
     record = {
-        "schema": "bench-incremental/1",
+        "schema": "bench-incremental/2",
         "scale": SCALE,
         "params": {
             key: list(value) if isinstance(value, tuple) else value
@@ -129,6 +153,7 @@ def bench_record():
         "sizes": {},
         "headline": {},
         "parity": {},
+        "store_size": {},
     }
     yield record
     OUTPUT_DIR.mkdir(exist_ok=True)
@@ -238,3 +263,77 @@ def test_factor_parity(corpus_and_pool, bench_record):
         "identical_divisors": True,
         "identical_factors": True,
     }
+
+
+def _prime_128(rng: random.Random) -> int:
+    """A random 128-bit probable prime (two Miller-Rabin rounds: ample
+    for timing inputs, and a fraction of the program's 32-round cost)."""
+    while True:
+        candidate = rng.getrandbits(128) | (1 << 127) | 1
+        if is_probable_prime(candidate, rounds=2, rng=rng):
+            return candidate
+
+
+def _job_times(report: dict) -> tuple[float, float, dict]:
+    """``(job, open)`` wall seconds and the open's attrs, from a RunReport."""
+    job = RunReport.from_dict(report).find_span("service.job")
+    opened = job.find("batch_gcd.incremental.open")
+    return job.wall_seconds, opened.wall_seconds, opened.attrs
+
+
+def test_store_size_jobs(bench_record, tmp_path_factory):
+    """4-modulus jobs through the runner on stores of 1k, 8k and 32k moduli.
+
+    Each size's store is written once, by a bootstrap, then copied to a
+    directory this process never opened: the first job there opens cold
+    and builds the whole tree, as after a restart; each later job's open
+    keeps the tree the job before it built.  The stored moduli are
+    products of distinct random primes, so the bootstrap's divisors are
+    all 1; every even job plants a modulus sharing a prime with the
+    store, so the partner descent and a divisor commit run too.
+    """
+    rng = random.Random(2017)
+    primes = [_prime_128(rng) for _ in range(2 * max(PARAMS["store_sizes"]))]
+    assert len(set(primes)) == len(primes)
+    corpus = [primes[i] * primes[i + 1] for i in range(0, len(primes), 2)]
+    jobs = 1 + PARAMS["warm_jobs"]
+    for n in PARAMS["store_sizes"]:
+        built = tmp_path_factory.mktemp(f"built-{n}")
+        ProductTreeStore(built / INCREMENTAL_STORE_DIR).bootstrap(corpus[:n])
+        state = tmp_path_factory.mktemp(f"state-{n}") / "state"
+        shutil.copytree(built, state)
+        runner = KeyCheckRunner(
+            ServiceConfig(
+                state_dir=str(state), engine=EngineConfig(engine="incremental", k=4)
+            )
+        )
+        times = []
+        for index in range(jobs):
+            moduli = [_prime_128(rng) * _prime_128(rng) for _ in range(JOB_MODULI)]
+            if index % 2 == 0:
+                moduli[0] = primes[2 * rng.randrange(n)] * _prime_128(rng)
+            result, report = runner(
+                JobRecord(job_id=f"job-{index}", seq=index, digest="-", moduli=moduli)
+            )
+            assert len(result.divisors) == (index % 2 == 0)
+            job_wall, open_wall, opened = _job_times(report)
+            replayed = n + JOB_MODULI * index
+            assert opened == {
+                "replayed_leaves": replayed,
+                "kept_leaves": replayed if index else 0,
+            }
+            times.append((job_wall, open_wall))
+        (cold_job, cold_open), warm = times[0], times[1:]
+        bench_record["store_size"][f"n{n}"] = {
+            "stored_moduli": n,
+            "job_moduli": JOB_MODULI,
+            "cold_job_ms": round(cold_job * 1000, 3),
+            "cold_open_ms": round(cold_open * 1000, 3),
+            "warm_jobs": len(warm),
+            "warm_job_ms_median": round(
+                statistics.median(job for job, _ in warm) * 1000, 3
+            ),
+            "warm_open_ms_median": round(
+                statistics.median(wall for _, wall in warm) * 1000, 3
+            ),
+        }

@@ -3,8 +3,9 @@
 :class:`IncrementalBatchGcd` is the engine-seam facade over
 :class:`repro.numt.incremental.ProductTreeStore`.  Where the other
 engines recompute the full product/remainder tree per :meth:`run`, this
-one keeps the corpus tree alive between runs (on disk when ``store_dir``
-is set) and pays only for what changed:
+one keeps the corpus alive between runs (on disk when ``store_dir`` is
+set; each run reopens the store, which keeps the tree the previous run
+built in this process) and pays only for what changed:
 
 - a run whose corpus **extends** the stored corpus by a few moduli
   inserts just the extension as one durable commit — per new modulus,

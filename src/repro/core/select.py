@@ -75,10 +75,11 @@ ENGINE_NAMES = ("auto", "classic", "clustered", "incremental", "alltoall")
 #: Smallest corpus for which ``auto`` reaches for a process pool: below
 #: this, pool startup dominates.  BENCH_batchgcd.json ``auto_pool`` (paired
 #: descent at k=16, its own passes the sibling-gcd walk, 256-bit moduli,
-#: 2 workers on a 2-core host), where pooling must beat in-process by its
-#: 5 % margin: pooled 0.068 s vs 0.037 s in-process at n=600, and pooling
-#: wins at every larger size measured: 0.095 vs 0.111 s at n=1000, 0.129
-#: vs 0.143 s at n=1500, up to 0.409 vs 0.716 s at n=3000.
+#: 2 workers on a 2-core host), where pooling must take at most 0.95x the
+#: in-process wall in 4 of 5 interleaved pairs: it wins none at n=600
+#: (medians 0.061 s pooled, 0.046 s in-process) and all five at every
+#: larger size measured: 0.086 vs 0.106 s at n=1000, 0.155 vs 0.223 s at
+#: n=1500, up to 0.373 vs 0.716 s at n=3000.
 AUTO_POOL_MIN_MODULI = 1000
 
 #: Worker-count ceiling for ``auto`` pooled runs; beyond this the k-way

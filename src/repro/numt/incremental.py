@@ -22,8 +22,9 @@ seen so far):
   divisor-guided descent from each block root then locates the partner
   leaves.
 - :class:`ProductTreeStore` persists the corpus as one append-only log,
-  a :class:`~repro.faults.journal.MutationJournal`, and rebuilds the
-  blocks in memory from the leaves when it opens.
+  a :class:`~repro.faults.journal.MutationJournal`.  The blocks live in
+  memory only, and an open multiplies only those this process has not
+  already built for the store (below).
 
 Layout under ``directory``::
 
@@ -41,7 +42,13 @@ by one fsynced append of its moduli, the new value of every divisor it
 changed and the new progress of the job it advanced.  The first commit
 writes the identity line with :func:`~repro.faults.fsio.atomic_write_text`,
 so no log lacks it.  Opening replays the records in order without
-probing, then builds the complete blocks once.  A torn final line (a
+probing, then builds the complete blocks.  A tree is a function of its
+leaves alone, so the open keeps the nodes of the tree that the last
+store opened or bootstrapped in this process built for the same
+directory, over the ``n`` leaves the log and that tree agree on, and
+multiplies only the blocks after them (all of them after a restart, or
+when the first leaves disagree).  The log stays the only source of
+moduli, divisors and job progress.  A torn final line (a
 kill mid-append) is skipped by :func:`~repro.faults.fsio.read_jsonl`, so
 only a batch whose call never returned is lost; a record that is not a
 batch, or that does not start at the leaf count so far, raises
@@ -57,7 +64,10 @@ byte-identical; on degenerate non-squarefree inputs the multiplicity may
 be a proper divisor of the classic one, exactly as for
 :class:`repro.core.clustered.ClusteredBatchGcd`.
 
-Telemetry (active registry, see :mod:`repro.telemetry`): each probe
+Telemetry (active registry, see :mod:`repro.telemetry`): each open of a
+persistent store records a ``batch_gcd.incremental.open`` span
+(annotated with ``replayed_leaves`` and ``kept_leaves``, the leaves
+whose nodes were kept rather than multiplied), each probe
 records a ``batch_gcd.incremental.descend`` span (annotated with the
 partner count), each inserted modulus a ``batch_gcd.incremental.insert``
 span (annotated with ``built_nodes``, the nodes its append computed) plus
@@ -72,7 +82,7 @@ import json
 import math
 import shutil
 from pathlib import Path
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, ClassVar, Iterable, NamedTuple, Sequence
 
 from repro.faults.fsio import atomic_write_text, fsync_dir, read_jsonl
 from repro.faults.journal import MutationJournal
@@ -152,19 +162,42 @@ class IncrementalProductTree:
     Args:
         moduli: initial corpus (appended in order).
         backend: big-int backend for the tree's operands.
+        reuse: a tree built earlier, maybe over more or fewer leaves.
+            If its first ``n`` leaves equal the first ``n`` of ``moduli``,
+            ``n`` the smaller count, the first ``n >> L`` nodes of its
+            level ``L`` are products of those leaves alone: they are
+            copied, into new lists, instead of multiplied again, and only
+            the blocks after them are built.  A tree whose leaves or
+            backend disagree is not used.
     """
 
     def __init__(
         self,
         moduli: Sequence[int] = (),
         backend: str | BigIntBackend | None = None,
+        reuse: IncrementalProductTree | None = None,
     ) -> None:
         self._backend = resolve_backend(backend)
-        level = self._backend.wrap_all(moduli) if moduli else []
-        self._levels = [level]
-        while len(level) > 1:
-            level = [level[i] * level[i + 1] for i in range(0, len(level) - 1, 2)]
-            self._levels.append(level)
+        n = 0
+        if reuse is not None and reuse.backend.name == self._backend.name:
+            n = min(reuse.count, len(moduli))
+            if reuse.levels[0][:n] != list(moduli[:n]):
+                n = 0
+        #: Leaves whose nodes were kept from ``reuse``, not multiplied.
+        self.reused = n
+        kept = reuse.levels[: n.bit_length()] if n else []
+        self._levels = [nodes[: n >> level] for level, nodes in enumerate(kept)] or [[]]
+        self._levels[0].extend(self._backend.wrap_all(moduli[n:]))
+        level = 0
+        while len(self._levels[level]) > 1:
+            if level + 1 == len(self._levels):
+                self._levels.append([])
+            nodes, parents = self._levels[level : level + 2]
+            parents += [
+                nodes[i] * nodes[i + 1]
+                for i in range(2 * len(parents), len(nodes) - 1, 2)
+            ]
+            level += 1
 
     @property
     def backend(self) -> BigIntBackend:
@@ -264,7 +297,12 @@ class ProductTreeStore:
     One store holds one evolving corpus: the complete-block product tree
     (for the per-block checks and descents), the accumulated sparse
     divisors (the vulnerable set so far), and per-job insert progress so
-    a crashed service job resumes idempotently.
+    a crashed service job resumes idempotently.  Only the tree outlives
+    a store: a persistent store's tree is kept for the next open of its
+    directory in this process, which copies the nodes over the leaves it
+    replays from the log (see :class:`IncrementalProductTree`'s
+    ``reuse``).  At most one tree is kept per process, and two stores
+    open on one directory share no level list.
 
     Args:
         directory: store root on disk, or ``None`` for a memory-only
@@ -282,6 +320,15 @@ class ProductTreeStore:
         ValueError: on a backend mismatch with the persisted identity.
     """
 
+    #: The tree the last persistent store opened or bootstrapped in this
+    #: process built, with that store's resolved directory.  The store
+    #: keeps appending to it, so the next open of the same directory finds
+    #: the log's last commit already multiplied.  It is process-wide
+    #: because the runner and the engine open a store per job.  A tree is
+    #: a function of its leaves, so whatever tree a test or a racing open
+    #: leaves here changes how much an open multiplies, never its result.
+    _kept: ClassVar[tuple[Path, IncrementalProductTree] | None] = None
+
     def __init__(
         self,
         directory: str | Path | None = None,
@@ -296,9 +343,14 @@ class ProductTreeStore:
             self._tree = IncrementalProductTree(backend=backend)
             return
         self._journal = MutationJournal(self.directory / _LOG)
-        if (self.directory / _MANIFEST).exists():
-            self._upgrade()
-        self._load(backend)
+        telemetry = get_telemetry()
+        with telemetry.span("batch_gcd.incremental.open"):
+            if (self.directory / _MANIFEST).exists():
+                self._upgrade()
+            self._load(backend)
+            telemetry.annotate(
+                replayed_leaves=self.count, kept_leaves=self._tree.reused
+            )
 
     # -- identity and queries -------------------------------------------
 
@@ -410,9 +462,9 @@ class ProductTreeStore:
 
         The bulk-ingest path: a full engine run already computed the
         corpus divisors, so the store adopts them and builds the complete
-        blocks once (no per-insert appends).  On disk it is one more
-        fsynced append: the new moduli, the divisors that changed and
-        the job entries given.
+        blocks after its own leaves in one pass (no per-insert appends).
+        On disk it is one more fsynced append: the new moduli, the
+        divisors that changed and the job entries given.
 
         Args:
             moduli: the full corpus, in order.  Must extend the current
@@ -442,7 +494,11 @@ class ProductTreeStore:
                 if hits.get(i, 1) != self._hits.get(i, 1)
             }
             given = {job: tuple(progress) for job, progress in (jobs or {}).items()}
-            self._tree = IncrementalProductTree(moduli, backend=self._tree.backend)
+            self._keep(
+                IncrementalProductTree(
+                    moduli, backend=self._tree.backend, reuse=self._tree
+                )
+            )
             self._moduli = list(moduli)
             self._hits = hits
             self._jobs.update(given)
@@ -504,8 +560,20 @@ class ProductTreeStore:
             self._logged = True
         self._journal.append(_batch_record(index, moduli, hits, jobs))
 
+    def _keep(self, tree: IncrementalProductTree) -> None:
+        """Adopt ``tree``; a persistent store also keeps it for the next open."""
+        self._tree = tree
+        if self.directory is not None:
+            ProductTreeStore._kept = (self.directory.resolve(), tree)
+
     def _load(self, backend: str | BigIntBackend | None) -> None:
-        """Replay the log: extend the leaves, merge hits and jobs, build once."""
+        """Replay the log: extend the leaves, merge hits and jobs, then regrow.
+
+        Every record is read and checked as if nothing were kept.  The
+        tree then keeps the kept tree's nodes over the leaves it shares
+        with the replayed ones and multiplies only the blocks after them,
+        or is built fresh when they disagree.
+        """
         identity, *batches = self._journal.records() or [None]
         self._logged = identity is not None
         if self._logged:
@@ -543,7 +611,9 @@ class ProductTreeStore:
             self._moduli.extend(moduli)
             self._hits.update(hits)
             self._jobs.update(jobs)
-        self._tree = IncrementalProductTree(self._moduli, backend=backend)
+        where, kept = ProductTreeStore._kept or (None, None)
+        reuse = kept if where == self.directory.resolve() else None
+        self._keep(IncrementalProductTree(self._moduli, backend=backend, reuse=reuse))
 
     def _upgrade(self) -> None:
         """Rewrite a store of the manifest layout as the one log, once.

@@ -75,9 +75,12 @@ class KeyCheckRunner:
     engine (the clustered driver's paired ``descent`` pass) over the
     union corpus and re-bootstrap the store from its result.  Either way a job's
     result indexes only its *own* moduli — the store supplies the
-    history they are checked against.  A SIGKILL mid-job replays from
-    the store's journal, and a re-delivered job resumes idempotently
-    from its recorded per-job progress.
+    history they are checked against.  Each job opens the store, which
+    replays its log from disk and keeps the product tree the previous
+    job built in this process, so only the tree outlives a job.  A
+    SIGKILL mid-job, or a job whose commit raised, replays from the
+    store's log on the next attempt, and a re-delivered job resumes
+    idempotently from its recorded per-job progress.
 
     Args:
         config: the service knobs; its ``engine`` record builds every

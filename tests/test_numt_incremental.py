@@ -10,6 +10,10 @@ append-only log, commit a batch with one fsynced append, reopen equal to
 the live store after any operation sequence, keep every record on both
 sides of a torn append, refuse a log with a record missing, and upgrade
 stores written in the manifest layout (leaf-only and per-level) once.
+A reopen keeps the nodes of the tree this process last built for the
+directory, over the leaves the log agrees on: its levels must equal a
+fresh build and its readings a cold replay of the log, whatever
+commits raised or tore before it, and two open stores share no level.
 (A real SIGKILL at every point of the one append, for an insert and for
 a job, and mid-upgrade, is drilled in
 ``tests/test_incremental_differential.py``.)
@@ -17,6 +21,7 @@ a job, and mid-upgrade, is drilled in
 
 import json
 import math
+import operator
 import os
 import random
 import shutil
@@ -31,12 +36,14 @@ from repro.core.batchgcd import batch_gcd_divisors
 from repro.crypto.primes import generate_prime
 from repro.faults import fsio
 from repro.faults.journal import MutationJournal
+from repro.numt.backend import BigIntBackend
 from repro.numt.incremental import (
     IncrementalProductTree,
     ProductTreeStore,
     StoreCorruptError,
 )
 from repro.numt.trees import product_tree
+from repro.telemetry import Telemetry, use_telemetry
 
 
 def _semiprime(rng, pool=None, bits=40):
@@ -163,6 +170,42 @@ class TestIncrementalProductTree:
         assert {i for i, _ in hits} == expected
         for i, shared in hits:
             assert shared > 1 and corpus[i] % shared == 0
+
+    @pytest.mark.parametrize(
+        "kept, n", [(0, 5), (5, 0), (5, 5), (5, 13), (13, 5), (16, 16), (17, 9)]
+    )
+    def test_reuse_keeps_the_nodes_over_shared_leaves(self, kept, n):
+        # A tree grown from an earlier one over a common prefix equals
+        # the batch-built tree; its nodes over the prefix are the earlier
+        # tree's own objects (never multiplied again), in lists of its own.
+        rng = random.Random(300 + 20 * kept + n)
+        moduli = [_semiprime(rng) for _ in range(max(kept, n))]
+        old = IncrementalProductTree(moduli[:kept])
+        tree = IncrementalProductTree(moduli[:n], reuse=old)
+        shared = min(kept, n)
+        assert tree.reused == shared
+        assert tree.levels == IncrementalProductTree(moduli[:n]).levels
+        pairs = enumerate(zip(tree.levels[1:], old.levels[1:]), start=1)
+        for level, (nodes, kept_nodes) in pairs:
+            assert all(map(operator.is_, nodes[: shared >> level], kept_nodes))
+        assert not {id(nodes) for nodes in tree.levels} & {
+            id(nodes) for nodes in old.levels
+        }
+
+    def test_reuse_ignores_a_tree_that_disagrees(self):
+        rng = random.Random(310)
+        moduli = [_semiprime(rng) for _ in range(12)]
+        other = moduli[:5] + [_semiprime(rng)] + moduli[6:]
+        shadow = BigIntBackend(
+            name="shadow", wrap=int, unwrap=int, gcd=math.gcd, use_barrett=False
+        )
+        for reuse in (
+            IncrementalProductTree(other),
+            IncrementalProductTree(moduli, backend=shadow),
+        ):
+            tree = IncrementalProductTree(moduli, reuse=reuse)
+            assert tree.reused == 0
+            assert tree.levels == IncrementalProductTree(moduli).levels
 
     def test_empty_tree_answers_trivially(self):
         tree = IncrementalProductTree()
@@ -406,25 +449,21 @@ _MODULI = st.lists(st.sampled_from(_SMALL_PRIMES), min_size=1, max_size=3).map(
     math.prod
 )
 _JOB_MODULI = {"job-a": [3 * 5, 7 * 11, 5 * 13], "job-b": [11 * 17, 3, 19 * 23]}
-_STORE_STEPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("insert"), _MODULI, st.sampled_from([None, "x"])),
-        st.tuples(
-            st.just("extend"),
-            st.lists(_MODULI, max_size=4),
-            st.sampled_from([None, "y"]),
-        ),
-        st.tuples(
-            st.just("apply_job"),
-            st.sampled_from(sorted(_JOB_MODULI)),
-            st.integers(1, 3),  # moduli applied before the job is re-delivered
-        ),
-        st.tuples(
-            st.just("bootstrap"), st.lists(_MODULI, max_size=4), st.booleans()
-        ),
+_STORE_STEP = st.one_of(
+    st.tuples(st.just("insert"), _MODULI, st.sampled_from([None, "x"])),
+    st.tuples(
+        st.just("extend"),
+        st.lists(_MODULI, max_size=4),
+        st.sampled_from([None, "y"]),
     ),
-    max_size=8,
+    st.tuples(
+        st.just("apply_job"),
+        st.sampled_from(sorted(_JOB_MODULI)),
+        st.integers(1, 3),  # moduli applied before the job is re-delivered
+    ),
+    st.tuples(st.just("bootstrap"), st.lists(_MODULI, max_size=4), st.booleans()),
 )
+_STORE_STEPS = st.lists(_STORE_STEP, max_size=8)
 
 
 def _run_store_step(store, step):
@@ -441,6 +480,123 @@ def _run_store_step(store, step):
         divisors = batch_gcd_divisors(corpus) if extra and len(corpus) > 1 else None
         jobs = {f"bulk-{store.count}": (store.count, len(arg))} if arg else None
         store.bootstrap(corpus, divisors, jobs=jobs)
+
+
+#: Steps for the kept-tree property: the store's own operations, plus a
+#: reopen, a torn final record and a commit that raises mid-extend (the
+#: last two each followed by a reopen, as a restart or a retry would).
+_KEPT_STEPS = st.lists(
+    st.one_of(
+        _STORE_STEP,
+        st.tuples(st.just("reopen"), st.none(), st.none()),
+        st.tuples(st.just("torn"), st.none(), st.none()),
+        st.tuples(st.just("raise"), st.lists(_MODULI, min_size=1, max_size=4), st.none()),
+    ),
+    max_size=10,
+)
+
+
+def _refuse(record):
+    raise OSError("commit refused")
+
+
+def _cold_open(path):
+    """Open ``path`` as a fresh process would: with no kept tree."""
+    kept, ProductTreeStore._kept = ProductTreeStore._kept, None
+    try:
+        return ProductTreeStore(path)
+    finally:
+        ProductTreeStore._kept = kept
+
+
+def _level_ids(store):
+    return {id(nodes) for nodes in store._tree.levels}
+
+
+class TestKeptTree:
+    """An open keeps the tree this process last built for the store.
+
+    The log stays the only source of moduli, divisors and job progress:
+    each open replays it whole, and only the tree over the leaves it
+    agrees on is kept.
+    """
+
+    @settings(max_examples=120, deadline=None)
+    @given(_KEPT_STEPS)
+    def test_reopened_store_equals_a_fresh_replay(self, steps):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "store"
+            store = ProductTreeStore(path)
+            for step in steps:
+                operation, arg, _ = step
+                if operation == "torn":
+                    if (path / "store.jsonl").exists():
+                        with open(path / "store.jsonl", "a") as fh:
+                            fh.write('{"hits": [], "index": 0, "moduli": ["ab')
+                elif operation == "raise":
+                    store._journal.append = _refuse
+                    with pytest.raises(OSError):
+                        store.extend(arg)
+                elif operation != "reopen":
+                    _run_store_step(store, step)
+                    continue
+                store = ProductTreeStore(path)
+                assert store._tree.reused == store.count
+                assert store._tree.levels == IncrementalProductTree(store.moduli).levels
+                assert _readings(store) == _readings(_cold_open(path))
+
+    def test_two_stores_on_one_directory_share_no_level_list(self, tmp_path):
+        rng = random.Random(320)
+        corpus = [_semiprime(rng) for _ in range(12)]
+        first = ProductTreeStore(tmp_path / "store")
+        first.extend(corpus[:9])
+        second = ProductTreeStore(tmp_path / "store")
+        assert second._tree.reused == 9
+        assert not _level_ids(first) & _level_ids(second)
+        first.extend(corpus[9:])
+        assert second._tree.levels == IncrementalProductTree(corpus[:9]).levels
+        (tmp_path / "nested").mkdir()
+        third = ProductTreeStore(tmp_path / "nested" / ".." / "store")
+        assert (third._tree.reused, third.moduli) == (9, corpus)
+        assert third._tree.levels == IncrementalProductTree(corpus).levels
+        assert not _level_ids(third) & (_level_ids(first) | _level_ids(second))
+
+    def test_one_tree_is_kept_per_process(self, tmp_path):
+        rng = random.Random(321)
+        ProductTreeStore(tmp_path / "a").extend([_semiprime(rng) for _ in range(5)])
+        assert ProductTreeStore(tmp_path / "a")._tree.reused == 5
+        ProductTreeStore(tmp_path / "b").extend([_semiprime(rng) for _ in range(3)])
+        assert ProductTreeStore(tmp_path / "a")._tree.reused == 0
+        assert ProductTreeStore(tmp_path / "a")._tree.reused == 5
+
+    def test_a_replaced_log_is_rebuilt_fresh(self, tmp_path):
+        # Same directory, other leaves: the kept tree disagrees with the
+        # log from the first leaf, so none of its nodes outlive the open.
+        rng = random.Random(322)
+        other = [_semiprime(rng) for _ in range(6)]
+        ProductTreeStore(tmp_path / "other").extend(other)
+        ProductTreeStore(tmp_path / "store").extend([_semiprime(rng) for _ in range(6)])
+        shutil.rmtree(tmp_path / "store")
+        shutil.copytree(tmp_path / "other", tmp_path / "store")
+        reopened = ProductTreeStore(tmp_path / "store")
+        assert (reopened._tree.reused, reopened.moduli) == (0, other)
+        assert reopened._tree.levels == IncrementalProductTree(other).levels
+
+    def test_open_records_its_span(self, tmp_path):
+        rng = random.Random(323)
+        ProductTreeStore(tmp_path / "store").extend([_semiprime(rng) for _ in range(6)])
+        shutil.copytree(tmp_path / "store", tmp_path / "copy")
+        telemetry = Telemetry()
+        with use_telemetry(telemetry):
+            ProductTreeStore(tmp_path / "store")
+            ProductTreeStore(tmp_path / "copy")
+            ProductTreeStore()
+        assert [
+            (span.name, span.attrs) for span in telemetry.report().spans
+        ] == [
+            ("batch_gcd.incremental.open", {"replayed_leaves": 6, "kept_leaves": 6}),
+            ("batch_gcd.incremental.open", {"replayed_leaves": 6, "kept_leaves": 0}),
+        ]
 
 
 class TestOneLogReplay:

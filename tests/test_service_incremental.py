@@ -5,8 +5,11 @@ must be byte-identical to a full :class:`ClusteredBatchGcd` run — the
 final store state equals one clustered run over the union of all job
 corpora, and each job's own result equals the classic batch GCD over the
 corpus as it stood when that job ran, projected onto the job's moduli.
+A job whose store commit raised is retried from the store's log and
+returns what an undisturbed runner returns.
 """
 
+import json
 import random
 
 import pytest
@@ -16,6 +19,8 @@ from repro.core.clustered import ClusteredBatchGcd
 from repro.core.incremental import INCREMENTAL_MAX_BATCH
 from repro.core.select import EngineConfig
 from repro.crypto.primes import generate_prime
+from repro.faults.journal import MutationJournal
+from repro.numt.incremental import IncrementalProductTree
 from repro.service.models import JobRecord, ServiceConfig
 from repro.service.queue import JobQueue
 from repro.service.worker import (
@@ -172,6 +177,51 @@ class TestIncrementalRouting:
             (i, reference.divisors[i]) for i in reference.vulnerable_indices
         )
         assert not (tmp_path / INCREMENTAL_STORE_DIR).exists()
+
+
+class TestRetryReadsTheLog:
+    """A job whose store commit raised is retried from the log on disk.
+
+    The runner opens the store once per job, and the open keeps only the
+    tree the failed attempt built, cut back to the leaves the log holds.
+    """
+
+    @pytest.mark.parametrize("size", [4, BULK], ids=["small", "bulk"])
+    def test_retry_matches_an_undisturbed_runner(self, tmp_path, monkeypatch, size):
+        pool = _moduli(40, 12 + size + 4)
+        jobs = [
+            _job("job-0", 0, pool[:6]),
+            _job("job-1", 1, pool[6:12]),
+            _job("job-2", 2, pool[12 : 12 + size]),
+            _job("job-3", 3, pool[12 + size :]),
+        ]
+        undisturbed = KeyCheckRunner(_config(tmp_path / "undisturbed"))
+        expected = [undisturbed(job)[0] for job in jobs]
+        runner = KeyCheckRunner(_config(tmp_path / "drill"))
+        runner(jobs[0])
+        runner(jobs[1])
+        append = MutationJournal.append
+
+        def refuse(journal, record):
+            raise OSError("commit refused")
+
+        monkeypatch.setattr(MutationJournal, "append", refuse)
+        with pytest.raises(OSError):
+            runner(jobs[2])
+        monkeypatch.setattr(MutationJournal, "append", append)
+        retried, report = runner(jobs[2])
+        opened = RunReport.from_dict(report).find_span("batch_gcd.incremental.open")
+        assert opened.attrs == {"replayed_leaves": 12, "kept_leaves": 12}
+        results = [expected[0], expected[1], retried, runner(jobs[3])[0]]
+        assert [json.dumps(r.to_dict()) for r in results] == [
+            json.dumps(r.to_dict()) for r in expected
+        ]
+        assert any(r.divisors for r in results)
+        store, clean = runner.open_store(), undisturbed.open_store()
+        assert (store.moduli, store.divisors(), store.jobs) == (
+            clean.moduli, clean.divisors(), clean.jobs,
+        )
+        assert store._tree.levels == IncrementalProductTree(store.moduli).levels
 
 
 class TestConfigPlumbing:
