@@ -1,24 +1,27 @@
 """The incremental batch-GCD engine: serve checks from a persistent tree.
 
 :class:`IncrementalBatchGcd` is the engine-seam facade over
-:class:`repro.numt.incremental.ProductTreeStore`.  Where the other
-engines recompute the full product/remainder tree per :meth:`run`, this
-one keeps the corpus alive between runs (on disk when ``store_dir`` is
-set; each run reopens the store, which keeps the tree the previous run
-built in this process) and pays only for what changed:
+:class:`repro.numt.incremental.ProductTreeStore`, and the only code that
+routes moduli into a store.  Where the other engines recompute the full
+product/remainder tree per run, this one keeps the corpus alive between
+runs (on disk when ``store_dir`` is set; each run reopens the store,
+which keeps the tree the previous run built in this process) and pays
+only for what changed.  :meth:`~IncrementalBatchGcd.run` takes a corpus
+that extends the stored one, :meth:`~IncrementalBatchGcd.run_job` a
+service job's moduli resumed from the job's recorded progress, and both
+route the moduli not yet stored by one rule:
 
-- a run whose corpus **extends** the stored corpus by a few moduli
-  inserts just the extension as one durable commit — per new modulus,
-  one reduction of the corpus product's bits plus the amortised O(1)
-  block products of its append — instead of an O(n log n) recompute;
-- a **cold** store (or an extension too large for per-modulus inserts to
-  win) delegates to a bulk engine — the classic in-process tree
-  (:class:`~repro.core.batchgcd.ClassicBatchGcd`) by default, or any
-  engine with a ``run(moduli)`` method (engine selection passes its
-  configured :class:`~repro.core.clustered.ClusteredBatchGcd`)
-  — and bootstraps the store from its result in one shot;
-- a corpus that does **not** extend the store (the store is append-only)
-  is computed fresh via the bulk engine and the store is left untouched.
+- at most :data:`INCREMENTAL_MAX_BATCH`, on a store that holds moduli,
+  go in by one store ``apply_job`` — per modulus, one reduction of the
+  corpus product's bits plus the amortised O(1) block products of its
+  append, then one durable commit — not an O(n log n) recompute;
+- more, or any on a **cold** (empty) store, go with the stored corpus to
+  a bulk engine (the classic tree by default; engine selection passes
+  the all-to-all :class:`~repro.core.clustered.ClusteredBatchGcd`), and
+  one ``bootstrap`` adopts its divisors and the job's progress.
+
+A corpus that does **not** extend the store (the store is append-only)
+is computed fresh by the bulk engine, and the store is left untouched.
 
 Divisor semantics on the incremental path follow the clustered engine's
 aggregation rule (gcd-capped lcm of pairwise shares): vulnerable/clean
@@ -65,10 +68,9 @@ class IncrementalBatchGcd:
         backend: big-int backend name or instance (``None`` =
             ``$REPRO_NUMT_BACKEND``, else python; a persisted store pins
             its backend).
-        bulk: engine for cold bootstraps and oversized extensions; any
+        bulk: engine for cold stores and oversized extensions; any
             object with ``run(moduli) -> BatchGcdResult``.  ``None`` uses
-            the classic in-process tree.  Extensions of more than
-            :data:`INCREMENTAL_MAX_BATCH` moduli go to it too.
+            the classic in-process tree.
     """
 
     def __init__(
@@ -97,8 +99,7 @@ class IncrementalBatchGcd:
         """
         if any(m < 2 for m in moduli):
             raise ValueError("all moduli must be >= 2")
-        telemetry = get_telemetry()
-        clock = telemetry.clock
+        clock = get_telemetry().clock
         started = clock.wall()
         corpus = list(moduli)
         if len(corpus) < 2:
@@ -109,28 +110,46 @@ class IncrementalBatchGcd:
             return BatchGcdResult(corpus, [1] * len(corpus))
         store = self.open_store()
         base = store.count
-        extends = base <= len(corpus) and store.moduli == corpus[:base]
-        inserts = 0
-        if not extends:
-            # Foreign/stale store: the corpus is not an extension, so the
-            # append-only store cannot absorb it.  Compute fresh; the
-            # store keeps serving whatever corpus it already holds.
-            self.last_mode = "bulk-mismatch"
-            result = self.bulk.run(corpus)
-        else:
-            new = corpus[base:]
-            if base == 0 or len(new) > INCREMENTAL_MAX_BATCH:
-                self.last_mode = "bootstrap"
-                result = self.bulk.run(corpus)
-                store.bootstrap(corpus, result.divisors)
-            else:
-                self.last_mode = "incremental"
-                store.extend(new)
-                inserts = len(new)
-                result = BatchGcdResult(corpus, store.divisors())
-        wall = clock.wall() - started
-        telemetry.annotate(engine_mode=self.last_mode, inserts=inserts)
-        self.last_stats = ClusterRunStats(
-            1, inserts, wall, wall, engine="incremental"
-        )
+        if base <= len(corpus) and store.moduli == corpus[:base]:
+            return self._ingest(store, None, corpus[base:], started)[1]
+        # Foreign/stale store: the corpus is not an extension, so the
+        # append-only store cannot absorb it.  Compute fresh; the store
+        # keeps serving whatever corpus it already holds.
+        result = self.bulk.run(corpus)
+        self._finish("bulk-mismatch", 0, started)
         return result
+
+    def run_job(self, job_id: str, moduli: Sequence[int]) -> tuple[int, BatchGcdResult]:
+        """Ingest one job's moduli, idempotently; returns ``(base, result)``.
+
+        ``result`` covers the whole stored corpus, with the job's moduli
+        from index ``base`` on.  A re-delivered job resumes from its
+        recorded progress, so one that committed is not inserted again.
+        """
+        started = get_telemetry().clock.wall()
+        return self._ingest(self.open_store(), job_id, moduli, started)
+
+    def _ingest(
+        self, store: ProductTreeStore, job_id: str | None, moduli: Sequence[int], started: float
+    ) -> tuple[int, BatchGcdResult]:
+        """Route ``moduli`` (a job's, or a run's extension) into the store."""
+        base, done = store.job_progress(job_id) or (store.count, 0)
+        new = list(moduli[done:])
+        if store.count == 0 or len(new) > INCREMENTAL_MAX_BATCH:
+            corpus = store.moduli + new
+            result = self.bulk.run(corpus)
+            jobs = {job_id: (base, len(moduli))} if job_id is not None else None
+            store.bootstrap(corpus, result.divisors, jobs=jobs)
+            self._finish("bootstrap", 0, started)
+        else:
+            store.apply_job(job_id, moduli)
+            result = BatchGcdResult(store.moduli, store.divisors())
+            self._finish("incremental", len(new), started)
+        return base, result
+
+    def _finish(self, mode: str, inserts: int, started: float) -> None:
+        telemetry = get_telemetry()
+        wall = telemetry.clock.wall() - started
+        telemetry.annotate(engine_mode=mode, inserts=inserts)
+        self.last_mode = mode
+        self.last_stats = ClusterRunStats(1, inserts, wall, wall, engine="incremental")

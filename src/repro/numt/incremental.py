@@ -39,7 +39,9 @@ service job's :meth:`~ProductTreeStore.apply_job`, one modulus's
 :meth:`~ProductTreeStore.insert` or a bulk
 :meth:`~ProductTreeStore.bootstrap`) is applied in memory, then committed
 by one fsynced append of its moduli, the new value of every divisor it
-changed and the new progress of the job it advanced.  The first commit
+changed and the new progress of the job it advanced.  A store object
+whose batch raised before its commit returned refuses every later batch
+(its memory is ahead of the log), and a reopen recovers.  The first commit
 writes the identity line with :func:`~repro.faults.fsio.atomic_write_text`,
 so no log lacks it.  Opening replays the records in order without
 probing, then builds the complete blocks.  A tree is a function of its
@@ -339,6 +341,7 @@ class ProductTreeStore:
         self._jobs: dict[str, tuple[int, int]] = {}
         self._hits: dict[int, int] = {}
         self._moduli: list[int] = []
+        self._ahead_of_log = False
         if self.directory is None:
             self._tree = IncrementalProductTree(backend=backend)
             return
@@ -375,7 +378,7 @@ class ProductTreeStore:
         """Accumulated divisor per corpus member (1 = clean so far)."""
         return [self._hits.get(i, 1) for i in range(len(self._moduli))]
 
-    def job_progress(self, job_id: str) -> tuple[int, int] | None:
+    def job_progress(self, job_id: str | None) -> tuple[int, int] | None:
         """``(base_index, inserted)`` for a job, or None if unseen."""
         return self._jobs.get(job_id)
 
@@ -423,7 +426,9 @@ class ProductTreeStore:
 
         Raises:
             ValueError: if any modulus is < 2 (checked before any write).
+            RuntimeError: if an earlier batch raised before its commit.
         """
+        self._refuse_if_ahead_of_log()
         batch = list(moduli)
         if any(m < 2 for m in batch):
             raise ValueError("all moduli must be >= 2")
@@ -432,21 +437,24 @@ class ProductTreeStore:
         base = self.count
         changed: set[int] = set()
         outcomes = []
+        self._ahead_of_log = True
         for modulus in batch:
             outcome = self.probe(modulus)
             self._apply_insert(modulus, outcome, job_id, changed)
             outcomes.append(outcome)
         jobs = {job_id: self._jobs[job_id]} if job_id is not None else {}
         self._commit(base, batch, {i: self._hits[i] for i in changed}, jobs)
+        self._ahead_of_log = False
         return outcomes
 
-    def apply_job(self, job_id: str, moduli: Sequence[int]) -> tuple[int, int]:
+    def apply_job(self, job_id: str | None, moduli: Sequence[int]) -> tuple[int, int]:
         """Idempotently insert a job's corpus; returns ``(base, count)``.
 
         A job already applied (fully or partially, e.g. the run was
         SIGKILLed and the queue re-delivered it) resumes from its
         recorded progress instead of re-inserting — re-running a job is
-        safe and returns the same index range.
+        safe and returns the same index range.  A ``job_id`` of None
+        records no progress: the call is one :meth:`extend`.
         """
         base, done = self._jobs.get(job_id, (self.count, 0))
         self.extend(moduli[done:], job_id=job_id)
@@ -472,7 +480,11 @@ class ProductTreeStore:
             divisors: aligned accumulated divisors (``None`` keeps the
                 current ones).
             jobs: per-job progress entries to merge into the store's.
+
+        Raises:
+            RuntimeError: as :meth:`extend`, after a batch that raised.
         """
+        self._refuse_if_ahead_of_log()
         if list(moduli[: self.count]) != self._moduli:
             raise ValueError(
                 "bootstrap corpus must extend the existing corpus "
@@ -494,6 +506,7 @@ class ProductTreeStore:
                 if hits.get(i, 1) != self._hits.get(i, 1)
             }
             given = {job: tuple(progress) for job, progress in (jobs or {}).items()}
+            self._ahead_of_log = True
             self._keep(
                 IncrementalProductTree(
                     moduli, backend=self._tree.backend, reuse=self._tree
@@ -503,8 +516,22 @@ class ProductTreeStore:
             self._hits = hits
             self._jobs.update(given)
             self._commit(base, self._moduli[base:], changed, given)
+            self._ahead_of_log = False
             telemetry.gauge(
                 "batch_gcd.incremental.store_nodes", self._tree.node_count
+            )
+
+    def _refuse_if_ahead_of_log(self) -> None:
+        """Refuse a batch while memory holds one that the log lacks.
+
+        A batch that raised before its commit returned left its leaves,
+        divisors and job progress in memory; a later commit would write
+        a record that skips it.  A reopen reads every committed batch.
+        """
+        if self._ahead_of_log:
+            raise RuntimeError(
+                "an earlier batch of this store failed before its commit "
+                "returned; reopen the store from its log"
             )
 
     # -- insert internals ------------------------------------------------

@@ -326,13 +326,10 @@ class ServiceConfig:
             execution mode — ``"clustered"`` (the default: each job is an
             independent full engine run over its own corpus) or
             ``"incremental"`` (jobs accumulate into one persistent
-            product-tree store under ``<state_dir>/incremental-store``
-            and every modulus is also checked against all previously
-            ingested moduli; jobs of at most
-            :data:`~repro.core.incremental.INCREMENTAL_MAX_BATCH` moduli
-            are served by per-modulus store inserts, bigger ones by an
-            all-to-all run over the union corpus that re-bootstraps the
-            store).  Defaults to
+            store under ``<state_dir>/incremental-store``, and every
+            modulus is also checked against all previously ingested
+            ones; :mod:`repro.core.incremental` states how a job enters
+            the store).  Defaults to
             :data:`DEFAULT_ENGINE`.  The service derives
             ``checkpoint_dir`` (per job) and ``store_dir`` from
             ``state_dir``, so a record naming either is rejected.

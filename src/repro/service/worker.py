@@ -13,12 +13,9 @@ One :class:`ServiceWorker` thread drains the :class:`~repro.service.queue.JobQue
    ``<state_dir>/checkpoints/<job_id>/``, so a SIGKILL mid-run resumes
    the *same engine computation* on restart instead of recomputing (the
    directory is removed once the run returns a result);
-   under ``engine.engine="incremental"`` small jobs are instead served by
-   one :meth:`~repro.numt.incremental.ProductTreeStore.apply_job` on the
-   persistent :class:`~repro.numt.incremental.ProductTreeStore` (each
-   modulus checked against every previously ingested one, the job
-   committed once), with bulk jobs falling back to an
-   all-to-all engine run that re-bootstraps the store;
+   under ``engine.engine="incremental"`` every job goes instead to
+   :meth:`~repro.core.incremental.IncrementalBatchGcd.run_job`, which
+   checks it against every previously ingested modulus;
 3. **record** the outcome — the run executes under a private
    :class:`~repro.telemetry.Telemetry` registry whose
    :class:`~repro.telemetry.RunReport` is journalled with the job and
@@ -44,10 +41,8 @@ import urllib.request
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.core.incremental import INCREMENTAL_MAX_BATCH
 from repro.core.results import BatchGcdResult
 from repro.core.select import select_engine
-from repro.numt.incremental import ProductTreeStore
 from repro.service.models import JobRecord, JobResult, ServiceConfig
 from repro.service.queue import JobQueue
 from repro.telemetry import Telemetry, use_telemetry
@@ -61,33 +56,22 @@ INCREMENTAL_STORE_DIR = "incremental-store"
 class KeyCheckRunner:
     """Run one job's corpus through the configured batch-GCD path.
 
-    Under ``engine.engine="clustered"`` (the default) every job is an
-    independent :class:`~repro.core.clustered.ClusteredBatchGcd` run over
-    its own corpus.  Under ``engine.engine="incremental"`` jobs accumulate
-    into one persistent
-    :class:`~repro.numt.incremental.ProductTreeStore` under
-    ``<state_dir>/incremental-store``, so each modulus is also checked
-    against everything previously ingested: jobs of at most
-    :data:`~repro.core.incremental.INCREMENTAL_MAX_BATCH` (64) moduli are
-    served by one store ``apply_job`` (per modulus, a probe and an
-    amortised O(1)-product append, then one durable commit for the job,
-    instead of a full engine run), while bulk jobs run the all-to-all
-    engine (the clustered driver's paired ``descent`` pass) over the
-    union corpus and re-bootstrap the store from its result.  Either way a job's
-    result indexes only its *own* moduli — the store supplies the
-    history they are checked against.  Each job opens the store, which
-    replays its log from disk and keeps the product tree the previous
-    job built in this process, so only the tree outlives a job.  A
-    SIGKILL mid-job, or a job whose commit raised, replays from the
-    store's log on the next attempt, and a re-delivered job resumes
-    idempotently from its recorded per-job progress.
+    Each job builds its engine through
+    :func:`~repro.core.select.select_engine`, with its own checkpoint
+    directory and, in incremental mode, the store under
+    ``<state_dir>/incremental-store``.  Under ``engine.engine="clustered"``
+    (the default) a job is one independent engine run over its own
+    corpus; under ``"incremental"`` it is one
+    :meth:`~repro.core.incremental.IncrementalBatchGcd.run_job`, whose
+    module states how a job enters the store.  Either way a job's result
+    indexes only its *own* moduli.
 
     Args:
         config: the service knobs; its ``engine`` record builds every
-            clustered run through :func:`~repro.core.select.select_engine`.
+            job's engine through :func:`~repro.core.select.select_engine`.
         checkpoint_root: per-job checkpoint directories live under here,
             each removed once its job's run returns a result; None
-            disables engine checkpointing (clustered runs only).
+            disables engine checkpointing.
         telemetry: service-level metrics sink (the worker's registry);
             incremental-path jobs count into ``service.jobs_incremental``.
     """
@@ -104,13 +88,6 @@ class KeyCheckRunner:
         )
         self._telemetry = telemetry or Telemetry(enabled=False)
 
-    def open_store(self) -> ProductTreeStore:
-        """The persistent corpus store (``engine.engine="incremental"``)."""
-        return ProductTreeStore(
-            Path(self._config.state_dir) / INCREMENTAL_STORE_DIR,
-            backend=self._config.engine.backend,
-        )
-
     def __call__(self, job: JobRecord) -> tuple[JobResult, dict[str, Any]]:
         """Execute the check; returns ``(result, telemetry report dict)``."""
         config = self._config
@@ -119,55 +96,33 @@ class KeyCheckRunner:
             if self._checkpoint_root is not None
             else None
         )
+        incremental = config.engine.engine == "incremental"
+        store_dir = Path(config.state_dir) / INCREMENTAL_STORE_DIR if incremental else None
         job_telemetry = Telemetry()
         with use_telemetry(job_telemetry):
             with job_telemetry.span(
                 "service.job", job=job.job_id, moduli=len(job.moduli)
             ):
-                if config.engine.engine == "incremental":
-                    job_result = self._run_incremental(job, checkpoint_dir)
+                engine = select_engine(
+                    len(job.moduli),
+                    config.engine,
+                    checkpoint_dir=checkpoint_dir,
+                    store_dir=store_dir,
+                ).engine
+                if incremental:
+                    base, outcome = engine.run_job(job.job_id, job.moduli)
+                    self._telemetry.counter("service.jobs_incremental")
                 else:
-                    outcome = select_engine(
-                        len(job.moduli),
-                        config.engine,
-                        checkpoint_dir=checkpoint_dir,
-                    ).engine.run(job.moduli)
-                    job_result = self._result_for(job, outcome, range(len(job.moduli)))
+                    base, outcome = 0, engine.run(job.moduli)
+                job_result = self._result_for(
+                    job, outcome, range(base, base + len(job.moduli))
+                )
         # The run returned: its passes are in the result, so the checkpoint
         # has served its purpose.  A run that raised never gets here, and
         # its re-run resumes from the checkpoint.
         if checkpoint_dir is not None:
             shutil.rmtree(checkpoint_dir, ignore_errors=True)
         return job_result, job_telemetry.report().to_dict()
-
-    def _run_incremental(
-        self, job: JobRecord, checkpoint_dir: Path | None
-    ) -> JobResult:
-        store = self.open_store()
-        base, applied = store.job_progress(job.job_id) or (store.count, 0)
-        bulk = len(job.moduli) - applied > INCREMENTAL_MAX_BATCH
-        if bulk:
-            # Bulk ingest: one all-to-all run over the union corpus, then
-            # adopt its divisors wholesale (the store is append-only and
-            # the already-applied part of this job is a corpus prefix).
-            # Its divisors are the remainder pass's, byte for byte.
-            corpus = store.moduli + list(job.moduli[applied:])
-            outcome = select_engine(
-                len(corpus),
-                self._config.engine,
-                engine="alltoall",
-                checkpoint_dir=checkpoint_dir,
-            ).engine.run(corpus)
-            store.bootstrap(
-                corpus, outcome.divisors, jobs={job.job_id: (base, len(job.moduli))}
-            )
-        else:
-            base, _count = store.apply_job(job.job_id, job.moduli)
-        self._telemetry.counter("service.jobs_incremental")
-        full = BatchGcdResult(store.moduli, store.divisors())
-        return self._result_for(
-            job, full, range(base, base + len(job.moduli))
-        )
 
     @staticmethod
     def _result_for(

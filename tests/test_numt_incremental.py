@@ -8,8 +8,9 @@ completes, and the per-block check must equal the classic batch-GCD
 divisor on the union corpus.  The persistent store must keep one
 append-only log, commit a batch with one fsynced append, reopen equal to
 the live store after any operation sequence, keep every record on both
-sides of a torn append, refuse a log with a record missing, and upgrade
-stores written in the manifest layout (leaf-only and per-level) once.
+sides of a torn append, refuse a log with a record missing, refuse
+every batch after one whose commit raised, and upgrade stores written in
+the manifest layout (leaf-only and per-level) once.
 A reopen keeps the nodes of the tree this process last built for the
 directory, over the leaves the log agrees on: its levels must equal a
 fresh build and its readings a cold replay of the log, whatever
@@ -429,6 +430,34 @@ class TestProductTreeStore:
         reopened = ProductTreeStore(tmp_path / "store")
         assert reopened.moduli == corpus[:2]
         assert len(_log(tmp_path / "store")) == 2
+
+    @pytest.mark.parametrize("failing", ["extend", "bootstrap"])
+    def test_a_failed_commit_refuses_later_batches(self, tmp_path, failing):
+        # The failed batch is in memory but not in the log, so a later
+        # commit from the same object would write a record that skips it,
+        # and every open after that would raise StoreCorruptError.
+        store = ProductTreeStore(tmp_path / "store")
+        store.extend([15, 21])
+        store._journal.append = _refuse
+        with pytest.raises(OSError):
+            if failing == "extend":
+                store.extend([35])
+            else:
+                store.bootstrap([15, 21, 35])
+        del store._journal.append
+        for later in (
+            lambda: store.extend([77]),
+            lambda: store.insert(77),
+            lambda: store.apply_job("job", [77]),
+            lambda: store.bootstrap(store.moduli + [77]),
+        ):
+            with pytest.raises(RuntimeError, match="reopen the store"):
+                later()
+        assert len(_log(tmp_path / "store")) == 2
+        reopened = ProductTreeStore(tmp_path / "store")
+        assert (reopened.moduli, reopened.divisors()) == ([15, 21], [3, 3])
+        reopened.extend([77])
+        assert ProductTreeStore(tmp_path / "store").moduli == [15, 21, 77]
 
     def test_torn_journal_tail_is_ignored(self, tmp_path):
         rng = random.Random(21)

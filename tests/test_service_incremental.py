@@ -6,7 +6,10 @@ final store state equals one clustered run over the union of all job
 corpora, and each job's own result equals the classic batch GCD over the
 corpus as it stood when that job ran, projected onto the job's moduli.
 A job whose store commit raised is retried from the store's log and
-returns what an undisturbed runner returns.
+returns what an undisturbed runner returns.  The runner routes nothing
+itself: its jobs leave the same log and results as the same jobs sent
+straight to :meth:`IncrementalBatchGcd.run_job`, whose cold-store rule
+sends a first job of any size through the bulk engine.
 """
 
 import json
@@ -16,11 +19,11 @@ import pytest
 
 from repro.core.batchgcd import batch_gcd
 from repro.core.clustered import ClusteredBatchGcd
-from repro.core.incremental import INCREMENTAL_MAX_BATCH
+from repro.core.incremental import INCREMENTAL_MAX_BATCH, IncrementalBatchGcd
 from repro.core.select import EngineConfig
 from repro.crypto.primes import generate_prime
 from repro.faults.journal import MutationJournal
-from repro.numt.incremental import IncrementalProductTree
+from repro.numt.incremental import IncrementalProductTree, ProductTreeStore
 from repro.service.models import JobRecord, ServiceConfig
 from repro.service.queue import JobQueue
 from repro.service.worker import (
@@ -52,7 +55,7 @@ def _config(tmp_path):
     )
 
 
-#: Jobs larger than this take the bulk path (clustered run + bootstrap).
+#: Jobs this large take the bulk path (all-to-all engine run + bootstrap).
 BULK = INCREMENTAL_MAX_BATCH + 6
 
 
@@ -62,7 +65,7 @@ class TestIncrementalRouting:
         telemetry = Telemetry()
         runner = KeyCheckRunner(config, telemetry=telemetry)
         batches = [
-            _moduli(1, BULK),  # bulk: bootstrap via clustered run
+            _moduli(1, BULK),  # bulk: bootstrap via an all-to-all run
             _moduli(2, 8),   # small: per-modulus inserts
             _moduli(3, 5),
         ]
@@ -76,7 +79,7 @@ class TestIncrementalRouting:
 
         union = [m for moduli in batches for m in moduli]
         full = ClusteredBatchGcd(k=4).run(union)
-        store = runner.open_store()
+        store = ProductTreeStore(tmp_path / INCREMENTAL_STORE_DIR)
         assert store.moduli == union
         assert store.divisors() == full.divisors, "byte-identical to clustered"
 
@@ -112,7 +115,7 @@ class TestIncrementalRouting:
         moduli = _moduli(5, 6)
         first, _ = runner(_job("job-a", 0, moduli))
         again, _ = runner(_job("job-a", 0, moduli))
-        assert runner.open_store().count == len(moduli)
+        assert ProductTreeStore(tmp_path / INCREMENTAL_STORE_DIR).count == len(moduli)
         assert again.divisors == first.divisors
         assert again.factored == first.factored
 
@@ -124,7 +127,7 @@ class TestIncrementalRouting:
         runner(_job("job-s", 0, small))
         first, _ = runner(_job("job-b", 1, bulk))
         again, _ = runner(_job("job-b", 1, bulk))
-        assert runner.open_store().moduli == small + bulk
+        assert ProductTreeStore(tmp_path / INCREMENTAL_STORE_DIR).moduli == small + bulk
         assert again.divisors == first.divisors
 
     def test_bulk_job_matches_remainder_pass(self, tmp_path):
@@ -143,7 +146,7 @@ class TestIncrementalRouting:
         _result, report = runner(_job("job-b", 1, bulk))
         union = small + bulk
         remainder = ClusteredBatchGcd(k=4, foreign_pass="remainder").run(union)
-        store = runner.open_store()
+        store = ProductTreeStore(tmp_path / INCREMENTAL_STORE_DIR)
         assert store.moduli == union
         assert store.divisors() == remainder.divisors
         walks = {
@@ -161,7 +164,7 @@ class TestIncrementalRouting:
         fresh = KeyCheckRunner(config)
         more = _moduli(9, 4)
         fresh(_job("job-b", 1, more))
-        store = fresh.open_store()
+        store = ProductTreeStore(tmp_path / INCREMENTAL_STORE_DIR)
         assert store.moduli == moduli + more
         assert [p.name for p in (tmp_path / INCREMENTAL_STORE_DIR).iterdir()] == [
             "store.jsonl"
@@ -217,11 +220,94 @@ class TestRetryReadsTheLog:
             json.dumps(r.to_dict()) for r in expected
         ]
         assert any(r.divisors for r in results)
-        store, clean = runner.open_store(), undisturbed.open_store()
+        store, clean = (
+            ProductTreeStore(tmp_path / side / INCREMENTAL_STORE_DIR)
+            for side in ("drill", "undisturbed")
+        )
         assert (store.moduli, store.divisors(), store.jobs) == (
             clean.moduli, clean.divisors(), clean.jobs,
         )
         assert store._tree.levels == IncrementalProductTree(store.moduli).levels
+
+
+def _names(report):
+    return [span.name for root in RunReport.from_dict(report).spans for span in root.walk()]
+
+
+class TestOneRouting:
+    """The runner's incremental jobs are :meth:`IncrementalBatchGcd.run_job` calls."""
+
+    def test_runner_matches_the_engine_job_entry(self, tmp_path):
+        pool = _moduli(60, 6 + 4 + 5 + BULK)
+        jobs = [
+            _job("cold", 0, pool[:6]),  # at most 64 moduli, on an empty store
+            _job("small-1", 1, pool[6:10]),
+            _job("small-2", 2, pool[10:15]),
+            _job("bulk", 3, pool[15:]),
+            _job("small-1", 1, pool[6:10]),  # re-delivered
+            _job("bulk", 3, pool[15:]),  # re-delivered
+        ]
+        runner = KeyCheckRunner(_config(tmp_path / "runner"))
+        engine = IncrementalBatchGcd(
+            store_dir=tmp_path / "engine" / INCREMENTAL_STORE_DIR,
+            bulk=ClusteredBatchGcd(k=4, foreign_pass="descent"),
+        )
+        for job in jobs:
+            served, _report = runner(job)
+            base, outcome = engine.run_job(job.job_id, job.moduli)
+            direct = KeyCheckRunner._result_for(
+                job, outcome, range(base, base + len(job.moduli))
+            )
+            assert served.to_dict() == direct.to_dict(), job.job_id
+            assert served.divisors, job.job_id
+        runner_log, engine_log = (
+            (tmp_path / side / INCREMENTAL_STORE_DIR / "store.jsonl").read_bytes()
+            for side in ("runner", "engine")
+        )
+        assert runner_log == engine_log
+        assert len(runner_log.splitlines()) == 1 + 4  # identity, one per job
+
+    def test_a_cold_store_bootstraps_the_first_job(self, tmp_path):
+        runner = KeyCheckRunner(_config(tmp_path))
+        moduli = _moduli(61, 6)
+        log = tmp_path / INCREMENTAL_STORE_DIR / "store.jsonl"
+        first, report = runner(_job("cold", 0, moduli))
+        names = _names(report)
+        assert "batch_gcd.incremental.bootstrap" in names
+        assert "batch_gcd.incremental.insert" not in names
+        job_span = RunReport.from_dict(report).find_span("service.job")
+        assert job_span.attrs["engine_mode"] == "bootstrap"
+        assert json.loads(log.read_text().splitlines()[-1])["jobs"] == {"cold": [0, 6]}
+        written = log.read_bytes()
+        again, report = runner(_job("cold", 0, moduli))
+        assert log.read_bytes() == written
+        assert "batch_gcd.incremental.insert" not in _names(report)
+        job_span = RunReport.from_dict(report).find_span("service.job")
+        assert (job_span.attrs["engine_mode"], job_span.attrs["inserts"]) == (
+            "incremental", 0,
+        )
+        assert again == first
+        reference = batch_gcd(moduli)
+        assert first.divisors == tuple(
+            (j, d) for j, d in enumerate(reference.divisors) if d > 1
+        )
+        assert first.factored == tuple(
+            sorted((f.modulus, f.p, f.q) for f in reference.resolve().values())
+        )
+        assert first.divisors, "the job must share primes"
+
+    def test_run_keeps_its_four_modes(self, tmp_path):
+        pool = _moduli(62, 12 + BULK)
+        engine = IncrementalBatchGcd(store_dir=tmp_path / "store")
+        modes = []
+        for corpus in (pool[:1], pool[:8], pool[:12], pool, pool[:8][::-1]):
+            assert engine.run(corpus).divisors == batch_gcd(corpus).divisors
+            modes.append(engine.last_mode)
+        assert modes == [
+            "trivial", "bootstrap", "incremental", "bootstrap", "bulk-mismatch"
+        ]
+        store = engine.open_store()
+        assert (store.moduli, store.jobs) == (pool, {})
 
 
 class TestConfigPlumbing:
@@ -273,7 +359,7 @@ class TestWorkerIntegration:
         records = [queue.get(job.job_id) for job in jobs]
         assert [r.status.value for r in records] == ["succeeded", "succeeded"]
         union = [m for moduli in batches for m in moduli]
-        store = KeyCheckRunner(config).open_store()
+        store = ProductTreeStore(tmp_path / "state" / INCREMENTAL_STORE_DIR)
         assert store.moduli == union
         full = ClusteredBatchGcd(k=4).run(union)
         assert store.divisors() == full.divisors
