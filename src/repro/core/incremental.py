@@ -22,6 +22,9 @@ route the moduli not yet stored by one rule:
 
 A corpus that does **not** extend the store (the store is append-only)
 is computed fresh by the bulk engine, and the store is left untouched.
+With no ``store_dir`` there is nothing to keep between runs, so
+:meth:`~IncrementalBatchGcd.run` returns the bulk engine's result and
+opens no store (``last_mode`` ``"bulk"``).
 
 Divisor semantics on the incremental path follow the clustered engine's
 aggregation rule (gcd-capped lcm of pairwise shares): vulnerable/clean
@@ -61,10 +64,9 @@ class IncrementalBatchGcd:
     """Batch-GCD engine backed by a (persistent) incremental tree store.
 
     Args:
-        store_dir: directory for the persistent store; ``None`` keeps the
-            tree in memory only (the store then lives for one run and the
-            engine behaves like a classic engine with incremental
-            aggregation semantics).
+        store_dir: directory for the persistent store; ``None`` keeps no
+            store: :meth:`run` returns the bulk engine's result
+            (``last_mode`` ``"bulk"``).
         backend: big-int backend name or instance (``None`` =
             ``$REPRO_NUMT_BACKEND``, else python; a persisted store pins
             its backend).
@@ -108,6 +110,11 @@ class IncrementalBatchGcd:
                 1, 0, clock.wall() - started, 0.0, engine="incremental"
             )
             return BatchGcdResult(corpus, [1] * len(corpus))
+        if self.store_dir is None:
+            # A memory-only store would be dropped on return: skip it.
+            result = self.bulk.run(corpus)
+            self._finish("bulk", 0, started)
+            return result
         store = self.open_store()
         base = store.count
         if base <= len(corpus) and store.moduli == corpus[:base]:

@@ -102,6 +102,66 @@ class TestEntryPointReach:
         assert sorted(product - loaded) == []
         assert sorted(loaded - product) == []
 
+    #: The study's layers: only ``repro.cli`` and ``from repro import
+    #: run_study`` load them.
+    STUDY_LAYERS = (
+        "repro.pipeline", "repro.studyconfig", "repro.timeline", "repro.analysis",
+        "repro.devices", "repro.entropy", "repro.crypto", "repro.scans",
+        "repro.fingerprint", "repro.reporting",
+    )
+
+    @staticmethod
+    def _loaded_after(statement):
+        code = f"import sys; {statement}; print(*sorted(sys.modules))"
+        proc = run(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        return [name for name in proc.stdout.split() if name.split(".")[0] == "repro"]
+
+    @pytest.mark.parametrize(
+        "module",
+        ["repro.batchgcd_cli", "repro.service.__main__", "repro.telemetry.__main__",
+         "repro.devtools.lint"],
+    )
+    def test_entry_point_loads_only_its_layers(self, module):
+        loaded = self._loaded_after(f"import {module}")
+        study = [
+            name for name in loaded
+            if any(name == layer or name.startswith(layer + ".") for layer in self.STUDY_LAYERS)
+        ]
+        assert study == []
+
+    def test_package_root_loads_no_submodule(self):
+        assert self._loaded_after("import repro") == ["repro"]
+
+    def test_root_names_resolve_to_their_defining_modules(self):
+        import ast
+
+        import repro
+
+        public = set(repro.__all__) - {"__version__"}
+        assert set(repro._EXPORTS) == public
+        tree = ast.parse((REPO / "src" / "repro" / "__init__.py").read_text())
+        guarded = {
+            alias.name: node.module
+            for block in tree.body
+            if isinstance(block, ast.If) and getattr(block.test, "id", None) == "TYPE_CHECKING"
+            for node in block.body
+            for alias in node.names
+        }
+        assert guarded == repro._EXPORTS
+        for name, module in repro._EXPORTS.items():
+            assert getattr(repro, name) is getattr(importlib.import_module(module), name)
+        assert set(repro.__all__) <= set(dir(repro))
+
+    def test_unknown_root_name_raises_and_submodules_still_import(self):
+        import repro
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            repro.no_such_name  # noqa: B018
+        loaded = self._loaded_after("from repro import batchgcd_cli")
+        assert "repro.batchgcd_cli" in loaded
+        assert "repro.pipeline" not in loaded
+
 
 class TestExamples:
     @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.core.batchgcd import batch_gcd
+from repro.core.batchgcd import ClassicBatchGcd, batch_gcd
 from repro.core.clustered import ClusteredBatchGcd
 from repro.core.incremental import INCREMENTAL_MAX_BATCH, IncrementalBatchGcd
 from repro.core.select import EngineConfig
@@ -31,7 +31,7 @@ from repro.service.worker import (
     KeyCheckRunner,
     ServiceWorker,
 )
-from repro.telemetry import RunReport, Telemetry
+from repro.telemetry import RunReport, Telemetry, use_telemetry
 
 
 def _moduli(seed, count, pool_size=16):
@@ -308,6 +308,18 @@ class TestOneRouting:
         ]
         store = engine.open_store()
         assert (store.moduli, store.jobs) == (pool, {})
+
+    def test_memory_only_run_builds_no_store(self):
+        # With no store_dir nothing outlives the run, so no tree is built.
+        pool = _moduli(63, 12 + BULK)
+        engine = IncrementalBatchGcd()
+        telemetry = Telemetry()
+        with use_telemetry(telemetry):
+            result = engine.run(pool)
+        assert "batch_gcd.incremental.bootstrap" not in _names(telemetry.report().to_dict())
+        assert engine.last_mode == "bulk"
+        assert result.divisors == ClassicBatchGcd().run(pool).divisors
+        assert any(d > 1 for d in result.divisors)
 
 
 class TestConfigPlumbing:
