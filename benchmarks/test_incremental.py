@@ -15,10 +15,13 @@ the two paths produce byte-identical divisors and factors.
 The ``store_size`` leg times what a service job pays on a grown store:
 4-modulus jobs through :class:`repro.service.worker.KeyCheckRunner` on
 stores of 1k, 8k and 32k 256-bit moduli.  The first job opens a store
-directory this process never opened, so it builds the whole tree (a
-restart); the later jobs' opens keep the tree the job before them built.
-Its times come from each job's own RunReport: the ``service.job`` span
-and its ``batch_gcd.incremental.open`` child.
+directory this process never opened, so it parses the whole log and
+builds the whole tree (a restart); the later jobs' opens keep the
+replay and the tree the job before them left, and parse only its
+record.  Its times come from each job's own RunReport: the
+``service.job`` span, its ``batch_gcd.incremental.open`` child, and its
+store work, the walls of its ``batch_gcd.incremental.descend`` and
+``batch_gcd.incremental.insert`` spans (the probes and the appends).
 
 Scale is selected by ``REPRO_BENCH_INCREMENTAL_SCALE``:
 
@@ -274,11 +277,20 @@ def _prime_128(rng: random.Random) -> int:
             return candidate
 
 
-def _job_times(report: dict) -> tuple[float, float, dict]:
-    """``(job, open)`` wall seconds and the open's attrs, from a RunReport."""
+#: The spans of a job's store work: its probes and its appends.
+STORE_WORK_SPANS = ("batch_gcd.incremental.descend", "batch_gcd.incremental.insert")
+
+
+def _job_times(report: dict) -> tuple[tuple[float, float, float], dict]:
+    """``(job, open, store work)`` wall seconds and the open's attrs.
+
+    All from the job's RunReport; the store work sums the walls of its
+    :data:`STORE_WORK_SPANS`.
+    """
     job = RunReport.from_dict(report).find_span("service.job")
     opened = job.find("batch_gcd.incremental.open")
-    return job.wall_seconds, opened.wall_seconds, opened.attrs
+    work = sum(span.wall_seconds for span in job.walk() if span.name in STORE_WORK_SPANS)
+    return (job.wall_seconds, opened.wall_seconds, work), opened.attrs
 
 
 def test_store_size_jobs(bench_record, tmp_path_factory):
@@ -287,7 +299,8 @@ def test_store_size_jobs(bench_record, tmp_path_factory):
     Each size's store is written once, by a bootstrap, then copied to a
     directory this process never opened: the first job there opens cold
     and builds the whole tree, as after a restart; each later job's open
-    keeps the tree the job before it built.  The stored moduli are
+    keeps the replay and the tree the job before it left, so it parses
+    only that job's record.  The stored moduli are
     products of distinct random primes, so the bootstrap's divisors are
     all 1; every even job plants a modulus sharing a prime with the
     store, so the partner descent and a divisor commit run too.
@@ -308,6 +321,7 @@ def test_store_size_jobs(bench_record, tmp_path_factory):
             )
         )
         times = []
+        parsed = (state / INCREMENTAL_STORE_DIR / "store.jsonl").stat().st_size
         for index in range(jobs):
             moduli = [_prime_128(rng) * _prime_128(rng) for _ in range(JOB_MODULI)]
             if index % 2 == 0:
@@ -316,14 +330,18 @@ def test_store_size_jobs(bench_record, tmp_path_factory):
                 JobRecord(job_id=f"job-{index}", seq=index, digest="-", moduli=moduli)
             )
             assert len(result.divisors) == (index % 2 == 0)
-            job_wall, open_wall, opened = _job_times(report)
+            walls, opened = _job_times(report)
             replayed = n + JOB_MODULI * index
+            log = (state / INCREMENTAL_STORE_DIR / "store.jsonl").read_bytes()
+            last_record = len(log) - log.rstrip(b"\n").rfind(b"\n") - 1
             assert opened == {
                 "replayed_leaves": replayed,
                 "kept_leaves": replayed if index else 0,
+                "parsed_bytes": parsed,
             }
-            times.append((job_wall, open_wall))
-        (cold_job, cold_open), warm = times[0], times[1:]
+            parsed = last_record
+            times.append(walls)
+        (cold_job, cold_open, cold_work), warm = times[0], times[1:]
         bench_record["store_size"][f"n{n}"] = {
             "stored_moduli": n,
             "job_moduli": JOB_MODULI,
@@ -331,9 +349,13 @@ def test_store_size_jobs(bench_record, tmp_path_factory):
             "cold_open_ms": round(cold_open * 1000, 3),
             "warm_jobs": len(warm),
             "warm_job_ms_median": round(
-                statistics.median(job for job, _ in warm) * 1000, 3
+                statistics.median(job for job, _, _ in warm) * 1000, 3
             ),
             "warm_open_ms_median": round(
-                statistics.median(wall for _, wall in warm) * 1000, 3
+                statistics.median(wall for _, wall, _ in warm) * 1000, 3
+            ),
+            "cold_store_work_ms": round(cold_work * 1000, 3),
+            "warm_store_work_ms_median": round(
+                statistics.median(work for _, _, work in warm) * 1000, 3
             ),
         }

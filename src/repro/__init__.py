@@ -32,14 +32,16 @@ Subpackages:
 The names in ``__all__`` resolve on first access (PEP 562): importing
 ``repro`` loads no submodule, so each entry point loads only the layers it
 runs.  ``repro-batchgcd`` loads ``core``, ``numt``, ``faults`` and
-``telemetry``, never the study; ``from repro import run_study`` loads the
-pipeline at the import, before any work starts.
+``telemetry``, never the study, and ``repro.core`` and ``repro.numt``
+resolve their incremental-store names the same way (:func:`_lazy_exports`),
+so only an incremental run loads the store; ``from repro import
+run_study`` loads the pipeline at the import, before any work starts.
 
 See ``ARCHITECTURE.md`` for the guided tour and data-flow diagram.
 """
 
 import importlib
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:
     from repro.core import batch_gcd, clustered_batch_gcd, naive_pairwise_gcd
@@ -49,6 +51,34 @@ if TYPE_CHECKING:
     from repro.timeline import HEARTBLEED, STUDY_END, STUDY_START, Month
 
 __version__ = "1.0.0"
+
+
+def _lazy_exports(
+    namespace: dict[str, Any], exports: dict[str, str]
+) -> tuple[Callable[[str], object], Callable[[], list[str]]]:
+    """A package's PEP 562 ``__getattr__`` and ``__dir__`` over ``exports``.
+
+    ``exports`` maps each name to the module that defines it.  The first
+    access imports that module and caches the value in ``namespace`` (the
+    package's globals); any other name raises ``AttributeError``, so
+    ``from package import submodule`` still imports the submodule.
+    """
+
+    def __getattr__(name: str) -> object:
+        module = exports.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}"
+            )
+        value = getattr(importlib.import_module(module), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *exports})
+
+    return __getattr__, __dir__
+
 
 #: Each public name -> the module that defines it, imported on first access.
 _EXPORTS = {
@@ -86,15 +116,4 @@ __all__ = [
     "__version__",
 ]
 
-
-def __getattr__(name: str) -> object:
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_EXPORTS})
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

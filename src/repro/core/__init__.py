@@ -19,7 +19,9 @@ greatest common divisor with the product of all the *other* moduli:
   product-tree store (:mod:`repro.numt.incremental`) answering "is this
   new modulus weak against everything seen so far?" with one reduction
   per stored block, with amortised O(1)-product inserts instead of
-  per-run full recomputes.
+  per-run full recomputes.  Its names resolve on first access, and
+  :func:`~repro.core.select.select_engine` imports it only to build an
+  incremental engine, so no other run loads the store.
 - :mod:`repro.core.select` — the engine seam: declares the engine knobs
   once (:class:`~repro.core.select.EngineConfig`) and resolves an engine
   name (including ``"auto"``) to a constructed engine, deriving
@@ -30,13 +32,11 @@ performs factor recovery — including the pairwise fallback for moduli that
 share *both* primes with other moduli (divisor == N).
 """
 
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
 from repro.core.batchgcd import ClassicBatchGcd, batch_gcd, batch_gcd_divisors
 from repro.core.clustered import ClusteredBatchGcd, clustered_batch_gcd
-from repro.core.incremental import (
-    INCREMENTAL_MAX_BATCH,
-    BulkEngine,
-    IncrementalBatchGcd,
-)
 from repro.core.naive import naive_pairwise_gcd
 from repro.core.results import BatchGcdResult, FactoredModulus
 from repro.core.select import (
@@ -48,6 +48,20 @@ from repro.core.select import (
     auto_processes,
     select_engine,
 )
+
+if TYPE_CHECKING:
+    from repro.core.incremental import (
+        INCREMENTAL_MAX_BATCH,
+        BulkEngine,
+        IncrementalBatchGcd,
+    )
+
+#: Each lazily resolved name -> its defining module (``_lazy_exports``).
+_EXPORTS = dict.fromkeys(
+    ("INCREMENTAL_MAX_BATCH", "BulkEngine", "IncrementalBatchGcd"),
+    "repro.core.incremental",
+)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "AUTO_POOL_MAX_WORKERS",

@@ -48,7 +48,6 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.batchgcd import ClassicBatchGcd
 from repro.core.clustered import ClusteredBatchGcd
-from repro.core.incremental import IncrementalBatchGcd
 from repro.faults.plan import FaultPlan
 from repro.faults.recovery import RecoveryPolicy
 from repro.numt.backend import BigIntBackend, available_backends
@@ -307,6 +306,8 @@ def select_engine(
 
     processes = config.processes
     if engine == "incremental" or store_dir is not None:
+        from repro.core.incremental import IncrementalBatchGcd
+
         reason = (
             "incremental engine requested"
             if engine == "incremental"

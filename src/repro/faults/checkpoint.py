@@ -86,7 +86,8 @@ class CheckpointStore:
 
         Returns an empty mapping when there is no checkpoint or the log
         identifies a different computation.  Unreadable records are
-        skipped (their passes recompute).
+        skipped (their passes recompute); a log that exists but cannot be
+        read raises.
         """
         telemetry = get_telemetry()
         with telemetry.span("batch_gcd.checkpoint_load"):

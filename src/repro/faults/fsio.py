@@ -27,7 +27,11 @@ moves they share:
   policy covers every log: a kill mid-append leaves a partial final
   line, which :func:`read_jsonl` skips and the next :func:`append_jsonl`
   newline-terminates first, so the records on both sides of a tear
-  survive.
+  survive.  A reader that keeps the bytes it has already replayed reads
+  the log with :func:`read_log_bytes` and parses any span of whole lines
+  with :func:`parse_jsonl`, the parser :func:`read_jsonl` uses.  Only a
+  missing log reads as empty: any other read error raises, because a log
+  taken for empty is one its next rewrite would drop.
 
 The DUR rules in :mod:`repro.devtools.checks.durability` machine-check
 that persistence code either routes through these helpers or reproduces
@@ -49,7 +53,9 @@ __all__ = [
     "fsync_dir",
     "fsync_file",
     "make_dirs",
+    "parse_jsonl",
     "read_jsonl",
+    "read_log_bytes",
 ]
 
 
@@ -137,18 +143,27 @@ def append_jsonl(path: str | Path, records: Iterable[Any]) -> None:
         fsync_dir(target.parent)
 
 
-def read_jsonl(path: str | Path) -> list[Any]:
-    """Every parseable line of ``path``, in file order.
+def read_log_bytes(path: str | Path) -> bytes:
+    """The bytes of the log at ``path``; a missing log reads as ``b""``.
 
-    Blank and unparsable lines (a torn tail, or a fragment an append
-    newline-terminated) are skipped; a missing file reads as ``[]``.
+    Any other read error (``PermissionError``, ``EIO``) raises: a log
+    that cannot be read is not an empty one.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8", errors="replace")
-    except OSError:
-        return []
+        return Path(path).read_bytes()
+    except FileNotFoundError:
+        return b""
+
+
+def parse_jsonl(data: bytes) -> list[Any]:
+    """Every parseable line of ``data``, in order.
+
+    Blank and unparsable lines (a torn tail, or a fragment an append
+    newline-terminated) are skipped.  ``data`` cut after a newline parses
+    to the records of the lines before the cut, then those after it.
+    """
     records = []
-    for line in text.splitlines():
+    for line in data.decode("utf-8", errors="replace").splitlines():
         if not line.strip():
             continue
         try:
@@ -156,3 +171,12 @@ def read_jsonl(path: str | Path) -> list[Any]:
         except ValueError:
             continue
     return records
+
+
+def read_jsonl(path: str | Path) -> list[Any]:
+    """Every parseable line of ``path``, in file order (:func:`parse_jsonl`).
+
+    A missing file reads as ``[]``; any other read error raises
+    (:func:`read_log_bytes`).
+    """
+    return parse_jsonl(read_log_bytes(path))

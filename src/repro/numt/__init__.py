@@ -16,7 +16,9 @@ everything the higher layers need:
 - :mod:`repro.numt.incremental` — the appendable product tree and its
   persistent on-disk store: complete-block appends (amortised O(1)
   products), one durable commit per batch, and membership checks
-  against the whole corpus (the serving-path engine's substrate).
+  against the whole corpus (the serving-path engine's substrate).  Its
+  names resolve on first access, so only a process that uses the store
+  loads it.
 
 With one deliberate exception, everything operates on plain ``int``
 values, has no I/O and records no telemetry of its own — callers that
@@ -39,17 +41,13 @@ for the sieves; there is no global state, so every function here is safe
 to call from process pool workers.
 """
 
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
 from repro.numt.backend import (
     BigIntBackend,
     available_backends,
     resolve_backend,
-)
-from repro.numt.incremental import (
-    IncrementalProductTree,
-    PartnerHit,
-    ProbeOutcome,
-    ProductTreeStore,
-    StoreCorruptError,
 )
 from repro.numt.primality import is_probable_prime, next_prime
 from repro.numt.sieve import first_n_primes, primes_below
@@ -66,6 +64,28 @@ from repro.numt.trees import (
     sibling_gcd_hits,
     tree_product,
 )
+
+if TYPE_CHECKING:
+    from repro.numt.incremental import (
+        IncrementalProductTree,
+        PartnerHit,
+        ProbeOutcome,
+        ProductTreeStore,
+        StoreCorruptError,
+    )
+
+#: Each lazily resolved name -> its defining module (``_lazy_exports``).
+_EXPORTS = dict.fromkeys(
+    (
+        "IncrementalProductTree",
+        "PartnerHit",
+        "ProbeOutcome",
+        "ProductTreeStore",
+        "StoreCorruptError",
+    ),
+    "repro.numt.incremental",
+)
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "BigIntBackend",

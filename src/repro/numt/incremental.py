@@ -23,8 +23,9 @@ seen so far):
   leaves.
 - :class:`ProductTreeStore` persists the corpus as one append-only log,
   a :class:`~repro.faults.journal.MutationJournal`.  The blocks live in
-  memory only, and an open multiplies only those this process has not
-  already built for the store (below).
+  memory only; an open parses only the log records, and multiplies only
+  the blocks, that this process has not already replayed and built for
+  the store (below).
 
 Layout under ``directory``::
 
@@ -44,19 +45,34 @@ whose batch raised before its commit returned refuses every later batch
 (its memory is ahead of the log), and a reopen recovers.  The first commit
 writes the identity line with :func:`~repro.faults.fsio.atomic_write_text`,
 so no log lacks it.  Opening replays the records in order without
-probing, then builds the complete blocks.  A tree is a function of its
-leaves alone, so the open keeps the nodes of the tree that the last
-store opened or bootstrapped in this process built for the same
-directory, over the ``n`` leaves the log and that tree agree on, and
-multiplies only the blocks after them (all of them after a restart, or
-when the first leaves disagree).  The log stays the only source of
-moduli, divisors and job progress.  A torn final line (a
-kill mid-append) is skipped by :func:`~repro.faults.fsio.read_jsonl`, so
-only a batch whose call never returned is lost; a record that is not a
-batch, or that does not start at the leaf count so far, raises
-:class:`StoreCorruptError`.  A directory in the earlier manifest layout
-(``manifest.json``, ``hits.json``, ``journal.jsonl`` and ``nodes/``) is
-upgraded to the log once, on open (see ``docs/FAULTS.md``).
+probing, then builds the complete blocks.  Both are kept for the next
+open of the same directory in this process, and both are functions of
+the log's bytes:
+
+- the *replay*: the log's bytes up to their last newline as that open
+  read them, and the identity, moduli, divisors and job progress those
+  bytes replay to.  An open whose log starts with those bytes starts
+  from copies of that state and parses only the records after them;
+  any other log (after a restart, or edited, cut back or replaced) is
+  parsed from its first byte.  Only an open advances the replay, never
+  a commit, so a store's state is always the replay of its log's
+  current bytes, and a record another store appended, or a commit that
+  raised after its append, is read as a fresh process would read it;
+- the *tree*: the open keeps the nodes of the tree that the last store
+  opened or bootstrapped in this process built for the same directory,
+  over the ``n`` leaves the log and that tree agree on, and multiplies
+  only the blocks after them (all of them after a restart, or when the
+  first leaves disagree).
+
+The log stays the only source of moduli, divisors and job progress.  A
+torn final line (a kill mid-append) is skipped by
+:func:`~repro.faults.fsio.parse_jsonl`, so only a batch whose call never
+returned is lost; a record that is not a batch, or that does not start
+at the leaf count so far, raises :class:`StoreCorruptError`, and a log
+that exists but cannot be read raises its ``OSError``.  A directory in
+the earlier manifest layout (``manifest.json``, ``hits.json``,
+``journal.jsonl`` and ``nodes/``) is upgraded to the log once, on open
+(see ``docs/FAULTS.md``).
 
 Divisor semantics match the clustered engine's: the accumulated divisor
 for a corpus member is the gcd-capped lcm of its pairwise shares, so the
@@ -68,8 +84,9 @@ be a proper divisor of the classic one, exactly as for
 
 Telemetry (active registry, see :mod:`repro.telemetry`): each open of a
 persistent store records a ``batch_gcd.incremental.open`` span
-(annotated with ``replayed_leaves`` and ``kept_leaves``, the leaves
-whose nodes were kept rather than multiplied), each probe
+(annotated with ``replayed_leaves``, ``kept_leaves``, the leaves whose
+nodes were kept rather than multiplied, and ``parsed_bytes``, the log
+bytes it parsed rather than took from the kept replay), each probe
 records a ``batch_gcd.incremental.descend`` span (annotated with the
 partner count), each inserted modulus a ``batch_gcd.incremental.insert``
 span (annotated with ``built_nodes``, the nodes its append computed) plus
@@ -86,7 +103,13 @@ import shutil
 from pathlib import Path
 from typing import Any, ClassVar, Iterable, NamedTuple, Sequence
 
-from repro.faults.fsio import atomic_write_text, fsync_dir, read_jsonl
+from repro.faults.fsio import (
+    atomic_write_text,
+    fsync_dir,
+    parse_jsonl,
+    read_jsonl,
+    read_log_bytes,
+)
 from repro.faults.journal import MutationJournal
 from repro.numt.backend import BigIntBackend, resolve_backend
 from repro.numt.trees import gcd_descent_hits
@@ -129,6 +152,19 @@ def _log_text(backend: str, *records: dict[str, Any]) -> str:
     """The identity line, then ``records``: a new log's whole text."""
     lines = [{"version": _VERSION, "backend": backend}, *records]
     return "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+
+
+class _Replay(NamedTuple):
+    """Log bytes ending in a newline (or empty), and what they replay to.
+
+    Never mutated: an open starts from copies.
+    """
+
+    data: bytes
+    identity: dict[str, Any] | None
+    moduli: list[int]
+    hits: dict[int, int]
+    jobs: dict[str, tuple[int, int]]
 
 
 class PartnerHit(NamedTuple):
@@ -303,8 +339,10 @@ class ProductTreeStore:
     a store: a persistent store's tree is kept for the next open of its
     directory in this process, which copies the nodes over the leaves it
     replays from the log (see :class:`IncrementalProductTree`'s
-    ``reuse``).  At most one tree is kept per process, and two stores
-    open on one directory share no level list.
+    ``reuse``), with the replay of the log as the last open read it, so
+    that open parses only the records appended since.  At most one tree
+    and replay are kept per process, and two stores open on one
+    directory share no level list.
 
     Args:
         directory: store root on disk, or ``None`` for a memory-only
@@ -320,16 +358,20 @@ class ProductTreeStore:
             count so far).  Also if a manifest-layout store to upgrade
             is missing leaf records below its committed count.
         ValueError: on a backend mismatch with the persisted identity.
+        OSError: on open, if the log exists but cannot be read (a
+            missing log is an empty store).
     """
 
     #: The tree the last persistent store opened or bootstrapped in this
-    #: process built, with that store's resolved directory.  The store
-    #: keeps appending to it, so the next open of the same directory finds
-    #: the log's last commit already multiplied.  It is process-wide
-    #: because the runner and the engine open a store per job.  A tree is
-    #: a function of its leaves, so whatever tree a test or a racing open
-    #: leaves here changes how much an open multiplies, never its result.
-    _kept: ClassVar[tuple[Path, IncrementalProductTree] | None] = None
+    #: process built, with that store's resolved directory and the replay
+    #: its open read.  The store keeps appending to the tree, so the next
+    #: open of the same directory finds the log's last commit already
+    #: multiplied, and parses only the bytes after the replay's.  It is
+    #: process-wide because the runner and the engine open a store per
+    #: job.  A tree is a function of its leaves and a replay of its bytes,
+    #: so whatever a test or a racing open leaves here changes how much an
+    #: open parses and multiplies, never its result.
+    _kept: ClassVar[tuple[Path, IncrementalProductTree, _Replay] | None] = None
 
     def __init__(
         self,
@@ -350,9 +392,11 @@ class ProductTreeStore:
         with telemetry.span("batch_gcd.incremental.open"):
             if (self.directory / _MANIFEST).exists():
                 self._upgrade()
-            self._load(backend)
+            parsed = self._load(backend)
             telemetry.annotate(
-                replayed_leaves=self.count, kept_leaves=self._tree.reused
+                replayed_leaves=self.count,
+                kept_leaves=self._tree.reused,
+                parsed_bytes=parsed,
             )
 
     # -- identity and queries -------------------------------------------
@@ -588,35 +632,67 @@ class ProductTreeStore:
         self._journal.append(_batch_record(index, moduli, hits, jobs))
 
     def _keep(self, tree: IncrementalProductTree) -> None:
-        """Adopt ``tree``; a persistent store also keeps it for the next open."""
+        """Adopt ``tree``; a persistent store also keeps it for the next open.
+
+        The replay kept beside it is the one this store's open read: a
+        commit never advances it.
+        """
         self._tree = tree
         if self.directory is not None:
-            ProductTreeStore._kept = (self.directory.resolve(), tree)
+            ProductTreeStore._kept = (self.directory.resolve(), tree, self._opened)
 
-    def _load(self, backend: str | BigIntBackend | None) -> None:
+    def _load(self, backend: str | BigIntBackend | None) -> int:
         """Replay the log: extend the leaves, merge hits and jobs, then regrow.
 
-        Every record is read and checked as if nothing were kept.  The
-        tree then keeps the kept tree's nodes over the leaves it shares
-        with the replayed ones and multiplies only the blocks after them,
-        or is built fresh when they disagree.
+        The log's bytes are read once.  If they start with the kept
+        replay's, the replay starts from copies of its state and parses
+        only the bytes after them, else from the first byte; each parsed
+        record is checked.  The bytes up to the last newline, and their
+        state, become this open's replay.  The tree then keeps the kept
+        tree's nodes over the leaves it shares with the replayed ones and
+        multiplies only the blocks after them, or is built fresh when
+        they disagree.  Returns the number of bytes parsed.
         """
-        identity, *batches = self._journal.records() or [None]
-        self._logged = identity is not None
+        data = read_log_bytes(self._journal.path)
+        where, kept, replay = ProductTreeStore._kept or (None, None, None)
+        if where != self.directory.resolve():
+            kept = replay = None
+        if replay is None or not data.startswith(replay.data):
+            replay = _Replay(b"", None, [], {}, {})
+        self._identity = replay.identity
+        self._moduli = list(replay.moduli)
+        self._hits = dict(replay.hits)
+        self._jobs = dict(replay.jobs)
+        start, cut = len(replay.data), data.rfind(b"\n") + 1
+        self._replay(data[start:cut])
+        self._opened = _Replay(
+            data[:cut], self._identity, list(self._moduli), dict(self._hits),
+            dict(self._jobs),
+        )
+        self._replay(data[cut:])
+        self._logged = self._identity is not None
         if self._logged:
-            if not isinstance(identity, dict) or identity.get("version") != _VERSION:
-                raise StoreCorruptError(
-                    f"{self._journal.path} does not start with a version "
-                    f"{_VERSION} store identity"
-                )
-            stored = identity.get("backend")
+            stored = self._identity.get("backend")
             backend = resolve_backend(backend if backend is not None else stored)
             if backend.name != stored:
                 raise ValueError(
                     f"store was persisted with backend {stored!r} but "
                     f"{backend.name!r} was requested"
                 )
-        for record in batches:
+        self._keep(IncrementalProductTree(self._moduli, backend=backend, reuse=kept))
+        return len(data) - start
+
+    def _replay(self, data: bytes) -> None:
+        """Apply the records of ``data`` in order: the identity, then batches."""
+        for record in parse_jsonl(data):
+            if self._identity is None:
+                if not isinstance(record, dict) or record.get("version") != _VERSION:
+                    raise StoreCorruptError(
+                        f"{self._journal.path} does not start with a version "
+                        f"{_VERSION} store identity"
+                    )
+                self._identity = record
+                continue
             try:
                 index = int(record["index"])
                 moduli = [int(value, 16) for value in record["moduli"]]
@@ -638,9 +714,6 @@ class ProductTreeStore:
             self._moduli.extend(moduli)
             self._hits.update(hits)
             self._jobs.update(jobs)
-        where, kept = ProductTreeStore._kept or (None, None)
-        reuse = kept if where == self.directory.resolve() else None
-        self._keep(IncrementalProductTree(self._moduli, backend=backend, reuse=reuse))
 
     def _upgrade(self) -> None:
         """Rewrite a store of the manifest layout as the one log, once.

@@ -10,7 +10,8 @@ own :class:`~repro.faults.checkpoint.CheckpointStore` checkpoints
 separately).  The journal is an append-only log of
 :func:`repro.faults.fsio.append_jsonl` / :func:`~repro.faults.fsio.read_jsonl`:
 a torn final line (kill mid-append) is skipped on replay and
-newline-terminated before the next append.
+newline-terminated before the next append.  A journal that exists but
+cannot be read raises on open rather than replaying as an empty queue.
 
 Crash-mid-claim recovery.  A job still running when replay ends was
 claimed by a process that died before recording how the run ended.

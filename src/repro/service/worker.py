@@ -34,6 +34,7 @@ permanent failures, not just successes.
 from __future__ import annotations
 
 import http.client
+import importlib
 import json
 import shutil
 import threading
@@ -87,6 +88,10 @@ class KeyCheckRunner:
             Path(checkpoint_root) if checkpoint_root is not None else None
         )
         self._telemetry = telemetry or Telemetry(enabled=False)
+        if config.engine.engine == "incremental":
+            # Every job of an incremental service opens the store, so its
+            # modules load with the service, not inside the first job.
+            importlib.import_module("repro.core.incremental")
 
     def __call__(self, job: JobRecord) -> tuple[JobResult, dict[str, Any]]:
         """Execute the check; returns ``(result, telemetry report dict)``."""

@@ -87,7 +87,10 @@ class TestEntryPointReach:
 
     def test_entry_points_load_every_product_module(self):
         # Code no entry point imports is dead weight; repro.devtools is the
-        # one exception, with its own CLI.
+        # one exception, with its own CLI.  The incremental store loads
+        # when the engine seam builds an incremental engine (the service's
+        # incremental mode, `repro-batchgcd --engine incremental`), so the
+        # check builds one.
         src = REPO / "src"
         product = set()
         for path in (src / "repro").rglob("*.py"):
@@ -96,7 +99,8 @@ class TestEntryPointReach:
             if not name.startswith("repro.devtools"):
                 product.add(name)
         imports = "; ".join(f"import {module}" for module in self.ENTRY_POINTS)
-        proc = run(["-c", f"import sys; {imports}; print(*sorted(sys.modules))"])
+        incremental = "repro.core.select.select_engine(0, engine='incremental')"
+        proc = run(["-c", f"import sys; {imports}; {incremental}; print(*sorted(sys.modules))"])
         assert proc.returncode == 0, proc.stderr
         loaded = {name for name in proc.stdout.split() if name.split(".")[0] == "repro"}
         assert sorted(product - loaded) == []
@@ -129,6 +133,38 @@ class TestEntryPointReach:
             if any(name == layer or name.startswith(layer + ".") for layer in self.STUDY_LAYERS)
         ]
         assert study == []
+
+    STORE = ("repro.core.incremental", "repro.numt.incremental")
+
+    def test_batchgcd_cli_loads_no_incremental_store(self):
+        loaded = self._loaded_after("import repro.batchgcd_cli")
+        assert "repro.batchgcd_cli" in loaded
+        assert [name for name in loaded if name in self.STORE] == []
+
+    @pytest.mark.parametrize("mode, loads_store", [("clustered", False), ("incremental", True)])
+    def test_service_runner_loads_the_store_in_incremental_mode_only(self, mode, loads_store):
+        loaded = self._loaded_after(
+            "from repro.core.select import EngineConfig; "
+            "from repro.service.models import ServiceConfig; "
+            "from repro.service.worker import KeyCheckRunner; "
+            f"KeyCheckRunner(ServiceConfig(state_dir='unused', engine=EngineConfig(engine={mode!r})))"
+        )
+        assert [name for name in self.STORE if name in loaded] == list(self.STORE) * loads_store
+
+    @pytest.mark.parametrize(
+        "package, defining", [("repro.numt", "repro.numt.incremental"),
+                              ("repro.core", "repro.core.incremental")],
+    )
+    def test_incremental_names_resolve_on_first_use(self, package, defining):
+        module = importlib.import_module(package)
+        names = [name for name, source in module._EXPORTS.items() if source == defining]
+        assert names and set(names) <= set(module.__all__) <= set(dir(module))
+        for name in names:
+            assert getattr(module, name) is getattr(importlib.import_module(defining), name)
+        first = names[0]
+        loaded = self._loaded_after(f"import {package}")
+        assert defining not in loaded
+        assert defining in self._loaded_after(f"from {package} import {first}")
 
     def test_package_root_loads_no_submodule(self):
         assert self._loaded_after("import repro") == ["repro"]

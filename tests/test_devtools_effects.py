@@ -406,7 +406,8 @@ class TestRealRepoSummaries:
         assert "dir_fsync" in index.own("repro.faults.fsio.fsync_dir")
 
     def test_journal_append_fsyncs_and_read_is_guarded(self):
-        # The one JSONL append and the one line-by-line read.  The append
+        # The one JSONL append and the one line-by-line parse, which
+        # read_jsonl and the store's replay share.  The append
         # opens for append and writes itself, and fsyncs through
         # fsync_file (and, when it creates the log, fsync_dir); every log
         # (the journal included) routes through it.
@@ -423,8 +424,9 @@ class TestRealRepoSummaries:
         assert {"open_append", "write", "flush", "fsync"} <= index.transitive(
             "repro.faults.journal.MutationJournal.append"
         )
-        read = index.effects("repro.faults.fsio.read_jsonl")
-        assert [e.kind for e in read.effects] == ["jsonl_read"]
+        parse = index.effects("repro.faults.fsio.parse_jsonl")
+        assert [e.kind for e in parse.effects] == ["jsonl_read"]
+        assert "jsonl_read" in index.transitive("repro.faults.fsio.read_jsonl")
 
 
 class TestExportDeterminism:

@@ -1,5 +1,6 @@
 """Unit tests for the durable filesystem primitives (`repro.faults.fsio`)."""
 
+import errno
 import os
 import stat
 from pathlib import Path
@@ -12,7 +13,9 @@ from repro.faults.fsio import (
     atomic_write_text,
     fsync_dir,
     fsync_file,
+    parse_jsonl,
     read_jsonl,
+    read_log_bytes,
 )
 from repro.numt.incremental import ProductTreeStore
 from repro.service.queue import JobQueue
@@ -110,6 +113,27 @@ class TestAtomicWriteText:
 class TestJsonl:
     def test_missing_file_reads_as_empty(self, tmp_path):
         assert read_jsonl(tmp_path / "log.jsonl") == []
+
+    def test_a_read_error_is_not_an_empty_log(self, tmp_path, monkeypatch):
+        path = tmp_path / "log.jsonl"
+        append_jsonl(path, [{"n": 1}])
+
+        def refuse(self, *args, **kwargs):
+            raise OSError(errno.EIO, "Input/output error", str(self))
+
+        monkeypatch.setattr(Path, "open", refuse)
+        with pytest.raises(OSError, match="Input/output"):
+            read_jsonl(path)
+        with pytest.raises(OSError, match="Input/output"):
+            read_log_bytes(path)
+        monkeypatch.undo()
+        assert read_log_bytes(tmp_path / "missing.jsonl") == b""
+
+    def test_a_log_cut_after_a_newline_parses_as_its_two_parts(self, tmp_path):
+        data = b'{"n": 1}\n{"n": 2, "to\n\n[3]\n{"n": 4}'
+        for cut in [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]:
+            assert parse_jsonl(data[:cut]) + parse_jsonl(data[cut:]) == parse_jsonl(data)
+        assert parse_jsonl(data) == [{"n": 1}, [3], {"n": 4}]
 
     def test_appends_sorted_key_lines_and_creates_directories(self, tmp_path):
         path = tmp_path / "deep" / "log.jsonl"

@@ -12,9 +12,11 @@ sides of a torn append, refuse a log with a record missing, refuse
 every batch after one whose commit raised, and upgrade stores written in
 the manifest layout (leaf-only and per-level) once.
 A reopen keeps the nodes of the tree this process last built for the
-directory, over the leaves the log agrees on: its levels must equal a
-fresh build and its readings a cold replay of the log, whatever
-commits raised or tore before it, and two open stores share no level.
+directory, over the leaves the log agrees on, and parses only the log
+bytes after those the last open replayed: its levels must equal a fresh
+build and its readings a cold replay of the log, whatever commits
+raised or tore, records were rewritten or cut, or other stores appended
+before it, and two open stores share no level.
 (A real SIGKILL at every point of the one append, for an insert and for
 a job, and mid-upgrade, is drilled in
 ``tests/test_incremental_differential.py``.)
@@ -512,14 +514,19 @@ def _run_store_step(store, step):
 
 
 #: Steps for the kept-tree property: the store's own operations, plus a
-#: reopen, a torn final record and a commit that raises mid-extend (the
-#: last two each followed by a reopen, as a restart or a retry would).
+#: reopen, a torn final record, a commit that raises mid-extend, one hex
+#: digit of an earlier record rewritten in place, the log cut back to an
+#: earlier line, and a batch appended through a second store object (the
+#: last five each followed by a reopen, as a restart or a retry would).
 _KEPT_STEPS = st.lists(
     st.one_of(
         _STORE_STEP,
         st.tuples(st.just("reopen"), st.none(), st.none()),
         st.tuples(st.just("torn"), st.none(), st.none()),
         st.tuples(st.just("raise"), st.lists(_MODULI, min_size=1, max_size=4), st.none()),
+        st.tuples(st.just("rewrite"), st.none(), st.none()),
+        st.tuples(st.just("cut"), st.integers(0, 8), st.none()),
+        st.tuples(st.just("second"), st.lists(_MODULI, min_size=1, max_size=4), st.none()),
     ),
     max_size=10,
 )
@@ -527,6 +534,35 @@ _KEPT_STEPS = st.lists(
 
 def _refuse(record):
     raise OSError("commit refused")
+
+
+def _rewrite_a_digit(log):
+    """Rewrite the first digit of the first logged modulus, same length.
+
+    Returns whether a batch record held one (a torn fragment never ends
+    with its closing brace).
+    """
+    if not log.exists():
+        return False
+    marker = b'"moduli": ["'
+    lines = log.read_bytes().splitlines(keepends=True)
+    for number, line in enumerate(lines):
+        at = line.find(marker)
+        if at >= 0 and line.endswith(b"}\n"):
+            at += len(marker)
+            digit = b"3" if line[at : at + 1] == b"2" else b"2"
+            lines[number] = line[:at] + digit + line[at + 1 :]
+            log.write_bytes(b"".join(lines))
+            return True
+    return False
+
+
+def _cut_back(log, keep):
+    """Cut ``log`` back to an earlier line (the identity always stays)."""
+    if log.exists():
+        lines = log.read_bytes().splitlines(keepends=True)
+        if len(lines) > 1:
+            log.write_bytes(b"".join(lines[: 1 + keep % (len(lines) - 1)]))
 
 
 def _cold_open(path):
@@ -543,11 +579,12 @@ def _level_ids(store):
 
 
 class TestKeptTree:
-    """An open keeps the tree this process last built for the store.
+    """An open keeps the tree and the replay this process last built.
 
     The log stays the only source of moduli, divisors and job progress:
-    each open replays it whole, and only the tree over the leaves it
-    agrees on is kept.
+    each open parses the bytes after those the last open of the
+    directory replayed (all of them when the log no longer starts with
+    those), and only the tree over the leaves it agrees on is kept.
     """
 
     @settings(max_examples=120, deadline=None)
@@ -556,6 +593,7 @@ class TestKeptTree:
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "store"
             store = ProductTreeStore(path)
+            rewritten = False
             for step in steps:
                 operation, arg, _ = step
                 if operation == "torn":
@@ -566,11 +604,19 @@ class TestKeptTree:
                     store._journal.append = _refuse
                     with pytest.raises(OSError):
                         store.extend(arg)
+                elif operation == "rewrite":
+                    # A rewritten leaf disagrees with the kept tree's.
+                    rewritten = _rewrite_a_digit(path / "store.jsonl")
+                elif operation == "cut":
+                    _cut_back(path / "store.jsonl", arg)
+                elif operation == "second":
+                    ProductTreeStore(path).extend(arg)
                 elif operation != "reopen":
                     _run_store_step(store, step)
                     continue
                 store = ProductTreeStore(path)
-                assert store._tree.reused == store.count
+                assert store._tree.reused == (0 if rewritten else store.count)
+                rewritten = False
                 assert store._tree.levels == IncrementalProductTree(store.moduli).levels
                 assert _readings(store) == _readings(_cold_open(path))
 
@@ -615,17 +661,82 @@ class TestKeptTree:
         rng = random.Random(323)
         ProductTreeStore(tmp_path / "store").extend([_semiprime(rng) for _ in range(6)])
         shutil.copytree(tmp_path / "store", tmp_path / "copy")
+        size = (tmp_path / "store" / "store.jsonl").stat().st_size
         telemetry = Telemetry()
         with use_telemetry(telemetry):
             ProductTreeStore(tmp_path / "store")
             ProductTreeStore(tmp_path / "copy")
             ProductTreeStore()
+        # The first store opened an empty directory, so its open replayed
+        # no byte of the log that its commit then wrote.
         assert [
             (span.name, span.attrs) for span in telemetry.report().spans
         ] == [
-            ("batch_gcd.incremental.open", {"replayed_leaves": 6, "kept_leaves": 6}),
-            ("batch_gcd.incremental.open", {"replayed_leaves": 6, "kept_leaves": 0}),
+            ("batch_gcd.incremental.open",
+             {"replayed_leaves": 6, "kept_leaves": 6, "parsed_bytes": size}),
+            ("batch_gcd.incremental.open",
+             {"replayed_leaves": 6, "kept_leaves": 0, "parsed_bytes": size}),
         ]
+
+    def test_a_warm_open_parses_only_the_records_after_its_replay(self, tmp_path):
+        rng = random.Random(324)
+        path = tmp_path / "store"
+        ProductTreeStore(path).extend([_semiprime(rng) for _ in range(6)])
+        ProductTreeStore(path).apply_job("job", [_semiprime(rng) for _ in range(4)])
+        log = (path / "store.jsonl").read_bytes()
+        record = log.splitlines(keepends=True)[-1]
+        assert json.loads(record)["jobs"] == {"job": [6, 4]}
+        telemetry = Telemetry()
+        with use_telemetry(telemetry):
+            warm = ProductTreeStore(path)
+            cold = _cold_open(path)
+        assert [span.attrs["parsed_bytes"] for span in telemetry.report().spans] == [
+            len(record), len(log),
+        ]
+        assert _readings(warm) == _readings(cold)
+        assert warm.job_progress("job") == (6, 4)
+
+    def test_a_final_record_without_its_newline_is_parsed_again(self, tmp_path):
+        # A kill can land between a record and its newline.  Every open
+        # reads that record, and the kept replay ends before it, so the
+        # next append's newline-terminating byte is read as a cold open
+        # reads it.
+        rng = random.Random(325)
+        corpus = [_semiprime(rng) for _ in range(7)]
+        path = tmp_path / "store"
+        ProductTreeStore(path).extend(corpus[:3])
+        ProductTreeStore(path).extend(corpus[3:5])
+        log = path / "store.jsonl"
+        log.write_bytes(log.read_bytes()[:-1])
+        telemetry = Telemetry()
+        with use_telemetry(telemetry):
+            unterminated = ProductTreeStore(path)
+            unterminated.extend(corpus[5:])
+            reopened = ProductTreeStore(path)
+        assert unterminated.moduli[:5] == reopened.moduli[:5] == corpus[:5]
+        assert _readings(reopened) == _readings(_cold_open(path))
+        last, after = (
+            span.attrs["parsed_bytes"] for span in telemetry.report().spans
+            if span.name == "batch_gcd.incremental.open"
+        )
+        lines = log.read_bytes().splitlines(keepends=True)
+        assert (last, after) == (len(lines[-2]) - 1, len(lines[-2]) + len(lines[-1]))
+
+    def test_an_open_that_raises_leaves_the_kept_replay_as_it_was(self, tmp_path):
+        # An open parses into copies of the kept state, so one that raises
+        # on a later record leaves nothing of the records before it in the
+        # state the next open starts from.
+        rng = random.Random(326)
+        path = tmp_path / "store"
+        ProductTreeStore(path).extend([_semiprime(rng) for _ in range(3)])
+        ProductTreeStore(path).extend([_semiprime(rng) for _ in range(2)])
+        log = path / "store.jsonl"
+        good = log.read_bytes()
+        log.write_bytes(good + b'{"hits": [], "index": 9, "jobs": {}, "moduli": []}\n')
+        with pytest.raises(StoreCorruptError, match="a record is missing"):
+            ProductTreeStore(path)
+        log.write_bytes(good)
+        assert _readings(ProductTreeStore(path)) == _readings(_cold_open(path))
 
 
 class TestOneLogReplay:

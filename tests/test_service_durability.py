@@ -2,13 +2,18 @@
 
 These pin the fixes the DUR rules demanded of real code: the job-queue
 journal fsyncs every append (DUR001), ``endpoint.json`` publishes via
-temp + atomic rename (DUR002), and a product-tree store commit is one
-append to its log, fsynced before the commit returns.
+temp + atomic rename (DUR002), a product-tree store commit is one
+append to its log, fsynced before the commit returns, and a log that
+cannot be read is never opened as an empty one.
 """
 
+import errno
 import json
 import os
 import random
+from pathlib import Path
+
+import pytest
 
 from repro.crypto.primes import generate_prime
 from repro.numt.incremental import ProductTreeStore
@@ -88,3 +93,52 @@ class TestStoreLogFsync:
         # The commit is the log append alone: one fsync, of the log.
         assert synced == [(tmp_path / "store" / "store.jsonl").stat().st_ino]
         assert ProductTreeStore(tmp_path / "store").moduli == [first, second]
+
+
+def _refuse_reads_of(monkeypatch, name):
+    """Make every open of a file called ``name`` fail, as a bad disk would.
+
+    The tests run as root, where ``chmod`` cannot provoke the error.
+    """
+    real_open = Path.open
+
+    def refuse(path, *args, **kwargs):
+        if path.name == name:
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", refuse)
+
+
+class TestUnreadableLog:
+    """A read error other than a missing file raises, and writes nothing.
+
+    Before, an unreadable log opened empty: the store's next commit
+    rewrote its log with a fresh identity and dropped every committed
+    batch, and the queue reopened with no jobs.
+    """
+
+    def test_store_open_raises_and_keeps_the_log(self, tmp_path, monkeypatch):
+        directory = tmp_path / "store"
+        ProductTreeStore(directory).extend(_moduli(count=4))
+        log = directory / "store.jsonl"
+        before = log.read_bytes()
+        _refuse_reads_of(monkeypatch, log.name)
+        with pytest.raises(PermissionError):
+            ProductTreeStore(directory)
+        monkeypatch.undo()
+        assert log.read_bytes() == before
+        assert ProductTreeStore(directory).count == 4
+
+    def test_queue_open_raises_and_keeps_the_journal(self, tmp_path, monkeypatch):
+        queue = JobQueue(tmp_path)
+        submitted = [queue.submit(_moduli(seed=seed))[0].job_id for seed in (7, 8)]
+        journal = tmp_path / "journal.jsonl"
+        before = journal.read_bytes()
+        _refuse_reads_of(monkeypatch, journal.name)
+        with pytest.raises(PermissionError):
+            JobQueue(tmp_path)
+        monkeypatch.undo()
+        assert journal.read_bytes() == before
+        reopened = JobQueue(tmp_path)
+        assert [reopened.get(job_id).job_id for job_id in submitted] == submitted

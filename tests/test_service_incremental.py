@@ -214,7 +214,9 @@ class TestRetryReadsTheLog:
         monkeypatch.setattr(MutationJournal, "append", append)
         retried, report = runner(jobs[2])
         opened = RunReport.from_dict(report).find_span("batch_gcd.incremental.open")
-        assert opened.attrs == {"replayed_leaves": 12, "kept_leaves": 12}
+        # The refused commit wrote nothing, so the retry's open finds the
+        # bytes the failed job's open replayed and parses none.
+        assert opened.attrs == {"replayed_leaves": 12, "kept_leaves": 12, "parsed_bytes": 0}
         results = [expected[0], expected[1], retried, runner(jobs[3])[0]]
         assert [json.dumps(r.to_dict()) for r in results] == [
             json.dumps(r.to_dict()) for r in expected
