@@ -65,6 +65,7 @@ __all__ = [
     "add_engine_flags",
     "auto_processes",
     "engine_config_from_args",
+    "pool_workers",
     "select_engine",
 ]
 
@@ -225,6 +226,21 @@ class EngineChoice:
     reason: str
 
 
+def pool_workers(cores: int | None = None) -> int | None:
+    """The core rule of :func:`auto_processes`: a worker count for a pool,
+    or ``None`` (in-process) on one core.  ``cores`` defaults to
+    ``os.cpu_count()``.
+
+    A pool that lives for a whole run (the study's keygen pool) is sized
+    by this rule alone: it pays its start-up once, not per corpus.
+    """
+    if cores is None:
+        cores = os.cpu_count() or 1
+    if cores < 2:
+        return None
+    return max(2, min(cores - 1, AUTO_POOL_MAX_WORKERS))
+
+
 def auto_processes(
     corpus_size: int,
     requested: int | None = None,
@@ -240,14 +256,14 @@ def auto_processes(
         return requested, f"processes={requested} requested explicitly"
     if cores is None:
         cores = os.cpu_count() or 1
-    if cores < 2:
+    workers = pool_workers(cores)
+    if workers is None:
         return None, f"in-process: {cores} core(s) available"
     if corpus_size < AUTO_POOL_MIN_MODULI:
         return None, (
             f"in-process: corpus {corpus_size} < pool threshold "
             f"{AUTO_POOL_MIN_MODULI}"
         )
-    workers = max(2, min(cores - 1, AUTO_POOL_MAX_WORKERS))
     return workers, (
         f"pooled: corpus {corpus_size} >= {AUTO_POOL_MIN_MODULI} "
         f"on {cores} cores -> {workers} workers"

@@ -5,6 +5,12 @@ fingerprint rules key on — Juniper's ``CN=system generated``, Cisco's model
 name in OU, Fritz!Box's myfritz.net names and fritz.box SANs, McAfee
 SnapGear's all-default fields, IBM cards carrying the *owner's* organisation
 instead of IBM's, and so on.
+
+:func:`build_certificate` draws every random field of a certificate from
+the population rng when it is called, and returns a
+:class:`DeviceCertificate` that assembles the certificate (TBS,
+signature, fingerprint) on its first read: a healthy key's primes may
+still be in their batch when the certificate is drawn.
 """
 
 from __future__ import annotations
@@ -20,9 +26,10 @@ from repro.crypto.certs import (
 )
 from repro.crypto.rsa import RsaKeyPair, RsaPrivateKey
 from repro.devices.models import DeviceModel, SubjectStyle
+from repro.entropy.keygen import GeneratedKey
 from repro.timeline import Month
 
-__all__ = ["build_certificate", "format_ip", "OWNER_ORGANISATIONS"]
+__all__ = ["DeviceCertificate", "build_certificate", "format_ip", "OWNER_ORGANISATIONS"]
 
 #: Plausible owner organisations for devices whose certificates carry the
 #: customer's identity (IBM RSA-II cards, Section 4.1: "Nearly all
@@ -129,22 +136,67 @@ def _subject_for(
     raise ValueError(f"unhandled subject style: {style!r}")
 
 
+class DeviceCertificate:
+    """A drawn device certificate, assembled on the first read.
+
+    Every read of :attr:`certificate` returns the same object, so each
+    scan interns the certificate whose fingerprint is already memoised.
+    """
+
+    __slots__ = ("_key", "_issuer", "_fields", "_certificate")
+
+    def __init__(
+        self,
+        key: RsaKeyPair | GeneratedKey,
+        issuer: tuple[Certificate, RsaPrivateKey] | None,
+        fields: dict,
+    ) -> None:
+        self._key = key
+        self._issuer = issuer
+        self._fields = fields
+        self._certificate: Certificate | None = None
+
+    @property
+    def certificate(self) -> Certificate:
+        """The signed certificate (built from the key pair on first read)."""
+        certificate = self._certificate
+        if certificate is None:
+            key = self._key
+            keypair = key if isinstance(key, RsaKeyPair) else key.keypair
+            if self._issuer is not None:
+                ca_cert, ca_key = self._issuer
+                certificate = issue_certificate(
+                    public_key=keypair.public,
+                    issuer_certificate=ca_cert,
+                    issuer_key=ca_key,
+                    **self._fields,
+                )
+            else:
+                certificate = self_signed_certificate(keypair=keypair, **self._fields)
+            self._certificate = certificate
+            self._key = self._issuer = self._fields = None
+        return certificate
+
+
 def build_certificate(
     model: DeviceModel,
-    keypair: RsaKeyPair,
+    keypair: RsaKeyPair | GeneratedKey,
     ip: int,
     month: Month,
     rng: random.Random,
     validity_years: int = 10,
     issuer: tuple[Certificate, RsaPrivateKey] | None = None,
-) -> Certificate:
-    """Create the device certificate a scan would collect.
+) -> DeviceCertificate:
+    """Draw the device certificate a scan would collect.
 
     Device certificates are generated at first boot (``month``) and typically
     never touched again, so the validity window starts then and runs for
     many years — matching the long-lived default certificates in the corpus.
     They are self-signed unless an ``issuer`` (CA certificate and key) is
-    supplied, which only the background web ecosystem uses.
+    supplied, which only the background web ecosystem uses.  Subject,
+    validity and serial are drawn from ``rng`` now; the key pair (a
+    :class:`~repro.entropy.keygen.GeneratedKey`'s is read then) is needed
+    only when the certificate is first read.
     """
     subject, sans = _subject_for(model, ip, rng)
     not_before = month.first_day() + timedelta(days=rng.randrange(28))
@@ -153,23 +205,14 @@ def build_certificate(
         not_before.month,
         min(not_before.day, 28),
     )
-    if issuer is not None:
-        ca_cert, ca_key = issuer
-        return issue_certificate(
+    return DeviceCertificate(
+        keypair,
+        issuer,
+        dict(
             subject=subject,
-            public_key=keypair.public,
-            issuer_certificate=ca_cert,
-            issuer_key=ca_key,
             serial=rng.getrandbits(64),
             not_before=not_before,
             not_after=not_after,
             subject_alt_names=sans,
-        )
-    return self_signed_certificate(
-        subject=subject,
-        keypair=keypair,
-        serial=rng.getrandbits(64),
-        not_before=not_before,
-        not_after=not_after,
-        subject_alt_names=sans,
+        ),
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.crypto.certs import Certificate
 from repro.crypto.rsa import RsaPrivateKey
-from repro.devices.certfactory import build_certificate
+from repro.devices.certfactory import DeviceCertificate, build_certificate
 from repro.devices.models import DeviceModel, KeygenKind
 from repro.entropy.keygen import (
     GeneratedKey,
@@ -38,6 +38,7 @@ from repro.timeline import HEARTBLEED, Month
 __all__ = [
     "Device",
     "DivisorLimits",
+    "FleetView",
     "IpAllocator",
     "ModelPopulation",
     "resolve_divisor",
@@ -130,7 +131,8 @@ class Device:
     ``weak_firmware`` records whether the unit runs a flawed firmware build
     (deployed inside the model's vulnerable window); whether its *current*
     key is actually weak is ``key.weak_by_construction``, re-drawn at every
-    key generation.
+    key generation.  ``issued`` is the current certificate as drawn;
+    :attr:`certificate` assembles it on the first read.
     """
 
     device_id: int
@@ -139,9 +141,36 @@ class Device:
     deployed: Month
     weak_firmware: bool
     key: GeneratedKey
-    certificate: Certificate
+    issued: DeviceCertificate
     retired: Month | None = None
     cert_generations: int = 1
+
+    @property
+    def certificate(self) -> Certificate:
+        """The certificate the device serves."""
+        return self.issued.certificate
+
+
+#: One online host as a scan sees it: its address and drawn certificate.
+Host = tuple[int, DeviceCertificate]
+
+
+@dataclass(frozen=True, slots=True)
+class FleetView:
+    """A fleet's online hosts as of one moment, for a later scan.
+
+    The fleet itself may step on (retire devices, move addresses, draw
+    new certificates) before the scan runs; the view keeps what the
+    scan would have seen then.
+    """
+
+    model: DeviceModel
+    divisor: int
+    online: list[Host]
+
+    def hosts(self) -> list[Host]:
+        """The online hosts, in fleet order."""
+        return self.online
 
 
 class ModelPopulation:
@@ -229,9 +258,8 @@ class ModelPopulation:
         flawed_firmware = spec.window_contains(month)
         key = self._generate_key(flawed_firmware and self._weak_draw())
         ip = self.allocator.allocate()
-        cert = build_certificate(
-            self.model, key.keypair, ip, month, self.rng,
-            issuer=self._pick_issuer(),
+        issued = build_certificate(
+            self.model, key, ip, month, self.rng, issuer=self._pick_issuer()
         )
         device = Device(
             device_id=self._next_id,
@@ -240,7 +268,7 @@ class ModelPopulation:
             deployed=month,
             weak_firmware=flawed_firmware,
             key=key,
-            certificate=cert,
+            issued=issued,
         )
         self._next_id += 1
         self.online.append(device)
@@ -273,8 +301,8 @@ class ModelPopulation:
         if heal:
             device.weak_firmware = False
         device.key = self._generate_key(device.weak_firmware and self._weak_draw())
-        device.certificate = build_certificate(
-            device.model, device.key.keypair, device.ip, month, self.rng,
+        device.issued = build_certificate(
+            device.model, device.key, device.ip, month, self.rng,
             issuer=self._pick_issuer(),
         )
         device.cert_generations += 1
@@ -312,8 +340,8 @@ class ModelPopulation:
         if schedule.cert_renewal_rate > 0:
             for device in self.online:
                 if self.rng.random() < schedule.cert_renewal_rate:
-                    device.certificate = build_certificate(
-                        device.model, device.key.keypair, device.ip, month,
+                    device.issued = build_certificate(
+                        device.model, device.key, device.ip, month,
                         self.rng, issuer=self._pick_issuer(),
                     )
                     device.cert_generations += 1
@@ -355,6 +383,16 @@ class ModelPopulation:
             for device in self.online:
                 if device.weak_firmware and self.rng.random() < behavior.patch_fraction:
                     self._regenerate(device, month, heal=True)
+
+    # -- scanning --------------------------------------------------------
+
+    def hosts(self) -> list[Host]:
+        """The online hosts now, in fleet order."""
+        return [(device.ip, device.issued) for device in self.online]
+
+    def view(self) -> FleetView:
+        """The online hosts now, kept for a scan after later steps."""
+        return FleetView(self.model, self.divisor, self.hosts())
 
     # -- statistics ------------------------------------------------------
 

@@ -12,6 +12,8 @@ profiles on :class:`WeakKeyFactory`: every prime is derived from
 ``(factory seed, profile id, state)``, where the state is the boot state a
 device drew from its fleet's small finite set.  The profiles are shared-prime
 populations, the IBM nine-prime bug, and healthy generation.
+:mod:`repro.entropy.derive` computes each prime from its request, and
+derives healthy keys' primes in batches, on spawned workers or in-process.
 """
 
 from repro.entropy.keygen import (

@@ -13,23 +13,39 @@ A :class:`KeygenProfile` captures *how a product line generates RSA keys*:
 - :class:`HealthyProfile` — correctly seeded generation; unique primes.
 
 All primes are derived deterministically from ``(factory seed, profile id,
-state)`` so an entire simulated world is reproducible from one integer seed.
+kind, state)`` (:func:`repro.entropy.derive.derive_prime`) so an entire
+simulated world is reproducible from one integer seed, wherever each prime
+is computed.
+
+A healthy key is a pure function of its two unique states.
+:meth:`HealthyProfile.generate` takes both states when it is called and
+records the request on its factory; the key pair is built when the
+request's batch resolves, at the latest on the first read of
+:attr:`GeneratedKey.keypair`.  The factory's
+:class:`~repro.entropy.derive.PrimePool` derives each batch, on spawned
+workers when the study opened them and in-process otherwise, with the
+same result.  When a healthy key's two primes coincide (about 2**-42 per
+key at 48 bits, 2**-57 at 64 bits), ``q`` is derived again from the same
+request with a retry index in its tag, never from a fresh state, so the
+state counter advances by exactly two per healthy key.  Weak-profile keys
+stay eager: their retry loops draw from the population rng.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from repro.crypto.primes import generate_prime, openssl_style_prime
-from repro.crypto.rsa import DEFAULT_PUBLIC_EXPONENT, RsaKeyPair, keypair_from_primes
+from repro.crypto.rsa import RsaKeyPair, keypair_from_primes
+from repro.entropy.derive import HealthyRequest, PrimePool, derive_prime
 
 __all__ = [
+    "BATCH_KEYS",
     "GeneratedKey",
     "KeygenProfile",
+    "PendingKeyPair",
     "SharedPrimeProfile",
     "IbmNinePrimeProfile",
     "HealthyProfile",
@@ -37,12 +53,44 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+#: Healthy keys per prime batch.  A pooled batch costs one round trip, and
+#: 32 keys of 64-bit primes keep a worker busy ~7 ms.
+BATCH_KEYS = 32
+
+
+class _Batch:
+    """Healthy-key requests derived together, and their primes once resolved."""
+
+    __slots__ = ("requests", "ticket", "pairs")
+
+    def __init__(self) -> None:
+        self.requests: list[HealthyRequest] = []
+        self.ticket: int | None = None
+        self.pairs: list[tuple[int, int]] | None = None
+
+
+class PendingKeyPair:
+    """One recorded healthy-key request: its key pair once its batch resolves."""
+
+    __slots__ = ("_factory", "_batch", "_index")
+
+    def __init__(self, factory: "WeakKeyFactory", batch: _Batch, index: int) -> None:
+        self._factory = factory
+        self._batch = batch
+        self._index = index
+
+    def resolve(self) -> RsaKeyPair:
+        """Build the key pair, waiting for the batch if it has not resolved."""
+        p, q = self._factory._resolve(self._batch)[self._index]
+        return keypair_from_primes(p, q)
+
+
 class GeneratedKey:
     """A key pair plus the generation metadata the analysis layer can use.
 
     Attributes:
-        keypair: the generated RSA key pair.
+        keypair: the generated RSA key pair (a healthy key's is built from
+            its batch on the first read).
         profile_id: the keygen profile that produced it.
         boot_state: the boot-state index the first prime was derived from
             (None for healthy generation).
@@ -51,10 +99,33 @@ class GeneratedKey:
             other device drew the same boot state.
     """
 
-    keypair: RsaKeyPair
-    profile_id: str
-    boot_state: int | None
-    weak_by_construction: bool
+    __slots__ = ("_keypair", "profile_id", "boot_state", "weak_by_construction")
+
+    def __init__(
+        self,
+        keypair: RsaKeyPair | PendingKeyPair,
+        profile_id: str,
+        boot_state: int | None,
+        weak_by_construction: bool,
+    ) -> None:
+        self._keypair = keypair
+        self.profile_id = profile_id
+        self.boot_state = boot_state
+        self.weak_by_construction = weak_by_construction
+
+    @property
+    def keypair(self) -> RsaKeyPair:
+        keypair = self._keypair
+        if isinstance(keypair, PendingKeyPair):
+            keypair = self._keypair = keypair.resolve()
+        return keypair
+
+    def __repr__(self) -> str:
+        return (
+            f"GeneratedKey(profile_id={self.profile_id!r}, "
+            f"boot_state={self.boot_state!r}, "
+            f"weak_by_construction={self.weak_by_construction!r})"
+        )
 
 
 class KeygenProfile(ABC):
@@ -85,6 +156,8 @@ class WeakKeyFactory:
             primes, and all algorithms here are size-agnostic.
         openssl_table: the small-prime table used for OpenSSL-style
             generation; tests may pass a shorter table for speed.
+        pool: where healthy-key batches are derived (None = in-process,
+            when a batch is first read).
     """
 
     def __init__(
@@ -92,18 +165,17 @@ class WeakKeyFactory:
         seed: int,
         prime_bits: int = 128,
         openssl_table: tuple[int, ...] | None = None,
+        pool: PrimePool | None = None,
     ) -> None:
         if prime_bits < 24:
             raise ValueError("prime_bits below 24 risks accidental collisions")
         self.seed = seed
         self.prime_bits = prime_bits
+        self.pool = pool if pool is not None else PrimePool()
         self._openssl_table = openssl_table
         self._cache: dict[tuple[str, str, int], int] = {}
         self._unique_counter = itertools.count()
-
-    def _rng_for(self, profile_id: str, kind: str, state: int) -> random.Random:
-        tag = f"repro|{self.seed}|{profile_id}|{kind}|{state}".encode()
-        return random.Random(int.from_bytes(hashlib.sha256(tag).digest(), "big"))
+        self._recording = _Batch()
 
     def derive_prime(
         self, profile_id: str, kind: str, state: int, openssl_style: bool
@@ -112,27 +184,39 @@ class WeakKeyFactory:
         cache_key = (profile_id, kind, state)
         prime = self._cache.get(cache_key)
         if prime is None:
-            rng = self._rng_for(profile_id, kind, state)
-            while True:
-                if openssl_style:
-                    if self._openssl_table is not None:
-                        prime = openssl_style_prime(
-                            self.prime_bits, rng, self._openssl_table
-                        )
-                    else:
-                        prime = openssl_style_prime(self.prime_bits, rng)
-                else:
-                    prime = generate_prime(self.prime_bits, rng)
-                # Every real keygen rejects primes with gcd(p-1, e) != 1, or
-                # the private exponent would not exist.
-                if (prime - 1) % DEFAULT_PUBLIC_EXPONENT:
-                    break
+            prime = derive_prime(
+                self.seed, self.prime_bits, profile_id, kind, state,
+                openssl_style, self._openssl_table,
+            )
             self._cache[cache_key] = prime
         return prime
 
     def unique_state(self) -> int:
         """Return a never-repeating state index (for divergent second primes)."""
         return next(self._unique_counter)
+
+    def request_healthy(self, profile_id: str, p_state: int, q_state: int) -> PendingKeyPair:
+        """Record one healthy key's request; a full batch goes to the pool."""
+        batch = self._recording
+        pending = PendingKeyPair(self, batch, len(batch.requests))
+        batch.requests.append((profile_id, p_state, q_state))
+        if len(batch.requests) >= BATCH_KEYS:
+            self.flush()
+        return pending
+
+    def flush(self) -> None:
+        """Send every recorded request to the pool now."""
+        batch = self._recording
+        if batch.requests:
+            batch.ticket = self.pool.submit(self.seed, self.prime_bits, batch.requests)
+            self._recording = _Batch()
+
+    def _resolve(self, batch: _Batch) -> list[tuple[int, int]]:
+        """The batch's primes; its first read sends every recorded request."""
+        if batch.pairs is None:
+            self.flush()
+            batch.pairs = self.pool.collect(batch.ticket)
+        return batch.pairs
 
 
 @dataclass(frozen=True)
@@ -240,18 +324,10 @@ class HealthyProfile(KeygenProfile):
     profile_id: str
 
     def generate(self, rng: random.Random, factory: WeakKeyFactory) -> GeneratedKey:
-        p = factory.derive_prime(
-            self.profile_id, "healthy-p", factory.unique_state(), openssl_style=False
-        )
-        q = factory.derive_prime(
-            self.profile_id, "healthy-q", factory.unique_state(), openssl_style=False
-        )
-        if p == q:  # pragma: no cover - probability ~2**-120
-            q = factory.derive_prime(
-                self.profile_id, "healthy-q", factory.unique_state(), openssl_style=False
-            )
+        p_state = factory.unique_state()
+        q_state = factory.unique_state()
         return GeneratedKey(
-            keypair=keypair_from_primes(p, q),
+            keypair=factory.request_healthy(self.profile_id, p_state, q_state),
             profile_id=self.profile_id,
             boot_state=None,
             weak_by_construction=False,

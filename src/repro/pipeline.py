@@ -11,6 +11,15 @@ scale:
    factor it with the clustered batch GCD;
 4. fingerprint implementations and triage artifacts;
 5. build every table and figure series of the evaluation.
+
+Healthy-key primes, most of the walk's work, are derived in batches on one
+``spawn``-context :class:`~repro.entropy.derive.PrimePool` that lives for
+stages 1-3, sized by :func:`repro.core.select.pool_workers` (in-process on
+one core).  It closes before the batch-GCD stage starts its fork-based
+pool, and on any exception.  The walk scans each month one step late,
+from a view of the fleets taken when the month's step ended, so the next
+month's primes derive on the pool while the scan runs; the scan sees the
+same hosts and certificates as an immediate one.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ from repro.analysis.transitions import (
 )
 from repro.core.clustered import ClusterRunStats
 from repro.core.results import BatchGcdResult
-from repro.core.select import select_engine
+from repro.core.select import pool_workers, select_engine
 from repro.devices.catalog import DEVICE_CATALOG
 from repro.devices.models import (
     DeviceModel,
@@ -53,11 +62,13 @@ from repro.devices.models import (
     SubjectStyle,
 )
 from repro.devices.population import (
+    FleetView,
     IpAllocator,
     ModelPopulation,
     resolve_divisor,
 )
 from repro.devices.vendors import VENDORS
+from repro.entropy.derive import PrimePool
 from repro.entropy.keygen import WeakKeyFactory
 from repro.fingerprint.engine import FingerprintReport, fingerprint_study
 from repro.scans.background import build_background_population, build_ca_pool
@@ -65,7 +76,7 @@ from repro.scans.protocols import ProtocolCorpus, build_protocol_corpora
 from repro.scans.records import CertificateStore, ScanSnapshot
 from repro.scans.rimon import RimonInterceptor
 from repro.scans.scanner import HttpsScanner, reconstruct_chains
-from repro.scans.sources import source_for_month
+from repro.scans.sources import ScanSource, source_for_month
 from repro.studyconfig import StudyConfig
 from repro.telemetry import RunReport, Telemetry, get_telemetry, use_telemetry
 from repro.timeline import Month
@@ -101,9 +112,19 @@ class StudyWorld:
     divisors: dict[str, int]
 
     def step(self, month: Month) -> None:
-        """Advance every population one month."""
+        """Advance every population one month; the healthy keys it
+        requested go to the keygen pool at once."""
         for population, _intercepted in self.populations:
             population.step(month)
+        self.device_factory.flush()
+        self.background_factory.flush()
+
+    def view(self) -> list[tuple[FleetView, bool]]:
+        """Every fleet's online hosts now, for a scan after later steps."""
+        return [
+            (population.view(), intercepted)
+            for population, intercepted in self.populations
+        ]
 
     def weak_moduli_truth(self) -> set[int]:
         """Ground-truth weak moduli ever emitted by any fleet."""
@@ -133,16 +154,24 @@ def _model_rng(seed: int, tag: str) -> random.Random:
     return random.Random(f"repro-study|{seed}|{tag}")
 
 
-def build_world(config: StudyConfig) -> StudyWorld:
-    """Construct the ground-truth world for a configuration."""
+def build_world(config: StudyConfig, pool: PrimePool | None = None) -> StudyWorld:
+    """Construct the ground-truth world for a configuration.
+
+    ``pool`` derives both factories' healthy-key batches (None =
+    in-process); the world is the same either way.
+    """
     table = config.openssl_table()
     device_factory = WeakKeyFactory(
-        seed=config.seed, prime_bits=config.device_prime_bits, openssl_table=table
+        seed=config.seed,
+        prime_bits=config.device_prime_bits,
+        openssl_table=table,
+        pool=pool,
     )
     background_factory = WeakKeyFactory(
         seed=config.seed ^ 0x5CA1AB1E,
         prime_bits=config.background_prime_bits,
         openssl_table=table,
+        pool=pool,
     )
     allocator = IpAllocator(_model_rng(config.seed, "ip-allocator"))
     ca_pool = build_ca_pool(
@@ -274,49 +303,66 @@ def run_study(
     return result
 
 
+def _scan(
+    scanner: HttpsScanner,
+    store: CertificateStore,
+    month: Month,
+    source: ScanSource,
+    fleets: list[tuple[FleetView, bool]],
+) -> ScanSnapshot:
+    """One month's scan, with chain reconstruction in the Rapid7 era."""
+    snapshot = scanner.scan(month, source, fleets)
+    if source.includes_unchained_intermediates:
+        reconstruct_chains(snapshot, store)
+    logger.info("scan %s (%s): %d records", month, source.name, snapshot.host_count)
+    return snapshot
+
+
 def _run_study_instrumented(config: StudyConfig, tel: Telemetry) -> StudyResult:
     """The pipeline body, recording one span per stage into ``tel``."""
-    with tel.span("world_build", seed=config.seed, scale=config.scale):
-        world = build_world(config)
-        store = CertificateStore()
-        scanner = HttpsScanner(
-            store=store,
-            rng=_model_rng(config.seed, "scanner"),
-            bit_error_rate=config.bit_error_rate,
-            ca_pool=world.ca_pool,
-            interceptor=world.interceptor,
-        )
-
-    snapshots: list[ScanSnapshot] = []
-    with tel.span("timeline_walk"):
-        for month in Month.range(config.start, config.end):
-            world.step(month)
-            source = source_for_month(month)
-            if source is None:
-                continue
-            snapshot = scanner.scan(month, source, world.populations)
-            if source.includes_unchained_intermediates:
-                reconstruct_chains(snapshot, store)
-            snapshots.append(snapshot)
-            logger.info(
-                "scan %s (%s): %d records", month, source.name, snapshot.host_count
+    with PrimePool(pool_workers()) as pool:
+        with tel.span("world_build", seed=config.seed, scale=config.scale):
+            world = build_world(config, pool)
+            store = CertificateStore()
+            scanner = HttpsScanner(
+                store=store,
+                rng=_model_rng(config.seed, "scanner"),
+                bit_error_rate=config.bit_error_rate,
+                ca_pool=world.ca_pool,
+                interceptor=world.interceptor,
             )
-        tel.annotate(snapshots=len(snapshots))
+            tel.annotate(keygen_processes=pool.processes)
 
-    with tel.span("corpus"):
-        protocol_corpora = build_protocol_corpora(
-            scale=config.scale,
-            factory=world.background_factory,
-            rng=_model_rng(config.seed, "protocols"),
-        )
-        corpus: dict[int, None] = {}
-        for n in store.moduli_with_weights():
-            corpus[n] = None
-        for protocol_corpus in protocol_corpora:
-            for n in protocol_corpus.all_moduli():
+        snapshots: list[ScanSnapshot] = []
+        with tel.span("timeline_walk"):
+            # A month is scanned from a view of the fleets taken when its
+            # step ends, after the next month has stepped: the primes the
+            # next month requests derive on the pool during the scan.
+            due: tuple[Month, ScanSource, list] | None = None
+            for month in Month.range(config.start, config.end):
+                world.step(month)
+                if due is not None:
+                    snapshots.append(_scan(scanner, store, *due))
+                source = source_for_month(month)
+                due = None if source is None else (month, source, world.view())
+            if due is not None:
+                snapshots.append(_scan(scanner, store, *due))
+            tel.annotate(snapshots=len(snapshots))
+
+        with tel.span("corpus"):
+            protocol_corpora = build_protocol_corpora(
+                scale=config.scale,
+                factory=world.background_factory,
+                rng=_model_rng(config.seed, "protocols"),
+            )
+            corpus: dict[int, None] = {}
+            for n in store.moduli_with_weights():
                 corpus[n] = None
-        moduli = list(corpus)
-        tel.annotate(distinct_moduli=len(moduli))
+            for protocol_corpus in protocol_corpora:
+                for n in protocol_corpus.all_moduli():
+                    corpus[n] = None
+            moduli = list(corpus)
+            tel.annotate(distinct_moduli=len(moduli))
     logger.info("batch GCD over %d distinct moduli", len(moduli))
 
     with tel.span(

@@ -16,7 +16,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.entropy.keygen import HealthyProfile, SharedPrimeProfile, WeakKeyFactory
+from repro.entropy.keygen import (
+    GeneratedKey,
+    HealthyProfile,
+    SharedPrimeProfile,
+    WeakKeyFactory,
+)
 from repro.timeline import Month
 
 __all__ = ["ProtocolCorpus", "build_protocol_corpora", "PROTOCOL_SPECS"]
@@ -98,9 +103,11 @@ def build_protocol_corpora(
 
     The weak SSH sub-population is simulated at its own (smaller) divisor so
     that the ~723 paper-scale vulnerable hosts do not round away; its records
-    carry that divisor as weight through the pipeline.
+    carry that divisor as weight through the pipeline.  Healthy moduli are
+    read only once every key is requested, so their primes resolve together.
     """
     corpora: list[ProtocolCorpus] = []
+    healthy_keys: list[tuple[list[int], list[GeneratedKey]]] = []
     for spec in PROTOCOL_SPECS:
         healthy_profile = HealthyProfile(profile_id=f"proto-{spec.name.lower()}")
         healthy_count = max(0, round((spec.rsa_hosts - spec.weak_hosts) / scale))
@@ -110,13 +117,12 @@ def build_protocol_corpora(
             total_hosts_sim=round(spec.total_hosts / scale),
             weight=scale,
         )
-        for _ in range(healthy_count):
-            key = healthy_profile.generate(rng, factory)
-            corpus.rsa_moduli.append(key.keypair.public.n)
-        historical = round(healthy_count * HISTORICAL_KEY_FRACTION)
-        for _ in range(historical):
-            key = healthy_profile.generate(rng, factory)
-            corpus.historical_moduli.append(key.keypair.public.n)
+        current = [healthy_profile.generate(rng, factory) for _ in range(healthy_count)]
+        historical = [
+            healthy_profile.generate(rng, factory)
+            for _ in range(round(healthy_count * HISTORICAL_KEY_FRACTION))
+        ]
+        healthy_keys += [(corpus.rsa_moduli, current), (corpus.historical_moduli, historical)]
         if spec.weak_hosts:
             divisor = _weak_divisor(spec, scale)
             weak_profile = SharedPrimeProfile(
@@ -140,4 +146,6 @@ def build_protocol_corpora(
                 weak_corpus.weak_moduli_truth.add(n)
             corpora.append(weak_corpus)
         corpora.append(corpus)
+    for moduli, keys in healthy_keys:
+        moduli.extend(key.keypair.public.n for key in keys)
     return corpora

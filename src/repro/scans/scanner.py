@@ -19,7 +19,7 @@ import random
 
 from repro.crypto.certs import Certificate
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
-from repro.devices.population import ModelPopulation
+from repro.devices.population import FleetView, ModelPopulation
 from repro.scans.records import CertificateStore, ScanSnapshot
 from repro.scans.rimon import RimonInterceptor
 from repro.scans.sources import ScanSource
@@ -67,21 +67,23 @@ class HttpsScanner:
         self,
         month: Month,
         source: ScanSource,
-        populations: list[tuple[ModelPopulation, bool]],
+        populations: list[tuple[ModelPopulation | FleetView, bool]],
     ) -> ScanSnapshot:
-        """Scan all populations; the bool flags Rimon-intercepted fleets."""
+        """Scan all populations (live fleets, or views of them taken at
+        ``month``); the bool flags Rimon-intercepted fleets."""
         snapshot = ScanSnapshot(source=source.name, month=month)
         rng = self.rng
         bit_errors_before = self.bit_error_records
         intercepted_before = self.intercepted_records
         hosts_online = 0
         for population, intercepted in populations:
-            hosts_online += len(population.online)
+            hosts = population.hosts()
+            hosts_online += len(hosts)
             weight = population.divisor
-            for device in population.online:
+            for ip, issued in hosts:
                 if rng.random() >= source.coverage:
                     continue
-                certificate = device.certificate
+                certificate = issued.certificate
                 if intercepted and self.interceptor is not None:
                     certificate = self.interceptor.intercept(certificate)
                     self.intercepted_records += 1
@@ -94,7 +96,7 @@ class HttpsScanner:
                     banner=population.model.http_content,
                     only_rsa_kex=population.model.supports_only_rsa_kex,
                 )
-                snapshot.append(device.ip, cert_id)
+                snapshot.append(ip, cert_id)
                 if (
                     source.includes_unchained_intermediates
                     and not certificate.is_self_signed
@@ -103,7 +105,7 @@ class HttpsScanner:
                     issuer = self._ca_by_subject.get(certificate.issuer.rfc4514())
                     if issuer is not None:
                         ca_id = self.store.intern(issuer, weight)
-                        snapshot.append(device.ip, ca_id)
+                        snapshot.append(ip, ca_id)
         telemetry = get_telemetry()
         if telemetry.enabled:
             telemetry.counter("scans.snapshots")

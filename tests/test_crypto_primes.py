@@ -67,6 +67,35 @@ class TestOpensslProperty:
         )
         assert count < 30
 
+    def test_rest_of_table_checked_first_keeps_every_prime(self):
+        # openssl_style_prime checks the table after its 128-prime prefix
+        # with one gcd before the primality test.  Against the order it
+        # replaced (the loop over that rest after the primality test), the
+        # same stream yields the same prime and leaves the rng in the same
+        # state, over 400 seeds with the authentic 2,048-prime table.
+        table = OPENSSL_FINGERPRINT_PRIMES
+
+        def primality_first(bits, rng):
+            prefix, rest = table[:128], table[128:]
+            while True:
+                candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+                pm1 = candidate - 1
+                if not all(pm1 % q for q in prefix):
+                    continue
+                if not is_probable_prime(candidate):
+                    continue
+                if all(pm1 % q for q in rest):
+                    return candidate
+
+        assert len(table) == 2048
+        for seed in range(400):
+            new_rng, old_rng = random.Random(seed), random.Random(seed)
+            bits = (64, 96, 128)[seed % 3]
+            assert openssl_style_prime(bits, new_rng, table) == primality_first(
+                bits, old_rng
+            )
+            assert new_rng.getstate() == old_rng.getstate()
+
     def test_table_excludes_two(self):
         assert 2 not in OPENSSL_FINGERPRINT_PRIMES
         assert OPENSSL_FINGERPRINT_PRIMES[0] == 3

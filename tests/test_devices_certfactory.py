@@ -24,7 +24,7 @@ def model_with_style(style):
 
 
 def build(model, keypair, rng, ip=0x0A0B0C0D):
-    return build_certificate(model, keypair, ip, Month(2012, 6), rng)
+    return build_certificate(model, keypair, ip, Month(2012, 6), rng).certificate
 
 
 class TestFormatIp:
@@ -103,7 +103,7 @@ class TestCertificateProperties:
     def test_validity_starts_in_deploy_month(self, keypair, rng):
         cert = build_certificate(
             DEVICE_CATALOG[0], keypair, 1, Month(2013, 5), rng
-        )
+        ).certificate
         assert cert.not_before.year == 2013
         assert cert.not_before.month == 5
 

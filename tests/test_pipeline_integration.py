@@ -1,8 +1,15 @@
 """End-to-end integration tests over the shared tiny study."""
 
 import hashlib
+import multiprocessing
+import os
+from multiprocessing import resource_tracker
 
+import pytest
+
+from repro.core.select import pool_workers
 from repro.pipeline import build_world, run_study
+from repro.scans.scanner import HttpsScanner
 from repro.studyconfig import StudyConfig
 from repro.timeline import HEARTBLEED, Month
 
@@ -118,6 +125,51 @@ class TestDeterminism:
             a.step(month)
             b.step(month)
         assert a.weak_moduli_truth() != b.weak_moduli_truth()
+
+
+class TestPooledKeygen:
+    """The study derives healthy-key primes on a spawned pool sized by the
+    core rule; the shared tiny study ran on it on any multi-core host."""
+
+    def test_pooled_and_in_process_studies_are_equal(self, tiny_study, monkeypatch):
+        derives = [
+            span
+            for root in tiny_study.telemetry.spans
+            for span in root.walk()
+            if span.name == "keygen.derive"
+        ]
+        assert {s.attrs["processes"] for s in derives} == {pool_workers() or 0}
+        assert not any(s.attrs["fallback"] for s in derives)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        inline = run_study(StudyConfig.tiny())
+        assert inline.batch_result.divisors == tiny_study.batch_result.divisors
+        assert [e.certificate.fingerprint() for e in inline.store.entries()] == [
+            e.certificate.fingerprint() for e in tiny_study.store.entries()
+        ]
+        assert inline.table1 == tiny_study.table1
+        assert inline.table4 == tiny_study.table4
+        assert inline.table5 == tiny_study.table5
+
+    def test_study_that_raises_mid_walk_leaves_no_process(self, monkeypatch):
+        tracker_was_running = getattr(resource_tracker._resource_tracker, "_fd", None)
+        scans = 0
+        real_scan = HttpsScanner.scan
+
+        def failing_scan(self, *args, **kwargs):
+            nonlocal scans
+            scans += 1
+            if scans == 3:
+                raise RuntimeError("scanner failed mid-walk")
+            return real_scan(self, *args, **kwargs)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(HttpsScanner, "scan", failing_scan)
+        with pytest.raises(RuntimeError, match="mid-walk"):
+            run_study(StudyConfig.tiny())
+        assert scans == 3
+        assert multiprocessing.active_children() == []
+        if tracker_was_running is None:
+            assert resource_tracker._resource_tracker._fd is None
 
 
 class TestShortWindowStudy:

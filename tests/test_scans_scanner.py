@@ -171,3 +171,29 @@ class TestChainReconstruction:
             Month(2013, 6), make_source(intermediates=False), [(population, False)]
         )
         assert snapshot.host_count == population.online_count()
+
+
+class TestFleetView:
+    def test_scan_of_a_view_ignores_later_steps(self, small_openssl_table):
+        def scan(fleet):
+            store = CertificateStore()
+            scanner = HttpsScanner(
+                store=store, rng=random.Random(5), bit_error_rate=0.05
+            )
+            snapshot = scanner.scan(Month(2012, 2), make_source(0.7), [(fleet, False)])
+            fingerprints = [e.certificate.fingerprint() for e in store.entries()]
+            return list(snapshot.records()), fingerprints
+
+        def fleet():
+            return make_population(
+                WeakKeyFactory(seed=17, prime_bits=48, openssl_table=small_openssl_table),
+                size=60,
+            )
+
+        expected = scan(fleet())
+        moved_on = fleet()
+        view = moved_on.view()
+        for month in Month.range(Month(2012, 2), Month(2014, 1)):
+            moved_on.step(month)
+        assert moved_on.hosts() != view.hosts()
+        assert scan(view) == expected
